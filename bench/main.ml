@@ -379,6 +379,18 @@ let bench_store_case ~strategies ~leaves =
 let store_case_100k () = bench_store_case ~strategies:10_000 ~leaves:10
 let store_case_10k () = bench_store_case ~strategies:1_000 ~leaves:10
 
+(* One ~5k-node case rendered as DSL text, for the parse kernel: large
+   enough that any per-declaration cost growing with the case size
+   dominates the parse (DESIGN.md section 14). *)
+let dsl_case_5k () =
+  Argus_dsl.Dsl.print
+    {
+      Argus_dsl.Dsl.module_name = None;
+      title = "bench 5k";
+      ontology = Argus_gsn.Metadata.ontology [];
+      structure = bench_store_case ~strategies:500 ~leaves:9;
+    }
+
 let store_edit_texts =
   [|
     "operating region 42 mode 7 remains safe during sustained operation";
@@ -580,6 +592,8 @@ let bench_subjects =
      keep the un-amortised costs visible next to them. *)
   let fig1_cp = Compile.program Informal.desert_bank in
   let fig1_q = Compile.query [ goal ] in
+  let dsl_5k = dsl_case_5k () in
+  assert (Result.is_ok (Argus_dsl.Dsl.parse dsl_5k));
   let sample_ir = Caseir.intern sample_case in
   let deep_ir = Caseir.intern deep_case in
   (* Direct CNF in which [p] and [q] appear with a single polarity, so
@@ -599,6 +613,8 @@ let bench_subjects =
         ignore (Exec.provable fig1_cp fig1_q)));
     Test.make ~name:"prolog-compiled-vs-interpreted" (Staged.stage (fun () ->
         ignore (Engine.provable Informal.desert_bank goal)));
+    Test.make ~name:"dsl-parse-5k" (Staged.stage (fun () ->
+        ignore (Argus_dsl.Dsl.parse dsl_5k)));
     Test.make ~name:"ir-intern-cost" (Staged.stage (fun () ->
         ignore (Caseir.intern deep_case)));
     Test.make ~name:"fused-corpus-check" (Staged.stage (fun () ->

@@ -2,38 +2,44 @@ let is_alnum c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 
 let words s =
-  let out = ref [] in
-  let buf = Buffer.create 16 in
-  let flush () =
-    if Buffer.length buf > 0 then begin
-      out := Buffer.contents buf :: !out;
-      Buffer.clear buf
-    end
+  let n = String.length s in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else if not (is_alnum s.[i]) then go (i + 1) acc
+    else
+      let j = ref (i + 1) in
+      while !j < n && is_alnum s.[!j] do
+        incr j
+      done;
+      go !j (String.sub s i (!j - i) :: acc)
   in
-  String.iter (fun c -> if is_alnum c then Buffer.add_char buf c else flush ()) s;
-  flush ();
-  List.rev !out
+  go 0 []
 
 let normalise_word w =
-  let w = String.lowercase_ascii w in
+  let lower i = Char.lowercase_ascii w.[i] in
   let n = String.length w in
-  if n > 3 && w.[n - 1] = 's' && w.[n - 2] <> 's' then String.sub w 0 (n - 1)
-  else w
+  let n =
+    if n > 3 && lower (n - 1) = 's' && lower (n - 2) <> 's' then n - 1 else n
+  in
+  String.init n lower
 
-let stop_words =
-  [
-    "a"; "an"; "the"; "is"; "are"; "was"; "were"; "be"; "been"; "being";
-    "and"; "or"; "not"; "no"; "of"; "to"; "in"; "on"; "at"; "by"; "for";
-    "with"; "from"; "that"; "this"; "these"; "those"; "it"; "its"; "as";
-    "all"; "any"; "each"; "when"; "if"; "then"; "than"; "so"; "such";
-    "will"; "shall"; "can"; "cannot"; "must"; "may"; "might"; "do"; "doe";
-    "ha"; "has"; "have"; "had"; "which"; "who"; "whom"; "what"; "where";
-  ]
+let is_stop_word = function
+  | "a" | "an" | "the" | "is" | "are" | "was" | "were" | "be" | "been"
+  | "being" | "and" | "or" | "not" | "no" | "of" | "to" | "in" | "on" | "at"
+  | "by" | "for" | "with" | "from" | "that" | "this" | "these" | "those" | "it"
+  | "its" | "as" | "all" | "any" | "each" | "when" | "if" | "then" | "than"
+  | "so" | "such" | "will" | "shall" | "can" | "cannot" | "must" | "may"
+  | "might" | "do" | "doe" | "ha" | "has" | "have" | "had" | "which" | "who"
+  | "whom" | "what" | "where" ->
+      true
+  | _ -> false
 
 let content_words s =
-  words s
-  |> List.map normalise_word
-  |> List.filter (fun w -> not (List.mem w stop_words))
+  List.filter_map
+    (fun w ->
+      let w = normalise_word w in
+      if is_stop_word w then None else Some w)
+    (words s)
 
 let sentences s =
   let out = ref [] in
@@ -105,38 +111,39 @@ let levenshtein a b =
     prev.(lb)
   end
 
-let symbolic_digraphs = [ "=>"; "->"; "|-"; "<->"; ":-"; "/\\"; "\\/" ]
-
-let symbolic_utf8 =
-  [ "\xc2\xac" (* ¬ *); "\xe2\x88\xa7" (* ∧ *); "\xe2\x88\xa8" (* ∨ *);
-    "\xe2\x86\x92" (* → *); "\xe2\x87\x92" (* ⇒ *); "\xe2\x88\x80" (* ∀ *);
-    "\xe2\x88\x83" (* ∃ *) ]
-
+(* Scans in place: no substring is copied at any offset. *)
 let contains_substring hay needle =
   let nh = String.length hay and nn = String.length needle in
-  if nn = 0 || nn > nh then false
-  else
-    let rec go i =
-      if i + nn > nh then false
-      else if String.sub hay i nn = needle then true
-      else go (i + 1)
-    in
-    go 0
+  let rec matches_at i j =
+    j = nn || (hay.[i + j] = needle.[j] && matches_at i (j + 1))
+  in
+  let rec go i = i + nn <= nh && (matches_at i 0 || go (i + 1)) in
+  nn > 0 && go 0
 
-(* An applied-term shape like [wcet(task_1, 250)]: an identifier directly
-   followed by an opening parenthesis. *)
-let has_applied_term s =
+(* One pass over the bytes for the digraphs ([<->] contains [->]), the
+   UTF-8 logic symbols, [&], and an applied-term shape like
+   [wcet(task_1, 250)] — an identifier directly followed by an opening
+   parenthesis.  [at] reads past the end as NUL, which no arm matches. *)
+let contains_symbolic_notation s =
   let n = String.length s in
+  let at i = if i < n then s.[i] else '\000' in
   let rec go i =
-    if i >= n then false
-    else if s.[i] = '(' && i > 0 && (is_alnum s.[i - 1] || s.[i - 1] = '_')
-    then true
-    else go (i + 1)
+    i < n
+    && ((match s.[i] with
+        | '&' -> true
+        | '=' | '-' -> at (i + 1) = '>'
+        | '|' | ':' -> at (i + 1) = '-'
+        | '/' -> at (i + 1) = '\\'
+        | '\\' -> at (i + 1) = '/'
+        | '\xc2' -> at (i + 1) = '\xac' (* ¬ *)
+        | '\xe2' -> (
+            match (at (i + 1), at (i + 2)) with
+            | '\x88', ('\xa7' | '\xa8' | '\x80' | '\x83') (* ∧ ∨ ∀ ∃ *)
+            | ('\x86' | '\x87'), '\x92' (* → ⇒ *) ->
+                true
+            | _ -> false)
+        | '(' -> i > 0 && (is_alnum s.[i - 1] || s.[i - 1] = '_')
+        | _ -> false)
+       || go (i + 1))
   in
   go 0
-
-let contains_symbolic_notation s =
-  List.exists (contains_substring s) symbolic_digraphs
-  || List.exists (contains_substring s) symbolic_utf8
-  || contains_substring s "&"
-  || has_applied_term s

@@ -34,6 +34,11 @@ val flesch_reading_ease : string -> float
 val levenshtein : string -> string -> int
 (** Edit distance, used by the pattern-instantiation defect classifier. *)
 
+val contains_substring : string -> string -> bool
+(** [contains_substring hay needle]: whether [needle] occurs in [hay],
+    byte for byte.  Compares in place without copying; [false] for an
+    empty [needle]. *)
+
 val contains_symbolic_notation : string -> bool
 (** Whether the text contains characters or digraphs characteristic of
     symbolic logic: [=>], [->], [&], [|-], [¬], [∧], [∨], [→], [⇒],

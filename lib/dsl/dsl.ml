@@ -440,10 +440,13 @@ let p_case st =
   in
   let title = p_string st "case title" in
   ignore (expect st TLbrace "'{'");
-  let structure = ref Structure.empty in
+  (* Declarations accumulate newest-first and the structure is built
+     once at the closing brace. *)
+  let nodes = ref [] in
+  let evidence = ref [] in
+  let links = ref [] in
   let enums = ref [] in
   let attrs = ref [] in
-  let pending_links = ref [] in
   let seen_ids = Hashtbl.create 16 in
   let rec items () =
     match advance st with
@@ -454,13 +457,13 @@ let p_case st =
           semantic st
             (Diagnostic.errorf ~code:"dsl/duplicate-enum" ~loc
                "enumeration %s declared twice" name)
-        else enums := !enums @ [ (name, members) ];
+        else enums := (name, members) :: !enums;
         items ()
     | { kind = Word "attr"; _ } ->
-        attrs := !attrs @ [ p_attr st !enums ];
+        attrs := p_attr st !enums :: !attrs;
         items ()
     | { kind = Word "evidence"; _ } ->
-        structure := Structure.add_evidence (p_evidence st) !structure;
+        evidence := p_evidence st :: !evidence;
         items ()
     | { kind = Word w; loc } when List.mem w node_type_words ->
         let node, supported, contexts = p_node st w in
@@ -471,15 +474,10 @@ let p_case st =
                (Id.to_string node.Node.id))
         else begin
           Hashtbl.add seen_ids node.Node.id ();
-          structure := Structure.add_node node !structure;
-          pending_links :=
-            !pending_links
-            @ List.map
-                (fun d -> (Structure.Supported_by, node.Node.id, d))
-                supported
-            @ List.map
-                (fun d -> (Structure.In_context_of, node.Node.id, d))
-                contexts
+          nodes := node :: !nodes;
+          let add kind d = links := (kind, node.Node.id, d) :: !links in
+          List.iter (add Structure.Supported_by) supported;
+          List.iter (add Structure.In_context_of) contexts
         end;
         items ()
     | { loc; _ } ->
@@ -491,14 +489,13 @@ let p_case st =
   in
   items ();
   let structure =
-    List.fold_left
-      (fun s (kind, src, dst) -> Structure.connect kind ~src ~dst s)
-      !structure !pending_links
+    Structure.build ~links:(List.rev !links) ~evidence:(List.rev !evidence)
+      (List.rev !nodes)
   in
   {
     module_name;
     title;
-    ontology = Metadata.ontology ~enums:!enums !attrs;
+    ontology = Metadata.ontology ~enums:(List.rev !enums) (List.rev !attrs);
     structure;
   }
 

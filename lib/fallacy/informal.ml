@@ -63,18 +63,10 @@ let ignorance_phrases =
     "no counterexample";
   ]
 
-let contains_ci hay needle =
-  let hay = String.lowercase_ascii hay and needle = String.lowercase_ascii needle in
-  let nh = String.length hay and nn = String.length needle in
-  if nn = 0 || nn > nh then false
-  else
-    let rec go i =
-      if i + nn > nh then false else String.sub hay i nn = needle || go (i + 1)
-    in
-    go 0
-
+(* The phrases are lowercase, so the text is lowered once per call. *)
 let argues_from_ignorance text =
-  List.exists (contains_ci text) ignorance_phrases
+  let text = String.lowercase_ascii text in
+  List.exists (Textutil.contains_substring text) ignorance_phrases
 
 (* Path enumeration on a dense DAG is exponential and a lint need not
    be exhaustive, so the circular-support walk always runs under a

@@ -192,11 +192,7 @@ let of_json json =
     let nodes = List.map node_of_json (list_field json "nodes") in
     let links = List.map link_of_json (list_field json "links") in
     let evidence = List.map evidence_of_json (list_field json "evidence") in
-    let s = List.fold_left (fun s n -> Structure.add_node n s) Structure.empty nodes in
-    let s = List.fold_left (fun s e -> Structure.add_evidence e s) s evidence in
-    List.fold_left
-      (fun s (kind, src, dst) -> Structure.connect kind ~src ~dst s)
-      s links
+    Structure.build ~links ~evidence nodes
   with
   | s -> Ok s
   | exception Bad d -> Error [ d ]

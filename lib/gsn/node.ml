@@ -59,22 +59,23 @@ let is_contextual = function
 
 (* Finite-verb (or copula) markers that make a sentence read as a
    proposition rather than a noun phrase.  Deliberately coarse. *)
-let verb_markers =
-  [
-    "is"; "are"; "was"; "were"; "be"; "been"; "holds"; "hold"; "has"; "have";
-    "meets"; "meet"; "satisfies"; "satisfy"; "complies"; "comply"; "shall";
-    "will"; "must"; "can"; "cannot"; "does"; "do"; "operates"; "operate";
-    "remains"; "remain"; "occurs"; "occur"; "exists"; "exist"; "prevents";
-    "prevent"; "ensures"; "ensure"; "implies"; "imply"; "managed"; "mitigated";
-    "acceptable"; "tolerable"; "identified"; "addressed"; "inhibited";
-    "correct"; "safe"; "secure"; "sufficient"; "valid"; "complete";
-  ]
+let is_verb_marker = function
+  | "is" | "are" | "was" | "were" | "be" | "been" | "holds" | "hold" | "has"
+  | "have" | "meets" | "meet" | "satisfies" | "satisfy" | "complies"
+  | "comply" | "shall" | "will" | "must" | "can" | "cannot" | "does" | "do"
+  | "operates" | "operate" | "remains" | "remain" | "occurs" | "occur"
+  | "exists" | "exist" | "prevents" | "prevent" | "ensures" | "ensure"
+  | "implies" | "imply" | "managed" | "mitigated" | "acceptable" | "tolerable"
+  | "identified" | "addressed" | "inhibited" | "correct" | "safe" | "secure"
+  | "sufficient" | "valid" | "complete" ->
+      true
+  | _ -> false
 
 let looks_propositional text =
-  if Argus_core.Textutil.contains_symbolic_notation text then true
-  else
-    let words = List.map String.lowercase_ascii (Argus_core.Textutil.words text) in
-    List.exists (fun w -> List.mem w verb_markers) words
+  Argus_core.Textutil.contains_symbolic_notation text
+  || List.exists
+       (fun w -> is_verb_marker (String.lowercase_ascii w))
+       (Argus_core.Textutil.words text)
 
 let type_to_string = function
   | Goal -> "goal"

@@ -15,15 +15,8 @@ type t =
 let lowercase = String.lowercase_ascii
 
 let contains_ci hay needle =
-  let hay = lowercase hay and needle = lowercase needle in
-  let nh = String.length hay and nn = String.length needle in
-  if nn = 0 then true
-  else
-    let rec go i =
-      if i + nn > nh then false
-      else String.sub hay i nn = needle || go (i + 1)
-    in
-    go 0
+  needle = ""
+  || Argus_core.Textutil.contains_substring (lowercase hay) (lowercase needle)
 
 let first_arg name node =
   List.find_map

@@ -67,10 +67,13 @@ let add_evidence ev t =
 module Link_set = Set.Make (struct
   type t = link * Id.t * Id.t
 
-  let compare = Stdlib.compare
+  let compare (k1, s1, d1) (k2, s2, d2) =
+    match Id.compare s1 s2 with
+    | 0 -> ( match Id.compare d1 d2 with 0 -> Stdlib.compare k1 k2 | c -> c)
+    | c -> c
 end)
 
-let of_nodes ?(links = []) ?(evidence = []) node_list =
+let build ?(links = []) ?(evidence = []) node_list =
   let node_map, node_order_rev =
     List.fold_left
       (fun (m, order) n ->
@@ -91,8 +94,7 @@ let of_nodes ?(links = []) ?(evidence = []) node_list =
   in
   let _, link_list_rev =
     List.fold_left
-      (fun (seen, acc) (kind, src, dst) ->
-        let l = (kind, Id.of_string src, Id.of_string dst) in
+      (fun (seen, acc) l ->
         if Link_set.mem l seen then (seen, acc)
         else (Link_set.add l seen, l :: acc))
       (Link_set.empty, []) links
@@ -104,6 +106,14 @@ let of_nodes ?(links = []) ?(evidence = []) node_list =
     evidence_map;
     evidence_order = List.rev evidence_order_rev;
   }
+
+let of_nodes ?(links = []) ?evidence node_list =
+  build
+    ~links:
+      (List.map
+         (fun (kind, src, dst) -> (kind, Id.of_string src, Id.of_string dst))
+         links)
+    ?evidence node_list
 
 let find id t = Id.Map.find_opt id t.node_map
 

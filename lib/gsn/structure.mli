@@ -32,13 +32,25 @@ val disconnect : link -> src:Argus_core.Id.t -> dst:Argus_core.Id.t -> t -> t
 val add_evidence : Argus_core.Evidence.t -> t -> t
 (** Registers an evidence item that solution nodes can cite. *)
 
+val build :
+  ?links:(link * Argus_core.Id.t * Argus_core.Id.t) list ->
+  ?evidence:Argus_core.Evidence.t list ->
+  Node.t list ->
+  t
+(** The bulk builder, O(n log n): the same structure as folding
+    {!add_node} over the nodes, {!add_evidence} over the evidence and
+    {!connect} over the links — a repeated node or evidence id keeps
+    its first position with the newest payload, a repeated link is
+    dropped after its first occurrence, and link endpoints need not
+    exist.  Parsers collect a whole case and call this once. *)
+
 val of_nodes :
   ?links:(link * string * string) list ->
   ?evidence:Argus_core.Evidence.t list ->
   Node.t list ->
   t
-(** Convenience builder; link endpoints given as strings are validated
-    as identifiers. *)
+(** {!build} with link endpoints given as strings, validated as
+    identifiers. *)
 
 val find : Argus_core.Id.t -> t -> Node.t option
 val find_exn : Argus_core.Id.t -> t -> Node.t

@@ -55,13 +55,14 @@ let context_target_ok = function
 let has_placeholder text =
   String.contains text '{' && String.contains text '}'
 
-let universal_markers = [ "all"; "always"; "never"; "every"; "any" ]
+let is_universal_marker = function
+  | "all" | "always" | "never" | "every" | "any" -> true
+  | _ -> false
 
 let claims_universally text =
-  let words =
-    List.map String.lowercase_ascii (Argus_core.Textutil.words text)
-  in
-  List.exists (fun w -> List.mem w universal_markers) words
+  List.exists
+    (fun w -> is_universal_marker (String.lowercase_ascii w))
+    (Argus_core.Textutil.words text)
 
 (* Checker counters (catalogue in DESIGN.md). *)
 let c_nodes_visited = Argus_obs.Counter.make "gsn.wf.nodes_visited"

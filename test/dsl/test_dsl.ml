@@ -328,6 +328,117 @@ let roundtrip_property =
           && c.ontology = c'.ontology
       | Error _ -> false)
 
+(* --- Bulk builder against the declaration-order fold --- *)
+
+(* A random case as its declarations, in source order: evidence items
+   (ids drawn from a small pool, so they repeat with new payloads) and
+   nodes (unique ids) whose link clauses may repeat a target, name a
+   node declared later, or dangle, shuffled together. *)
+type decl =
+  | Ev of Evidence.t
+  | Nd of Node.t * (Structure.link * Id.t list) list
+
+let gen_decls =
+  let open QCheck.Gen in
+  let* n_nodes = int_range 1 12 in
+  let node_ids = List.init n_nodes (fun i -> Printf.sprintf "N%d" i) in
+  let target = oneofl (node_ids @ [ "X0"; "X1" ]) in
+  let clause =
+    let* kind = oneofl [ Structure.Supported_by; Structure.In_context_of ] in
+    let* ts = list_size (int_range 1 3) target in
+    return (kind, List.map Id.of_string ts)
+  in
+  let gen_node id =
+    let* node_type =
+      oneofl [ Node.Goal; Node.Strategy; Node.Solution; Node.Context ]
+    in
+    let* status = oneofl [ Node.Developed; Node.Undeveloped ] in
+    let* text = oneofl [ "the system is safe"; "argue over hazards"; "" ] in
+    let* clauses = list_size (int_range 0 3) clause in
+    return
+      (Nd (Node.make ~id:(Id.of_string id) ~node_type ~status text, clauses))
+  in
+  let gen_evidence =
+    let* id = oneofl [ "E0"; "E1"; "E2" ] in
+    let* kind = oneofl Evidence.all_kinds in
+    let* description = oneofl [ "timing analysis"; "test campaign" ] in
+    return (Ev (Evidence.make ~id:(Id.of_string id) ~kind description))
+  in
+  let* nodes = flatten_l (List.map gen_node node_ids) in
+  let* evidence = list_size (int_range 0 6) gen_evidence in
+  shuffle_l (nodes @ evidence)
+
+let render_decls decls =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "case \"generated\" {\n";
+  List.iter
+    (function
+      | Ev ev ->
+          Printf.bprintf buf "  evidence %s %s %S\n"
+            (Id.to_string ev.Evidence.id)
+            (Evidence.kind_to_string ev.Evidence.kind)
+            ev.Evidence.description
+      | Nd (n, clauses) ->
+          Printf.bprintf buf "  %s %s %S {\n"
+            (Node.type_to_string n.Node.node_type)
+            (Id.to_string n.Node.id) n.Node.text;
+          if n.Node.status = Node.Undeveloped then
+            Buffer.add_string buf "    undeveloped\n";
+          List.iter
+            (fun (kind, ts) ->
+              Printf.bprintf buf "    %s %s\n"
+                (match kind with
+                | Structure.Supported_by -> "supported-by"
+                | Structure.In_context_of -> "in-context-of")
+                (String.concat ", " (List.map Id.to_string ts)))
+            clauses;
+          Buffer.add_string buf "  }\n")
+    decls;
+  Buffer.add_string buf "}\n";
+  Buffer.contents buf
+
+(* The oracle: the structure the parser used to assemble one
+   declaration at a time — [add_evidence] and [add_node] in source
+   order, then [connect] over the queued links: per node, all of its
+   supported-by targets and then all of its in-context-of ones, each
+   in clause order. *)
+let fold_decls decls =
+  let s, pending =
+    List.fold_left
+      (fun (s, pending) -> function
+        | Ev ev -> (Structure.add_evidence ev s, pending)
+        | Nd (n, clauses) ->
+            let queued kind =
+              List.concat_map
+                (fun (k, ts) ->
+                  if k = kind then List.map (fun d -> (kind, n.Node.id, d)) ts
+                  else [])
+                clauses
+            in
+            ( Structure.add_node n s,
+              pending
+              @ queued Structure.Supported_by
+              @ queued Structure.In_context_of ))
+      (Structure.empty, []) decls
+  in
+  List.fold_left
+    (fun s (kind, src, dst) -> Structure.connect kind ~src ~dst s)
+    s pending
+
+let same_parts a b =
+  List.equal Node.equal (Structure.nodes a) (Structure.nodes b)
+  && Structure.links a = Structure.links b
+  && List.equal Evidence.equal (Structure.evidence a) (Structure.evidence b)
+
+let bulk_parse_matches_fold =
+  QCheck.Test.make ~name:"bulk-built parse equals the declaration fold"
+    ~count:300
+    (QCheck.make ~print:render_decls gen_decls)
+    (fun decls ->
+      match parse (render_decls decls) with
+      | Ok case -> same_parts case.structure (fold_decls decls)
+      | Error _ -> false)
+
 let () =
   Alcotest.run "argus-dsl"
     [
@@ -366,4 +477,6 @@ let () =
           Alcotest.test_case "sample round-trip" `Quick test_roundtrip;
           QCheck_alcotest.to_alcotest roundtrip_property;
         ] );
+      ( "bulk-builder",
+        [ QCheck_alcotest.to_alcotest bulk_parse_matches_fold ] );
     ]

@@ -371,6 +371,94 @@ let test_corpus_path_independent () =
         Alcotest.failf "%s: mask and DPLL paths disagree" i.Greenwell.system)
     Greenwell.corpus
 
+(* --- Text derivations against their first definitions --- *)
+
+module Textutil = Argus_core.Textutil
+module Wellformed = Argus_gsn.Wellformed
+
+(* Node-text-like strings: stop words, verb and universal markers,
+   ignorance phrases, the digraphs and UTF-8 logic symbols, [&],
+   applied terms and half-symbols, in random case; or raw bytes. *)
+let text_fragments =
+  [
+    "All"; "always"; "never"; "every"; "any"; "the"; "is"; "Has"; "meets";
+    "bank"; "Banks"; "class"; "hazards"; "safe"; "doe"; "ha"; "it";
+    "no evidence that"; "has never been observed"; "not been shown";
+    "absence of any report"; "no counterexample"; "no evidence";
+    "=>"; "->"; "|-"; "<->"; ":-"; "/\\"; "\\/"; "&"; "-"; ">"; "|";
+    "\xc2\xac"; "\xe2\x88\xa7"; "\xe2\x88\xa8"; "\xe2\x86\x92";
+    "\xe2\x87\x92"; "\xe2\x88\x80"; "\xe2\x88\x83"; "\xe2\x88";
+    "\xe2";
+    "wcet(task_1, 250)"; "f(x)"; "(x)"; "_("; " ("; "";
+  ]
+
+let gen_text =
+  let open QCheck.Gen in
+  let fragment_text =
+    let* parts = list_size (int_bound 12) (oneofl text_fragments) in
+    let* seps =
+      list_size
+        (return (List.length parts))
+        (oneofl [ " "; ""; ". "; ", "; "\n" ])
+    in
+    let text = String.concat "" (List.map2 ( ^ ) parts seps) in
+    let* flips = list_size (return (String.length text)) (int_bound 3) in
+    let flips = Array.of_list flips in
+    return
+      (String.mapi
+         (fun i c -> if flips.(i) = 0 then Char.uppercase_ascii c else c)
+         text)
+  in
+  oneof [ fragment_text; fragment_text; string_size (int_bound 24) ]
+
+let arb_text = QCheck.make ~print:(Printf.sprintf "%S") gen_text
+
+let text_agrees name f oracle =
+  QCheck.Test.make ~name ~count:1000 arb_text (fun t -> f t = oracle t)
+
+let text_derivation_properties =
+  [
+    text_agrees "words" Textutil.words Legacy_text.words;
+    text_agrees "content_words" Textutil.content_words
+      Legacy_text.content_words;
+    text_agrees "contains_symbolic_notation"
+      Textutil.contains_symbolic_notation
+      Legacy_text.contains_symbolic_notation;
+    text_agrees "looks_propositional" Node.looks_propositional
+      Legacy_text.looks_propositional;
+    text_agrees "claims_universally" Wellformed.claims_universally
+      Legacy_text.claims_universally;
+    text_agrees "argues_from_ignorance" Informal.argues_from_ignorance
+      Legacy_text.argues_from_ignorance;
+  ]
+
+(* Needles: empty, a slice of the text, a fragment, or longer than the
+   text. *)
+let gen_hay_needle =
+  let open QCheck.Gen in
+  let* hay = gen_text in
+  let n = String.length hay in
+  let* needle =
+    oneof
+      [
+        return "";
+        (let* i = int_bound n in
+         let* len = int_bound (n - i) in
+         return (String.sub hay i len));
+        oneofl text_fragments;
+        return (hay ^ "x");
+        string_size (int_bound 3);
+      ]
+  in
+  return (hay, needle)
+
+let substring_scan_agrees =
+  QCheck.Test.make ~name:"contains_substring" ~count:1000
+    (QCheck.make ~print:QCheck.Print.(pair string string) gen_hay_needle)
+    (fun (hay, needle) ->
+      Textutil.contains_substring hay needle
+      = Legacy_text.contains_substring hay needle)
+
 let () =
   Alcotest.run "argus-fallacy"
     [
@@ -433,4 +521,7 @@ let () =
           Alcotest.test_case "greenwell corpus path-independent" `Quick
             test_corpus_path_independent;
         ] );
+      ( "text-derivations",
+        List.map QCheck_alcotest.to_alcotest
+          (substring_scan_agrees :: text_derivation_properties) );
     ]

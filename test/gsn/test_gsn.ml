@@ -749,6 +749,142 @@ let interchange_roundtrip_property =
       | Ok s' -> Structure.equal s s'
       | Error _ -> false)
 
+(* --- Bulk builder against the fold --- *)
+
+(* Raw builder inputs as a parser meets them: node ids repeat (the
+   newest payload wins, the first position stays), evidence ids
+   repeat, links repeat and name endpoints that are never declared. *)
+type raw = {
+  r_nodes : Node.t list;
+  r_evidence : Evidence.t list;
+  r_links : (Structure.link * string * string) list;
+}
+
+let gen_raw =
+  let open QCheck.Gen in
+  let node =
+    let* i = int_bound 7 in
+    let* node_type =
+      oneofl [ Node.Goal; Node.Strategy; Node.Solution; Node.Context ]
+    in
+    let* text = oneofl [ "the system is safe"; "argue over hazards"; "x" ] in
+    return (Node.make ~id:(id (Printf.sprintf "N%d" i)) ~node_type text)
+  in
+  let evidence =
+    let* i = int_bound 3 in
+    let* kind = oneofl Evidence.all_kinds in
+    let* description = oneofl [ "timing analysis"; "test campaign" ] in
+    return (Evidence.make ~id:(id (Printf.sprintf "E%d" i)) ~kind description)
+  in
+  let link =
+    let* kind = oneofl [ Structure.Supported_by; Structure.In_context_of ] in
+    let* src = int_bound 9 and* dst = int_bound 9 in
+    return (kind, Printf.sprintf "N%d" src, Printf.sprintf "N%d" dst)
+  in
+  let* r_nodes = list_size (int_bound 12) node in
+  let* r_evidence = list_size (int_bound 6) evidence in
+  let* r_links = list_size (int_bound 20) link in
+  return { r_nodes; r_evidence; r_links }
+
+let print_raw r =
+  Printf.sprintf "nodes [%s] evidence [%s] links [%s]"
+    (String.concat "; "
+       (List.map (fun n -> Format.asprintf "%a" Node.pp n) r.r_nodes))
+    (String.concat "; "
+       (List.map (fun e -> Format.asprintf "%a" Evidence.pp e) r.r_evidence))
+    (String.concat "; "
+       (List.map
+          (fun (k, s, d) ->
+            Printf.sprintf "%s%s%s" s
+              (if k = Structure.Supported_by then "->" else "~>")
+              d)
+          r.r_links))
+
+let arb_raw = QCheck.make ~print:print_raw gen_raw
+
+(* The oracle: [add_node], [add_evidence] and [connect] one at a time,
+   as the DSL parser and the interchange importer used to. *)
+let fold_raw r =
+  let s =
+    List.fold_left
+      (fun s n -> Structure.add_node n s)
+      Structure.empty r.r_nodes
+  in
+  let s =
+    List.fold_left (fun s e -> Structure.add_evidence e s) s r.r_evidence
+  in
+  List.fold_left
+    (fun s (kind, src, dst) ->
+      Structure.connect kind ~src:(id src) ~dst:(id dst) s)
+    s r.r_links
+
+let same_parts a b =
+  List.equal Node.equal (Structure.nodes a) (Structure.nodes b)
+  && Structure.links a = Structure.links b
+  && List.equal Evidence.equal (Structure.evidence a) (Structure.evidence b)
+
+let build_matches_fold =
+  QCheck.Test.make ~name:"build and of_nodes equal the fold" ~count:500 arb_raw
+    (fun r ->
+      let links = List.map (fun (k, s, d) -> (k, id s, id d)) r.r_links in
+      same_parts
+        (Structure.build ~links ~evidence:r.r_evidence r.r_nodes)
+        (fold_raw r)
+      && same_parts
+           (Structure.of_nodes ~links:r.r_links ~evidence:r.r_evidence
+              r.r_nodes)
+           (fold_raw r))
+
+let raw_to_json r =
+  let module Json = Argus_core.Json in
+  let str s = Json.Str s in
+  Json.Obj
+    [
+      ( "nodes",
+        Json.List
+          (List.map
+             (fun n ->
+               Json.Obj
+                 [
+                   ("id", str (Id.to_string n.Node.id));
+                   ("type", str (Node.type_to_string n.Node.node_type));
+                   ("text", str n.Node.text);
+                 ])
+             r.r_nodes) );
+      ( "links",
+        Json.List
+          (List.map
+             (fun (k, s, d) ->
+               Json.Obj
+                 [
+                   ( "kind",
+                     str
+                       (match k with
+                       | Structure.Supported_by -> "supported-by"
+                       | Structure.In_context_of -> "in-context-of") );
+                   ("from", str s);
+                   ("to", str d);
+                 ])
+             r.r_links) );
+      ( "evidence",
+        Json.List
+          (List.map
+             (fun e ->
+               Json.Obj
+                 [
+                   ("id", str (Id.to_string e.Evidence.id));
+                   ("kind", str (Evidence.kind_to_string e.Evidence.kind));
+                   ("description", str e.Evidence.description);
+                 ])
+             r.r_evidence) );
+    ]
+
+let of_json_matches_fold =
+  QCheck.Test.make ~name:"of_json equals the fold" ~count:500 arb_raw (fun r ->
+      match Interchange.of_json (raw_to_json r) with
+      | Ok s -> same_parts s (fold_raw r)
+      | Error _ -> false)
+
 (* --- Metrics --- *)
 
 let test_metrics_sample () =
@@ -857,7 +993,10 @@ let () =
             test_interchange_with_formal_and_modular;
           Alcotest.test_case "errors" `Quick test_interchange_errors;
           QCheck_alcotest.to_alcotest interchange_roundtrip_property;
+          QCheck_alcotest.to_alcotest of_json_matches_fold;
         ] );
+      ( "bulk-builder",
+        [ QCheck_alcotest.to_alcotest build_matches_fold ] );
       ( "metrics",
         [
           Alcotest.test_case "sample" `Quick test_metrics_sample;
