@@ -995,7 +995,7 @@ let () =
           QCheck_alcotest.to_alcotest interchange_roundtrip_property;
           QCheck_alcotest.to_alcotest of_json_matches_fold;
         ] );
-      ( "bulk-builder",
+      ( "bulk-build",
         [ QCheck_alcotest.to_alcotest build_matches_fold ] );
       ( "metrics",
         [
