@@ -11,11 +11,8 @@ module Hicase = Argus_gsn.Hicase
 module Cae = Argus_cae.Cae
 module Informal = Argus_fallacy.Informal
 module Program = Argus_prolog.Program
-module Engine = Argus_prolog.Engine
-module Exec = Argus_prolog.Exec
 module Caseir = Argus_ir.Caseir
 module Fused = Argus_ir.Fused
-module Lterm = Argus_logic.Term
 module Diagnostic = Argus_core.Diagnostic
 module Json = Argus_core.Json
 module Obs = Argus_obs.Obs
@@ -166,9 +163,25 @@ let budget_spec_t =
 let budget_of_spec spec =
   if Budget.spec_is_unlimited spec then None else Some (Budget.of_spec spec)
 
-let budget_diags = function
-  | None -> []
-  | Some b -> Budget.diagnostics b
+(* --- the handler ops at the edge ---
+
+   [check], [fallacies], [prove] and [probe] run the daemon's typed ops
+   ({!Handlers}) and only render the answer: the result on stdout, a
+   rejected input and budget warnings on stderr, the op's exit code. *)
+
+let rejection_text = function
+  | Handlers.Invalid ds -> Format.asprintf "%a" Diagnostic.pp_report ds
+  | Handlers.Unreadable msg -> msg ^ "\n"
+
+let print_warnings = function
+  | [] -> ()
+  | ds -> Format.eprintf "%a" Diagnostic.pp_report ds
+
+let run_op (a : _ Handlers.answer) render =
+  (match a.Handlers.result with
+  | Ok v -> render v
+  | Error r -> Format.eprintf "%s%!" (rejection_text r));
+  a.Handlers.exit_code
 
 (* --- check --- *)
 
@@ -193,46 +206,19 @@ let check_cmd =
        print byte-identical output in input order.  Each file gets a
        fresh budget from the spec, and the ["check.file"] fault probe
        (keyed by basename) fires before any work so tests can kill one
-       file of a batch deterministically. *)
+       file of a batch deterministically.  The check itself is the
+       daemon's {!Handlers.check}; a rejected file's diagnostics go to
+       stderr in text mode. *)
     let check_file ?pool path =
       Fault.point ~key:(Filename.basename path) "check.file";
-      let budget = budget_of_spec spec in
-      let report ds =
-        let ds = ds @ budget_diags budget in
-        (render_report ds, "", exit_of_diags ds)
+      let a =
+        Handlers.check ?pool ?budget:(budget_of_spec spec) ~ruleset
+          ~lints:with_lints ~filename:path (read_file path)
       in
-      let report_err ds =
-        match format with
-        | `Text -> ("", Format.asprintf "%a" Diagnostic.pp_report ds, 1)
-        | `Json -> (render_report ds, "", 1)
-      in
-      let lint structure =
-        if with_lints then Fused.lint ?budget (Caseir.intern structure)
-        else []
-      in
-      match Dsl.parse_collection ~filename:path (read_file path) with
-      | Error ds -> report_err ds
-      | Ok [ case ] when case.Dsl.module_name = None ->
-          (* The single-case fast path: intern once, run well-formedness
-             and the lints as one fused pass over the IR. *)
-          let fused =
-            Fused.check ~ruleset ?budget ~lints:with_lints
-              (Caseir.intern case.Dsl.structure)
-          in
-          let ds =
-            fused.Fused.wf @ Dsl.validate_metadata case @ fused.Fused.informal
-          in
-          report ds
-      | Ok cases -> (
-          match Dsl.to_modular cases with
-          | Error ds -> report_err ds
-          | Ok collection ->
-              let ds =
-                Argus_gsn.Modular.check ?pool collection
-                @ List.concat_map Dsl.validate_metadata cases
-                @ List.concat_map (fun c -> lint c.Dsl.structure) cases
-              in
-              report ds)
+      match (a.Handlers.result, format) with
+      | Ok ds, _ | Error (Handlers.Invalid ds), `Json ->
+          (render_report ds, "", a.Handlers.exit_code)
+      | Error r, _ -> ("", rejection_text r, a.Handlers.exit_code)
     in
     let jobs =
       match jobs with
@@ -388,16 +374,10 @@ let query_cmd =
 let fallacies_cmd =
   let run () spec path =
     spanned "argus.fallacies" @@ fun () ->
-    match load_case path with
-    | Error () -> 1
-    | Ok case ->
-        let budget = budget_of_spec spec in
-        let ds =
-          Fused.lint ?budget (Caseir.intern case.Dsl.structure)
-          @ budget_diags budget
-        in
-        Format.printf "%a" Diagnostic.pp_report ds;
-        0
+    run_op
+      (Handlers.fallacies ?budget:(budget_of_spec spec) ~filename:path
+         (read_file path))
+      (Format.printf "%a" Diagnostic.pp_report)
   in
   Cmd.v
     (Cmd.info "fallacies" ~doc:"Run the informal-fallacy lints over a case")
@@ -406,38 +386,16 @@ let fallacies_cmd =
 (* --- prove --- *)
 
 let prove_cmd =
-  let run () max_depth spec path goal_text =
+  let run () max_depth spec path goal =
     spanned "argus.prove" @@ fun () ->
-    match Program.of_string (read_file path) with
-    | Error e ->
-        Format.eprintf "program error: %s@." e;
-        1
-    | Ok program -> (
-        match Lterm.of_string goal_text with
-        | Error e ->
-            Format.eprintf "goal error: %s@." e;
-            1
-        | Ok goal ->
-            let budget = budget_of_spec spec in
-            let result =
-              match budget with
-              | None -> Exec.prove_term ~max_depth program goal
-              | Some b -> Exec.prove_term ~max_depth ~budget:b program goal
-            in
-            let warn () =
-              match budget_diags budget with
-              | [] -> ()
-              | ds -> Format.eprintf "%a" Diagnostic.pp_report ds
-            in
-            (match result with
-            | Some derivation ->
-                Format.printf "%a" Engine.pp_derivation derivation;
-                warn ();
-                0
-            | None ->
-                Format.printf "not derivable@.";
-                warn ();
-                1))
+    run_op
+      (Handlers.prove ~max_depth ?budget:(budget_of_spec spec) ~goal
+         (read_file path))
+      (fun p ->
+        (match p.Handlers.derivation with
+        | Some d -> Format.printf "%a" Argus_prolog.Derivation.pp d
+        | None -> Format.printf "not derivable@.");
+        print_warnings p.Handlers.warnings)
   in
   let max_depth =
     Arg.(value & opt int 64 & info [ "max-depth" ] ~docv:"N" ~doc:"Depth bound.")
@@ -517,46 +475,26 @@ let stats_cmd =
 let probe_cmd =
   let run () spec path =
     spanned "argus.probe" @@ fun () ->
-    let module Proof_text = Argus_logic.Proof_text in
-    let module Natded = Argus_logic.Natded in
-    let module Prop = Argus_logic.Prop in
-    let module Confidence = Argus_confidence.Confidence in
-    match Proof_text.parse (read_file path) with
-    | Error e ->
-        Format.eprintf "proof error: %s@." e;
-        1
-    | Ok proof -> (
-        match Natded.check proof with
-        | Error ds ->
-            Format.eprintf "%a" Diagnostic.pp_report ds;
-            1
-        | Ok checked ->
-            let budget = budget_of_spec spec in
-            Format.printf "proof checks; it proves %s@.@."
-              (Prop.to_string (Natded.theorem checked));
-            Format.printf "what-if exploration (retract each premise):@.";
-            List.iter
-              (fun premise ->
-                match
-                  Confidence.probe_counterexample ?budget checked premise
-                with
-                | None ->
-                    Format.printf "  %-30s conclusion survives@."
-                      (Prop.to_string premise)
-                | Some model ->
-                    Format.printf "  %-30s LOAD-BEARING; countermodel: %s@."
-                      (Prop.to_string premise)
-                      (String.concat ", "
-                         (List.map
-                            (fun (v, b) ->
-                              Printf.sprintf "%s=%b" v b)
-                            model)))
-              checked.Natded.premises;
-            (match budget_diags budget with
-            | [] -> 0
-            | ds ->
-                Format.eprintf "%a" Diagnostic.pp_report ds;
-                1))
+    run_op
+      (Handlers.probe ?budget:(budget_of_spec spec) (read_file path))
+      (fun (p : Handlers.probes) ->
+        let show = Argus_logic.Prop.to_string in
+        Format.printf "proof checks; it proves %s@.@." (show p.theorem);
+        Format.printf "what-if exploration (retract each premise):@.";
+        List.iter
+          (fun { Handlers.premise; countermodel } ->
+            match countermodel with
+            | None ->
+                Format.printf "  %-30s conclusion survives@." (show premise)
+            | Some model ->
+                Format.printf "  %-30s LOAD-BEARING; countermodel: %s@."
+                  (show premise)
+                  (String.concat ", "
+                     (List.map
+                        (fun (v, b) -> Printf.sprintf "%s=%b" v b)
+                        model)))
+          p.probes;
+        print_warnings p.warnings)
   in
   Cmd.v
     (Cmd.info "probe"
@@ -1739,12 +1677,7 @@ let is_broken_pipe = function
   | Unix.Unix_error (Unix.EPIPE, _, _) -> true
   | Sys_error msg ->
       (* Stdlib channels wrap EPIPE as Sys_error with strerror text. *)
-      let needle = "roken pipe" in
-      let rec find i =
-        i + String.length needle <= String.length msg
-        && (String.sub msg i (String.length needle) = needle || find (i + 1))
-      in
-      find 0
+      Argus_core.Textutil.contains_substring msg "roken pipe"
   | _ -> false
 
 let () =

@@ -7,7 +7,8 @@
    Run with: dune exec examples/desert_bank.exe *)
 
 module Program = Argus_prolog.Program
-module Engine = Argus_prolog.Engine
+module Exec = Argus_prolog.Exec
+module Derivation = Argus_prolog.Derivation
 module Informal = Argus_fallacy.Informal
 module Term = Argus_logic.Term
 
@@ -18,10 +19,10 @@ let () =
   let goal = Result.get_ok (Term.of_string "adjacent(desert_bank, river)") in
   Format.printf "Query: %a@.@." Term.pp goal;
 
-  (match Engine.prove Informal.desert_bank goal with
+  (match Exec.prove_term Informal.desert_bank goal with
   | Some derivation ->
       Format.printf "Formally derivable.  Derivation:@.%a@."
-        Engine.pp_derivation derivation
+        Derivation.pp derivation
   | None -> Format.printf "Not derivable (unexpected!)@.");
 
   (* The flaw is invisible to resolution but leaves a footprint: a
@@ -49,7 +50,7 @@ let () =
   Format.printf
     "@.Same argument shape, sound this time: flood_risk(firth_of_forth_branch) \
      derivable = %b@."
-    (Engine.provable sound_kb sound_goal);
+    (Exec.provable_term sound_kb sound_goal);
   Format.printf
     "Lint still lists the bridging constant for review: %s@."
     (String.concat ", " (Informal.equivocation_candidates sound_kb));

@@ -149,6 +149,3 @@ let check_with ?pool ~wf t =
         (Diagnostic.errorf ~code:"modular/dependency-cycle" ~subjects:witness
            "module dependencies are cyclic"));
   Diagnostic.sort (List.rev !out)
-
-let check ?pool t = check_with ?pool ~wf:Wellformed.check t
-let is_well_formed t = not (Diagnostic.has_errors (check t))

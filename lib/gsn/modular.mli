@@ -37,11 +37,16 @@ val dependencies : Argus_core.Id.t -> t -> Argus_core.Id.t list
 (** Modules this module cites via away goals, module references or
     contracts, without duplicates. *)
 
-val check : ?pool:Argus_par.Pool.t -> t -> Argus_core.Diagnostic.t list
-(** Runs {!Wellformed.check} on each module — across the pool's domains
-    when [?pool] is given, with identical diagnostics in either mode —
-    (diagnostics prefixed with the module name in the message), plus
-    the cross-module rules, codes under ["modular/"]:
+val check_with :
+  ?pool:Argus_par.Pool.t ->
+  wf:(Structure.t -> Argus_core.Diagnostic.t list) ->
+  t ->
+  Argus_core.Diagnostic.t list
+(** Runs [wf], the per-module well-formedness checker, on each module —
+    across the pool's domains when [?pool] is given, with identical
+    diagnostics in either mode — (diagnostics prefixed with the module
+    name in the message), plus the cross-module rules, codes under
+    ["modular/"]:
     - ["modular/unknown-module"] — an away goal, module reference or
       contract names a module not in the collection;
     - ["modular/away-goal-target"] — the cited module has no goal with
@@ -50,17 +55,9 @@ val check : ?pool:Argus_par.Pool.t -> t -> Argus_core.Diagnostic.t list
     - ["modular/private-goal"] (warning) — the cited goal exists but is
       not public;
     - ["modular/dependency-cycle"] — the module dependency graph is
-      cyclic. *)
+      cyclic.
 
-val check_with :
-  ?pool:Argus_par.Pool.t ->
-  wf:(Structure.t -> Argus_core.Diagnostic.t list) ->
-  t ->
-  Argus_core.Diagnostic.t list
-(** {!check} with the per-module well-formedness checker injected —
-    the seam that lets a compiled checker (lib/ir's fused pass) run
-    per module while the cross-module rules stay here.  [wf] must be
-    extensionally equal to {!Wellformed.check} for the result to match
-    {!check}. *)
-
-val is_well_formed : t -> bool
+    The shipped checker is {!Argus_ir.Fused.check_modular}, which
+    passes the fused per-module pass as [wf]; the legacy runner with
+    {!Wellformed.check} as [wf] is the differential oracle in
+    test/oracle. *)

@@ -386,10 +386,10 @@ let assemble ~wf ~informal =
    well-formedness runs as a fused pass over its interned form instead
    of the legacy tree walk, while the cross-module rules (away goals,
    module references, dependency cycles) stay in
-   {!Argus_gsn.Modular}.  Byte-identical to
-   {!Argus_gsn.Modular.check} because the per-module fused pass is
-   byte-identical to {!Argus_gsn.Wellformed.check} (test/ir holds
-   both equalities). *)
+   {!Argus_gsn.Modular}.  Byte-identical to the legacy runner
+   (test/oracle: [Modular.check_with ~wf:Wellformed.check]) because the
+   per-module fused pass is byte-identical to
+   {!Argus_gsn.Wellformed.check} (test/ir holds both equalities). *)
 let check_modular ?pool m =
   Argus_gsn.Modular.check_with ?pool
     ~wf:(fun s ->

@@ -92,7 +92,8 @@ val check_modular :
 (** The modular checker compiled onto the IR: per-module
     well-formedness as a fused pass over each module's interned form,
     cross-module rules from {!Argus_gsn.Modular}.  Byte-identical to
-    {!Argus_gsn.Modular.check}. *)
+    the legacy runner [Modular.check_with ~wf:Wellformed.check] kept in
+    test/oracle.  The CLI and the daemon both run this. *)
 
 type cae_ir
 

@@ -8,8 +8,8 @@
     The solver runs on int-encoded literals over variables interned per
     call, with an array assignment, an undo trail, and two-watched-literal
     unit propagation — no persistent maps or clause-list rebuilding on
-    the search path.  {!Naive} retains the original persistent-map DPLL
-    as a differential-testing oracle.
+    the search path.  The original persistent-map DPLL it replaced is
+    the differential-testing oracle in test/oracle ([Sat_naive]).
 
     Resource governance: the solving entry points take an optional
     [?budget] ({!Argus_rt.Budget.t}, default unlimited), ticked once
@@ -67,11 +67,3 @@ val count_models : ?budget:Argus_rt.Budget.t -> Prop.t -> count
     variables; used by tests and the confidence module.  The budget is
     ticked per valuation and its solution cap counts satisfying ones; a
     cut-off is reported as {!At_least}, never as an exact count. *)
-
-module Naive : sig
-  val solve : cnf -> (string * bool) list option
-  (** The PR-1 persistent-map DPLL (unit propagation + pure-literal
-      elimination, clause lists rebuilt per decision).  Equivalent to
-      {!Sat.solve} on satisfiability; retained as the property-test
-      oracle.  Does not touch the engine counters. *)
-end

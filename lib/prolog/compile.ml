@@ -9,7 +9,7 @@ module Symbol = Argus_core.Symbol
    goal becomes a postfix build program over the clause's register file.
    Variables are register indices; the functor table below adds
    switch-on-symbol first-argument dispatch per predicate.  [Exec] runs
-   the result; [Engine.solve] stays as the interpreted oracle. *)
+   the result; the interpreted engine in test/oracle is its oracle. *)
 
 (* Head instructions, executed left to right, one subject consumed per
    instruction.  A subject is the (dereferenced) runtime subterm the

@@ -5,7 +5,8 @@
     body goals, variables as register indices — and the program into a
     predicate table with switch-on-symbol first-argument dispatch.
     {!Exec} runs the result with a trail and an explicit choice-point
-    stack; the interpreted {!Engine.solve} is the differential oracle,
+    stack; the interpreted engine in test/oracle is the differential
+    oracle,
     and the candidate lists both engines admit for any goal are
     identical (so index counters agree too).
 

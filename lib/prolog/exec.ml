@@ -12,7 +12,8 @@ module Fault = Argus_rt.Fault
    record per goal with untried candidates) instead of the
    interpreter's Seq-of-closures.
 
-   The machine is counter- and budget-exact with [Engine.solve]: both
+   The machine is counter- and budget-exact with the interpreted
+   [Engine.solve] kept in test/oracle: both
    admit identical candidate lists (hits/misses), tick the budget once
    per candidate tried, count one unification per candidate and one
    backtrack per failed head match, give body goals [depth - 1] and
@@ -61,7 +62,7 @@ type state = {
           reads it, so the decision entry points skip the per-resolution
           node and slot allocations entirely. *)
   (* Counter traffic batched into locals, flushed once per call — same
-     reasoning as [Engine.provable]: a sharded increment costs ~10x a
+     reasoning as the interpreter's [provable]: a sharded increment costs ~10x a
      plain one. *)
   mutable s_tries : int;
   mutable s_unifs : int;
@@ -377,9 +378,9 @@ let rec readback t =
   | Struct (f, args) -> Term.App (f, List.map readback (Array.to_list args))
   | Ref c -> Term.Var ("_G" ^ string_of_int c.vid)
 
-let rec extract (n : node) : Engine.derivation =
+let rec extract (n : node) : Derivation.t =
   {
-    Engine.goal = readback n.d_rt;
+    Derivation.goal = readback n.d_rt;
     clause_index = n.d_idx;
     children =
       List.map
@@ -521,7 +522,7 @@ let prove ?(max_depth = 64) ?(budget = Budget.unlimited) cprog q =
   let on_solution () =
     st.s_sols <- st.s_sols + 1;
     ignore (Budget.note_solution budget ~engine:"prolog");
-    (* Single-goal queries only, like [Engine.prove]'s [[ deriv ]]
+    (* Single-goal queries only, like the interpreter's [[ deriv ]]
        pattern: a conjunction has no single root derivation. *)
     if Array.length slots = 1 then begin
       match !(slots.(0)) with
@@ -537,7 +538,7 @@ let prove ?(max_depth = 64) ?(budget = Budget.unlimited) cprog q =
         ~on_solution);
   !result
 
-(* Convenience entry points mirroring the [Engine] signatures: compile
+(* Convenience entry points mirroring the interpreter's signatures: compile
    (through the caches) and run.  The query compiles per call — cheap
    next to the search, and the CLI paths that use these run one query
    per process anyway; hot callers should pre-compile with

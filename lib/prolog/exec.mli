@@ -1,7 +1,8 @@
 (** Bytecode execution of {!Compile}d programs: destructive-binding
     runtime terms, a trail, and an explicit choice-point stack.
 
-    Exactly the search {!Engine.solve} performs — same candidate
+    Exactly the search the interpreted [Engine.solve] (test/oracle)
+    performs — same candidate
     admission (so the [prolog.index_*] counters agree), same
     clause-try/unification/backtrack accounting, same depth semantics
     (body goals one deeper, siblings level), same budget tick per
@@ -39,9 +40,9 @@ val prove :
   ?budget:Argus_rt.Budget.t ->
   Compile.t ->
   Compile.query ->
-  Engine.derivation option
+  Derivation.t option
 (** First derivation of a single-goal query, fully instantiated —
-    clause indices identical to {!Engine.prove}'s. *)
+    clause indices identical to the interpreter's. *)
 
 (** Compile-and-run conveniences (program through the per-domain cache,
     query compiled per call) for one-shot callers like the CLI. *)
@@ -66,4 +67,4 @@ val prove_term :
   ?budget:Argus_rt.Budget.t ->
   Program.t ->
   Argus_logic.Term.t ->
-  Engine.derivation option
+  Derivation.t option

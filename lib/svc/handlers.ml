@@ -3,10 +3,8 @@ module Diagnostic = Argus_core.Diagnostic
 module Budget = Argus_rt.Budget
 module Dsl = Argus_dsl.Dsl
 module Wellformed = Argus_gsn.Wellformed
-module Modular = Argus_gsn.Modular
-module Informal = Argus_fallacy.Informal
 module Program = Argus_prolog.Program
-module Engine = Argus_prolog.Engine
+module Derivation = Argus_prolog.Derivation
 module Exec = Argus_prolog.Exec
 module Caseir = Argus_ir.Caseir
 module Fused = Argus_ir.Fused
@@ -18,151 +16,160 @@ module Confidence = Argus_confidence.Confidence
 module Store = Argus_store.Store
 module Durable = Argus_store.Durable
 
+(* --- the typed ops --- *)
+
+type rejection = Invalid of Diagnostic.t list | Unreadable of string
+type 'a answer = { result : ('a, rejection) result; exit_code : int }
+
 let budget_diags = function None -> [] | Some b -> Budget.diagnostics b
 
-let report_payload ds = [ ("report", Diagnostic.report_to_json ds) ]
+(* The one exit-code rule (DESIGN.md section 10): rejected input and
+   findings exit 1, a clean answer 0. *)
+let reject r = { result = Error r; exit_code = 1 }
+let answer ~findings v = { result = Ok v; exit_code = (if findings then 1 else 0) }
 
-let report_response ~id ds =
-  Protocol.ok ~id
-    ~exit_code:(if Diagnostic.has_errors ds then 1 else 0)
-    (report_payload ds)
+(* A report op's answer: the findings plus the budget's truncation
+   warnings, which count as findings.  The budget is read here, after
+   [ds] was computed; appending it with [@] inside the op would read it
+   first (OCaml evaluates the right operand first) and drop it. *)
+let report ?budget ds =
+  let warnings = budget_diags budget in
+  answer ~findings:(Diagnostic.has_errors ds || warnings <> []) (ds @ warnings)
 
-(* A user-input failure that is not a structured diagnostic (program
-   or goal parse errors): exit 1 with a message payload. *)
-let input_error ~id fmt =
-  Printf.ksprintf
-    (fun msg -> Protocol.ok ~id ~exit_code:1 [ ("message", Json.Str msg) ])
-    fmt
+let ruleset_of_string = function
+  | "denney-pai" -> Wellformed.Denney_pai_2013
+  | _ -> Wellformed.Standard
 
-let check (req : Protocol.request) ~budget =
-  let id = req.Protocol.id in
-  let ruleset =
-    match req.Protocol.ruleset with
-    | "denney-pai" -> Wellformed.Denney_pai_2013
-    | _ -> Wellformed.Standard
-  in
+let check ?pool ?budget ~ruleset ~lints ~filename source =
   let lint structure =
-    if req.Protocol.lints then Fused.lint ?budget (Caseir.intern structure)
-    else []
+    if lints then Fused.lint ?budget (Caseir.intern structure) else []
   in
-  match
-    Dsl.parse_collection ~filename:req.Protocol.filename req.Protocol.source
-  with
-  | Error ds -> report_response ~id ds
+  match Dsl.parse_collection ~filename source with
+  | Error ds -> reject (Invalid ds)
   | Ok [ case ] when case.Dsl.module_name = None ->
       (* Single-case fast path: one interning, one fused pass. *)
       let fused =
-        Fused.check ~ruleset ?budget ~lints:req.Protocol.lints
-          (Caseir.intern case.Dsl.structure)
+        Fused.check ~ruleset ?budget ~lints (Caseir.intern case.Dsl.structure)
       in
-      let ds =
-        fused.Fused.wf @ Dsl.validate_metadata case @ fused.Fused.informal
-        @ budget_diags budget
-      in
-      report_response ~id ds
+      report ?budget
+        (fused.Fused.wf @ Dsl.validate_metadata case @ fused.Fused.informal)
   | Ok cases -> (
       match Dsl.to_modular cases with
-      | Error ds -> report_response ~id ds
+      | Error ds -> reject (Invalid ds)
       | Ok collection ->
-          let ds =
-            Fused.check_modular collection
+          report ?budget
+            (Fused.check_modular ?pool collection
             @ List.concat_map Dsl.validate_metadata cases
-            @ List.concat_map (fun c -> lint c.Dsl.structure) cases
-            @ budget_diags budget
-          in
-          report_response ~id ds)
+            @ List.concat_map (fun c -> lint c.Dsl.structure) cases))
 
-let fallacies (req : Protocol.request) ~budget =
-  let id = req.Protocol.id in
-  match Dsl.parse ~filename:req.Protocol.filename req.Protocol.source with
-  | Error ds -> report_response ~id ds
+let fallacies ?budget ~filename source =
+  match Dsl.parse ~filename source with
+  | Error ds -> reject (Invalid ds)
   | Ok case ->
-      let ds =
-        Fused.lint ?budget (Caseir.intern case.Dsl.structure)
-        @ budget_diags budget
-      in
-      report_response ~id ds
+      report ?budget (Fused.lint ?budget (Caseir.intern case.Dsl.structure))
 
-let prove (req : Protocol.request) ~budget =
-  let id = req.Protocol.id in
-  match Program.of_string req.Protocol.source with
-  | Error e -> input_error ~id "program error: %s" e
+type proof = { derivation : Derivation.t option; warnings : Diagnostic.t list }
+
+let prove ?max_depth ?budget ~goal source =
+  match Program.of_string source with
+  | Error e -> reject (Unreadable ("program error: " ^ e))
   | Ok program -> (
-      match req.Protocol.goal with
-      | None -> input_error ~id "prove needs a \"goal\" field"
-      | Some goal_text -> (
-          match Lterm.of_string goal_text with
-          | Error e -> input_error ~id "goal error: %s" e
-          | Ok goal ->
-              let derivation =
-                match budget with
-                | None -> Exec.prove_term program goal
-                | Some b -> Exec.prove_term ~budget:b program goal
-              in
-              let warnings = budget_diags budget in
-              let payload =
-                [
-                  ("derivable", Json.Bool (derivation <> None));
-                  ( "derivation",
-                    match derivation with
-                    | None -> Json.Null
-                    | Some d ->
-                        Json.Str
-                          (Format.asprintf "%a" Engine.pp_derivation d) );
-                ]
-                @
-                if warnings = [] then []
-                else report_payload warnings
-              in
-              Protocol.ok ~id
-                ~exit_code:
-                  (if derivation = None || warnings <> [] then 1 else 0)
-                payload))
+      match Lterm.of_string goal with
+      | Error e -> reject (Unreadable ("goal error: " ^ e))
+      | Ok goal ->
+          let derivation = Exec.prove_term ?max_depth ?budget program goal in
+          let warnings = budget_diags budget in
+          answer
+            ~findings:(derivation = None || warnings <> [])
+            { derivation; warnings })
 
-let probe (req : Protocol.request) ~budget =
-  let id = req.Protocol.id in
-  match Proof_text.parse req.Protocol.source with
-  | Error e -> input_error ~id "proof error: %s" e
+type probe = { premise : Prop.t; countermodel : (string * bool) list option }
+
+type probes = {
+  theorem : Prop.t;
+  probes : probe list;
+  warnings : Diagnostic.t list;
+}
+
+let probe ?budget source =
+  match Proof_text.parse source with
+  | Error e -> reject (Unreadable ("proof error: " ^ e))
   | Ok proof -> (
       match Natded.check proof with
-      | Error ds -> report_response ~id ds
+      | Error ds -> reject (Invalid ds)
       | Ok checked ->
           let probes =
             List.map
               (fun premise ->
-                let countermodel =
-                  Confidence.probe_counterexample ?budget checked premise
-                in
-                Json.Obj
-                  [
-                    ("premise", Json.Str (Prop.to_string premise));
-                    ("load_bearing", Json.Bool (countermodel <> None));
-                    ( "countermodel",
-                      match countermodel with
-                      | None -> Json.Null
-                      | Some model ->
-                          Json.Obj
-                            (List.map (fun (v, b) -> (v, Json.Bool b)) model)
-                    );
-                  ])
+                {
+                  premise;
+                  countermodel =
+                    Confidence.probe_counterexample ?budget checked premise;
+                })
               checked.Natded.premises
           in
           let warnings = budget_diags budget in
-          Protocol.ok ~id
-            ~exit_code:(if warnings = [] then 0 else 1)
-            ([
-               ( "theorem",
-                 Json.Str (Prop.to_string (Natded.theorem checked)) );
-               ("probes", Json.List probes);
-             ]
-            @ if warnings = [] then [] else report_payload warnings))
+          answer ~findings:(warnings <> [])
+            { theorem = Natded.theorem checked; probes; warnings })
+
+(* --- the protocol encoders --- *)
+
+let report_payload ds = [ ("report", Diagnostic.report_to_json ds) ]
+let warnings_payload ds = if ds = [] then [] else report_payload ds
+
+let respond ~id payload (a : _ answer) =
+  Protocol.ok ~id ~exit_code:a.exit_code
+    (match a.result with
+    | Ok v -> payload v
+    | Error (Invalid ds) -> report_payload ds
+    | Error (Unreadable msg) -> [ ("message", Json.Str msg) ])
+
+let proof_payload (p : proof) =
+  [
+    ("derivable", Json.Bool (p.derivation <> None));
+    ( "derivation",
+      match p.derivation with
+      | None -> Json.Null
+      | Some d -> Json.Str (Format.asprintf "%a" Derivation.pp d) );
+  ]
+  @ warnings_payload p.warnings
+
+let probes_payload (p : probes) =
+  let probe { premise; countermodel } =
+    Json.Obj
+      [
+        ("premise", Json.Str (Prop.to_string premise));
+        ("load_bearing", Json.Bool (countermodel <> None));
+        ( "countermodel",
+          match countermodel with
+          | None -> Json.Null
+          | Some model ->
+              Json.Obj (List.map (fun (v, b) -> (v, Json.Bool b)) model) );
+      ]
+  in
+  [
+    ("theorem", Json.Str (Prop.to_string p.theorem));
+    ("probes", Json.List (List.map probe p.probes));
+  ]
+  @ warnings_payload p.warnings
 
 let handle (req : Protocol.request) ~budget =
+  let id = req.Protocol.id and source = req.Protocol.source in
   match req.Protocol.op with
-  | Protocol.Check -> check req ~budget
-  | Protocol.Fallacies -> fallacies req ~budget
-  | Protocol.Prove -> prove req ~budget
-  | Protocol.Probe -> probe req ~budget
+  | Protocol.Check ->
+      respond ~id report_payload
+        (check ?budget
+           ~ruleset:(ruleset_of_string req.Protocol.ruleset)
+           ~lints:req.Protocol.lints ~filename:req.Protocol.filename source)
+  | Protocol.Fallacies ->
+      respond ~id report_payload
+        (fallacies ?budget ~filename:req.Protocol.filename source)
+  | Protocol.Prove ->
+      respond ~id proof_payload
+        (match req.Protocol.goal with
+        | None -> reject (Unreadable "prove needs a \"goal\" field")
+        | Some goal -> prove ?budget ~goal source)
+  | Protocol.Probe -> respond ~id probes_payload (probe ?budget source)
   | Protocol.Health | Protocol.Stats ->
       Protocol.error ~id:req.Protocol.id ~code:"svc/bad-request"
         (Printf.sprintf "%s is answered by the server, not a worker"
@@ -190,16 +197,12 @@ let store_error ~id (e : Durable.error) =
 
 let put store (req : Protocol.request) =
   let id = req.Protocol.id in
-  let ruleset =
-    match req.Protocol.ruleset with
-    | "denney-pai" -> Wellformed.Denney_pai_2013
-    | _ -> Wellformed.Standard
-  in
   match
     Dsl.parse_collection ~filename:req.Protocol.filename req.Protocol.source
   with
-  | Error ds -> report_response ~id ds
+  | Error ds -> respond ~id report_payload (reject (Invalid ds))
   | Ok [ case ] when case.Dsl.module_name = None -> (
+      let ruleset = ruleset_of_string req.Protocol.ruleset in
       match Durable.put ~ruleset store case.Dsl.structure with
       | Error e -> store_error ~id e
       | Ok digest ->

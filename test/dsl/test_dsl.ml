@@ -6,6 +6,7 @@ module Structure = Argus_gsn.Structure
 module Node = Argus_gsn.Node
 module Wellformed = Argus_gsn.Wellformed
 module Metadata = Argus_gsn.Metadata
+module Legacy_modular = Argus_oracle.Legacy_modular
 
 let sample_text =
   {|
@@ -216,7 +217,7 @@ let test_collection_to_modular () =
       Alcotest.(check (list string)) "clean" []
         (List.map
            (fun d -> d.Diagnostic.code)
-           (Argus_gsn.Modular.check collection))
+           (Legacy_modular.check collection))
 
 let test_collection_detects_bad_away_goal () =
   let broken =
@@ -233,7 +234,7 @@ let test_collection_detects_bad_away_goal () =
     (List.mem "modular/unknown-module"
        (List.map
           (fun d -> d.Diagnostic.code)
-          (Argus_gsn.Modular.check collection)))
+          (Legacy_modular.check collection)))
 
 let test_unnamed_module_rejected () =
   let cases =

@@ -1,7 +1,7 @@
 open Argus_fallacy
 module Prop = Argus_logic.Prop
 module Syllogism = Argus_logic.Syllogism
-module Engine = Argus_prolog.Engine
+module Exec = Argus_prolog.Exec
 module Term = Argus_logic.Term
 module Structure = Argus_gsn.Structure
 module Node = Argus_gsn.Node
@@ -156,7 +156,7 @@ let test_machine_help_nonempty () =
 let test_desert_bank_proves_but_lint_flags () =
   let goal = Result.get_ok (Term.of_string "adjacent(desert_bank, river)") in
   Alcotest.(check bool) "formally derivable" true
-    (Engine.provable Informal.desert_bank goal);
+    (Exec.provable_term Informal.desert_bank goal);
   Alcotest.(check (list string))
     "equivocation candidate is exactly 'bank'" [ "bank" ]
     (Informal.equivocation_candidates Informal.desert_bank)

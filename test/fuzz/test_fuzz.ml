@@ -240,10 +240,10 @@ let budget_prolog =
         | Error e -> failwith e
       in
       let b = Budget.make ~fuel () in
-      match Argus_prolog.Engine.provable ~budget:b prolog_program goal with
+      match Argus_prolog.Exec.provable_term ~budget:b prolog_program goal with
       | r ->
           complete_or_marked b ~same:(fun () ->
-              r = Argus_prolog.Engine.provable prolog_program goal)
+              r = Argus_prolog.Exec.provable_term prolog_program goal)
       | exception _ -> false)
 
 let gen_ltl =

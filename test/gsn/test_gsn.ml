@@ -2,6 +2,7 @@ open Argus_gsn
 module Id = Argus_core.Id
 module Evidence = Argus_core.Evidence
 module Diagnostic = Argus_core.Diagnostic
+module Legacy_modular = Argus_oracle.Legacy_modular
 
 let id = Id.of_string
 let codes ds = List.map (fun d -> d.Diagnostic.code) ds
@@ -602,7 +603,7 @@ let test_modular_away_goal_id_mismatch () =
   (* AG_PG1's id must match a goal in Powertrain; it does not, so the
      collection reports the target error. *)
   Alcotest.(check bool) "mismatch flagged" true
-    (List.mem "modular/away-goal-target" (codes (Modular.check good_collection)))
+    (List.mem "modular/away-goal-target" (codes (Legacy_modular.check good_collection)))
 
 let matched_collection =
   (* Rename the away goal to carry the cited goal's id, the standard's
@@ -622,14 +623,14 @@ let matched_collection =
 
 let test_modular_clean () =
   Alcotest.(check (list string)) "clean" []
-    (codes (Modular.check matched_collection))
+    (codes (Legacy_modular.check matched_collection))
 
 let test_modular_unknown_module () =
   let collection =
     Modular.empty |> Modular.add_module ~name:(id "Vehicle") system_module
   in
   Alcotest.(check bool) "unknown module" true
-    (List.mem "modular/unknown-module" (codes (Modular.check collection)))
+    (List.mem "modular/unknown-module" (codes (Legacy_modular.check collection)))
 
 let test_modular_private_goal () =
   let collection =
@@ -646,7 +647,7 @@ let test_modular_private_goal () =
               ~dst:(id "PG1"))
   in
   Alcotest.(check bool) "private goal warned" true
-    (List.mem "modular/private-goal" (codes (Modular.check collection)))
+    (List.mem "modular/private-goal" (codes (Legacy_modular.check collection)))
 
 let test_modular_dependency_cycle () =
   let m_a =
@@ -673,7 +674,7 @@ let test_modular_dependency_cycle () =
     |> Modular.add_module ~name:(id "B") m_b
   in
   Alcotest.(check bool) "cycle flagged" true
-    (List.mem "modular/dependency-cycle" (codes (Modular.check collection)))
+    (List.mem "modular/dependency-cycle" (codes (Legacy_modular.check collection)))
 
 let test_modular_dependencies () =
   Alcotest.(check (list string))

@@ -419,7 +419,7 @@ let check_modular_matches_legacy =
        gen_collection)
     (fun c ->
       let a = render (Fused.check_modular c) in
-      let b = render (Modular.check c) in
+      let b = render (Argus_oracle.Legacy_modular.check c) in
       if a <> b then
         QCheck.Test.fail_report
           (Printf.sprintf "modular drift\n-- fused --\n%s\n-- legacy --\n%s" a b)

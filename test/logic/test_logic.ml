@@ -225,13 +225,13 @@ let array_dpll_agrees_with_naive_tseitin =
   QCheck.Test.make ~name:"array DPLL agrees with naive DPLL (Tseitin CNF)"
     ~count:300 arb_prop (fun f ->
       let cnf = Sat.tseitin f in
-      Bool.equal (Sat.solve cnf <> None) (Sat.Naive.solve cnf <> None))
+      Bool.equal (Sat.solve cnf <> None) (Argus_oracle.Sat_naive.solve cnf <> None))
 
 let array_dpll_agrees_with_naive_direct =
   QCheck.Test.make ~name:"array DPLL agrees with naive DPLL (direct CNF)"
     ~count:300 arb_prop (fun f ->
       let cnf = Sat.cnf_of_prop f in
-      Bool.equal (Sat.solve cnf <> None) (Sat.Naive.solve cnf <> None))
+      Bool.equal (Sat.solve cnf <> None) (Argus_oracle.Sat_naive.solve cnf <> None))
 
 let array_dpll_model_satisfies_cnf =
   QCheck.Test.make ~name:"array DPLL models satisfy the CNF" ~count:300

@@ -1,9 +1,14 @@
+(* The interpreted SLD engine: the reference the compiled executor in
+   lib/prolog (Compile + Exec) is held to by the differential suites.
+   Nothing shipped calls it. *)
+
 module Term = Argus_logic.Term
 module Symbol = Argus_core.Symbol
 module Budget = Argus_rt.Budget
 module Fault = Argus_rt.Fault
+module Program = Argus_prolog.Program
 
-type derivation = {
+type derivation = Argus_prolog.Derivation.t = {
   goal : Term.t;
   clause_index : int;
   children : derivation list;
@@ -258,7 +263,7 @@ let solve_compiled ?(max_depth = 64) ?(budget = Budget.unlimited) compiled
 let solve ?max_depth ?budget program goals =
   solve_compiled ?max_depth ?budget (compile program) goals
 
-(* The textbook engine PR 2 replaced: linear scan over all clauses,
+(* The textbook engine the index replaced: linear scan over all clauses,
    each freshened eagerly before unification can fail.  Retained as the
    differential-testing oracle for the indexed engine. *)
 let solve_naive ?(max_depth = 64) program goals =
@@ -405,13 +410,3 @@ let prove ?max_depth ?budget program goal =
       Some (finalise deriv)
   | Some ((_, _), _) | None -> None
 
-let rec derivation_size d =
-  1 + List.fold_left (fun acc c -> acc + derivation_size c) 0 d.children
-
-let pp_derivation ppf deriv =
-  let rec go indent d =
-    Format.fprintf ppf "%s%a   [clause %d]@." indent Term.pp d.goal
-      d.clause_index;
-    List.iter (go (indent ^ "  ")) d.children
-  in
-  go "" deriv

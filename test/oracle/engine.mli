@@ -28,9 +28,15 @@
     [Seq], or [false] from {!provable} — and the caller reads
     {!Argus_rt.Budget.exhausted} / [diagnostics] to report
     incompleteness.  Fault probes ["prolog.solve"] and
-    ["prolog.provable"] fire at entry (DESIGN.md §10). *)
+    ["prolog.provable"] fire at entry (DESIGN.md §10).
 
-type derivation = {
+    This is the interpreter the shipped {!Argus_prolog.Exec} replaced;
+    it lives with the tests as the differential oracle (test/prolog,
+    test/fuzz) and nothing in lib/ or bin/ links it. *)
+
+module Program := Argus_prolog.Program
+
+type derivation = Argus_prolog.Derivation.t = {
   goal : Argus_logic.Term.t;  (** The resolved goal, fully instantiated. *)
   clause_index : int;  (** Index of the program clause used (0-based). *)
   children : derivation list;  (** One per body goal of that clause. *)
@@ -104,8 +110,3 @@ val prove :
   Program.t ->
   Argus_logic.Term.t ->
   derivation option
-(** First derivation of the goal, if any — what Figure 1 prints. *)
-
-val derivation_size : derivation -> int
-val pp_derivation : Format.formatter -> derivation -> unit
-(** Indented tree: goal, then the clause used, then sub-derivations. *)

@@ -367,13 +367,13 @@ let test_modular_check_equal () =
       Modular.empty
       (List.init 12 Fun.id)
   in
-  let seq = Modular.check collection in
+  let seq = Argus_ir.Fused.check_modular collection in
   Alcotest.(check bool) "collection has diagnostics" true (seq <> []);
   with_jobs (fun ~pool ~jobs ->
       Alcotest.(check bool)
         (Printf.sprintf "modular check identical at jobs=%d" jobs)
         true
-        (Modular.check ~pool collection = seq))
+        (Argus_ir.Fused.check_modular ~pool collection = seq))
 
 let () =
   Alcotest.run "argus-par"

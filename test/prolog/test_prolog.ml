@@ -1,4 +1,5 @@
 open Argus_prolog
+module Engine = Argus_oracle.Engine
 module Term = Argus_logic.Term
 
 let term s = Result.get_ok (Term.of_string s)
@@ -64,7 +65,7 @@ let test_desert_bank_derivable () =
   | Some d ->
       Alcotest.(check int) "uses the recursive clause" 2 d.Engine.clause_index;
       Alcotest.(check int) "two sub-goals" 2 (List.length d.Engine.children);
-      Alcotest.(check int) "derivation size" 3 (Engine.derivation_size d)
+      Alcotest.(check int) "derivation size" 3 (Derivation.size d)
 
 let test_desert_bank_not_everything () =
   Alcotest.(check bool) "unrelated goal fails" false

@@ -805,6 +805,33 @@ let source =
   goal G2 "Hazard H1 is mitigated"
 }|}
 
+(* DESIGN.md section 10: a budget truncation is a finding, so every op
+   answers exit 1 when its budget ran out, and the report says why. *)
+let test_truncation_exits_one () =
+  let exit_of op ?goal ?fuel source =
+    let budget = Option.map (fun fuel -> Budget.make ~fuel ()) fuel in
+    let req = Protocol.request ~id:"t" ~source ?goal ~lints:true op in
+    match (Handlers.handle req ~budget).Protocol.outcome with
+    | Ok (code, _) -> code
+    | Error (c, m) ->
+        Alcotest.failf "%s failed: %s %s" (Protocol.op_to_string op) c m
+  in
+  let clean =
+    {|case "t" {
+  evidence E1 analysis "a"
+  goal G1 "t holds" { supported-by Sn1 }
+  solution Sn1 "s" { evidence E1 }
+}|}
+  and loop = "p :- p, p.\np :- p.\n" in
+  Alcotest.(check int) "check, unbudgeted" 0 (exit_of Protocol.Check clean);
+  Alcotest.(check int) "check, truncated" 1 (exit_of Protocol.Check ~fuel:1 clean);
+  Alcotest.(check int) "fallacies, unbudgeted" 0
+    (exit_of Protocol.Fallacies clean);
+  Alcotest.(check int) "fallacies, truncated" 1
+    (exit_of Protocol.Fallacies ~fuel:1 clean);
+  Alcotest.(check int) "prove, truncated" 1
+    (exit_of Protocol.Prove ~goal:"p" ~fuel:100 loop)
+
 let payload_str payload k =
   match List.assoc_opt k payload with
   | Some (Json.Str s) -> s
@@ -1038,6 +1065,11 @@ let () =
             test_store_wire_errors;
           Alcotest.test_case "read-only degraded mode on the wire" `Quick
             test_store_read_only_wire_error;
+        ] );
+      ( "ops",
+        [
+          Alcotest.test_case "truncation exits 1" `Quick
+            test_truncation_exits_one;
         ] );
       ( "supervisor",
         [
