@@ -24,7 +24,6 @@ module Server = Argus_svc.Server
 module Handlers = Argus_svc.Handlers
 module Endpoint = Argus_svc.Endpoint
 module Client = Argus_svc.Client
-module Loadgen = Argus_svc.Loadgen
 module Store = Argus_store.Store
 module Durable = Argus_store.Durable
 module Wal = Argus_store.Wal
@@ -1423,252 +1422,6 @@ let top_cmd =
       const run $ obs_json_only_t $ socket_arg $ connect_arg $ interval
       $ once)
 
-(* --- bench-serve: the chaos load harness (DESIGN.md §16) --- *)
-
-let bench_rm_rf dir =
-  let rec go path =
-    match Unix.lstat path with
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-        Array.iter (fun e -> go (Filename.concat path e)) (Sys.readdir path);
-        (try Unix.rmdir path with Unix.Unix_error _ -> ())
-    | _ -> ( try Sys.remove path with Sys_error _ -> ())
-    | exception Unix.Unix_error _ -> ()
-  in
-  go dir
-
-let bench_serve_cmd =
-  let run () connects duration rate clients chaos seed kill_primary out =
-    spanned "argus.bench-serve" @@ fun () ->
-    let fail msg =
-      Format.eprintf "argus bench-serve: %s@." msg;
-      2
-    in
-    let parse_eps connects =
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | c :: rest -> (
-            match Endpoint.of_string c with
-            | Ok ep -> go (ep :: acc) rest
-            | Error e -> Error e)
-      in
-      go [] connects
-    in
-    (* Self-host when no --connect endpoints are given: spawn two argus
-       serve children on ephemeral loopback ports — a primary and the
-       failover target — and, under chaos, SIGKILL the primary mid-run
-       so the clients demonstrably fail over. *)
-    let tmpdir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "argus-bench-serve-%d" (Unix.getpid ()))
-    in
-    let spawn_server i =
-      let pf = Filename.concat tmpdir (Printf.sprintf "port%d" i) in
-      (try Sys.remove pf with Sys_error _ -> ());
-      let log =
-        Unix.openfile
-          (Filename.concat tmpdir (Printf.sprintf "server%d.log" i))
-          [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
-          0o600
-      in
-      let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-      let pid =
-        Unix.create_process Sys.executable_name
-          [|
-            "argus"; "serve"; "--listen"; "127.0.0.1:0"; "--port-file"; pf;
-            "--read-deadline"; "2000"; "--idle-timeout"; "10000";
-          |]
-          devnull log log
-      in
-      Unix.close devnull;
-      Unix.close log;
-      (pid, pf)
-    in
-    let wait_port pf =
-      let deadline = Unix.gettimeofday () +. 10. in
-      let rec go () =
-        let port =
-          match open_in pf with
-          | ic ->
-              let p =
-                try int_of_string_opt (String.trim (input_line ic))
-                with End_of_file -> None
-              in
-              close_in ic;
-              p
-          | exception Sys_error _ -> None
-        in
-        match port with
-        | Some p -> Some p
-        | None ->
-            if Unix.gettimeofday () > deadline then None
-            else begin
-              Unix.sleepf 0.05;
-              go ()
-            end
-      in
-      go ()
-    in
-    let reap pid =
-      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-      try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
-    in
-    let eps_or_err, children =
-      if connects <> [] then (parse_eps connects, [])
-      else begin
-        (try Unix.mkdir tmpdir 0o700
-         with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-        let cs = [ spawn_server 0; spawn_server 1 ] in
-        let ports = List.map (fun (_, pf) -> wait_port pf) cs in
-        match ports with
-        | [ Some p0; Some p1 ] ->
-            (Ok [ Endpoint.Tcp ("127.0.0.1", p0); Endpoint.Tcp ("127.0.0.1", p1) ], cs)
-        | _ ->
-            List.iter (fun (pid, _) -> reap pid) cs;
-            (Error "self-hosted servers did not come up within 10 s", cs)
-      end
-    in
-    match eps_or_err with
-    | Error e ->
-        if children <> [] then bench_rm_rf tmpdir;
-        fail e
-    | Ok eps ->
-        let cfg =
-          {
-            (Loadgen.default_config eps) with
-            Loadgen.duration_s = duration;
-            rate;
-            clients;
-            chaos;
-            seed;
-          }
-        in
-        (* The failover demonstration: SIGKILL the primary mid-run.
-           Only meaningful in self-host mode, where the second server
-           keeps answering. *)
-        let assassin =
-          match children with
-          | (pid, _) :: _ :: _ when chaos || kill_primary ->
-              Some
-                (Domain.spawn (fun () ->
-                     Unix.sleepf (duration /. 2.);
-                     try Unix.kill pid Sys.sigkill
-                     with Unix.Unix_error _ -> ()))
-          | _ -> None
-        in
-        let result = Loadgen.run cfg in
-        Option.iter Domain.join assassin;
-        List.iter (fun (pid, _) -> reap pid) children;
-        if children <> [] then bench_rm_rf tmpdir;
-        Format.printf "%a" Loadgen.pp result;
-        (* Publish the bench_serve section into the bench results file,
-           preserving whatever the micro-benchmark harness wrote. *)
-        let path =
-          match out with
-          | Some p -> p
-          | None ->
-              if Sys.file_exists "bench" && Sys.is_directory "bench" then
-                Filename.concat "bench" "results.json"
-              else "results.json"
-        in
-        let existing =
-          match open_in path with
-          | ic ->
-              let len = in_channel_length ic in
-              let s = really_input_string ic len in
-              close_in ic;
-              (match Json.of_string s with
-              | Ok (Json.Obj kvs) -> kvs
-              | _ -> [])
-          | exception Sys_error _ -> []
-        in
-        let merged =
-          List.filter (fun (k, _) -> k <> "bench_serve") existing
-          @ [ ("bench_serve", Loadgen.result_to_json cfg result) ]
-        in
-        let merged =
-          if List.mem_assoc "schema" merged then merged
-          else ("schema", Json.Str "argus-bench/1") :: merged
-        in
-        (match open_out path with
-        | oc ->
-            output_string oc (Json.to_string ~indent:true (Json.Obj merged));
-            output_char oc '\n';
-            close_out oc;
-            Format.printf "wrote %s@." path
-        | exception Sys_error msg ->
-            Format.eprintf "argus bench-serve: could not write %s: %s@." path
-              msg);
-        if result.Loadgen.resolved = result.Loadgen.offered then 0 else 1
-  in
-  let duration =
-    Arg.(
-      value
-      & opt (positive_float_conv "--duration") 10.
-      & info [ "duration" ] ~docv:"S" ~doc:"Run length in seconds.")
-  in
-  let rate =
-    Arg.(
-      value
-      & opt (positive_float_conv "--rate") 200.
-      & info [ "rate" ] ~docv:"RPS"
-          ~doc:
-            "Total offered load in requests per second (open-loop \
-             Poisson arrivals: the schedule does not slow down when the \
-             server does).")
-  in
-  let clients =
-    Arg.(
-      value
-      & opt (positive_int_conv "--clients") 4
-      & info [ "clients" ] ~docv:"N"
-          ~doc:
-            "Retrying client workers; one pipelining worker always runs \
-             besides them.")
-  in
-  let chaos =
-    Arg.(
-      value & flag
-      & info [ "chaos" ]
-          ~doc:
-            "Unleash the misbehaving clients (byte-dribbler, mid-frame \
-             disconnector, never-reader, garbage-writer) and, in \
-             self-host mode, SIGKILL the primary server mid-run to \
-             demonstrate failover.")
-  in
-  let seed =
-    Arg.(
-      value
-      & opt (nonneg_int_conv "--seed") 42
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"Root seed for arrivals and misbehaviour schedules.")
-  in
-  let kill_primary =
-    Arg.(
-      value & flag
-      & info [ "kill-primary" ]
-          ~doc:
-            "SIGKILL the first self-hosted server mid-run even without \
-             --chaos.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:
-            "Results file to merge the bench_serve section into \
-             (default: bench/results.json when run from the repo root).")
-  in
-  Cmd.v
-    (Cmd.info "bench-serve"
-       ~doc:
-         "Chaos load harness: open-loop Poisson load, pipelined and \
-          misbehaving clients, failover demonstration")
-    Term.(
-      const run $ obs_json_only_t $ connect_arg $ duration $ rate $ clients
-      $ chaos $ seed $ kill_primary $ out)
-
 (* A consumer that stopped reading (argus check ... | head) must end
    the process quietly, not as a SIGPIPE kill or an "internal error":
    SIGPIPE is ignored, so the write surfaces as EPIPE, which we map to
@@ -1709,7 +1462,6 @@ let () =
              serve_cmd;
              call_cmd;
              top_cmd;
-             bench_serve_cmd;
            ])
     with
     | e when is_broken_pipe e -> 0

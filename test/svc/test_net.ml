@@ -2,7 +2,7 @@
    backends), line-framing fuzz against a live server, the resilient
    client (retry, stale-pool detection, failover, deadlines), the
    chaos probes, connection capacity past the FD_SETSIZE ceiling, and
-   a loadgen smoke run. *)
+   the chaos harness (its pipeliner schedule and a smoke run). *)
 
 module Json = Argus_core.Json
 module Prng = Argus_core.Prng
@@ -13,7 +13,7 @@ module Endpoint = Argus_svc.Endpoint
 module Readiness = Argus_svc.Readiness
 module Server = Argus_svc.Server
 module Client = Argus_svc.Client
-module Loadgen = Argus_svc.Loadgen
+module Harness = Argus_chaos.Harness
 module Handlers = Argus_svc.Handlers
 module Durable = Argus_store.Durable
 module Store = Argus_store.Store
@@ -35,8 +35,6 @@ let echo_handler (req : Protocol.request) ~budget:_ =
   Protocol.ok ~id:req.Protocol.id ~exit_code:0 []
 
 let req_health id = Protocol.request ~id Protocol.Health
-
-let request_line req = Json.to_string (Protocol.request_to_json req) ^ "\n"
 
 (* --- Endpoint --- *)
 
@@ -228,7 +226,7 @@ let test_framing_fuzz () =
   let h = Server.spawn ~handler:echo_handler cfg in
   Fun.protect ~finally:(fun () -> ignore (Server.stop h)) @@ fun () ->
   let rng = Prng.create 1234 in
-  let valid = request_line (req_health "fz") in
+  let valid = Harness.request_line (req_health "fz") in
   let inputs =
     [
       (* interleaved garbage between valid frames *)
@@ -335,7 +333,7 @@ let test_slow_loris_reaped () =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
   @@ fun () ->
   Unix.connect fd (Unix.ADDR_UNIX path);
-  let line = request_line (req_health "drip") in
+  let line = Harness.request_line (req_health "drip") in
   let t0 = Unix.gettimeofday () in
   let dripped = ref 0 in
   (* Drip a byte every 60 ms: each byte resets nothing — the deadline
@@ -595,7 +593,7 @@ let connect_tcp port =
   fd
 
 let roundtrip_raw fd id =
-  let line = request_line (req_health id) in
+  let line = Harness.request_line (req_health id) in
   match Unix.write_substring fd line 0 (String.length line) with
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   | _ ->
@@ -697,31 +695,60 @@ let test_accept_o1_amortized_1k () =
       true
       (second < (8. *. Float.max first 0.05))
 
-(* --- loadgen smoke --- *)
+(* --- the chaos harness --- *)
 
-let test_loadgen_smoke () =
-  with_tcp_server ~jobs:2 @@ fun _h port ->
-  let cfg =
-    {
-      (Loadgen.default_config [ Endpoint.Tcp ("127.0.0.1", port) ]) with
-      Loadgen.duration_s = 1.0;
-      rate = 80.;
-      clients = 2;
-      chaos = true;
-      seed = 7;
-    }
+(* The pipeliner's schedule, without sleeping: a batch is the first
+   unissued arrival plus exactly the following arrivals due by [now],
+   and a lone future arrival is waited for until its own due time. *)
+let test_harness_batch_schedule () =
+  let rate = 50. and t_end = 100. in
+  for seed = 1 to 20 do
+    (* Arrival k is due at 1 plus the first k draws of the stream. *)
+    let rng = Prng.create seed in
+    let due = Array.make 8 1. in
+    for k = 1 to 7 do
+      due.(k) <- due.(k - 1) +. Prng.exponential rng ~rate
+    done;
+    let now = (due.(5) +. due.(6)) /. 2. in
+    let b = Harness.next_batch (Prng.create seed) ~rate ~next:1. ~now ~t_end in
+    Alcotest.(check int) "batch holds the arrivals due by now" 6 b.Harness.size;
+    Alcotest.(check (float 0.)) "first arrival" 1. b.Harness.first_at;
+    Alcotest.(check (float 0.)) "next is the first not due" due.(6)
+      b.Harness.next;
+    let lone =
+      Harness.next_batch (Prng.create seed) ~rate ~next:2. ~now:1. ~t_end
+    in
+    Alcotest.(check int) "a lone future arrival" 1 lone.Harness.size;
+    Alcotest.(check (float 0.)) "waits until its own due time" 2.
+      lone.Harness.first_at;
+    let over =
+      Harness.next_batch (Prng.create seed) ~rate ~next:t_end ~now ~t_end
+    in
+    Alcotest.(check int) "nothing at or after t_end" 0 over.Harness.size
+  done
+
+let test_harness_raised_fails () =
+  let r =
+    { Harness.offered = 3; resolved = 3; ok = 2; chaos_conns = 0;
+      taxonomy = [ ("ok", 2); ("raised:Failure(\"x\")", 1) ] }
   in
-  let r = Loadgen.run cfg in
-  Alcotest.(check int) "every request resolved" r.Loadgen.offered
-    r.Loadgen.resolved;
-  Alcotest.(check bool) "issued some load" true (r.Loadgen.offered > 10);
+  Alcotest.(check int) "a raised call fails the gate" 1
+    (List.length (Harness.problems r));
+  Alcotest.(check int) "unresolved requests fail the gate" 2
+    (List.length (Harness.problems { r with offered = 4 }))
+
+let test_harness_smoke () =
+  with_tcp_server ~jobs:2 @@ fun _h port ->
+  let r =
+    Harness.run ~duration_s:1.0 ~rate:80. ~clients:2 ~seed:7
+      [ Endpoint.Tcp ("127.0.0.1", port) ]
+  in
+  Alcotest.(check (list string)) "every request resolved, none raised" []
+    (Harness.problems r);
+  Alcotest.(check bool) "issued some load" true (r.Harness.offered > 10);
   Alcotest.(check bool) "mostly served" true
-    (r.Loadgen.ok > r.Loadgen.offered / 2);
-  Alcotest.(check bool) "misbehavers connected" true (r.Loadgen.chaos_conns > 0);
-  (* The section the CLI publishes parses back as JSON. *)
-  match Json.of_string (Json.to_string (Loadgen.result_to_json cfg r)) with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "bench_serve section unparseable: %s" e
+    (r.Harness.ok > r.Harness.offered / 2);
+  Alcotest.(check bool) "misbehavers connected" true (r.Harness.chaos_conns > 0)
 
 let () =
   Alcotest.run "argus-net"
@@ -776,5 +803,11 @@ let () =
             test_accept_o1_amortized_1k;
         ] );
       ( "loadgen",
-        [ Alcotest.test_case "chaos smoke run" `Quick test_loadgen_smoke ] );
+        [
+          Alcotest.test_case "chaos smoke run" `Quick test_harness_smoke;
+          Alcotest.test_case "pipeliner batch schedule" `Quick
+            test_harness_batch_schedule;
+          Alcotest.test_case "raised calls fail the gate" `Quick
+            test_harness_raised_fails;
+        ] );
     ]
