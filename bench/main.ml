@@ -370,7 +370,7 @@ let bench_store_case ~strategies ~leaves =
   Structure.of_nodes ~links nodes
 
 (* ~110k nodes for the headline edit-one-node kernels, ~11k for the
-   churn kernel that rebuilds shape against a warm verdict memo.  Built
+   churn kernel that patches shape against a warm verdict memo.  Built
    inside each kernel's Bechamel resource, never at top level: a live
    100k-node heap makes every minor collection scan it, which was
    measured to tax the unrelated sub-microsecond kernels several-fold.
@@ -633,6 +633,26 @@ let bench_subjects =
         ignore (Exp_e.run Exp_e.default_config)));
     Test.make ~name:"dpll-sat" (Staged.stage (fun () ->
         ignore (Sat.satisfiable prop_formula)));
+    (* Budget overhead: the same workloads as [figure1-resolution] and
+       [dpll-sat] but threaded through a limited budget generous enough
+       never to exhaust — what the probe points cost when armed.  The
+       compare gate holds these (like everything else) within 25% of
+       the recorded baseline; the unbudgeted kernels above pin the
+       disarmed cost.  A fuel of [max_int] counts as no limit
+       ([Budget.make] returns [unlimited]), so both kernels take a
+       finite fuel.  Armed, [Exec.provable] runs the full search
+       instead of answering from its decision table, which is what
+       [figure1-resolution] times, and [Sat.satisfiable] skips its
+       memo.  They run right after [dpll-sat], in the same heap state
+       as the kernels they are read against: later in the list, after
+       the store and pool kernels, the smoke run's short quota timed
+       them several-fold slow. *)
+    Test.make ~name:"rt-budget-overhead-prolog" (Staged.stage (fun () ->
+        let b = Argus_rt.Budget.make ~fuel:1_000_000 () in
+        ignore (Exec.provable ~budget:b fig1_cp fig1_q)));
+    Test.make ~name:"rt-budget-overhead-dpll" (Staged.stage (fun () ->
+        let b = Argus_rt.Budget.make ~fuel:1_000_000 () in
+        ignore (Sat.satisfiable ~budget:b prop_formula)));
     Test.make ~name:"natded-check" (Staged.stage (fun () ->
         ignore (Natded.check haley)));
     Test.make ~name:"gsn-wellformed" (Staged.stage (fun () ->
@@ -718,10 +738,36 @@ let bench_subjects =
       (Staged.stage (fun case ->
            let st = Store.create () in
            ignore (Store.put st case)));
-    (* Shape churn: a mixed batch (text edit plus unlink/relink) forces
-       the full-rebuild path, but against a warm arena and verdict
-       memo, so it times rebuild-with-reuse rather than from-scratch
-       checking. *)
+    (* The shape-edit pair of [store-edit-1-of-100k]: unlink one leaf
+       and link it back by digest, then fetch a full verdict.  The graph
+       delta rebuilds the integer arrays (and the verdict re-runs the
+       confidence kernel) over the whole case, but nothing per node
+       beyond the edit's cone: compare.exe --require-speedup gates it at
+       20x under the full re-check. *)
+    (let id = Argus_core.Id.of_string in
+     let relink =
+       [
+         Store.Unlink (Structure.Supported_by, id "S42", id "G42_7");
+         Store.Link (Structure.Supported_by, id "S42", id "G42_7");
+       ]
+     in
+     Test.make_with_resource ~name:"store-shape-edit-1-of-100k" Test.uniq
+       ~allocate:(fun () ->
+         let st = Store.create () in
+         let d = ref (Store.put st (store_case_100k ())) in
+         ignore (Store.verdict st ~digest:!d);
+         (st, d))
+       ~free:(fun _ -> ())
+       (Staged.stage (fun (st, d) ->
+            (match Store.patch st ~digest:!d relink with
+            | Ok d' -> d := d'
+            | Error e -> failwith (Store.error_message e));
+            match Store.verdict st ~digest:!d with
+            | Ok v -> ignore v.Store.result
+            | Error e -> failwith (Store.error_message e))));
+    (* Shape churn: a mixed batch (text edit plus unlink/relink) on a
+       ~11k-node case, through the graph delta against a warm arena and
+       verdict memo. *)
     (let flip = ref 0 in
      Test.make_with_resource ~name:"store-patch-churn" Test.uniq
        ~allocate:(fun () ->
@@ -823,23 +869,6 @@ let bench_subjects =
         ignore (Exp_e.run ~pool Exp_e.default_config));
     par_kernel ~name:"par-exp-e-jobs4" ~jobs:4 (fun pool ->
         ignore (Exp_e.run ~pool Exp_e.default_config));
-    (* Budget overhead: the same workloads as [figure1-resolution] and
-       [dpll-sat] but threaded through a limited budget generous enough
-       never to exhaust — what the probe points cost when armed.  The
-       compare gate holds these (like everything else) within 25% of
-       the recorded baseline; the unbudgeted kernels above pin the
-       disarmed cost.  A fuel of [max_int] counts as no limit
-       ([Budget.make] returns [unlimited]), so the prolog kernel takes
-       a finite fuel: armed, [Exec.provable] runs the full search
-       instead of answering from its decision table, which is what
-       [figure1-resolution] times. *)
-    Test.make ~name:"rt-budget-overhead-prolog" (Staged.stage (fun () ->
-        let b = Argus_rt.Budget.make ~fuel:1_000_000 () in
-        ignore (Exec.provable ~budget:b fig1_cp fig1_q)));
-    Test.make ~name:"rt-budget-overhead-dpll" (Staged.stage (fun () ->
-        let b = Argus_rt.Budget.make ~fuel:max_int () in
-        ignore (Sat.satisfiable ~budget:b prop_formula)));
-
     (* Service layer (DESIGN.md §11): a full request round-trip through
        the wire protocol, and the overload path — a zero-capacity queue
        answers svc/overloaded from the acceptor without touching a

@@ -1349,11 +1349,12 @@ let top_cmd =
       then
         Format.printf
           "store: nodes %d   node-hits %.0f   reused-verdicts %.0f   \
-           dirty-cone %.0f@."
+           dirty-cone %.0f   shape-rebuilds %.0f@."
           store_nodes
           (counter "store.node_hits")
           (counter "store.reused_verdicts")
-          (counter "store.dirty_cone");
+          (counter "store.dirty_cone")
+          (counter "store.shape_rebuilds");
       let breakers = obj "breakers" in
       if breakers <> [] then begin
         Format.printf "@.breakers:";

@@ -32,6 +32,28 @@ val root_confidence :
   trust:(Argus_core.Evidence.t -> float) -> Argus_gsn.Structure.t -> float
 (** Confidence of the (first) root, 0 for an empty structure. *)
 
+val scores :
+  trust:(Argus_core.Evidence.t -> float) ->
+  find_evidence:(Argus_core.Id.t -> Argus_core.Evidence.t option) ->
+  Argus_gsn.Node.t array ->
+  sup_off:int array ->
+  sup:int array ->
+  float array
+(** The kernel behind {!assess} and {!root_confidence}, over an
+    entity-indexed graph: entities [0 .. n-1] are the [n] nodes in
+    {!Argus_gsn.Structure.nodes} order, higher indices are dangling
+    endpoints, and [sup_off]/[sup] is the SupportedBy CSR over all
+    entities, targets in link order — the shape of
+    {!Argus_ir.Caseir}'s [nodes], [sup_out_off] and [sup_out].
+    Returns each entity's confidence, [0] for the entities {!assess}
+    leaves out.  One linear pass. *)
+
+val evidence_lookup :
+  Argus_gsn.Structure.t -> Argus_core.Id.t -> Argus_core.Evidence.t option
+(** {!Argus_gsn.Structure.find_evidence} through a hash table built
+    when partially applied — the [find_evidence] for one {!scores}
+    pass. *)
+
 val impact_by_tracing :
   Argus_gsn.Structure.t -> Argus_core.Id.t -> Argus_core.Id.t list
 (** [impact_by_tracing s evidence_id]: every goal or strategy on a path

@@ -39,12 +39,19 @@ let remove_node id t =
         t.link_list;
   }
 
+(* Link equality at its type: polymorphic comparison of the tuples
+   dominated connect/disconnect on large cases. *)
+let is_link kind src dst (k, s, d) = k = kind && Id.equal s src && Id.equal d dst
+
 let connect kind ~src ~dst t =
-  let l = (kind, src, dst) in
-  if List.mem l t.link_list then t else { t with link_list = t.link_list @ [ l ] }
+  if List.exists (is_link kind src dst) t.link_list then t
+  else { t with link_list = t.link_list @ [ (kind, src, dst) ] }
 
 let disconnect kind ~src ~dst t =
-  { t with link_list = List.filter (fun l -> l <> (kind, src, dst)) t.link_list }
+  {
+    t with
+    link_list = List.filter (fun l -> not (is_link kind src dst l)) t.link_list;
+  }
 
 let add_evidence ev t =
   let order =

@@ -25,14 +25,19 @@
    and the texts are immutable once interned, so these are plain
    arrays.  [ir.interned] counts interning passes.
 
-   Two extensions serve the incremental store (lib/store).  [intern]
+   Three extensions serve the incremental store (lib/store).  [intern]
    takes an optional [?derive] hook so a caller can hash-cons the text
    derivations across cases — re-interning a patched structure then
    skips [Textutil.content_words] and friends for every node payload
-   already seen.  And [set_node] patches the flat entity arrays in
-   place for a payload-only edit (same id, same links, same
-   contextual-ness), so a one-node text edit never rebuilds the CSR
-   adjacency at all.  [ir.patched] counts in-place patches. *)
+   already seen.  [set_node] patches the flat entity arrays in place
+   for a payload-only edit (same id, same links, same contextual-ness),
+   so a one-node text edit never rebuilds the CSR adjacency at all;
+   [ir.patched] counts in-place patches.  And [apply] replays a shape
+   batch (add, remove, link, unlink, set) on an existing IR: it
+   rebuilds the link arrays, the CSRs, roots and reachability over the
+   integers, compacts the per-node arrays through an old-to-new index
+   map, and derives text only for the payloads the batch sets or adds
+   — the same IR a fresh [intern] would build, without one. *)
 
 module Id = Argus_core.Id
 module Textutil = Argus_core.Textutil
@@ -101,6 +106,209 @@ let derive (n : Node.t) =
        else true);
   }
 
+(* [reuse old len x]: the array [old] itself when it already has length
+   [len] — an array of an IR that [apply] is consuming, overwritten in
+   place — else a fresh one filled with [x].  A reused array keeps its
+   old contents, so every caller overwrites every cell.  On a large
+   live heap the major GC is paced by the words allocated, so a
+   case-sized array costs far more to allocate than to fill: an edit
+   that keeps the node and link counts allocates next to nothing. *)
+let reuse old len x =
+  match old with
+  | Some a when Array.length a = len -> a
+  | _ -> Array.make len x
+
+(* The integer half of an IR: the three CSRs, roots and reachability,
+   all functions of the link arrays and of which nodes are contextual.
+   [intern] and [apply] both build it here, so a delta IR and a fresh
+   intern cannot disagree on it.  [?into] lends the arrays of a
+   consumed IR. *)
+type graph = {
+  g_sup_out_off : int array;
+  g_sup_out : int array;
+  g_sup_in_off : int array;
+  g_sup_in : int array;
+  g_ctx_out_off : int array;
+  g_ctx_out : int array;
+  g_roots : int list;
+  g_reachable : bool array;
+}
+
+let graph ?into ~n_nodes ~n_entities ~contextual link_kind link_src link_dst =
+  let n_links = Array.length link_kind in
+  let old field = Option.map field into in
+  let offsets field =
+    let off = reuse (old field) (n_entities + 1) 0 in
+    Array.fill off 0 (n_entities + 1) 0;
+    off
+  in
+  let so = offsets (fun ir -> ir.sup_out_off) in
+  let si = offsets (fun ir -> ir.sup_in_off) in
+  let co = offsets (fun ir -> ir.ctx_out_off) in
+  (* CSR adjacency, all three at once: count each entity's links into
+     its successor's offset, prefix-sum, fill in link order advancing
+     each entity's offset — which leaves it at its successor's start —
+     then shift the offsets back by one entity. *)
+  for k = 0 to n_links - 1 do
+    let s = link_src.(k) + 1 and d = link_dst.(k) + 1 in
+    match link_kind.(k) with
+    | Structure.Supported_by ->
+        so.(s) <- so.(s) + 1;
+        si.(d) <- si.(d) + 1
+    | Structure.In_context_of -> co.(s) <- co.(s) + 1
+  done;
+  for i = 0 to n_entities - 1 do
+    so.(i + 1) <- so.(i + 1) + so.(i);
+    si.(i + 1) <- si.(i + 1) + si.(i);
+    co.(i + 1) <- co.(i + 1) + co.(i)
+  done;
+  let sup_out = reuse (old (fun ir -> ir.sup_out)) so.(n_entities) 0 in
+  let sup_in = reuse (old (fun ir -> ir.sup_in)) si.(n_entities) 0 in
+  let ctx_out = reuse (old (fun ir -> ir.ctx_out)) co.(n_entities) 0 in
+  for k = 0 to n_links - 1 do
+    let s = link_src.(k) and d = link_dst.(k) in
+    match link_kind.(k) with
+    | Structure.Supported_by ->
+        sup_out.(so.(s)) <- d;
+        so.(s) <- so.(s) + 1;
+        sup_in.(si.(d)) <- s;
+        si.(d) <- si.(d) + 1
+    | Structure.In_context_of ->
+        ctx_out.(co.(s)) <- d;
+        co.(s) <- co.(s) + 1
+  done;
+  for i = n_entities downto 1 do
+    so.(i) <- so.(i - 1);
+    si.(i) <- si.(i - 1);
+    co.(i) <- co.(i - 1)
+  done;
+  so.(0) <- 0;
+  si.(0) <- 0;
+  co.(0) <- 0;
+  (* Roots: no incoming SupportedBy, non-contextual type — node order. *)
+  let roots = ref [] in
+  for i = n_nodes - 1 downto 0 do
+    if si.(i + 1) = si.(i) && not (contextual i) then roots := i :: !roots
+  done;
+  let roots = !roots in
+  (* Reachability: SupportedBy closure of the roots, plus the contexts
+     of every entity in it (one hop, as the legacy checker unions
+     [context_of] over subtree members). *)
+  let supported = Bytes.make (max 1 n_entities) '\000' in
+  let rec mark i =
+    if Bytes.get supported i = '\000' then begin
+      Bytes.set supported i '\001';
+      for k = so.(i) to so.(i + 1) - 1 do
+        mark sup_out.(k)
+      done
+    end
+  in
+  List.iter mark roots;
+  let reachable =
+    reuse (old (fun ir -> ir.reachable)) (max 1 n_entities) false
+  in
+  for i = 0 to Array.length reachable - 1 do
+    reachable.(i) <- Bytes.get supported i = '\001'
+  done;
+  for i = 0 to n_entities - 1 do
+    if Bytes.get supported i = '\001' then
+      for k = co.(i) to co.(i + 1) - 1 do
+        reachable.(ctx_out.(k)) <- true
+      done
+  done;
+  {
+    g_sup_out_off = so;
+    g_sup_out = sup_out;
+    g_sup_in_off = si;
+    g_sup_in = sup_in;
+    g_ctx_out_off = co;
+    g_ctx_out = ctx_out;
+    g_roots = roots;
+    g_reachable = reachable;
+  }
+
+(* The per-node text columns, one [derived] per node. *)
+type columns = {
+  c_goal_like : bool array;
+  c_norm : string array;
+  c_content : string list array;
+  c_ignorance : bool array;
+  c_universal : bool array;
+  c_propositional : bool array;
+}
+
+let set_columns c i d =
+  c.c_goal_like.(i) <- d.d_goal_like;
+  c.c_norm.(i) <- d.d_norm;
+  c.c_content.(i) <- d.d_content;
+  c.c_ignorance.(i) <- d.d_ignorance;
+  c.c_universal.(i) <- d.d_universal;
+  c.c_propositional.(i) <- d.d_propositional
+
+(* What an empty case holds in its one column cell. *)
+let blank =
+  {
+    d_goal_like = false;
+    d_norm = "";
+    d_content = [];
+    d_ignorance = false;
+    d_universal = false;
+    d_propositional = true;
+  }
+
+(* Columns for [n] nodes, one [derived i] per node. *)
+let columns n derived =
+  let c =
+    {
+      c_goal_like = Array.make (max 1 n) blank.d_goal_like;
+      c_norm = Array.make (max 1 n) blank.d_norm;
+      c_content = Array.make (max 1 n) blank.d_content;
+      c_ignorance = Array.make (max 1 n) blank.d_ignorance;
+      c_universal = Array.make (max 1 n) blank.d_universal;
+      c_propositional = Array.make (max 1 n) blank.d_propositional;
+    }
+  in
+  for i = 0 to n - 1 do
+    set_columns c i (derived i)
+  done;
+  c
+
+(* An IR from its entity table, nodes, link arrays and text columns;
+   the graph half is built from the links. *)
+let make ?into ~structure ~index ~ids ~nodes ~n_entities ~columns:c link_kind
+    link_src link_dst =
+  let n_nodes = Array.length nodes in
+  let g =
+    graph ?into ~n_nodes ~n_entities
+      ~contextual:(fun i -> Node.is_contextual nodes.(i).Node.node_type)
+      link_kind link_src link_dst
+  in
+  {
+    structure;
+    n_nodes;
+    n_entities;
+    index;
+    ids;
+    nodes;
+    link_kind;
+    link_src;
+    link_dst;
+    sup_out_off = g.g_sup_out_off;
+    sup_out = g.g_sup_out;
+    sup_in_off = g.g_sup_in_off;
+    sup_in = g.g_sup_in;
+    ctx_out_off = g.g_ctx_out_off;
+    ctx_out = g.g_ctx_out;
+    roots = g.g_roots;
+    reachable = g.g_reachable;
+    goal_like = c.c_goal_like;
+    norm = c.c_norm;
+    content = c.c_content;
+    ignorance = c.c_ignorance;
+    universal = c.c_universal;
+    propositional = c.c_propositional;
+  }
+
 let intern ?(derive = derive) structure =
   Argus_obs.Counter.incr c_interned;
   let nodes = Array.of_list (Structure.nodes structure) in
@@ -138,118 +346,9 @@ let intern ?(derive = derive) structure =
   let ids = Array.make (max 1 n_entities) (Id.of_string "x") in
   Array.iteri (fun i n -> ids.(i) <- n.Node.id) nodes;
   List.iteri (fun j id -> ids.(n_entities - 1 - j) <- id) !extra;
-  (* CSR adjacency: count, prefix-sum, fill in link order. *)
-  let csr select =
-    let count = Array.make n_entities 0 in
-    for k = 0 to n_links - 1 do
-      match select k with
-      | Some (at, _) -> count.(at) <- count.(at) + 1
-      | None -> ()
-    done;
-    let off = Array.make (n_entities + 1) 0 in
-    for i = 0 to n_entities - 1 do
-      off.(i + 1) <- off.(i) + count.(i)
-    done;
-    let dat = Array.make off.(n_entities) 0 in
-    let cursor = Array.copy off in
-    for k = 0 to n_links - 1 do
-      match select k with
-      | Some (at, v) ->
-          dat.(cursor.(at)) <- v;
-          cursor.(at) <- cursor.(at) + 1
-      | None -> ()
-    done;
-    (off, dat)
-  in
-  let sup_out_off, sup_out =
-    csr (fun k ->
-        if link_kind.(k) = Structure.Supported_by then
-          Some (link_src.(k), link_dst.(k))
-        else None)
-  in
-  let sup_in_off, sup_in =
-    csr (fun k ->
-        if link_kind.(k) = Structure.Supported_by then
-          Some (link_dst.(k), link_src.(k))
-        else None)
-  in
-  let ctx_out_off, ctx_out =
-    csr (fun k ->
-        if link_kind.(k) = Structure.In_context_of then
-          Some (link_src.(k), link_dst.(k))
-        else None)
-  in
-  (* Roots: no incoming SupportedBy, non-contextual type — node order. *)
-  let roots = ref [] in
-  for i = n_nodes - 1 downto 0 do
-    if
-      sup_in_off.(i + 1) = sup_in_off.(i)
-      && not (Node.is_contextual nodes.(i).Node.node_type)
-    then roots := i :: !roots
-  done;
-  let roots = !roots in
-  (* Reachability: SupportedBy closure of the roots, plus the contexts
-     of every entity in it (one hop, as the legacy checker unions
-     [context_of] over subtree members). *)
-  let supported = Array.make (max 1 n_entities) false in
-  let rec mark i =
-    if not supported.(i) then begin
-      supported.(i) <- true;
-      for k = sup_out_off.(i) to sup_out_off.(i + 1) - 1 do
-        mark sup_out.(k)
-      done
-    end
-  in
-  List.iter mark roots;
-  let reachable = Array.copy supported in
-  for i = 0 to n_entities - 1 do
-    if supported.(i) then
-      for k = ctx_out_off.(i) to ctx_out_off.(i + 1) - 1 do
-        reachable.(ctx_out.(k)) <- true
-      done
-  done;
-  (* Cached text derivations. *)
-  let goal_like = Array.make (max 1 n_nodes) false in
-  let norm = Array.make (max 1 n_nodes) "" in
-  let content = Array.make (max 1 n_nodes) [] in
-  let ignorance = Array.make (max 1 n_nodes) false in
-  let universal = Array.make (max 1 n_nodes) false in
-  let propositional = Array.make (max 1 n_nodes) true in
-  Array.iteri
-    (fun i n ->
-      let d = derive n in
-      goal_like.(i) <- d.d_goal_like;
-      content.(i) <- d.d_content;
-      norm.(i) <- d.d_norm;
-      ignorance.(i) <- d.d_ignorance;
-      universal.(i) <- d.d_universal;
-      propositional.(i) <- d.d_propositional)
-    nodes;
-  {
-    structure;
-    n_nodes;
-    n_entities;
-    index;
-    ids;
-    nodes;
-    link_kind;
-    link_src;
-    link_dst;
-    sup_out_off;
-    sup_out;
-    sup_in_off;
-    sup_in;
-    ctx_out_off;
-    ctx_out;
-    roots;
-    reachable;
-    goal_like;
-    norm;
-    content;
-    ignorance;
-    universal;
-    propositional;
-  }
+  make ~structure ~index ~ids ~nodes ~n_entities
+    ~columns:(columns n_nodes (fun i -> derive nodes.(i)))
+    link_kind link_src link_dst
 
 let entity_index ir id = Hashtbl.find_opt ir.index (Id.to_string id)
 
@@ -325,18 +424,279 @@ let set_node ?(derive = derive) ir structure i n =
   ir.propositional.(i) <- d.d_propositional;
   { ir with structure }
 
-(* The legacy cycle search, verbatim over entity indices: DFS from each
-   node entity in insertion order with the recursion stack as the path;
-   entities proven cycle-free as entry points are skipped on later
-   entries.  The witness (first back edge in this exact order) must
-   match [Structure.has_cycle]'s, because it lands in a diagnostic's
-   subject list. *)
+(* --- graph deltas --- *)
+
+type edit =
+  | Set_node of Node.t
+  | Add_node of Node.t
+  | Remove_node of Id.t
+  | Link of Structure.link * Id.t * Id.t
+  | Unlink of Structure.link * Id.t * Id.t
+
+exception Outside
+
+type extra_link = {
+  kind : Structure.link;
+  src : int;
+  dst : int;
+  mutable live : bool;
+}
+
+(* Replay a shape batch on the integer arrays.  Entities keep their old
+   index while the batch runs; the k-th added node is [n_entities + k].
+   Links are an old-link liveness mask plus the appended links, which
+   is exactly [Structure.connect]'s append and [disconnect]'s filter.
+   At the end live entities are renumbered the way [intern] would
+   number them — surviving nodes in order, then added nodes in
+   insertion order, then the dangling endpoints — the node-indexed
+   arrays are compacted (in place when the node count is unchanged,
+   untouched when no node came or went) and the graph half is rebuilt
+   from the new link arrays.
+
+   A dangling endpoint is numbered by where the link scan first meets
+   it, so any edit that adds or drops a link touching one (or promotes
+   one to a node) could reorder them: such a batch is [Outside] the
+   delta, and so is an [Add_node] naming an id the case already
+   mentions (a payload replacement the caller should express as
+   [Set_node]). *)
+let apply ?(derive = derive) ir structure edits =
+  let n0 = ir.n_nodes and e0 = ir.n_entities in
+  let m0 = Array.length ir.link_kind in
+  let dead = Bytes.make (max 1 n0) '\000' in
+  let old_live = Bytes.make (max 1 m0) '\001' in
+  (* Working entity to its new payload: set nodes and live added ones. *)
+  let payload = Hashtbl.create 8 in
+  let added = Hashtbl.create 8 in
+  let added_order = ref [] in
+  let next = ref e0 in
+  let extra = ref [] in
+  let dangling w = w >= n0 && w < e0 in
+  let find id =
+    let key = Id.to_string id in
+    match Hashtbl.find_opt added key with
+    | Some _ as w -> w
+    | None -> (
+        match Hashtbl.find_opt ir.index key with
+        | Some i when i >= n0 || Bytes.get dead i = '\000' -> Some i
+        | _ -> None)
+  in
+  let node id =
+    match find id with
+    | Some w when not (dangling w) -> w
+    | _ -> raise_notrace Outside
+  in
+  (* The live old link [kind s -> d], or [-1]; then the appended one. *)
+  let old_link kind s d =
+    let rec go k =
+      if k >= m0 then -1
+      else if
+        Bytes.get old_live k = '\001'
+        && ir.link_src.(k) = s
+        && ir.link_dst.(k) = d
+        && ir.link_kind.(k) = kind
+      then k
+      else go (k + 1)
+    in
+    if s >= e0 || d >= e0 then -1 else go 0
+  in
+  let extra_link kind s d =
+    List.find_opt
+      (fun l -> l.live && l.kind = kind && l.src = s && l.dst = d)
+      !extra
+  in
+  let step = function
+    | Set_node n -> Hashtbl.replace payload (node n.Node.id) n
+    | Add_node n ->
+        if find n.Node.id <> None then raise_notrace Outside;
+        let w = !next in
+        incr next;
+        Hashtbl.replace added (Id.to_string n.Node.id) w;
+        Hashtbl.replace payload w n;
+        added_order := w :: !added_order
+    | Remove_node id ->
+        let w = node id in
+        if w < n0 then Bytes.set dead w '\001'
+        else Hashtbl.remove added (Id.to_string id);
+        Hashtbl.remove payload w;
+        let touches s d =
+          (s = w || d = w)
+          && (if dangling s || dangling d then raise_notrace Outside;
+              true)
+        in
+        for k = 0 to m0 - 1 do
+          if
+            Bytes.get old_live k = '\001'
+            && touches ir.link_src.(k) ir.link_dst.(k)
+          then Bytes.set old_live k '\000'
+        done;
+        List.iter
+          (fun l -> if l.live && touches l.src l.dst then l.live <- false)
+          !extra
+    | Link (kind, src, dst) ->
+        let s = node src and d = node dst in
+        if old_link kind s d < 0 && extra_link kind s d = None then
+          extra := { kind; src = s; dst = d; live = true } :: !extra
+    | Unlink (kind, src, dst) -> (
+        match (find src, find dst) with
+        | Some s, Some d ->
+            if dangling s || dangling d then raise_notrace Outside;
+            let k = old_link kind s d in
+            if k >= 0 then Bytes.set old_live k '\000'
+            else Option.iter (fun l -> l.live <- false) (extra_link kind s d)
+        | _ -> ())
+  in
+  match List.iter step edits with
+  | exception Outside -> None
+  | () ->
+      (* Renumber: surviving nodes, then live added nodes, then the
+         dangling endpoints shifted by the change in node count. *)
+      let map = Array.make (max 1 e0) (-1) in
+      let kept = ref 0 in
+      for i = 0 to n0 - 1 do
+        if Bytes.get dead i = '\000' then begin
+          map.(i) <- !kept;
+          incr kept
+        end
+      done;
+      let kept = !kept in
+      let fresh =
+        List.filter (fun w -> Hashtbl.mem payload w) (List.rev !added_order)
+      in
+      let n = kept + List.length fresh in
+      let shift = n - n0 in
+      for i = n0 to e0 - 1 do
+        map.(i) <- i + shift
+      done;
+      let n_entities = e0 + shift in
+      let renum w =
+        if w < e0 then map.(w)
+        else
+          let rec pos j = function
+            | [] -> assert false
+            | w' :: rest -> if w' = w then j else pos (j + 1) rest
+          in
+          pos kept fresh
+      in
+      (* Node-indexed arrays compact downwards (new index <= old): in
+         place when the length holds, ascending, so every cell is read
+         before it is overwritten; untouched when no node came or went.
+         The cells of added nodes and of set payloads are then written
+         from the payloads. *)
+      let identity = kept = n0 && fresh = [] in
+      let compact old x =
+        if identity then old
+        else begin
+          let a = reuse (Some old) (max 1 n) x in
+          for i = 0 to n0 - 1 do
+            if map.(i) >= 0 then a.(map.(i)) <- old.(i)
+          done;
+          a
+        end
+      in
+      let nodes =
+        if identity then ir.nodes
+        else if n = 0 then [||]
+        else begin
+          let a =
+            if n = n0 then ir.nodes
+            else
+              Array.make n
+                (if n0 > 0 then ir.nodes.(0)
+                 else Hashtbl.find payload (List.hd fresh))
+          in
+          for i = 0 to n0 - 1 do
+            if map.(i) >= 0 then a.(map.(i)) <- ir.nodes.(i)
+          done;
+          a
+        end
+      in
+      (* The entity table is updated in place, only where an index
+         moved — before [ids], which may reuse [ir.ids], is rewritten. *)
+      let index = ir.index in
+      for i = 0 to e0 - 1 do
+        let j = map.(i) in
+        if j <> i then
+          let key = Id.to_string ir.ids.(i) in
+          if j < 0 then Hashtbl.remove index key
+          else Hashtbl.replace index key j
+      done;
+      let ids = reuse (Some ir.ids) (max 1 n_entities) (Id.of_string "x") in
+      let c =
+        {
+          c_goal_like = compact ir.goal_like false;
+          c_norm = compact ir.norm "";
+          c_content = compact ir.content [];
+          c_ignorance = compact ir.ignorance false;
+          c_universal = compact ir.universal false;
+          c_propositional = compact ir.propositional true;
+        }
+      in
+      if n = 0 then set_columns c 0 blank;
+      Hashtbl.iter
+        (fun w nd ->
+          let j = renum w in
+          nodes.(j) <- nd;
+          set_columns c j (derive nd))
+        payload;
+      if not identity then
+        for j = 0 to n - 1 do
+          ids.(j) <- nodes.(j).Node.id
+        done;
+      (* [ids] is only reused when the entity count holds, and then the
+         dangling endpoints stay put. *)
+      if shift <> 0 then
+        for i = n0 to e0 - 1 do
+          ids.(i + shift) <- ir.ids.(i)
+        done;
+      if n_entities = 0 then ids.(0) <- Id.of_string "x";
+      (* Links: live old links in order, then live appended ones. *)
+      let appended = List.rev (List.filter (fun l -> l.live) !extra) in
+      let m = ref (List.length appended) in
+      for k = 0 to m0 - 1 do
+        if Bytes.get old_live k = '\001' then incr m
+      done;
+      let m = !m in
+      let link_kind = reuse (Some ir.link_kind) m Structure.Supported_by in
+      let link_src = reuse (Some ir.link_src) m 0 in
+      let link_dst = reuse (Some ir.link_dst) m 0 in
+      let k' = ref 0 in
+      let push kind s d =
+        link_kind.(!k') <- kind;
+        link_src.(!k') <- renum s;
+        link_dst.(!k') <- renum d;
+        incr k'
+      in
+      for k = 0 to m0 - 1 do
+        if Bytes.get old_live k = '\001' then
+          push ir.link_kind.(k) ir.link_src.(k) ir.link_dst.(k)
+      done;
+      List.iter (fun l -> push l.kind l.src l.dst) appended;
+      List.iteri
+        (fun k _ ->
+          let j = kept + k in
+          Hashtbl.replace index (Id.to_string nodes.(j).Node.id) j)
+        fresh;
+      Some
+        ( make ~into:ir ~structure ~index ~ids ~nodes ~n_entities ~columns:c
+            link_kind link_src link_dst,
+          map )
+
+(* The cycle search over entity indices: DFS from each node entity in
+   insertion order, children in link order, the recursion stack as the
+   path.  The witness (first back edge in this exact order) must match
+   [Structure.has_cycle]'s, because it lands in a diagnostic's subject
+   list.  An entity whose DFS returned [None] has no cycle reachable
+   from it, so a later visit could only return [None] again: it is
+   cleared at once, not only when it was an entry point, and the
+   search stays linear.  A bitmap answers "on the path". *)
 let has_cycle ir =
-  let cleared = Array.make (max 1 ir.n_entities) false in
+  let cleared = Bytes.make (max 1 ir.n_entities) '\000' in
+  let on_path = Bytes.make (max 1 ir.n_entities) '\000' in
   let rec visit path i =
-    if List.mem i path then Some (List.rev (i :: path))
-    else if cleared.(i) then None
-    else
+    if Bytes.get on_path i = '\001' then Some (List.rev (i :: path))
+    else if Bytes.get cleared i = '\001' then None
+    else begin
+      Bytes.set on_path i '\001';
       let path = i :: path in
       let rec go k =
         if k >= ir.sup_out_off.(i + 1) then None
@@ -345,15 +705,17 @@ let has_cycle ir =
           | Some _ as w -> w
           | None -> go (k + 1)
       in
-      go ir.sup_out_off.(i)
+      let r = go ir.sup_out_off.(i) in
+      Bytes.set on_path i '\000';
+      if r = None then Bytes.set cleared i '\001';
+      r
+    end
   in
   let rec entries i =
     if i >= ir.n_nodes then None
     else
       match visit [] i with
       | Some w -> Some (List.map (fun e -> ir.ids.(e)) w)
-      | None ->
-          cleared.(i) <- true;
-          entries (i + 1)
+      | None -> entries (i + 1)
   in
   entries 0

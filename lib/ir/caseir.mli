@@ -21,8 +21,10 @@
 
     For the incremental store (lib/store), [intern] accepts a
     [?derive] hook so text derivations can be hash-consed across
-    cases, and {!set_node} patches the flat arrays in place for
-    payload-only edits ([ir.patched] counts them). *)
+    cases, {!set_node} patches the flat arrays in place for
+    payload-only edits ([ir.patched] counts them), and {!apply}
+    replays a shape batch on the integer arrays without re-interning
+    ([ir.interned] does not move). *)
 
 type derived = {
   d_goal_like : bool;  (** {!Argus_gsn.Node.is_goal_like}. *)
@@ -110,6 +112,45 @@ val set_node :
     node's id or the contextual-ness of its type (those edits need a
     full re-intern). *)
 
+(** {2 Graph deltas} *)
+
+type edit =
+  | Set_node of Argus_gsn.Node.t
+      (** Replace an existing node's payload (same id). *)
+  | Add_node of Argus_gsn.Node.t
+      (** Append a node whose id the case does not mention yet. *)
+  | Remove_node of Argus_core.Id.t
+      (** Drop a node and every link touching it. *)
+  | Link of Argus_gsn.Structure.link * Argus_core.Id.t * Argus_core.Id.t
+      (** [Link (kind, src, dst)]: append the link unless present. *)
+  | Unlink of Argus_gsn.Structure.link * Argus_core.Id.t * Argus_core.Id.t
+(** One step of a shape batch, with {!Argus_gsn.Structure}'s
+    semantics for the same operation. *)
+
+val apply :
+  ?derive:(Argus_gsn.Node.t -> derived) ->
+  t ->
+  Argus_gsn.Structure.t ->
+  edit list ->
+  (t * int array) option
+(** [apply ir structure edits] is the IR of [structure], the result of
+    replaying [edits] in order on [ir]'s source, built without a
+    re-intern: equal field by field to [intern structure] ([index] by
+    bindings).  It rebuilds the link arrays, the CSRs, [roots] and
+    [reachable] over the integers, carries every other node's text
+    columns over, and calls [?derive] only on the payloads the batch
+    sets or adds.  The second component maps each old entity index to
+    its new one, [-1] for a removed node.  [ir.interned] does not
+    move.
+
+    [None], with [ir] untouched, when the batch is outside the delta:
+    a [Set_node], [Remove_node] or [Link] names a node that is not
+    there (or a dangling endpoint), an edit adds or drops a link
+    touching a dangling endpoint, or an [Add_node] names an id the
+    case already mentions.  On [Some], [ir]'s entity table has been
+    reused and [ir] must not be used afterwards. *)
+
 val has_cycle : t -> Argus_core.Id.t list option
 (** {!Argus_gsn.Structure.has_cycle} over the interned adjacency — the
-    same entry order and DFS, so the same witness. *)
+    same entry order and DFS, so the same witness — in time linear in
+    the entities and SupportedBy links. *)

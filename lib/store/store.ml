@@ -6,7 +6,11 @@
    cases, each edit needing a fast re-verdict — not one-shot batch
    checks.  A full re-check of a 100k-node case pays a full intern
    plus a full fused pass per edit; here an edit re-checks only its
-   dirty cone:
+   dirty cone.  A text edit patches the IR in place; a shape edit
+   (add, remove, link, unlink) goes through {!Caseir.apply}, which
+   rebuilds only the integer adjacency arrays, so it costs linear
+   integer work plus its cone, never a re-intern or a re-digest of the
+   whole case:
 
    - {e Node arena.}  Per-payload text derivations (content words,
      the universal/propositional/ignorance predicates) are hash-consed
@@ -42,6 +46,9 @@
    (fuel-capped) circular-support walk, and applies the same stable
    sort — byte-identical to a full [Fused.check] of the same
    structure, which test/store holds it to after every random edit.
+   Root confidence is the {!Confidence.scores} kernel over the IR's
+   node array and SupportedBy CSR, run at the first verdict after a
+   shape edit; text edits keep it.
 
    Every operation runs under one mutex: correctness first, and the
    per-op work after the first put is tiny.  The gauge [store.nodes]
@@ -83,6 +90,7 @@ type verdict = {
 let c_node_hits = Counter.make "store.node_hits"
 let c_reused = Counter.make "store.reused_verdicts"
 let c_dirty = Counter.make "store.dirty_cone"
+let c_shape_rebuilds = Counter.make "store.shape_rebuilds"
 let g_nodes = Gauge.make "store.nodes"
 
 let default_trust (_ : Evidence.t) = 0.9
@@ -96,6 +104,10 @@ type case_state = {
           dirty-cone walk needs and the IR's CSR does not keep. *)
   mutable acyclic : bool;
       (** Combined SupportedBy/InContextOf relation acyclic. *)
+  (* The per-node arrays [elem], [keys], [wf_node] and [inf_node] may
+     run past the node count: a shape edit compacts them in place and
+     grows them with slack, so only the first [ir.n_nodes] cells mean
+     anything. *)
   mutable elem : string array;
       (** Per node: its term in the case-digest sum — the Merkle
           subtree digest when acyclic, the local payload digest
@@ -105,8 +117,6 @@ type case_state = {
   mutable keys : string array;  (** Per node: verdict-memo key. *)
   mutable wf_node : Diagnostic.t list array;
   mutable inf_node : Diagnostic.t list array;
-  mutable wf_idx : ISet.t;  (** Nodes with nonempty wf findings. *)
-  mutable inf_idx : ISet.t;
   mutable link_wf : Diagnostic.t list;  (** All per-link findings. *)
   mutable shape_wf : Diagnostic.t list;  (** Cycle + roots findings. *)
   mutable cached : (Fused.result * float) option;
@@ -375,11 +385,7 @@ let node_verdict store st i =
 
 let set_node_verdict st i (wf, inf) =
   st.wf_node.(i) <- wf;
-  st.wf_idx <-
-    (if wf = [] then ISet.remove i st.wf_idx else ISet.add i st.wf_idx);
-  st.inf_node.(i) <- inf;
-  st.inf_idx <-
-    (if inf = [] then ISet.remove i st.inf_idx else ISet.add i st.inf_idx)
+  st.inf_node.(i) <- inf
 
 (* --- building and rebuilding case state --- *)
 
@@ -394,8 +400,10 @@ let build_ctx_in (ir : Caseir.t) =
   ctx_in
 
 (* Full (re)build from a structure: intern through the arena, then
-   recompute digests, keys, per-node verdicts (mostly memo hits after
-   a shape edit) and the link/shape findings. *)
+   recompute digests, keys, per-node verdicts and the link/shape
+   findings.  The one reference path: [put] runs it, and a shape edit
+   falls back to it ([store.shape_rebuilds]) only when the graph delta
+   does not apply — see [patch_shape]. *)
 let rebuild store st structure =
   let ir = Caseir.intern ~derive:(arena_derive store) structure in
   let n = ir.Caseir.n_nodes in
@@ -410,8 +418,6 @@ let rebuild store st structure =
   st.keys <- Array.make (max 1 n) "";
   st.wf_node <- Array.make (max 1 n) [];
   st.inf_node <- Array.make (max 1 n) [];
-  st.wf_idx <- ISet.empty;
-  st.inf_idx <- ISet.empty;
   for i = 0 to n - 1 do
     st.keys.(i) <- node_key ir i;
     set_node_verdict st i (node_verdict store st i)
@@ -433,8 +439,6 @@ let fresh_state ruleset =
     keys = [||];
     wf_node = [||];
     inf_node = [||];
-    wf_idx = ISet.empty;
-    inf_idx = ISet.empty;
     link_wf = [];
     shape_wf = [];
     cached = None;
@@ -496,10 +500,10 @@ let cases store =
 let ancestor_cone st seeds =
   let ir = st.ir in
   let n = ir.Caseir.n_nodes in
-  let visited = Array.make (max 1 n) false in
+  let visited = Bytes.make (max 1 n) '\000' in
   let rec up i =
-    if i < n && not visited.(i) then begin
-      visited.(i) <- true;
+    if i < n && Bytes.get visited i = '\000' then begin
+      Bytes.set visited i '\001';
       for k = ir.Caseir.sup_in_off.(i) to ir.Caseir.sup_in_off.(i + 1) - 1 do
         up ir.Caseir.sup_in.(k)
       done;
@@ -509,7 +513,7 @@ let ancestor_cone st seeds =
   List.iter up seeds;
   let cone = ref ISet.empty in
   for i = 0 to n - 1 do
-    if visited.(i) then cone := ISet.add i !cone
+    if Bytes.get visited i = '\001' then cone := ISet.add i !cone
   done;
   !cone
 
@@ -584,13 +588,13 @@ let key_cone st i =
   !acc
 
 (* Validate and apply the edit batch to the (persistent) structure,
-   classifying it: [`Payload edits] when every edit replaces a node's
-   text in place — the incremental fast path — and [`Shape] when any
-   edit touches the graph.  Nothing is mutated here, so a bad edit
-   leaves the store untouched. *)
+   and translate it for {!Caseir.apply}: a [Set_text] becomes the
+   [Set_node] of its rewritten payload.  A batch of [Set_node]s only is
+   the payload fast path; any other edit makes it a shape batch.
+   Nothing is mutated here, so a bad edit leaves the store untouched. *)
 let apply_edits structure edits =
-  let rec go structure payload = function
-    | [] -> Ok (structure, Option.map List.rev payload)
+  let rec go structure acc = function
+    | [] -> Ok (structure, List.rev acc)
     | Set_text (id, text) :: rest -> (
         match Structure.find id structure with
         | None ->
@@ -605,21 +609,234 @@ let apply_edits structure edits =
             in
             go
               (Structure.add_node n' structure)
-              (Option.map (fun ps -> (id, n') :: ps) payload)
+              (Caseir.Set_node n' :: acc)
               rest)
-    | Add_node n :: rest -> go (Structure.add_node n structure) None rest
+    | Add_node n :: rest ->
+        go (Structure.add_node n structure) (Caseir.Add_node n :: acc) rest
     | Remove_node id :: rest ->
         if not (Structure.mem id structure) then
           Error
             (Bad_edit
                (Printf.sprintf "remove-node: no node %s" (Id.to_string id)))
-        else go (Structure.remove_node id structure) None rest
+        else
+          go (Structure.remove_node id structure) (Caseir.Remove_node id :: acc)
+            rest
     | Link (kind, src, dst) :: rest ->
-        go (Structure.connect kind ~src ~dst structure) None rest
+        go
+          (Structure.connect kind ~src ~dst structure)
+          (Caseir.Link (kind, src, dst) :: acc)
+          rest
     | Unlink (kind, src, dst) :: rest ->
-        go (Structure.disconnect kind ~src ~dst structure) None rest
+        go
+          (Structure.disconnect kind ~src ~dst structure)
+          (Caseir.Unlink (kind, src, dst) :: acc)
+          rest
   in
-  go structure (Some []) edits
+  go structure [] edits
+
+(* Payload-only fast path: patch the IR arrays in place, re-key and
+   re-verdict the edit's neighbourhood, re-digest its ancestor cone. *)
+let patch_payloads store st structure payloads =
+  let seeds = ref [] in
+  List.iter
+    (fun n' ->
+      match Caseir.entity_index st.ir n'.Node.id with
+      | None -> ()
+      | Some i ->
+          st.ir <-
+            Caseir.set_node ~derive:(arena_derive store) st.ir structure i n';
+          seeds := i :: !seeds)
+    payloads;
+  st.structure <- structure;
+  let seeds = !seeds in
+  let keys =
+    List.fold_left (fun acc i -> ISet.union acc (key_cone st i)) ISet.empty seeds
+  in
+  ISet.iter
+    (fun i ->
+      st.keys.(i) <- node_key st.ir i;
+      set_node_verdict st i (node_verdict store st i))
+    keys;
+  let cone =
+    if st.acyclic then ancestor_cone st seeds else ISet.of_list seeds
+  in
+  redigest_cone st cone
+
+(* Whether [dst] is reachable from [src] over SupportedBy and
+   InContextOf links between real nodes — the relation the Merkle
+   digests recurse over. *)
+let reaches (ir : Caseir.t) src dst =
+  let n = ir.Caseir.n_nodes in
+  let seen = Bytes.make (max 1 n) '\000' in
+  let rec go i =
+    i = dst
+    || i < n
+       && Bytes.get seen i = '\000'
+       && begin
+            Bytes.set seen i '\001';
+            let rec any off dat k =
+              k < off.(i + 1) && (go dat.(k) || any off dat (k + 1))
+            in
+            any ir.Caseir.sup_out_off ir.Caseir.sup_out
+              ir.Caseir.sup_out_off.(i)
+            || any ir.Caseir.ctx_out_off ir.Caseir.ctx_out
+                 ir.Caseir.ctx_out_off.(i)
+          end
+  in
+  go src
+
+let zero_term = String.make 16 '\000'
+
+(* A shape batch without a rebuild.  [Caseir.apply] rebuilds the IR's
+   integer arrays and carries the text columns over; the per-node state
+   here is remapped through its index map, and three things are
+   recomputed:
+
+   - keys and verdicts over the key cone: every node the batch set,
+     added or linked to or from, the old neighbours of every removed
+     node, their [key_cone]s, and every node whose reachability bit
+     flipped;
+   - Merkle terms over the ancestor cone of the same seeds in the new
+     IR, after the removed nodes' terms leave the sum;
+   - the per-link and shape findings, in full.
+
+   [false] (the caller rebuilds) in cyclic digest mode, when the batch
+   closes a cycle, when the batch is outside [Caseir.apply], and when
+   the case gains or loses its last root (every key reads that bit).
+   [Caseir.apply] consumes the old IR — it overwrites arrays in place —
+   so what is needed of the old graph is read before it runs, and once
+   it has run a [false] still leaves the case to be rebuilt. *)
+let patch_shape store st structure edits =
+  let old = st.ir in
+  let n0 = old.Caseir.n_nodes in
+  let old_roots = old.Caseir.roots in
+  let old_reach =
+    Bytes.init (max 1 n0) (fun i ->
+        if old.Caseir.reachable.(i) then '\001' else '\000')
+  in
+  (* Old neighbours of the removed nodes, as old entity indices. *)
+  let orphans =
+    List.concat_map
+      (function
+        | Caseir.Remove_node id -> (
+            match Caseir.entity_index old id with
+            | Some i when i < n0 ->
+                let acc = ref st.ctx_in.(i) in
+                let each off dat =
+                  for k = off.(i) to off.(i + 1) - 1 do
+                    acc := dat.(k) :: !acc
+                  done
+                in
+                each old.Caseir.sup_in_off old.Caseir.sup_in;
+                each old.Caseir.sup_out_off old.Caseir.sup_out;
+                each old.Caseir.ctx_out_off old.Caseir.ctx_out;
+                !acc
+            | _ -> [])
+        | _ -> [])
+      edits
+  in
+  st.acyclic
+  &&
+  match Caseir.apply ~derive:(arena_derive store) old structure edits with
+  | None -> false
+  | Some (ir, map) ->
+      let n = ir.Caseir.n_nodes in
+      let node id =
+        match Caseir.entity_index ir id with
+        | Some i when i < n -> [ i ]
+        | _ -> []
+      in
+      let closes_cycle () =
+        List.exists
+          (function
+            | Caseir.Link (_, src, dst) -> (
+                match (node src, node dst) with
+                | [ s ], [ d ] -> reaches ir d s
+                | _ -> false)
+            | _ -> false)
+          edits
+      in
+      if (ir.Caseir.roots = []) <> (old_roots = []) || closes_cycle () then
+        false
+      else begin
+        let seeds =
+          List.concat_map
+            (function
+              | Caseir.Set_node nd | Caseir.Add_node nd -> node nd.Node.id
+              | Caseir.Link (_, a, b) | Caseir.Unlink (_, a, b) ->
+                  node a @ node b
+              | Caseir.Remove_node _ -> [])
+            edits
+          @ List.filter_map
+              (fun i ->
+                let j = map.(i) in
+                if j >= 0 && j < n then Some j else None)
+              orphans
+        in
+        (* Removed nodes leave the sum; the rest of the per-node state
+           compacts downwards through the map — in place unless the
+           array is too short, ascending, so every cell is read before
+           it is overwritten. *)
+        let kept = ref 0 in
+        for i = 0 to n0 - 1 do
+          if map.(i) < 0 then sum_sub st.sum st.elem.(i) else incr kept
+        done;
+        let kept = !kept in
+        let identity = kept = n0 && n = n0 in
+        let remap fresh arr =
+          let arr' =
+            if Array.length arr >= max 1 n then arr
+            else Array.make (max 1 n + (n / 8)) fresh
+          in
+          for i = 0 to n0 - 1 do
+            if map.(i) >= 0 then arr'.(map.(i)) <- arr.(i)
+          done;
+          (* The added nodes' cells. *)
+          for j = kept to n - 1 do
+            arr'.(j) <- fresh
+          done;
+          arr'
+        in
+        if not identity then begin
+          st.keys <- remap "" st.keys;
+          st.elem <- remap zero_term st.elem;
+          st.wf_node <- remap [] st.wf_node;
+          st.inf_node <- remap [] st.inf_node
+        end;
+        st.structure <- structure;
+        st.ir <- ir;
+        if
+          (not identity)
+          || List.exists
+               (function
+                 | Caseir.Link (Structure.In_context_of, _, _)
+                 | Caseir.Unlink (Structure.In_context_of, _, _) ->
+                     true
+                 | _ -> false)
+               edits
+        then st.ctx_in <- build_ctx_in ir;
+        let keys =
+          List.fold_left (fun acc i -> ISet.union acc (key_cone st i)) ISet.empty
+            seeds
+        in
+        let keys = ref keys in
+        for i = 0 to n0 - 1 do
+          let j = map.(i) in
+          if
+            j >= 0
+            && Bytes.get old_reach i = '\001' <> ir.Caseir.reachable.(j)
+          then keys := ISet.add j !keys
+        done;
+        ISet.iter
+          (fun i ->
+            st.keys.(i) <- node_key ir i;
+            set_node_verdict st i (node_verdict store st i))
+          !keys;
+        redigest_cone st (ancestor_cone st seeds);
+        st.link_wf <- Fused.link_findings ~ruleset:st.ruleset ir;
+        st.shape_wf <- Fused.shape_findings ir;
+        true
+      end
 
 let patch store ~digest edits =
   locked store (fun () ->
@@ -628,51 +845,27 @@ let patch store ~digest edits =
       | Some st -> (
           match apply_edits st.structure edits with
           | Error _ as e -> e
-          | Ok (structure, Some payload_edits) ->
-              (* Payload-only fast path: patch the IR arrays in place,
-                 re-key and re-verdict the edit's neighbourhood,
-                 re-digest its ancestor cone. *)
-              let seeds = ref [] in
-              List.iter
-                (fun (id, n') ->
-                  match Caseir.entity_index st.ir id with
-                  | None -> ()
-                  | Some i ->
-                      st.ir <-
-                        Caseir.set_node ~derive:(arena_derive store) st.ir
-                          structure i n';
-                      seeds := i :: !seeds)
-                payload_edits;
-              st.structure <- structure;
-              let seeds = !seeds in
-              let keys =
-                List.fold_left
-                  (fun acc i -> ISet.union acc (key_cone st i))
-                  ISet.empty seeds
+          | Ok (structure, ir_edits) ->
+              let payloads =
+                List.filter_map
+                  (function Caseir.Set_node n -> Some n | _ -> None)
+                  ir_edits
               in
-              ISet.iter
-                (fun i ->
-                  st.keys.(i) <- node_key st.ir i;
-                  set_node_verdict st i (node_verdict store st i))
-                keys;
-              let cone =
-                if st.acyclic then ancestor_cone st seeds
-                else ISet.of_list seeds
-              in
-              redigest_cone st cone;
+              if List.compare_lengths payloads ir_edits = 0 then
+                patch_payloads store st structure payloads
+              else begin
+                if not (patch_shape store st structure ir_edits) then begin
+                  Counter.incr c_shape_rebuilds;
+                  rebuild store st structure
+                end;
+                (* Confidence reads the shape: recomputed at the next
+                   verdict. *)
+                st.conf <- None;
+                update_gauge store
+              end;
               st.cached <- None;
               Hashtbl.remove store.cases digest;
               Hashtbl.replace store.cases st.digest st;
-              Ok st.digest
-          | Ok (structure, None) ->
-              (* A shape edit: rebuild through the arena and the
-                 verdict memo — O(n) hashing, but only the nodes whose
-                 inputs actually changed are re-checked. *)
-              rebuild store st structure;
-              st.conf <- None;
-              Hashtbl.remove store.cases digest;
-              Hashtbl.replace store.cases st.digest st;
-              update_gauge store;
               Ok st.digest))
 
 let verdict store ~digest =
@@ -685,16 +878,18 @@ let verdict store ~digest =
               Counter.incr c_reused;
               Ok { vdigest = digest; result; confidence; from_memo = true }
           | None ->
-              let node_wf =
-                List.concat_map
-                  (fun i -> st.wf_node.(i))
-                  (ISet.elements st.wf_idx)
+              (* Per-node findings in node order. *)
+              let in_order per_node =
+                let acc = ref [] in
+                for i = st.ir.Caseir.n_nodes - 1 downto 0 do
+                  match per_node.(i) with
+                  | [] -> ()
+                  | ds -> acc := ds @ !acc
+                done;
+                !acc
               in
-              let node_inf =
-                List.concat_map
-                  (fun i -> st.inf_node.(i))
-                  (ISet.elements st.inf_idx)
-              in
+              let node_wf = in_order st.wf_node in
+              let node_inf = in_order st.inf_node in
               let wf = st.link_wf @ st.shape_wf @ node_wf in
               let informal = node_inf @ Fused.walk_findings st.ir in
               let result = Fused.assemble ~wf ~informal in
@@ -702,9 +897,16 @@ let verdict store ~digest =
                 match st.conf with
                 | Some c -> c
                 | None ->
+                    let ir = st.ir in
                     let c =
-                      Confidence.root_confidence ~trust:default_trust
-                        st.structure
+                      match ir.Caseir.roots with
+                      | [] -> 0.0
+                      | root :: _ ->
+                          (Confidence.scores ~trust:default_trust
+                             ~find_evidence:
+                               (Confidence.evidence_lookup st.structure)
+                             ir.Caseir.nodes ~sup_off:ir.Caseir.sup_out_off
+                             ~sup:ir.Caseir.sup_out).(root)
                     in
                     st.conf <- Some c;
                     c

@@ -49,8 +49,9 @@ type verdict = {
   result : Argus_ir.Fused.result;
       (** Byte-identical to [Fused.check] of the same structure. *)
   confidence : float;
-      (** Root confidence under {!default_trust}, memoized across
-          text edits (confidence never reads node text). *)
+      (** Root confidence under {!default_trust}, bit-identical to
+          {!Argus_confidence.Confidence.root_confidence}; memoized
+          across text edits (confidence never reads node text). *)
   from_memo : bool;
       (** The fully-assembled verdict was already cached — no
           assembly ran at all. *)
@@ -76,7 +77,14 @@ val put :
 val patch : t -> digest:string -> edit list -> (string, error) result
 (** Apply an edit batch to the case at [digest]; the case is re-bound
     under the returned new digest (the old digest is released).  A
-    failed batch leaves the store untouched. *)
+    failed batch leaves the store untouched.  An all-[Set_text] batch
+    patches the interned case in place; any other batch goes through
+    {!Argus_ir.Caseir.apply} and re-checks only its cone, unless the
+    case is cyclic, the batch closes a cycle or touches a dangling
+    endpoint, adds an id already present, or makes the case gain or
+    lose its last root — then the case is rebuilt from its structure
+    and [store.shape_rebuilds] counts it.  Both ways give the same
+    digest and verdict. *)
 
 val verdict : t -> digest:string -> (verdict, error) result
 (** The full diagnostic report and root confidence of the case at

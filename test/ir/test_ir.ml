@@ -394,6 +394,55 @@ let set_node_parity =
              (show a) (show b))
       else true)
 
+(* --- the cycle witness --- *)
+
+(* Larger random graphs than [gen_structure]: up to 30 nodes and 60
+   SupportedBy links, so shared subtrees (the ones the linear search
+   clears early) and self-loops are common, plus dangling endpoints on
+   either side. *)
+let gen_graph =
+  let open QCheck.Gen in
+  int_range 1 30 >>= fun n ->
+  let name j = Printf.sprintf "N%d" j in
+  let link =
+    map2
+      (fun dangle (a, b) ->
+        let src = if dangle = 0 then "Nowhere" else name (a mod n) in
+        let dst = if dangle = 1 then "Nada" else name (b mod n) in
+        (Structure.Supported_by, src, dst))
+      (int_bound 15)
+      (pair (int_bound (n - 1)) (int_bound (n - 1)))
+  in
+  list_size (int_range 0 (2 * n)) link
+  |> map (fun links ->
+         Structure.of_nodes ~links
+           (List.init n (fun j -> Node.goal (name j) "t holds")))
+
+let cycle_witness_matches_legacy =
+  QCheck.Test.make ~name:"has_cycle witness = List.mem search (random graphs)"
+    ~count:500
+    (QCheck.make
+       ~print:(fun s ->
+         String.concat " "
+           (List.map
+              (fun (_, a, b) -> Id.to_string a ^ ">" ^ Id.to_string b)
+              (Structure.links s)))
+       QCheck.Gen.(oneof [ gen_graph; gen_structure ]))
+    (fun s ->
+      let ir = Caseir.intern s in
+      let show = function
+        | None -> "none"
+        | Some w -> String.concat " " (List.map Id.to_string w)
+      in
+      let got = Caseir.has_cycle ir
+      and want = Argus_oracle.Legacy_cycle.has_cycle ir in
+      if got <> want then
+        QCheck.Test.fail_reportf "witness %s, legacy %s" (show got) (show want)
+      else if got <> Structure.has_cycle s then
+        QCheck.Test.fail_reportf "witness %s, Structure.has_cycle %s" (show got)
+          (show (Structure.has_cycle s))
+      else true)
+
 (* --- the compiled modular checker --- *)
 
 module Modular = Argus_gsn.Modular
@@ -437,5 +486,6 @@ let () =
           QCheck_alcotest.to_alcotest fused_matches_legacy_on_random_structures;
           QCheck_alcotest.to_alcotest set_node_parity;
           QCheck_alcotest.to_alcotest check_modular_matches_legacy;
+          QCheck_alcotest.to_alcotest cycle_witness_matches_legacy;
         ] );
     ]

@@ -21,6 +21,9 @@ module Snapshot = Argus_store.Snapshot
 module Recover = Argus_store.Recover
 module Durable = Argus_store.Durable
 module Fault = Argus_rt.Fault
+module Counter = Argus_obs.Counter
+module Confidence = Argus_confidence.Confidence
+module Legacy_confidence = Argus_oracle.Legacy_confidence
 
 let render ds = Format.asprintf "%a" Diagnostic.pp_report ds
 
@@ -47,7 +50,16 @@ let check_verdict ?ruleset store digest shadow =
              got_inf want_inf)
       else if Store.digest_of shadow <> digest then
         Error "store digest disagrees with digest_of the shadow structure"
-      else Ok ()
+      else
+        let want =
+          Legacy_confidence.root_confidence ~trust:Store.default_trust shadow
+        in
+        if Int64.bits_of_float v.Store.confidence <> Int64.bits_of_float want
+        then
+          Error
+            (Printf.sprintf "confidence drift: store %h, legacy %h"
+               v.Store.confidence want)
+        else Ok ()
 
 (* --- generators --- *)
 
@@ -177,6 +189,22 @@ let print_scenario (s, batches) =
   Format.asprintf "%a (then %d batches)" Structure.pp_outline s
     (List.length batches)
 
+(* One store edit applied to the shadow structure, the oracle's view. *)
+let shadow_edit acc = function
+  | Store.Set_text (id, text) -> (
+      match Structure.find id acc with
+      | None -> acc
+      | Some n ->
+          Structure.add_node
+            (Node.make ~id ~node_type:n.Node.node_type ~status:n.Node.status
+               ?formal:n.Node.formal ~annotations:n.Node.annotations
+               ?evidence:n.Node.evidence text)
+            acc)
+  | Store.Add_node n -> Structure.add_node n acc
+  | Store.Remove_node id -> Structure.remove_node id acc
+  | Store.Link (k, src, dst) -> Structure.connect k ~src ~dst acc
+  | Store.Unlink (k, src, dst) -> Structure.disconnect k ~src ~dst acc
+
 (* Drive one scenario against one store; the shadow structure is the
    oracle's view.  Rejected batches must leave digest and state
    alone. *)
@@ -184,26 +212,7 @@ let drive store (s, batches) =
   let ( let* ) = Result.bind in
   let digest0 = Store.put store s in
   let* () = check_verdict store digest0 s in
-  let apply_shadow shadow batch =
-    List.fold_left
-      (fun acc e ->
-        match e with
-        | Store.Set_text (id, text) -> (
-            match Structure.find id acc with
-            | None -> acc
-            | Some n ->
-                Structure.add_node
-                  (Node.make ~id ~node_type:n.Node.node_type
-                     ~status:n.Node.status ?formal:n.Node.formal
-                     ~annotations:n.Node.annotations ?evidence:n.Node.evidence
-                     text)
-                  acc)
-        | Store.Add_node n -> Structure.add_node n acc
-        | Store.Remove_node id -> Structure.remove_node id acc
-        | Store.Link (k, src, dst) -> Structure.connect k ~src ~dst acc
-        | Store.Unlink (k, src, dst) -> Structure.disconnect k ~src ~dst acc)
-      shadow batch
-  in
+  let apply_shadow shadow batch = List.fold_left shadow_edit shadow batch in
   let rec go shadow digest = function
     | [] -> Ok ()
     | batch :: rest -> (
@@ -890,6 +899,355 @@ let durable_differential jobs () =
   Pool.with_pool ~jobs (fun pool ->
       ignore (Pool.map_array ~pool run_one scenarios))
 
+(* --- confidence: the array kernel against the id-keyed recursion --- *)
+
+let same_float a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* Dense random support graphs: mostly developed goals and strategies
+   over solutions citing evidence, so confidences are rarely 0, with
+   cycles, dangling endpoints on either side of a link, and SupportedBy
+   links into contextual nodes — every place the memo, the on-path cut
+   and the visiting order could diverge. *)
+let gen_support_graph =
+  let open QCheck.Gen in
+  int_range 1 12 >>= fun n ->
+  let node i =
+    map2
+      (fun t e ->
+        let tcode, scode =
+          match t with
+          | 0 | 1 | 2 | 3 -> (0, 0)
+          | 4 -> (0, 2)
+          | 5 | 6 -> (2, 0)
+          | 7 | 8 | 9 -> (3, 0)
+          | 10 -> (4, 0)
+          | _ -> (6, 0)
+        in
+        mk_node i tcode scode 0 e)
+      (int_bound 11) (int_bound 3)
+  in
+  let link =
+    map2
+      (fun (kind, dangle) (a, b) ->
+        let name j = Printf.sprintf "N%d" j in
+        let src = if dangle = 0 then "Nowhere" else name (a mod n) in
+        let dst = if dangle = 1 then "Nada" else name (b mod n) in
+        ( (if kind > 0 then Structure.Supported_by else Structure.In_context_of),
+          src,
+          dst ))
+      (pair (int_bound 5) (int_bound 15))
+      (pair (int_bound (n - 1)) (int_bound (n - 1)))
+  in
+  pair (flatten_l (List.init n node)) (list_size (int_range 0 (3 * n)) link)
+  |> map (fun (nodes, links) ->
+         Structure.of_nodes ~links ~evidence:evidence_table nodes)
+
+let confidence_kernel_matches_legacy =
+  QCheck.Test.make ~name:"confidence kernel = legacy recursion (random)"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun s -> Format.asprintf "%a" Structure.pp_outline s)
+       QCheck.Gen.(oneof [ gen_structure; gen_support_graph ]))
+    (fun s ->
+      let trust (ev : Evidence.t) =
+        if Id.to_string ev.Evidence.id = "E0" then 0.9 else 0.35
+      in
+      let got = Id.Map.bindings (Confidence.assess ~trust s)
+      and want = Id.Map.bindings (Legacy_confidence.assess ~trust s) in
+      let same (i, a) (j, b) = Id.equal i j && same_float a b in
+      if List.length got <> List.length want || not (List.for_all2 same got want)
+      then
+        QCheck.Test.fail_report
+          (String.concat "; "
+             (List.map
+                (fun (id, c) -> Printf.sprintf "%s=%h" (Id.to_string id) c)
+                got)
+          ^ "\nlegacy: "
+          ^ String.concat "; "
+              (List.map
+                 (fun (id, c) -> Printf.sprintf "%s=%h" (Id.to_string id) c)
+                 want))
+      else
+        same_float
+          (Confidence.root_confidence ~trust s)
+          (Legacy_confidence.root_confidence ~trust s))
+
+(* --- shape edits: the graph delta and the store's fast path --- *)
+
+(* The first field where two IRs differ, [index] compared by its
+   bindings. *)
+let ir_diff (a : Caseir.t) (b : Caseir.t) =
+  let bindings (ir : Caseir.t) =
+    List.sort compare
+      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) ir.Caseir.index [])
+  in
+  let ids (ir : Caseir.t) = Array.map Id.to_string ir.Caseir.ids in
+  List.find_map
+    (fun (name, same) -> if same then None else Some name)
+    [
+      ("n_nodes", a.Caseir.n_nodes = b.Caseir.n_nodes);
+      ("n_entities", a.Caseir.n_entities = b.Caseir.n_entities);
+      ("index", bindings a = bindings b);
+      ("ids", ids a = ids b);
+      ("nodes", a.Caseir.nodes = b.Caseir.nodes);
+      ("link_kind", a.Caseir.link_kind = b.Caseir.link_kind);
+      ("link_src", a.Caseir.link_src = b.Caseir.link_src);
+      ("link_dst", a.Caseir.link_dst = b.Caseir.link_dst);
+      ("sup_out_off", a.Caseir.sup_out_off = b.Caseir.sup_out_off);
+      ("sup_out", a.Caseir.sup_out = b.Caseir.sup_out);
+      ("sup_in_off", a.Caseir.sup_in_off = b.Caseir.sup_in_off);
+      ("sup_in", a.Caseir.sup_in = b.Caseir.sup_in);
+      ("ctx_out_off", a.Caseir.ctx_out_off = b.Caseir.ctx_out_off);
+      ("ctx_out", a.Caseir.ctx_out = b.Caseir.ctx_out);
+      ("roots", a.Caseir.roots = b.Caseir.roots);
+      ("reachable", a.Caseir.reachable = b.Caseir.reachable);
+      ("goal_like", a.Caseir.goal_like = b.Caseir.goal_like);
+      ("norm", a.Caseir.norm = b.Caseir.norm);
+      ("content", a.Caseir.content = b.Caseir.content);
+      ("ignorance", a.Caseir.ignorance = b.Caseir.ignorance);
+      ("universal", a.Caseir.universal = b.Caseir.universal);
+      ("propositional", a.Caseir.propositional = b.Caseir.propositional);
+      ( "structure",
+        Structure.nodes a.Caseir.structure = Structure.nodes b.Caseir.structure
+        && Structure.links a.Caseir.structure
+           = Structure.links b.Caseir.structure );
+    ]
+
+(* A store edit as the delta sees it, against the structure before the
+   edit ([Set_text] carries the rewritten payload). *)
+let ir_edit before = function
+  | Store.Set_text (id, text) ->
+      Option.map
+        (fun (n : Node.t) ->
+          Caseir.Set_node
+            (Node.make ~id ~node_type:n.Node.node_type ~status:n.Node.status
+               ?formal:n.Node.formal ~annotations:n.Node.annotations
+               ?evidence:n.Node.evidence text))
+        (Structure.find id before)
+  | Store.Add_node n -> Some (Caseir.Add_node n)
+  | Store.Remove_node id -> Some (Caseir.Remove_node id)
+  | Store.Link (k, a, b) -> Some (Caseir.Link (k, a, b))
+  | Store.Unlink (k, a, b) -> Some (Caseir.Unlink (k, a, b))
+
+(* Replay a batch on the structure and, edit by edit, translate it. *)
+let replay s batch =
+  List.fold_left
+    (fun (s, acc) e ->
+      let acc = match ir_edit s e with Some x -> x :: acc | None -> acc in
+      (shadow_edit s e, acc))
+    (s, []) batch
+  |> fun (s, acc) -> (s, List.rev acc)
+
+(* On the small random cases (dangling endpoints, cycles, re-added
+   ids): whenever the delta accepts a batch, it must build the IR a
+   fresh intern builds. *)
+let apply_matches_intern =
+  QCheck.Test.make ~name:"Caseir.apply = intern (random batches)" ~count:300
+    (QCheck.make ~print:print_scenario gen_case_and_edits)
+    (fun (s, batches) ->
+      let _, _ =
+        List.fold_left
+          (fun (s, ir) batch ->
+            let s', edits = replay s batch in
+            match Caseir.apply ir s' edits with
+            | None -> (s', Caseir.intern s')
+            | Some (ir', _) -> (
+                match ir_diff ir' (Caseir.intern s') with
+                | None -> (s', ir')
+                | Some field ->
+                    QCheck.Test.fail_reportf "delta IR differs in %s" field))
+          (s, Caseir.intern s) batches
+      in
+      true)
+
+(* Tree-shaped cases as a live editor grows them: each node hangs off
+   an earlier goal or strategy, so every link runs from earlier to
+   later in node order and no edit below can close a cycle.  Contexts
+   hang off goals by InContextOf; a few goals are SupportedBy a
+   context, so detaching that context flips reachability of nodes the
+   batch never names. *)
+let tree_case rand size =
+  let id fmt = Printf.ksprintf Id.of_string fmt in
+  let nodes = ref [ Node.goal "G0" "The system is acceptably safe" ] in
+  let links = ref [] in
+  let inner = ref [| "G0" |] and contexts = ref [||] in
+  for i = 1 to size - 1 do
+    let pick a = a.(Random.State.int rand (Array.length a)) in
+    let text = texts.(Random.State.int rand (Array.length texts)) in
+    let name = Printf.sprintf "N%d" i in
+    let node, parent, kind =
+      match Random.State.int rand 10 with
+      | 0 | 1 | 2 ->
+          inner := Array.append !inner [| name |];
+          ( Node.make ~id:(id "%s" name) ~node_type:Node.Goal text,
+            (if Array.length !contexts > 0 && Random.State.int rand 8 = 0 then
+               pick !contexts
+             else pick !inner),
+            Structure.Supported_by )
+      | 3 | 4 ->
+          inner := Array.append !inner [| name |];
+          ( Node.make ~id:(id "%s" name) ~node_type:Node.Strategy text,
+            pick !inner,
+            Structure.Supported_by )
+      | 5 ->
+          contexts := Array.append !contexts [| name |];
+          ( Node.make ~id:(id "%s" name) ~node_type:Node.Context text,
+            pick !inner,
+            Structure.In_context_of )
+      | r ->
+          ( mk_node i 3 0 r (Random.State.int rand 4),
+            pick !inner,
+            Structure.Supported_by )
+    in
+    (* [pick !inner] may name the node itself when it was just added;
+       hang it off the root instead. *)
+    let parent = if parent = name then "G0" else parent in
+    nodes := node :: !nodes;
+    links := (kind, parent, name) :: !links
+  done;
+  Structure.of_nodes ~links:(List.rev !links) ~evidence:evidence_table
+    (List.rev !nodes)
+
+(* One edit-loop batch against the current structure: add a goal under
+   an earlier node, move a subtree to an earlier parent, remove a
+   solution, a set-text mixed with an unlink/relink, or detach or
+   re-attach a context. *)
+let tree_batch rand fresh s =
+  let nodes = Array.of_list (Structure.nodes s) in
+  let n = Array.length nodes in
+  let pos = Hashtbl.create n in
+  Array.iteri (fun i (nd : Node.t) -> Hashtbl.replace pos nd.Node.id i) nodes;
+  let is_inner (nd : Node.t) =
+    nd.Node.node_type = Node.Goal || nd.Node.node_type = Node.Strategy
+  in
+  let inner_before i =
+    let c = List.filter is_inner (List.filteri (fun j _ -> j < i) (Array.to_list nodes)) in
+    List.nth c (Random.State.int rand (List.length c))
+  in
+  let sup_parent (nd : Node.t) =
+    match Structure.parents Structure.Supported_by nd.Node.id s with
+    | p :: _ -> Some p
+    | [] -> None
+  in
+  let text () = texts.(Random.State.int rand (Array.length texts)) in
+  let sb = Structure.Supported_by in
+  let movable () =
+    let i = 1 + Random.State.int rand (n - 1) in
+    Option.map (fun p -> (i, nodes.(i), p)) (sup_parent nodes.(i))
+  in
+  match Random.State.int rand 5 with
+  | 0 ->
+      let x = Id.of_string (Printf.sprintf "X%d" fresh) in
+      let parent = inner_before n in
+      [ Store.Add_node (Node.make ~id:x ~node_type:Node.Goal (text ()));
+        Store.Link (sb, parent.Node.id, x) ]
+  | 1 -> (
+      match movable () with
+      | Some (i, c, p) ->
+          [ Store.Unlink (sb, p, c.Node.id);
+            Store.Link (sb, (inner_before i).Node.id, c.Node.id) ]
+      | None -> [ Store.Set_text (nodes.(0).Node.id, text ()) ])
+  | 2 -> (
+      match
+        List.filter
+          (fun (nd : Node.t) -> nd.Node.node_type = Node.Solution)
+          (Array.to_list nodes)
+      with
+      | [] -> [ Store.Set_text (nodes.(0).Node.id, text ()) ]
+      | sols ->
+          let sol = List.nth sols (Random.State.int rand (List.length sols)) in
+          [ Store.Remove_node sol.Node.id ])
+  | 3 -> (
+      let t = Store.Set_text (nodes.(Random.State.int rand n).Node.id, text ()) in
+      match movable () with
+      | Some (i, c, p) ->
+          let p' = if Random.State.bool rand then p else (inner_before i).Node.id in
+          [ t; Store.Unlink (sb, p, c.Node.id); Store.Link (sb, p', c.Node.id) ]
+      | None -> [ t ])
+  | _ -> (
+      let ctx =
+        List.filter
+          (fun (nd : Node.t) -> nd.Node.node_type = Node.Context)
+          (Array.to_list nodes)
+      in
+      match ctx with
+      | [] -> [ Store.Set_text (nodes.(0).Node.id, text ()) ]
+      | _ -> (
+          let c = List.nth ctx (Random.State.int rand (List.length ctx)) in
+          let ci = Hashtbl.find pos c.Node.id in
+          match Structure.parents Structure.In_context_of c.Node.id s with
+          | p :: _ -> [ Store.Unlink (Structure.In_context_of, p, c.Node.id) ]
+          | [] ->
+              [ Store.Link
+                  (Structure.In_context_of, (inner_before ci).Node.id, c.Node.id) ]))
+
+let counter name = Counter.value (Counter.make name)
+
+(* Every batch must take the fast path — no shape rebuild, no
+   re-intern — and leave the store exactly where a fresh put of the
+   edited structure lands: same IR, verdict, digest and confidence. *)
+let fast_path_matches_fresh ~memo_capacity =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "shape edits take the fast path (memo %s)"
+         (if memo_capacity = 1 then "1" else "default"))
+    ~count:25
+    (QCheck.make
+       ~print:(fun (seed, size) -> Printf.sprintf "seed %d, %d nodes" seed size)
+       QCheck.Gen.(pair (int_bound 1_000_000) (int_range 50 500)))
+    (fun (seed, size) ->
+      let rand = Random.State.make [| seed |] in
+      let s = tree_case rand size in
+      let store = Store.create ~memo_capacity () in
+      let d = ref (Store.put store s) in
+      ignore (Store.verdict store ~digest:!d);
+      let ir = ref (Caseir.intern s) and s = ref s in
+      for b = 1 to 12 do
+        let batch = tree_batch rand b !s in
+        let s', edits = replay !s batch in
+        (* The delta on its own, against a fresh intern. *)
+        (match Caseir.apply !ir s' edits with
+        | None -> QCheck.Test.fail_reportf "batch %d fell outside the delta" b
+        | Some (ir', _) -> (
+            ir := ir';
+            match ir_diff ir' (Caseir.intern s') with
+            | None -> ()
+            | Some f -> QCheck.Test.fail_reportf "batch %d: IR differs in %s" b f));
+        let rebuilds = counter "store.shape_rebuilds"
+        and interned = counter "ir.interned" in
+        let v =
+          match Store.patch store ~digest:!d batch with
+          | Error e -> QCheck.Test.fail_reportf "patch: %s" (Store.error_message e)
+          | Ok d' -> (
+              d := d';
+              match Store.verdict store ~digest:d' with
+              | Ok v -> v
+              | Error e -> QCheck.Test.fail_reportf "verdict: %s" (Store.error_message e))
+        in
+        if counter "store.shape_rebuilds" <> rebuilds then
+          QCheck.Test.fail_reportf "batch %d rebuilt the case" b;
+        if counter "ir.interned" <> interned then
+          QCheck.Test.fail_reportf "batch %d re-interned" b;
+        let fresh = Store.create () in
+        let d' = Store.put fresh s' in
+        let w = Result.get_ok (Store.verdict fresh ~digest:d') in
+        let show (v : Store.verdict) =
+          render v.Store.result.Fused.wf ^ "\x00" ^ render v.Store.result.Fused.informal
+        in
+        if d' <> !d then QCheck.Test.fail_reportf "batch %d: digest differs" b;
+        if show v <> show w then
+          QCheck.Test.fail_reportf "batch %d: verdict differs\n%s\n--\n%s" b (show v)
+            (show w);
+        if not (same_float v.Store.confidence w.Store.confidence) then
+          QCheck.Test.fail_reportf "batch %d: confidence %h, fresh %h" b
+            v.Store.confidence w.Store.confidence;
+        s := s'
+      done;
+      (match check_verdict store !d !s with
+      | Ok () -> ()
+      | Error e -> QCheck.Test.fail_report e);
+      true)
+
 let () =
   Fault.configure_from_env ();
   Alcotest.run "argus-store"
@@ -898,6 +1256,14 @@ let () =
         [
           QCheck_alcotest.to_alcotest incremental_matches_full;
           QCheck_alcotest.to_alcotest eviction_never_changes_results;
+          QCheck_alcotest.to_alcotest confidence_kernel_matches_legacy;
+        ] );
+      ( "shape",
+        [
+          QCheck_alcotest.to_alcotest apply_matches_intern;
+          QCheck_alcotest.to_alcotest (fast_path_matches_fresh ~memo_capacity:1);
+          QCheck_alcotest.to_alcotest
+            (fast_path_matches_fresh ~memo_capacity:(1 lsl 18));
         ] );
       ( "digest",
         [
