@@ -640,7 +640,13 @@ let print case =
         (quote ev.Evidence.source)
         (Evidence.strength_to_string ev.Evidence.strength))
     (Structure.evidence case.structure);
-  let links = Structure.links case.structure in
+  (* Each node's outgoing links in link order, grouped in one pass:
+     [find_all] answers the latest binding first, so the links are
+     bound last to first. *)
+  let by_source = Hashtbl.create 64 in
+  List.iter
+    (fun (k, s, d) -> Hashtbl.add by_source (Id.to_string s) (k, d))
+    (List.rev (Structure.links case.structure));
   List.iter
     (fun n ->
       let type_word =
@@ -674,12 +680,11 @@ let print case =
       (match n.Node.evidence with
       | Some e -> addl "evidence %s" (Id.to_string e)
       | None -> ());
+      let out_links = Hashtbl.find_all by_source (Id.to_string n.Node.id) in
       let targets kind =
         List.filter_map
-          (fun (k, s, d) ->
-            if k = kind && Id.equal s n.Node.id then Some (Id.to_string d)
-            else None)
-          links
+          (fun (k, d) -> if k = kind then Some (Id.to_string d) else None)
+          out_links
       in
       (match targets Structure.Supported_by with
       | [] -> ()

@@ -25,19 +25,19 @@
    and the texts are immutable once interned, so these are plain
    arrays.  [ir.interned] counts interning passes.
 
-   Three extensions serve the incremental store (lib/store).  [intern]
+   Two extensions serve the incremental store (lib/store).  [intern]
    takes an optional [?derive] hook so a caller can hash-cons the text
    derivations across cases — re-interning a patched structure then
    skips [Textutil.content_words] and friends for every node payload
-   already seen.  [set_node] patches the flat entity arrays in place
-   for a payload-only edit (same id, same links, same contextual-ness),
-   so a one-node text edit never rebuilds the CSR adjacency at all;
-   [ir.patched] counts in-place patches.  And [apply] replays a shape
-   batch (add, remove, link, unlink, set) on an existing IR: it
-   rebuilds the link arrays, the CSRs, roots and reachability over the
-   integers, compacts the per-node arrays through an old-to-new index
-   map, and derives text only for the payloads the batch sets or adds
-   — the same IR a fresh [intern] would build, without one. *)
+   already seen.  And [apply] replays an edit batch (set, add, remove,
+   link, unlink) on an existing IR.  A batch that only sets payloads,
+   keeping every node's contextual-ness, writes the node and text
+   arrays in place and leaves the graph half alone, so a one-node text
+   edit costs one derivation.  Any other batch rebuilds the link
+   arrays, the CSRs, roots and reachability over the integers,
+   compacts the per-node arrays through an old-to-new index map, and
+   derives text only for the payloads the batch sets or adds — the
+   same IR a fresh [intern] would build, without one. *)
 
 module Id = Argus_core.Id
 module Textutil = Argus_core.Textutil
@@ -86,7 +86,6 @@ type t = {
 }
 
 let c_interned = Argus_obs.Counter.make "ir.interned"
-let c_patched = Argus_obs.Counter.make "ir.patched"
 
 (* Everything the checkers derive from one node payload, independent of
    the surrounding graph — the unit of hash-consing for the store's
@@ -122,7 +121,9 @@ let reuse old len x =
    all functions of the link arrays and of which nodes are contextual.
    [intern] and [apply] both build it here, so a delta IR and a fresh
    intern cannot disagree on it.  [?into] lends the arrays of a
-   consumed IR. *)
+   consumed IR, all but [reachable]: that one is always fresh, so a
+   caller of [apply] can still compare the old reachability bits with
+   the new. *)
 type graph = {
   g_sup_out_off : int array;
   g_sup_out : int array;
@@ -205,11 +206,8 @@ let graph ?into ~n_nodes ~n_entities ~contextual link_kind link_src link_dst =
   in
   List.iter mark roots;
   let reachable =
-    reuse (old (fun ir -> ir.reachable)) (max 1 n_entities) false
+    Array.init (max 1 n_entities) (fun i -> Bytes.get supported i = '\001')
   in
-  for i = 0 to Array.length reachable - 1 do
-    reachable.(i) <- Bytes.get supported i = '\001'
-  done;
   for i = 0 to n_entities - 1 do
     if Bytes.get supported i = '\001' then
       for k = co.(i) to co.(i + 1) - 1 do
@@ -392,38 +390,6 @@ let derive_cached n =
       Mutex.unlock derive_mu;
       d
 
-(* Payload-only patch: replace node [i]'s payload and its cached text
-   derivations in the flat arrays, leaving the entity table, CSR
-   adjacency, roots and reachability untouched — they are functions of
-   the ids and links only, which a payload edit preserves.  The one
-   shape-relevant bit of a payload is whether its type is contextual
-   (it feeds root detection), so a contextual-ness flip is refused and
-   the caller re-interns.
-
-   Mutates [ir]'s arrays in place: the returned value shares them, and
-   the argument must not be used afterwards.  [structure] is the
-   already-edited source the returned IR should carry (for evidence
-   lookups). *)
-let set_node ?(derive = derive) ir structure i n =
-  if i < 0 || i >= ir.n_nodes then invalid_arg "Caseir.set_node: index";
-  let old = ir.nodes.(i) in
-  if not (Id.equal old.Node.id n.Node.id) then
-    invalid_arg "Caseir.set_node: id change needs a re-intern";
-  if
-    Node.is_contextual old.Node.node_type
-    <> Node.is_contextual n.Node.node_type
-  then invalid_arg "Caseir.set_node: contextual-ness change needs a re-intern";
-  Argus_obs.Counter.incr c_patched;
-  ir.nodes.(i) <- n;
-  let d = derive n in
-  ir.goal_like.(i) <- d.d_goal_like;
-  ir.norm.(i) <- d.d_norm;
-  ir.content.(i) <- d.d_content;
-  ir.ignorance.(i) <- d.d_ignorance;
-  ir.universal.(i) <- d.d_universal;
-  ir.propositional.(i) <- d.d_propositional;
-  { ir with structure }
-
 (* --- graph deltas --- *)
 
 type edit =
@@ -459,7 +425,7 @@ type extra_link = {
    delta, and so is an [Add_node] naming an id the case already
    mentions (a payload replacement the caller should express as
    [Set_node]). *)
-let apply ?(derive = derive) ir structure edits =
+let reshape ~derive ir structure edits =
   let n0 = ir.n_nodes and e0 = ir.n_entities in
   let m0 = Array.length ir.link_kind in
   let dead = Bytes.make (max 1 n0) '\000' in
@@ -679,7 +645,43 @@ let apply ?(derive = derive) ir structure edits =
       Some
         ( make ~into:ir ~structure ~index ~ids ~nodes ~n_entities ~columns:c
             link_kind link_src link_dst,
-          map )
+          Some map )
+
+(* A batch of [Set_node]s on live nodes that keep their contextual-ness
+   (the one payload bit the graph half reads, through the roots) moves
+   no index and leaves the graph as it is: the nodes and text columns
+   are written in place.  Every other batch is [reshape]d. *)
+let apply ?(derive = derive) ir structure edits =
+  let in_place = function
+    | Set_node n -> (
+        match Hashtbl.find_opt ir.index (Id.to_string n.Node.id) with
+        | Some i
+          when i < ir.n_nodes
+               && Node.is_contextual ir.nodes.(i).Node.node_type
+                  = Node.is_contextual n.Node.node_type ->
+            (i, n)
+        | _ -> raise_notrace Outside)
+    | _ -> raise_notrace Outside
+  in
+  match List.map in_place edits with
+  | exception Outside -> reshape ~derive ir structure edits
+  | sets ->
+      let c =
+        {
+          c_goal_like = ir.goal_like;
+          c_norm = ir.norm;
+          c_content = ir.content;
+          c_ignorance = ir.ignorance;
+          c_universal = ir.universal;
+          c_propositional = ir.propositional;
+        }
+      in
+      List.iter
+        (fun (i, n) ->
+          ir.nodes.(i) <- n;
+          set_columns c i (derive n))
+        sets;
+      Some ({ ir with structure }, None)
 
 (* The cycle search over entity indices: DFS from each node entity in
    insertion order, children in link order, the recursion stack as the

@@ -21,10 +21,9 @@
 
     For the incremental store (lib/store), [intern] accepts a
     [?derive] hook so text derivations can be hash-consed across
-    cases, {!set_node} patches the flat arrays in place for
-    payload-only edits ([ir.patched] counts them), and {!apply}
-    replays a shape batch on the integer arrays without re-interning
-    ([ir.interned] does not move). *)
+    cases, and {!apply} replays an edit batch without re-interning
+    ([ir.interned] does not move): in place for a payload-only batch,
+    over the integer arrays for any other. *)
 
 type derived = {
   d_goal_like : bool;  (** {!Argus_gsn.Node.is_goal_like}. *)
@@ -96,21 +95,9 @@ val derive_cached : Argus_gsn.Node.t -> derived
     FIFO eviction; a miss just re-derives.  [ir.derive_hits] counts
     hits. *)
 
-val set_node :
-  ?derive:(Argus_gsn.Node.t -> derived) ->
-  t ->
-  Argus_gsn.Structure.t ->
-  int ->
-  Argus_gsn.Node.t ->
-  t
-(** [set_node ir structure i n] replaces node [i]'s payload in place —
-    entity table, CSR adjacency, roots and reachability are untouched,
-    so a one-node edit costs one {!derive}, not a rebuild.  [structure]
-    is the already-edited source for the returned IR to carry.  The
-    arrays are mutated: the returned IR shares them and [ir] must not
-    be used afterwards.  Raises [Invalid_argument] if [n] changes the
-    node's id or the contextual-ness of its type (those edits need a
-    full re-intern). *)
+val payload_key : Argus_gsn.Node.t -> string
+(** The key {!derive_cached} files a payload under: a digest of its
+    type and text, the only fields {!derive} reads. *)
 
 (** {2 Graph deltas} *)
 
@@ -132,23 +119,30 @@ val apply :
   t ->
   Argus_gsn.Structure.t ->
   edit list ->
-  (t * int array) option
+  (t * int array option) option
 (** [apply ir structure edits] is the IR of [structure], the result of
     replaying [edits] in order on [ir]'s source, built without a
     re-intern: equal field by field to [intern structure] ([index] by
-    bindings).  It rebuilds the link arrays, the CSRs, [roots] and
-    [reachable] over the integers, carries every other node's text
-    columns over, and calls [?derive] only on the payloads the batch
-    sets or adds.  The second component maps each old entity index to
-    its new one, [-1] for a removed node.  [ir.interned] does not
-    move.
+    bindings).  [ir.interned] does not move, and [?derive] runs only
+    on the payloads the batch sets or adds.
+
+    A batch of [Set_node]s only, each on a node of the case that keeps
+    the contextual-ness of its type (the empty batch included), is
+    written in place: the nodes and text columns change, no index
+    moves and the graph half (CSRs, [roots], [reachable]) is
+    unchanged, and the second component is [None].  Any other batch
+    rebuilds the link arrays, the CSRs, [roots] and [reachable] over
+    the integers and carries every other node's text columns over; the
+    second component maps each old entity index to its new one, [-1]
+    for a removed node.
 
     [None], with [ir] untouched, when the batch is outside the delta:
     a [Set_node], [Remove_node] or [Link] names a node that is not
     there (or a dangling endpoint), an edit adds or drops a link
     touching a dangling endpoint, or an [Add_node] names an id the
-    case already mentions.  On [Some], [ir]'s entity table has been
-    reused and [ir] must not be used afterwards. *)
+    case already mentions.  On [Some], [ir]'s arrays and entity table
+    have been reused and [ir] must not be used afterwards — except its
+    [roots] and [reachable], which the result never overwrites. *)
 
 val has_cycle : t -> Argus_core.Id.t list option
 (** {!Argus_gsn.Structure.has_cycle} over the interned adjacency — the

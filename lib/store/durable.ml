@@ -176,17 +176,8 @@ let logged t
 
 let put ?(ruleset = Argus_gsn.Wellformed.Standard) t structure =
   logged t (fun () ->
-      let prior = Store.find t.store (Store.digest_of structure) in
-      let digest = Store.put ~ruleset t.store structure in
-      let rollback () =
-        (* A re-put replaced live state (last ruleset wins): restore
-           it; a fresh put just un-binds. *)
-        match prior with
-        | None -> Store.remove t.store digest
-        | Some (old_ruleset, old_structure) ->
-            ignore (Store.put ~ruleset:old_ruleset t.store old_structure)
-      in
-      Ok (digest, Wal.Put (ruleset, structure), rollback))
+      let digest, undo = Store.put_with_undo ~ruleset t.store structure in
+      Ok (digest, Wal.Put (ruleset, structure), undo))
 
 let patch t ~digest edits =
   logged t (fun () ->

@@ -6,11 +6,12 @@
    cases, each edit needing a fast re-verdict — not one-shot batch
    checks.  A full re-check of a 100k-node case pays a full intern
    plus a full fused pass per edit; here an edit re-checks only its
-   dirty cone.  A text edit patches the IR in place; a shape edit
-   (add, remove, link, unlink) goes through {!Caseir.apply}, which
-   rebuilds only the integer adjacency arrays, so it costs linear
+   dirty cone.  Every edit batch goes through {!Caseir.apply}: a text
+   batch writes the IR's node and text arrays in place and leaves the
+   graph alone, a shape batch (add, remove, link, unlink) rebuilds only
+   the integer adjacency arrays, so an edit costs at most linear
    integer work plus its cone, never a re-intern or a re-digest of the
-   whole case:
+   whole case.  A full rebuild is the one fallback:
 
    - {e Node arena.}  Per-payload text derivations (content words,
      the universal/propositional/ignorance predicates) are hash-consed
@@ -96,9 +97,8 @@ let g_nodes = Gauge.make "store.nodes"
 let default_trust (_ : Evidence.t) = 0.9
 
 type case_state = {
-  mutable structure : Structure.t;
   ruleset : Wellformed.ruleset;
-  mutable ir : Caseir.t;
+  mutable ir : Caseir.t;  (** Carries the case's structure. *)
   mutable ctx_in : int list array;
       (** Per entity: InContextOf sources — the reverse edges the
           dirty-cone walk needs and the IR's CSR does not keep. *)
@@ -131,10 +131,9 @@ type t = {
   cases : (string, case_state) Hashtbl.t;
   arena : (string, Caseir.derived) Hashtbl.t;
   arena_fifo : string Queue.t;
-  arena_capacity : int;
   memo : (string, Diagnostic.t list * Diagnostic.t list) Hashtbl.t;
   memo_fifo : string Queue.t;
-  memo_capacity : int;
+  capacity : int;  (** Of the arena and of the memo, each. *)
 }
 
 let create ?(memo_capacity = 1 lsl 18) () =
@@ -143,30 +142,31 @@ let create ?(memo_capacity = 1 lsl 18) () =
     cases = Hashtbl.create 16;
     arena = Hashtbl.create 1024;
     arena_fifo = Queue.create ();
-    arena_capacity = max 16 memo_capacity;
     memo = Hashtbl.create 1024;
     memo_fifo = Queue.create ();
-    memo_capacity = max 16 memo_capacity;
+    capacity = max 16 memo_capacity;
   }
+
+(* Find-or-add in the arena or the memo: bounded, FIFO eviction.
+   Evicting never changes a result — a miss just recomputes. *)
+let find_or_add store tbl fifo ~hit key compute =
+  match Hashtbl.find_opt tbl key with
+  | Some v ->
+      Counter.incr hit;
+      v
+  | None ->
+      let v = compute () in
+      Hashtbl.add tbl key v;
+      Queue.add key fifo;
+      if Queue.length fifo > store.capacity then
+        Hashtbl.remove tbl (Queue.pop fifo);
+      v
 
 (* --- the node arena: hash-consed payload derivations --- *)
 
-let payload_key (n : Node.t) =
-  Digest.string (Node.type_to_string n.Node.node_type ^ "\x00" ^ n.Node.text)
-
 let arena_derive store n =
-  let key = payload_key n in
-  match Hashtbl.find_opt store.arena key with
-  | Some d ->
-      Counter.incr c_node_hits;
-      d
-  | None ->
-      let d = Caseir.derive n in
-      Hashtbl.add store.arena key d;
-      Queue.add key store.arena_fifo;
-      if Queue.length store.arena_fifo > store.arena_capacity then
-        Hashtbl.remove store.arena (Queue.pop store.arena_fifo);
-      d
+  find_or_add store store.arena store.arena_fifo ~hit:c_node_hits
+    (Caseir.payload_key n) (fun () -> Caseir.derive n)
 
 (* --- digests --- *)
 
@@ -208,13 +208,29 @@ let link_digest kind src dst =
 let dangling_digest id = Digest.string ("d\x00" ^ Id.to_string id)
 let cycle_digest id = Digest.string ("y\x00" ^ Id.to_string id)
 
-(* The Merkle subtree digest of every node: local payload digest plus
-   the sorted digests of its SupportedBy and InContextOf children.
-   Sorting makes sibling order irrelevant, so structurally equal cases
-   digest equal.  A grey child during the DFS marks the combined
-   relation cyclic; the caller then discards these in favour of the
-   flat scheme (a traversal-order-dependent cycle cut would break
-   order independence). *)
+(* A node's Merkle subtree digest: its local payload digest, then the
+   sorted digests [sub] gives its SupportedBy children, then those of
+   its InContextOf children.  Sorting makes sibling order irrelevant,
+   so structurally equal cases digest equal. *)
+let merkle_node (ir : Caseir.t) sub i =
+  let kids off dat =
+    let acc = ref [] in
+    for k = off.(i) to off.(i + 1) - 1 do
+      acc := sub dat.(k) :: !acc
+    done;
+    List.sort String.compare !acc
+  in
+  let s = kids ir.Caseir.sup_out_off ir.Caseir.sup_out in
+  let c = kids ir.Caseir.ctx_out_off ir.Caseir.ctx_out in
+  Digest.string
+    (String.concat ""
+       ("m\x00" :: local_digest ir.Caseir.nodes.(i) :: "\x01" :: s
+       @ ("\x02" :: c)))
+
+(* The Merkle subtree digest of every node.  A grey child during the
+   DFS marks the combined relation cyclic; the caller then discards
+   these in favour of the flat scheme (a traversal-order-dependent
+   cycle cut would break order independence). *)
 let merkle_subs (ir : Caseir.t) =
   let n = ir.Caseir.n_nodes in
   let subs = Array.make (max 1 n) "" in
@@ -229,22 +245,7 @@ let merkle_subs (ir : Caseir.t) =
     else if state.(i) = 2 then subs.(i)
     else begin
       state.(i) <- 1;
-      let kids off dat =
-        let acc = ref [] in
-        for k = off.(i) to off.(i + 1) - 1 do
-          acc := sub dat.(k) :: !acc
-        done;
-        List.sort String.compare !acc
-      in
-      let s = kids ir.Caseir.sup_out_off ir.Caseir.sup_out in
-      let c = kids ir.Caseir.ctx_out_off ir.Caseir.ctx_out in
-      let d =
-        Digest.string
-          (String.concat ""
-             ("m\x00" :: local_digest ir.Caseir.nodes.(i)
-             :: "\x01" :: s
-             @ ("\x02" :: c)))
-      in
+      let d = merkle_node ir sub i in
       state.(i) <- 2;
       subs.(i) <- d;
       d
@@ -368,22 +369,15 @@ let node_key (ir : Caseir.t) i =
 
 (* --- per-node verdicts through the memo --- *)
 
-let node_verdict store st i =
-  let key = st.keys.(i) in
-  match Hashtbl.find_opt store.memo key with
-  | Some v ->
-      Counter.incr c_reused;
-      v
-  | None ->
-      Counter.incr c_dirty;
-      let v = (Fused.node_findings st.ir i, Fused.node_lint_findings st.ir i) in
-      Hashtbl.add store.memo key v;
-      Queue.add key store.memo_fifo;
-      if Queue.length store.memo_fifo > store.memo_capacity then
-        Hashtbl.remove store.memo (Queue.pop store.memo_fifo);
-      v
-
-let set_node_verdict st i (wf, inf) =
+(* Re-key node [i] and fetch its findings through the memo. *)
+let recheck store st i =
+  st.keys.(i) <- node_key st.ir i;
+  let wf, inf =
+    find_or_add store store.memo store.memo_fifo ~hit:c_reused st.keys.(i)
+      (fun () ->
+        Counter.incr c_dirty;
+        (Fused.node_findings st.ir i, Fused.node_lint_findings st.ir i))
+  in
   st.wf_node.(i) <- wf;
   st.inf_node.(i) <- inf
 
@@ -401,13 +395,12 @@ let build_ctx_in (ir : Caseir.t) =
 
 (* Full (re)build from a structure: intern through the arena, then
    recompute digests, keys, per-node verdicts and the link/shape
-   findings.  The one reference path: [put] runs it, and a shape edit
-   falls back to it ([store.shape_rebuilds]) only when the graph delta
-   does not apply — see [patch_shape]. *)
+   findings.  The one reference path: [put] runs it, and [patch] falls
+   back to it ([store.shape_rebuilds]) only when [delta] does not
+   apply. *)
 let rebuild store st structure =
   let ir = Caseir.intern ~derive:(arena_derive store) structure in
   let n = ir.Caseir.n_nodes in
-  st.structure <- structure;
   st.ir <- ir;
   st.ctx_in <- build_ctx_in ir;
   let elem, acyclic, sum, digest = digest_state ir in
@@ -419,16 +412,15 @@ let rebuild store st structure =
   st.wf_node <- Array.make (max 1 n) [];
   st.inf_node <- Array.make (max 1 n) [];
   for i = 0 to n - 1 do
-    st.keys.(i) <- node_key ir i;
-    set_node_verdict st i (node_verdict store st i)
+    recheck store st i
   done;
   st.link_wf <- Fused.link_findings ~ruleset:st.ruleset ir;
   st.shape_wf <- Fused.shape_findings ir;
-  st.cached <- None
+  st.cached <- None;
+  st.conf <- None
 
 let fresh_state ruleset =
   {
-    structure = Structure.empty;
     ruleset;
     ir = Caseir.intern Structure.empty;
     ctx_in = [||];
@@ -455,30 +447,35 @@ let locked store f =
 
 (* --- operations --- *)
 
-let put ?(ruleset = Wellformed.Standard) store structure =
+let put_with_undo ?(ruleset = Wellformed.Standard) store structure =
   locked store (fun () ->
       let st = fresh_state ruleset in
       rebuild store st structure;
-      st.conf <- None;
-      Hashtbl.replace store.cases st.digest st;
+      let digest = st.digest in
+      let prior = Hashtbl.find_opt store.cases digest in
+      Hashtbl.replace store.cases digest st;
       update_gauge store;
-      st.digest)
+      let undo () =
+        locked store (fun () ->
+            (match prior with
+            | Some old -> Hashtbl.replace store.cases digest old
+            | None -> Hashtbl.remove store.cases digest);
+            update_gauge store)
+      in
+      (digest, undo))
+
+let put ?ruleset store structure = fst (put_with_undo ?ruleset store structure)
 
 let mem store digest =
   locked store (fun () -> Hashtbl.mem store.cases digest)
 
-let case store digest =
-  locked store (fun () ->
-      Option.map
-        (fun st -> st.structure)
-        (Hashtbl.find_opt store.cases digest))
-
 let find store digest =
   locked store (fun () ->
       Option.map
-        (fun st -> (st.ruleset, st.structure))
+        (fun st -> (st.ruleset, st.ir.Caseir.structure))
         (Hashtbl.find_opt store.cases digest))
 
+let case store digest = Option.map snd (find store digest)
 let size store = locked store (fun () -> Hashtbl.length store.cases)
 
 let remove store digest =
@@ -489,7 +486,8 @@ let remove store digest =
 let cases store =
   locked store (fun () ->
       Hashtbl.fold
-        (fun digest st acc -> (digest, st.ruleset, st.structure) :: acc)
+        (fun digest st acc ->
+          (digest, st.ruleset, st.ir.Caseir.structure) :: acc)
         store.cases []
       |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b))
 
@@ -499,75 +497,48 @@ let cases store =
    terms are local, so the cone is the edited set itself). *)
 let ancestor_cone st seeds =
   let ir = st.ir in
-  let n = ir.Caseir.n_nodes in
-  let visited = Bytes.make (max 1 n) '\000' in
-  let rec up i =
-    if i < n && Bytes.get visited i = '\000' then begin
-      Bytes.set visited i '\001';
+  let rec up cone i =
+    if i >= ir.Caseir.n_nodes || ISet.mem i cone then cone
+    else begin
+      let cone = ref (ISet.add i cone) in
       for k = ir.Caseir.sup_in_off.(i) to ir.Caseir.sup_in_off.(i + 1) - 1 do
-        up ir.Caseir.sup_in.(k)
+        cone := up !cone ir.Caseir.sup_in.(k)
       done;
-      List.iter up st.ctx_in.(i)
+      List.fold_left up !cone st.ctx_in.(i)
     end
   in
-  List.iter up seeds;
-  let cone = ref ISet.empty in
-  for i = 0 to n - 1 do
-    if Bytes.get visited i = '\001' then cone := ISet.add i !cone
-  done;
-  !cone
+  List.fold_left up ISet.empty seeds
 
-(* Re-digest after payload-only edits: recompute the Merkle digests of
-   the ancestor cone (cached digests outside it are final, and the
-   acyclic guarantee makes the recursion terminate), swapping each
-   changed term out of the sum and the new one in. *)
+(* Re-digest the cone of an edit, swapping each changed term out of the
+   sum and the new one in.  In acyclic mode the cone is an ancestor
+   cone and its Merkle digests are recomputed (cached digests outside
+   it are final, and acyclicity makes the recursion terminate); in
+   cyclic mode terms are local payload digests, so each edited node
+   swaps exactly its own term. *)
 let redigest_cone st cone =
   let ir = st.ir in
   let n = ir.Caseir.n_nodes in
-  if not st.acyclic then begin
-    (* Cyclic mode: terms are local payload digests, so each edited
-       node swaps exactly its own term. *)
-    ISet.iter
-      (fun i ->
-        let d = local_digest ir.Caseir.nodes.(i) in
-        sum_sub st.sum st.elem.(i);
-        sum_add st.sum d;
-        st.elem.(i) <- d)
-      cone;
-    st.digest <- render_digest ~acyclic:false st.sum
-  end
-  else begin
-  let computed = Array.make (max 1 n) false in
-  let rec sub i =
-    if i >= n then dangling_digest ir.Caseir.ids.(i)
-    else if computed.(i) || not (ISet.mem i cone) then st.elem.(i)
-    else begin
-      let kids off dat =
-        let acc = ref [] in
-        for k = off.(i) to off.(i + 1) - 1 do
-          acc := sub dat.(k) :: !acc
-        done;
-        List.sort String.compare !acc
-      in
-      let s = kids ir.Caseir.sup_out_off ir.Caseir.sup_out in
-      let c = kids ir.Caseir.ctx_out_off ir.Caseir.ctx_out in
-      let d =
-        Digest.string
-          (String.concat ""
-             ("m\x00" :: local_digest ir.Caseir.nodes.(i)
-             :: "\x01" :: s
-             @ ("\x02" :: c)))
-      in
-      computed.(i) <- true;
-      sum_sub st.sum st.elem.(i);
-      sum_add st.sum d;
-      st.elem.(i) <- d;
-      d
-    end
+  let swap i d =
+    sum_sub st.sum st.elem.(i);
+    sum_add st.sum d;
+    st.elem.(i) <- d
   in
-  ISet.iter (fun i -> ignore (sub i)) cone;
-  st.digest <- render_digest ~acyclic:true st.sum
+  if st.acyclic then begin
+    let computed = ref ISet.empty in
+    let rec sub i =
+      if i >= n then dangling_digest ir.Caseir.ids.(i)
+      else if ISet.mem i !computed || not (ISet.mem i cone) then st.elem.(i)
+      else begin
+        let d = merkle_node ir sub i in
+        computed := ISet.add i !computed;
+        swap i d;
+        d
+      end
+    in
+    ISet.iter (fun i -> ignore (sub i)) cone
   end
+  else ISet.iter (fun i -> swap i (local_digest ir.Caseir.nodes.(i))) cone;
+  st.digest <- render_digest ~acyclic:st.acyclic st.sum
 
 (* The nodes whose memo keys a payload edit of [i] can change: [i]
    itself, its SupportedBy parents (their equivocation lints read
@@ -589,8 +560,7 @@ let key_cone st i =
 
 (* Validate and apply the edit batch to the (persistent) structure,
    and translate it for {!Caseir.apply}: a [Set_text] becomes the
-   [Set_node] of its rewritten payload.  A batch of [Set_node]s only is
-   the payload fast path; any other edit makes it a shape batch.
+   [Set_node] of its rewritten payload, which keeps the node's type.
    Nothing is mutated here, so a bad edit leaves the store untouched. *)
 let apply_edits structure edits =
   let rec go structure acc = function
@@ -634,34 +604,6 @@ let apply_edits structure edits =
   in
   go structure [] edits
 
-(* Payload-only fast path: patch the IR arrays in place, re-key and
-   re-verdict the edit's neighbourhood, re-digest its ancestor cone. *)
-let patch_payloads store st structure payloads =
-  let seeds = ref [] in
-  List.iter
-    (fun n' ->
-      match Caseir.entity_index st.ir n'.Node.id with
-      | None -> ()
-      | Some i ->
-          st.ir <-
-            Caseir.set_node ~derive:(arena_derive store) st.ir structure i n';
-          seeds := i :: !seeds)
-    payloads;
-  st.structure <- structure;
-  let seeds = !seeds in
-  let keys =
-    List.fold_left (fun acc i -> ISet.union acc (key_cone st i)) ISet.empty seeds
-  in
-  ISet.iter
-    (fun i ->
-      st.keys.(i) <- node_key st.ir i;
-      set_node_verdict st i (node_verdict store st i))
-    keys;
-  let cone =
-    if st.acyclic then ancestor_cone st seeds else ISet.of_list seeds
-  in
-  redigest_cone st cone
-
 (* Whether [dst] is reachable from [src] over SupportedBy and
    InContextOf links between real nodes — the relation the Merkle
    digests recurse over. *)
@@ -687,33 +629,29 @@ let reaches (ir : Caseir.t) src dst =
 
 let zero_term = String.make 16 '\000'
 
-(* A shape batch without a rebuild.  [Caseir.apply] rebuilds the IR's
-   integer arrays and carries the text columns over; the per-node state
-   here is remapped through its index map, and three things are
-   recomputed:
+(* An edit batch without a rebuild.  [Caseir.apply] replays it on the
+   IR, and then keys and verdicts are recomputed over the key cone of
+   the batch's seeds — every node it set, added or linked to or from,
+   and the old neighbours of every removed node — and Merkle terms over
+   their ancestor cone (in cyclic digest mode, over the seeds alone).
 
-   - keys and verdicts over the key cone: every node the batch set,
-     added or linked to or from, the old neighbours of every removed
-     node, their [key_cone]s, and every node whose reachability bit
-     flipped;
-   - Merkle terms over the ancestor cone of the same seeds in the new
-     IR, after the removed nodes' terms leave the sum;
-   - the per-link and shape findings, in full.
+   When the graph is unchanged (a text batch: [apply] moved no index)
+   that is all.  Otherwise the per-node state here is first remapped
+   through [apply]'s index map, the removed nodes' terms leave the sum,
+   every node whose reachability bit flipped joins the key cone, and
+   the per-link and shape findings are recomputed in full.
 
-   [false] (the caller rebuilds) in cyclic digest mode, when the batch
-   closes a cycle, when the batch is outside [Caseir.apply], and when
-   the case gains or loses its last root (every key reads that bit).
-   [Caseir.apply] consumes the old IR — it overwrites arrays in place —
-   so what is needed of the old graph is read before it runs, and once
-   it has run a [false] still leaves the case to be rebuilt. *)
-let patch_shape store st structure edits =
+   [false] (the caller rebuilds) when the batch is outside
+   [Caseir.apply], and for a shape batch in cyclic digest mode, that
+   closes a cycle, or that makes the case gain or lose its last root
+   (every key reads that bit).  [Caseir.apply] consumes the old IR — it
+   overwrites arrays in place — so the removed nodes' neighbours are
+   read before it runs, and once it has run a [false] still leaves the
+   case to be rebuilt.  It never overwrites the old [roots] and
+   [reachable], which are read after. *)
+let delta store st structure edits =
   let old = st.ir in
   let n0 = old.Caseir.n_nodes in
-  let old_roots = old.Caseir.roots in
-  let old_reach =
-    Bytes.init (max 1 n0) (fun i ->
-        if old.Caseir.reachable.(i) then '\001' else '\000')
-  in
   (* Old neighbours of the removed nodes, as old entity indices. *)
   let orphans =
     List.concat_map
@@ -735,8 +673,6 @@ let patch_shape store st structure edits =
         | _ -> [])
       edits
   in
-  st.acyclic
-  &&
   match Caseir.apply ~derive:(arena_derive store) old structure edits with
   | None -> false
   | Some (ir, map) ->
@@ -756,8 +692,11 @@ let patch_shape store st structure edits =
             | _ -> false)
           edits
       in
-      if (ir.Caseir.roots = []) <> (old_roots = []) || closes_cycle () then
-        false
+      if
+        (map <> None && not st.acyclic)
+        || (ir.Caseir.roots = []) <> (old.Caseir.roots = [])
+        || closes_cycle ()
+      then false
       else begin
         let seeds =
           List.concat_map
@@ -767,74 +706,78 @@ let patch_shape store st structure edits =
                   node a @ node b
               | Caseir.Remove_node _ -> [])
             edits
-          @ List.filter_map
-              (fun i ->
+        in
+        let seeds, flipped =
+          match map with
+          | None -> (seeds, ISet.empty)
+          | Some map ->
+              (* Removed nodes leave the sum; the rest of the per-node
+                 state compacts downwards through the map — in place
+                 unless the array is too short, ascending, so every
+                 cell is read before it is overwritten. *)
+              let kept = ref 0 in
+              for i = 0 to n0 - 1 do
+                if map.(i) < 0 then sum_sub st.sum st.elem.(i) else incr kept
+              done;
+              let kept = !kept in
+              let identity = kept = n0 && n = n0 in
+              let remap fresh arr =
+                let arr' =
+                  if Array.length arr >= max 1 n then arr
+                  else Array.make (max 1 n + (n / 8)) fresh
+                in
+                for i = 0 to n0 - 1 do
+                  if map.(i) >= 0 then arr'.(map.(i)) <- arr.(i)
+                done;
+                (* The added nodes' cells. *)
+                for j = kept to n - 1 do
+                  arr'.(j) <- fresh
+                done;
+                arr'
+              in
+              if not identity then begin
+                st.keys <- remap "" st.keys;
+                st.elem <- remap zero_term st.elem;
+                st.wf_node <- remap [] st.wf_node;
+                st.inf_node <- remap [] st.inf_node
+              end;
+              if
+                (not identity)
+                || List.exists
+                     (function
+                       | Caseir.Link (Structure.In_context_of, _, _)
+                       | Caseir.Unlink (Structure.In_context_of, _, _) ->
+                           true
+                       | _ -> false)
+                     edits
+              then st.ctx_in <- build_ctx_in ir;
+              let flipped = ref ISet.empty in
+              for i = 0 to n0 - 1 do
                 let j = map.(i) in
-                if j >= 0 && j < n then Some j else None)
-              orphans
+                if j >= 0 && old.Caseir.reachable.(i) <> ir.Caseir.reachable.(j)
+                then flipped := ISet.add j !flipped
+              done;
+              st.link_wf <- Fused.link_findings ~ruleset:st.ruleset ir;
+              st.shape_wf <- Fused.shape_findings ir;
+              (* Confidence reads the shape: recomputed at the next
+                 verdict. *)
+              st.conf <- None;
+              ( seeds
+                @ List.filter_map
+                    (fun i ->
+                      let j = map.(i) in
+                      if j >= 0 && j < n then Some j else None)
+                    orphans,
+                !flipped )
         in
-        (* Removed nodes leave the sum; the rest of the per-node state
-           compacts downwards through the map — in place unless the
-           array is too short, ascending, so every cell is read before
-           it is overwritten. *)
-        let kept = ref 0 in
-        for i = 0 to n0 - 1 do
-          if map.(i) < 0 then sum_sub st.sum st.elem.(i) else incr kept
-        done;
-        let kept = !kept in
-        let identity = kept = n0 && n = n0 in
-        let remap fresh arr =
-          let arr' =
-            if Array.length arr >= max 1 n then arr
-            else Array.make (max 1 n + (n / 8)) fresh
-          in
-          for i = 0 to n0 - 1 do
-            if map.(i) >= 0 then arr'.(map.(i)) <- arr.(i)
-          done;
-          (* The added nodes' cells. *)
-          for j = kept to n - 1 do
-            arr'.(j) <- fresh
-          done;
-          arr'
-        in
-        if not identity then begin
-          st.keys <- remap "" st.keys;
-          st.elem <- remap zero_term st.elem;
-          st.wf_node <- remap [] st.wf_node;
-          st.inf_node <- remap [] st.inf_node
-        end;
-        st.structure <- structure;
         st.ir <- ir;
-        if
-          (not identity)
-          || List.exists
-               (function
-                 | Caseir.Link (Structure.In_context_of, _, _)
-                 | Caseir.Unlink (Structure.In_context_of, _, _) ->
-                     true
-                 | _ -> false)
-               edits
-        then st.ctx_in <- build_ctx_in ir;
-        let keys =
-          List.fold_left (fun acc i -> ISet.union acc (key_cone st i)) ISet.empty
-            seeds
-        in
-        let keys = ref keys in
-        for i = 0 to n0 - 1 do
-          let j = map.(i) in
-          if
-            j >= 0
-            && Bytes.get old_reach i = '\001' <> ir.Caseir.reachable.(j)
-          then keys := ISet.add j !keys
-        done;
-        ISet.iter
-          (fun i ->
-            st.keys.(i) <- node_key ir i;
-            set_node_verdict st i (node_verdict store st i))
-          !keys;
-        redigest_cone st (ancestor_cone st seeds);
-        st.link_wf <- Fused.link_findings ~ruleset:st.ruleset ir;
-        st.shape_wf <- Fused.shape_findings ir;
+        ISet.iter (recheck store st)
+          (List.fold_left
+             (fun acc i -> ISet.union acc (key_cone st i))
+             flipped seeds);
+        redigest_cone st
+          (if st.acyclic then ancestor_cone st seeds else ISet.of_list seeds);
+        if map <> None then update_gauge store;
         true
       end
 
@@ -843,24 +786,12 @@ let patch store ~digest edits =
       match Hashtbl.find_opt store.cases digest with
       | None -> Error (Unknown_digest digest)
       | Some st -> (
-          match apply_edits st.structure edits with
+          match apply_edits st.ir.Caseir.structure edits with
           | Error _ as e -> e
           | Ok (structure, ir_edits) ->
-              let payloads =
-                List.filter_map
-                  (function Caseir.Set_node n -> Some n | _ -> None)
-                  ir_edits
-              in
-              if List.compare_lengths payloads ir_edits = 0 then
-                patch_payloads store st structure payloads
-              else begin
-                if not (patch_shape store st structure ir_edits) then begin
-                  Counter.incr c_shape_rebuilds;
-                  rebuild store st structure
-                end;
-                (* Confidence reads the shape: recomputed at the next
-                   verdict. *)
-                st.conf <- None;
+              if not (delta store st structure ir_edits) then begin
+                Counter.incr c_shape_rebuilds;
+                rebuild store st structure;
                 update_gauge store
               end;
               st.cached <- None;
@@ -904,7 +835,7 @@ let verdict store ~digest =
                       | root :: _ ->
                           (Confidence.scores ~trust:default_trust
                              ~find_evidence:
-                               (Confidence.evidence_lookup st.structure)
+                               (Confidence.evidence_lookup ir.Caseir.structure)
                              ir.Caseir.nodes ~sup_off:ir.Caseir.sup_out_off
                              ~sup:ir.Caseir.sup_out).(root)
                     in

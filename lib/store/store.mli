@@ -61,9 +61,9 @@ val default_trust : Argus_core.Evidence.t -> float
 (** Uniform 0.9, the experiments' baseline trust. *)
 
 val create : ?memo_capacity:int -> unit -> t
-(** [memo_capacity] (default [2^18]) bounds both the arena and the
-    verdict memo; FIFO eviction, and eviction never changes results —
-    a miss just re-derives. *)
+(** [memo_capacity] (default [2^18], at least 16) bounds the arena and
+    the verdict memo, each to that many entries; FIFO eviction, and
+    eviction never changes results — a miss just re-derives. *)
 
 val put :
   ?ruleset:Argus_gsn.Wellformed.ruleset ->
@@ -74,16 +74,28 @@ val put :
     digest equal regardless of insertion order; re-putting an existing
     digest replaces its state (the last [?ruleset] wins). *)
 
+val put_with_undo :
+  ?ruleset:Argus_gsn.Wellformed.ruleset ->
+  t ->
+  Argus_gsn.Structure.t ->
+  string * (unit -> unit)
+(** {!put}, plus an undo that restores the binding the put replaced:
+    the previous state of an equal case, ruleset and structure
+    included, or no binding at all.  Valid until the next operation on
+    that digest; {!Durable} uses it to roll back a put whose WAL
+    append failed. *)
+
 val patch : t -> digest:string -> edit list -> (string, error) result
 (** Apply an edit batch to the case at [digest]; the case is re-bound
     under the returned new digest (the old digest is released).  A
-    failed batch leaves the store untouched.  An all-[Set_text] batch
-    patches the interned case in place; any other batch goes through
-    {!Argus_ir.Caseir.apply} and re-checks only its cone, unless the
-    case is cyclic, the batch closes a cycle or touches a dangling
-    endpoint, adds an id already present, or makes the case gain or
-    lose its last root — then the case is rebuilt from its structure
-    and [store.shape_rebuilds] counts it.  Both ways give the same
+    failed batch leaves the store untouched.  Every batch goes through
+    {!Argus_ir.Caseir.apply} and re-checks only its cone: an
+    all-[Set_text] batch writes the interned case in place, in either
+    digest mode, and keeps the root confidence.  Any other batch is
+    rebuilt from its structure instead when the case is cyclic, or the
+    batch closes a cycle, touches a dangling endpoint, adds an id
+    already present, or makes the case gain or lose its last root;
+    [store.shape_rebuilds] counts those.  Both ways give the same
     digest and verdict. *)
 
 val verdict : t -> digest:string -> (verdict, error) result

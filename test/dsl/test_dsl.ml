@@ -329,6 +329,155 @@ let roundtrip_property =
           && c.ontology = c'.ontology
       | Error _ -> false)
 
+(* --- print: links grouped once against the per-node scan --- *)
+
+(* [print] as it was written before it grouped the links: every node
+   rescans the whole link list for its targets.  Kept as the oracle. *)
+let print_by_scan case =
+  let quote text =
+    let buf = Buffer.create (String.length text + 2) in
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' | '\\' ->
+            Buffer.add_char buf '\\';
+            Buffer.add_char buf c
+        | c -> Buffer.add_char buf c)
+      text;
+    Buffer.add_char buf '"';
+    Buffer.contents buf
+  in
+  let param_type_word = function
+    | Metadata.Pint -> "int"
+    | Metadata.Pnat -> "nat"
+    | Metadata.Pstr -> "string"
+    | Metadata.Penum e -> e
+  in
+  let buf = Buffer.create 1024 in
+  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  (match case.module_name with
+  | Some m -> out "case %s %s {\n" (Id.to_string m) (quote case.title)
+  | None -> out "case %s {\n" (quote case.title));
+  List.iter
+    (fun (name, members) ->
+      out "  enum %s { %s }\n" name (String.concat " " members))
+    case.ontology.Metadata.enums;
+  List.iter
+    (fun (decl : Metadata.attribute_decl) ->
+      out "  attr %s (%s)\n" decl.Metadata.name
+        (String.concat ", " (List.map param_type_word decl.Metadata.params)))
+    case.ontology.Metadata.attributes;
+  List.iter
+    (fun ev ->
+      out "  evidence %s %s %s source %s strength %s\n"
+        (Id.to_string ev.Evidence.id)
+        (Evidence.kind_to_string ev.Evidence.kind)
+        (quote ev.Evidence.description)
+        (quote ev.Evidence.source)
+        (Evidence.strength_to_string ev.Evidence.strength))
+    (Structure.evidence case.structure);
+  let links = Structure.links case.structure in
+  List.iter
+    (fun n ->
+      let type_word =
+        match n.Node.node_type with
+        | Node.Goal -> "goal"
+        | Node.Strategy -> "strategy"
+        | Node.Solution -> "solution"
+        | Node.Context -> "context"
+        | Node.Assumption -> "assumption"
+        | Node.Justification -> "justification"
+        | Node.Away_goal m -> Printf.sprintf "away-goal(%s)" (Id.to_string m)
+        | Node.Module_ref m -> Printf.sprintf "module(%s)" (Id.to_string m)
+        | Node.Contract m -> Printf.sprintf "contract(%s)" (Id.to_string m)
+      in
+      out "  %s %s %s" type_word (Id.to_string n.Node.id) (quote n.Node.text);
+      let body_lines = ref [] in
+      let addl fmt =
+        Printf.ksprintf (fun s -> body_lines := s :: !body_lines) fmt
+      in
+      (match n.Node.status with
+      | Node.Developed -> ()
+      | Node.Undeveloped -> addl "undeveloped"
+      | Node.Uninstantiated -> addl "uninstantiated"
+      | Node.Undeveloped_uninstantiated -> addl "undeveloped-uninstantiated");
+      (match n.Node.formal with
+      | Some f -> addl "formal %s" (quote (Argus_logic.Prop.to_string f))
+      | None -> ());
+      List.iter
+        (fun a ->
+          addl "meta %s"
+            (quote (Format.asprintf "%a" Metadata.pp_annotation a)))
+        n.Node.annotations;
+      (match n.Node.evidence with
+      | Some e -> addl "evidence %s" (Id.to_string e)
+      | None -> ());
+      let targets kind =
+        List.filter_map
+          (fun (k, s, d) ->
+            if k = kind && Id.equal s n.Node.id then Some (Id.to_string d)
+            else None)
+          links
+      in
+      (match targets Structure.Supported_by with
+      | [] -> ()
+      | ts -> addl "supported-by %s" (String.concat ", " ts));
+      (match targets Structure.In_context_of with
+      | [] -> ()
+      | ts -> addl "in-context-of %s" (String.concat ", " ts));
+      (match List.rev !body_lines with
+      | [] -> out "\n"
+      | lines ->
+          out " {\n";
+          List.iter (fun l -> out "    %s\n" l) lines;
+          out "  }\n"))
+    (Structure.nodes case.structure);
+  out "}\n";
+  Buffer.contents buf
+
+(* Random cases whose link list interleaves both kinds and many
+   sources, repeats links (`Structure.build` keeps the first) and lets either
+   endpoint dangle ([N n] and [N (n+1)] are never nodes). *)
+let gen_linked_case =
+  let open QCheck.Gen in
+  let* n = int_range 1 10 in
+  let* kinds = list_repeat n (int_bound 4) in
+  let nodes =
+    List.mapi
+      (fun i k ->
+        let id = Printf.sprintf "N%d" i in
+        match k with
+        | 0 -> Node.goal id "A claim holds"
+        | 1 -> Node.strategy id "Argue over parts"
+        | 2 -> Node.solution ~evidence:"E1" id "Test report"
+        | 3 -> Node.context id "Operating context"
+        | _ -> Node.assumption id "An assumption")
+      kinds
+  in
+  let endpoint = map (Printf.sprintf "N%d") (int_bound (n + 1)) in
+  let link =
+    map3
+      (fun sup a b ->
+        ((if sup then Structure.Supported_by else Structure.In_context_of), a, b))
+      bool endpoint endpoint
+  in
+  let* links = list_size (int_range 0 (3 * n)) link in
+  let* repeats = list_size (int_bound 4) (if links = [] then link else oneofl links) in
+  return
+    {
+      module_name = None;
+      title = "linked";
+      ontology = Metadata.ontology [];
+      structure = Structure.of_nodes ~links:(links @ repeats) nodes;
+    }
+
+let print_matches_scan =
+  QCheck.Test.make ~name:"print = per-node link scan (random links)"
+    ~count:300
+    (QCheck.make ~print:print_by_scan gen_linked_case)
+    (fun c -> print c = print_by_scan c)
+
 (* --- Bulk builder against the declaration-order fold --- *)
 
 (* A random case as its declarations, in source order: evidence items
@@ -477,6 +626,7 @@ let () =
         [
           Alcotest.test_case "sample round-trip" `Quick test_roundtrip;
           QCheck_alcotest.to_alcotest roundtrip_property;
+          QCheck_alcotest.to_alcotest print_matches_scan;
         ] );
       ( "bulk-builder",
         [ QCheck_alcotest.to_alcotest bulk_parse_matches_fold ] );

@@ -351,9 +351,10 @@ let fused_matches_legacy_on_random_structures =
       | None -> true
       | Some msg -> QCheck.Test.fail_report msg)
 
-(* --- incremental re-interning: set_node = full re-intern --- *)
+(* --- incremental re-interning: a payload edit = full re-intern --- *)
 
-(* Replace one node's text in place; checking the patched IR must be
+(* Replace one node's text through [Caseir.apply], which writes it in
+   place: no index map, and checking the patched IR must be
    byte-identical to checking a fresh intern of the edited
    structure. *)
 let set_node_parity =
@@ -377,12 +378,12 @@ let set_node_parity =
           texts.(text)
       in
       let s' = Structure.add_node n' s in
-      let i =
-        match Caseir.entity_index ir node.Node.id with
-        | Some i -> i
-        | None -> QCheck.Test.fail_report "node lost its entity index"
+      let patched =
+        match Caseir.apply ir s' [ Caseir.Set_node n' ] with
+        | Some (patched, None) -> patched
+        | Some (_, Some _) -> QCheck.Test.fail_report "a text edit moved indices"
+        | None -> QCheck.Test.fail_report "a text edit fell outside the delta"
       in
-      let patched = Caseir.set_node ir s' i n' in
       let a = Fused.check ~lints:true patched in
       let b = Fused.check ~lints:true (Caseir.intern s') in
       let show r =

@@ -750,6 +750,56 @@ let test_fault_trips_read_only () =
   Durable.close durable;
   check_recovered ~msg:"after degraded shutdown" dir d0 base_structure
 
+(* A put whose WAL append fails is refused and leaves no trace: a
+   fresh case stays unbound, and a re-put of an equal case under the
+   other ruleset leaves the old ruleset and the old structure bound. *)
+let test_refused_put_leaves_no_trace () =
+  without_faults @@ fun () ->
+  let spec =
+    match Fault.parse_spec "store.wal.append:1:5" with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "bad spec: %s" e
+  in
+  let with_durable f =
+    with_dir @@ fun dir ->
+    match Durable.create ~dir ~sync:Wal.Always () with
+    | Error e -> Alcotest.failf "create failed: %s" e
+    | Ok (durable, _) ->
+        Fun.protect ~finally:(fun () -> Durable.close durable) (fun () ->
+            f durable)
+  in
+  let refused durable ruleset s =
+    match Fault.with_spec spec (fun () -> Durable.put ~ruleset durable s) with
+    | Error (Durable.Read_only _) -> ()
+    | Error e ->
+        Alcotest.failf "expected read-only, got %s" (Durable.error_message e)
+    | Ok _ -> Alcotest.fail "append fault must refuse the put"
+  in
+  let ids s = List.map (fun n -> Id.to_string n.Node.id) (Structure.nodes s) in
+  with_durable (fun durable ->
+      refused durable Wellformed.Standard base_structure;
+      Alcotest.(check bool)
+        "fresh put unbound" false
+        (Store.mem (Durable.store durable) (Store.digest_of base_structure)));
+  with_durable (fun durable ->
+      let d0 =
+        match Durable.put durable base_structure with
+        | Ok d -> d
+        | Error e -> Alcotest.failf "put failed: %s" (Durable.error_message e)
+      in
+      let equal = reversed base_structure in
+      Alcotest.(check string) "equal case, equal digest" d0
+        (Store.digest_of equal);
+      refused durable Wellformed.Denney_pai_2013 equal;
+      match Store.find (Durable.store durable) d0 with
+      | None -> Alcotest.fail "re-put rollback unbound the old case"
+      | Some (ruleset, s) ->
+          Alcotest.(check bool)
+            "old ruleset" true
+            (ruleset = Wellformed.Standard);
+          Alcotest.(check (list string))
+            "old structure" (ids base_structure) (ids s))
+
 (* A snapshot failure must degrade without losing the operation that
    triggered it — the WAL still holds every record. *)
 let test_snapshot_fault_degrades () =
@@ -1248,6 +1298,73 @@ let fast_path_matches_fresh ~memo_capacity =
       | Error e -> QCheck.Test.fail_report e);
       true)
 
+(* Every all-[Set_text] batch takes [Caseir.apply]'s in-place branch:
+   no rebuild, no re-intern, and the store lands where a fresh put of
+   the edited structure does.  The small random cases have cycles and
+   dangling endpoints, so this covers the cyclic digest mode the tree
+   cases above never reach.  An empty batch keeps the digest. *)
+let text_batches_never_rebuild =
+  let set_text n =
+    QCheck.Gen.(
+      map2
+        (fun j t ->
+          Store.Set_text
+            (Id.of_string (Printf.sprintf "N%d" (j mod n)), texts.(t)))
+        (int_bound (n - 1))
+        (int_bound (Array.length texts - 1)))
+  in
+  QCheck.Test.make ~name:"text batches never rebuild (random cases)"
+    ~count:200
+    (QCheck.make ~print:print_scenario
+       QCheck.Gen.(
+         gen_structure >>= fun s ->
+         let n = max 1 (Structure.size s) in
+         list_size (int_range 1 6) (list_size (int_range 0 3) (set_text n))
+         >>= fun batches -> return (s, batches)))
+    (fun (s, batches) ->
+      let store = Store.create () in
+      let d = ref (Store.put store s) and s = ref s in
+      List.iteri
+        (fun b batch ->
+          let rebuilds = counter "store.shape_rebuilds"
+          and interned = counter "ir.interned" in
+          let d' =
+            match Store.patch store ~digest:!d batch with
+            | Ok d' -> d'
+            | Error e ->
+                QCheck.Test.fail_reportf "patch: %s" (Store.error_message e)
+          in
+          if counter "store.shape_rebuilds" <> rebuilds then
+            QCheck.Test.fail_reportf "batch %d rebuilt the case" b;
+          if counter "ir.interned" <> interned then
+            QCheck.Test.fail_reportf "batch %d re-interned" b;
+          if batch = [] && d' <> !d then
+            QCheck.Test.fail_reportf "empty batch %d moved the digest" b;
+          d := d';
+          s := List.fold_left shadow_edit !s batch;
+          let fresh = Store.create () in
+          let want = Store.put fresh !s in
+          let get store d =
+            match Store.verdict store ~digest:d with
+            | Ok v -> v
+            | Error e ->
+                QCheck.Test.fail_reportf "verdict: %s" (Store.error_message e)
+          in
+          let v = get store d' and w = get fresh want in
+          let show (v : Store.verdict) =
+            render v.Store.result.Fused.wf ^ "\x00"
+            ^ render v.Store.result.Fused.informal
+          in
+          if want <> d' then QCheck.Test.fail_reportf "batch %d: digest differs" b;
+          if show v <> show w then
+            QCheck.Test.fail_reportf "batch %d: verdict differs\n%s\n--\n%s" b
+              (show v) (show w);
+          if not (same_float v.Store.confidence w.Store.confidence) then
+            QCheck.Test.fail_reportf "batch %d: confidence %h, fresh %h" b
+              v.Store.confidence w.Store.confidence)
+        batches;
+      true)
+
 let () =
   Fault.configure_from_env ();
   Alcotest.run "argus-store"
@@ -1264,6 +1381,7 @@ let () =
           QCheck_alcotest.to_alcotest (fast_path_matches_fresh ~memo_capacity:1);
           QCheck_alcotest.to_alcotest
             (fast_path_matches_fresh ~memo_capacity:(1 lsl 18));
+          QCheck_alcotest.to_alcotest text_batches_never_rebuild;
         ] );
       ( "digest",
         [
@@ -1309,5 +1427,7 @@ let () =
             (durable_differential 1);
           Alcotest.test_case "durable differential, 8 domains" `Quick
             (durable_differential 8);
+          Alcotest.test_case "refused put leaves no trace" `Quick
+            test_refused_put_leaves_no_trace;
         ] );
     ]
