@@ -165,6 +165,10 @@ let experiments () =
 let proofgen_sizes () =
   section "Proof-to-argument abstraction (Basir et al.'s complaint)";
   let p = Prop.of_string_exn in
+  let well_formed s =
+    not
+      (Argus_core.Diagnostic.has_errors (Fused.check (Caseir.intern s)).Fused.wf)
+  in
   (* A proof with single-citation bookkeeping steps (Split, Reiterate) —
      exactly the detail the generated argument drags along. *)
   let proof =
@@ -188,8 +192,7 @@ let proofgen_sizes () =
         "generated argument: %d nodes; after abstraction: %d nodes \
          (well-formed before and after: %b/%b)@."
         (Proofgen.node_count g) (Proofgen.node_count a)
-        (Wellformed.is_well_formed g)
-        (Wellformed.is_well_formed a)
+        (well_formed g) (well_formed a)
 
 (* --- Bechamel micro-benchmarks --- *)
 
@@ -655,8 +658,6 @@ let bench_subjects =
         ignore (Sat.satisfiable ~budget:b prop_formula)));
     Test.make ~name:"natded-check" (Staged.stage (fun () ->
         ignore (Natded.check haley)));
-    Test.make ~name:"gsn-wellformed" (Staged.stage (fun () ->
-        ignore (Wellformed.check sample_case)));
     Test.make ~name:"pattern-instantiate-8" (Staged.stage (fun () ->
         ignore (Pattern.instantiate hazard_pattern binding)));
     Test.make ~name:"syllogism-all-256" (Staged.stage (fun () ->
@@ -680,8 +681,6 @@ let bench_subjects =
         ignore (Sat.solve (Sat.tseitin ablation_formula))));
     Test.make ~name:"ablation-cnf-direct" (Staged.stage (fun () ->
         ignore (Sat.solve (Sat.cnf_of_prop ablation_formula))));
-    Test.make ~name:"ablation-wf-with-cycle-check" (Staged.stage (fun () ->
-        ignore (Wellformed.check deep_case)));
     Test.make ~name:"ablation-hicase-visible-depth1" (Staged.stage (fun () ->
         ignore
           (Argus_gsn.Hicase.visible

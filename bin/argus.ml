@@ -186,7 +186,9 @@ let run_op (a : _ Handlers.answer) render =
 
 let ruleset_conv =
   Arg.enum
-    [ ("standard", Wellformed.Standard); ("denney-pai", Wellformed.Denney_pai_2013) ]
+    (List.map
+       (fun r -> (Wellformed.ruleset_to_string r, r))
+       [ Wellformed.Standard; Wellformed.Denney_pai_2013 ])
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Case file.")
@@ -1078,11 +1080,7 @@ let call_cmd =
           in
           let req =
             Protocol.request ?id ~source ~filename ?goal
-              ~ruleset:
-                (match ruleset with
-                | Wellformed.Denney_pai_2013 -> "denney-pai"
-                | Wellformed.Standard -> "standard")
-              ~lints
+              ~ruleset:(Wellformed.ruleset_to_string ruleset) ~lints
               ?deadline_ms:spec.Budget.deadline_ms ?fuel:spec.Budget.fuel
               ~trace ?format:wire_format ?digest ~edits op
           in

@@ -8,7 +8,9 @@ module Kaos = Argus_kaos.Kaos
 module Ltl = Argus_ltl.Ltl
 module Id = Argus_core.Id
 module Structure = Argus_gsn.Structure
-module Wellformed = Argus_gsn.Wellformed
+module Diagnostic = Argus_core.Diagnostic
+module Caseir = Argus_ir.Caseir
+module Fused = Argus_ir.Fused
 
 let ltl = Ltl.of_string_exn
 
@@ -72,7 +74,7 @@ let () =
   let gsn = Kaos.to_gsn uav in
   Format.printf "@.Derived GSN argument (%d nodes, well-formed: %b):@.%a"
     (Structure.size gsn)
-    (Wellformed.is_well_formed gsn)
+    (not (Diagnostic.has_errors (Fused.check (Caseir.intern gsn)).Fused.wf))
     Structure.pp_outline gsn;
   Format.printf
     "@.As Brunel & Cazin themselves note: the ultimate objective is to \

@@ -9,10 +9,15 @@ module Prop = Argus_logic.Prop
 module Natded = Argus_logic.Natded
 module Proofgen = Argus_proofgen.Proofgen
 module Structure = Argus_gsn.Structure
-module Wellformed = Argus_gsn.Wellformed
 module Cae = Argus_cae.Cae
+module Caseir = Argus_ir.Caseir
+module Fused = Argus_ir.Fused
 
 let p = Prop.of_string_exn
+
+(* Well-formed: the fused checker reports no errors. *)
+let well_formed s =
+  not (Argus_core.Diagnostic.has_errors (Fused.check (Caseir.intern s)).Fused.wf)
 
 (* A small code-safety proof: initialisation and bounds checking imply
    no out-of-range write; no out-of-range write and valid units imply
@@ -41,7 +46,7 @@ let () =
       let generated = Proofgen.generate checked in
       Format.printf "Generated GSN argument (%d nodes, well-formed: %b):@.%a@."
         (Proofgen.node_count generated)
-        (Wellformed.is_well_formed generated)
+        (well_formed generated)
         Structure.pp_outline generated;
 
       let abstracted = Proofgen.abstract generated in
@@ -49,10 +54,13 @@ let () =
         "After abstraction (%d nodes -> %d nodes, still well-formed: %b):@.%a@."
         (Proofgen.node_count generated)
         (Proofgen.node_count abstracted)
-        (Wellformed.is_well_formed abstracted)
+        (well_formed abstracted)
         Structure.pp_outline abstracted;
 
       (* The same argument in the other notation the paper surveys. *)
       let cae = Cae.of_gsn abstracted in
       Format.printf "As Claims-Argument-Evidence (well-formed: %b):@.%a@."
-        (Cae.is_well_formed cae) Cae.pp_outline cae
+        (not
+           (Argus_core.Diagnostic.has_errors
+              (Fused.check_cae (Fused.intern_cae cae))))
+        Cae.pp_outline cae

@@ -5,9 +5,9 @@
 
 module Dsl = Argus_dsl.Dsl
 module Structure = Argus_gsn.Structure
-module Wellformed = Argus_gsn.Wellformed
 module Query = Argus_gsn.Query
-module Informal = Argus_fallacy.Informal
+module Caseir = Argus_ir.Caseir
+module Fused = Argus_ir.Fused
 module Diagnostic = Argus_core.Diagnostic
 
 let case_text =
@@ -57,9 +57,10 @@ let () =
     if ds = [] then Format.printf "  (clean)@."
     else List.iter (fun d -> Format.printf "  %a@." Diagnostic.pp d) ds
   in
-  report "GSN well-formedness" (Wellformed.check case.Dsl.structure);
+  let ir = Caseir.intern case.Dsl.structure in
+  report "GSN well-formedness" (Fused.check ir).Fused.wf;
   report "Metadata vs ontology" (Dsl.validate_metadata case);
-  report "Informal-fallacy lints" (Informal.check_structure case.Dsl.structure);
+  report "Informal-fallacy lints" (Fused.lint ir);
 
   (* 3. Query: which catastrophic hazards are argued, and the
      traceability view to them. *)
@@ -83,4 +84,4 @@ let () =
       case.Dsl.structure
   in
   Format.printf "@.";
-  report "After breaking it" (Wellformed.check broken)
+  report "After breaking it" (Fused.check (Caseir.intern broken)).Fused.wf

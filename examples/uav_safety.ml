@@ -8,7 +8,8 @@
 module Ltl = Argus_ltl.Ltl
 module Structure = Argus_gsn.Structure
 module Node = Argus_gsn.Node
-module Wellformed = Argus_gsn.Wellformed
+module Caseir = Argus_ir.Caseir
+module Fused = Argus_ir.Fused
 module Confidence = Argus_confidence.Confidence
 module Evidence = Argus_core.Evidence
 module Id = Argus_core.Id
@@ -97,7 +98,11 @@ let () =
   (* The formal check is evidence, not the whole case: the argument
      still has to be well-formed and reviewed. *)
   Format.printf "@.GSN well-formedness: %s@."
-    (if Wellformed.is_well_formed argument then "ok" else "BROKEN");
+    (if
+       Argus_core.Diagnostic.has_errors
+         (Fused.check (Caseir.intern argument)).Fused.wf
+     then "BROKEN"
+     else "ok");
 
   (* Confidence and evidence sufficiency. *)
   let trust (ev : Evidence.t) =

@@ -6,10 +6,11 @@
     surveys; the toolkit supports both so the reading-audience
     experiment can render the same case either way.
 
-    Well-formedness here follows the published methodology: every claim
-    that is not a stipulated premise is supported by exactly one
-    argument node; argument nodes cite at least one item of evidence or
-    subclaim; evidence is a leaf; the support relation is acyclic. *)
+    Well-formedness ({!Argus_ir.Fused.check_cae}) follows the published
+    methodology: every claim that is not a stipulated premise is
+    supported by exactly one argument node; argument nodes cite at
+    least one item of evidence or subclaim; evidence is a leaf; the
+    support relation is acyclic. *)
 
 type node_type = Claim | Argument | Evidence_ref
 
@@ -40,16 +41,7 @@ val size : t -> int
 
 val links : t -> (Argus_core.Id.t * Argus_core.Id.t) list
 (** All [(supported, supporter)] pairs in insertion order — the raw
-    relation {!check} walks, exposed for the fused array-IR checker. *)
-
-val check : t -> Argus_core.Diagnostic.t list
-(** Codes under ["cae/"]: ["cae/dangling-link"],
-    ["cae/claim-without-argument"], ["cae/multiple-arguments"],
-    ["cae/empty-argument"], ["cae/evidence-not-leaf"],
-    ["cae/bad-support"], ["cae/cycle"], ["cae/no-root"],
-    ["cae/empty-text"]. *)
-
-val is_well_formed : t -> bool
+    relation the checker ({!Argus_ir.Fused.check_cae}) walks. *)
 
 val of_gsn : Argus_gsn.Structure.t -> t
 (** Notation translation: goals become claims, strategies become

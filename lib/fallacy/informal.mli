@@ -29,24 +29,6 @@ val argues_from_ignorance : string -> bool
     checker ({!Argus_ir.Fused}) shares it. *)
 
 val default_walk_fuel : int
-(** Fuel of the internal budget the circular-support walk runs under
-    when the caller passes none (10,000 steps). *)
-
-val check_structure :
-  ?budget:Argus_rt.Budget.t ->
-  Argus_gsn.Structure.t ->
-  Argus_core.Diagnostic.t list
-(** GSN-level informal-fallacy lints, warning codes under ["informal/"]:
-    - ["informal/circular-support"] — a descendant goal restates an
-      ancestor goal's text (normalised);
-    - ["informal/argument-from-ignorance"] — node text argues from
-      absence of evidence ("no evidence that", "has never been
-      observed", "not been shown");
-    - ["informal/equivocation-candidate"] — a content word that appears
-      in several sibling goals with otherwise-disjoint vocabulary,
-      suggesting the word may be doing double duty.
-
-    The circular-support walk always runs under a budget: the caller's
-    when [?budget] is given (the caller then owns reporting its
-    exhaustion), otherwise an internal 10k-step one whose truncation is
-    reported here as an ["rt/budget-exhausted"] warning. *)
+(** Fuel of the internal budget the circular-support walk of
+    {!Argus_ir.Fused.lint} runs under when the caller passes none
+    (10,000 steps). *)

@@ -11,8 +11,8 @@
 
     This is the context for the syntax rule the paper quotes
     ("solutions cannot be in the context of an away goal", enforced
-    per-module by {!Wellformed.check}); here the cross-module half of
-    the story is checked. *)
+    per-module by the well-formedness pass); here the cross-module half
+    of the story is checked. *)
 
 type t
 (** A collection of named modules. *)
@@ -58,6 +58,6 @@ val check_with :
       cyclic.
 
     The shipped checker is {!Argus_ir.Fused.check_modular}, which
-    passes the fused per-module pass as [wf]; the legacy runner with
-    {!Wellformed.check} as [wf] is the differential oracle in
-    test/oracle. *)
+    passes the fused per-module pass as [wf]; the legacy runner
+    ([Legacy_modular], with the tree-walking [Legacy_wellformed.check]
+    as [wf]) is the differential oracle in test/oracle. *)

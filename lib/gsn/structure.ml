@@ -180,34 +180,6 @@ let supported_subtree id t =
 
 let context_of id t = children In_context_of id t
 
-let has_cycle t =
-  (* DFS over Supported_by with a recursion stack; returns the stack
-     when a back edge is found. *)
-  let rec visit path visited id =
-    if List.exists (Id.equal id) path then
-      Some (List.rev (id :: path))
-    else if Id.Set.mem id visited then None
-    else
-      let path = id :: path in
-      List.fold_left
-        (fun found child ->
-          match found with Some _ -> found | None -> visit path visited child)
-        None
-        (children Supported_by id t)
-  in
-  (* Visit every node as a potential entry; keep a global visited set to
-     stay linear-ish (nodes proven cycle-free are skipped). *)
-  let visited = ref Id.Set.empty in
-  List.fold_left
-    (fun found id ->
-      match found with
-      | Some _ -> found
-      | None ->
-          let r = visit [] !visited id in
-          if r = None then visited := Id.Set.add id !visited;
-          r)
-    None t.node_order
-
 let map_nodes f t =
   {
     t with

@@ -7,9 +7,10 @@
     link kinds, {e SupportedBy} and {e InContextOf}.
 
     The structure is persistent (functional updates) and deliberately
-    permissive: anything can be connected, and {!Wellformed.check}
-    reports the violations — which is what lets the toolkit represent
-    the malformed arguments the experiments need. *)
+    permissive: anything can be connected, and the checker
+    ({!Argus_ir.Fused.check}) reports the violations — which is what
+    lets the toolkit represent the malformed arguments the experiments
+    need. *)
 
 type link = Supported_by | In_context_of
 
@@ -79,9 +80,6 @@ val supported_subtree : Argus_core.Id.t -> t -> Argus_core.Id.t list
 
 val context_of : Argus_core.Id.t -> t -> Argus_core.Id.t list
 (** [In_context_of] targets of the node. *)
-
-val has_cycle : t -> Argus_core.Id.t list option
-(** A [Supported_by] cycle as a witness node list, if any. *)
 
 val map_nodes : (Node.t -> Node.t) -> t -> t
 (** The function must preserve node ids. *)

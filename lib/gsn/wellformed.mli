@@ -1,4 +1,6 @@
-(** Well-formedness checking of GSN structures.
+(** The GSN well-formedness rules: the two rule sets and the per-link /
+    per-node predicates behind them.  The checker that applies them is
+    {!Argus_ir.Fused.check}.
 
     Two rule sets:
 
@@ -19,32 +21,18 @@
 
 type ruleset = Standard | Denney_pai_2013
 
-val check :
-  ?ruleset:ruleset -> Structure.t -> Argus_core.Diagnostic.t list
-(** Diagnostics carry codes under ["gsn/"].  Errors:
-    ["gsn/dangling-link"], ["gsn/bad-support-link"],
-    ["gsn/bad-context-link"], ["gsn/solution-in-context-of-away-goal"],
-    ["gsn/cycle"], ["gsn/no-root"], ["gsn/unsupported-goal"],
-    ["gsn/undeveloped-strategy"], ["gsn/unknown-evidence"],
-    ["gsn/empty-text"], ["gsn/placeholder-text"], and (strict set only)
-    ["gsn/dp-goal-under-goal"].  Warnings: ["gsn/multiple-roots"],
-    ["gsn/root-not-goal"], ["gsn/undeveloped-with-support"],
-    ["gsn/solution-without-evidence"], ["gsn/unreachable"],
-    ["gsn/non-propositional-goal"], ["gsn/uninstantiated"],
-    ["gsn/weak-evidence"]. *)
+val ruleset_to_string : ruleset -> string
+(** ["standard"] or ["denney-pai"]: the name the CLI's [--ruleset] and
+    the daemon's ["ruleset"] field use. *)
 
-val is_well_formed : ?ruleset:ruleset -> Structure.t -> bool
-(** No errors (warnings allowed). *)
-
-val error_codes : string list
-(** All error codes the checker can emit, for the experiment harness's
-    defect classification. *)
+val ruleset_of_string : string -> ruleset option
+(** Inverse of {!ruleset_to_string}; [None] for any other string. *)
 
 (** {2 Rule predicates}
 
-    The pure per-link / per-node predicates behind the checker, exposed
-    so the fused array-IR checker ({!Argus_ir.Fused}) applies literally
-    the same rules rather than a re-transcription of them. *)
+    The pure per-link / per-node predicates, read by the fused checker
+    ({!Argus_ir.Fused}) and by the text derivations interning caches
+    ({!Argus_ir.Caseir}). *)
 
 val support_target_ok : Node.node_type -> Node.node_type -> bool
 (** [support_target_ok src dst]: may [src] be supported by [dst]? *)

@@ -12,12 +12,12 @@
    The entity table is the subtle part.  Link endpoints need not name
    existing nodes (the structure is deliberately permissive; the checker
    reports dangling endpoints), and the legacy traversals propagate
-   {e through} missing ids: [Structure.supported_subtree] and
-   [Structure.has_cycle] recurse into a dangling endpoint's own outgoing
-   links.  So the table interns every id the structure mentions — the
-   nodes first, in insertion order, then the dangling link endpoints in
-   link-scan order — and the adjacency covers all of them.  An entity
-   index [i] names a real node iff [i < n_nodes].
+   {e through} missing ids: [Structure.supported_subtree] and the oracle's
+   cycle search ([Legacy_wellformed.has_cycle]) recurse into a dangling
+   endpoint's own outgoing links.  So the table interns every id the
+   structure mentions — the nodes first, in insertion order, then the
+   dangling link endpoints in link-scan order — and the adjacency covers
+   all of them.  An entity index [i] names a real node iff [i < n_nodes].
 
    Interning also caches the per-node text derivations the checkers
    recompute on every run (content words, the normalised claim text,
@@ -74,7 +74,7 @@ type t = {
   roots : int list;  (** Unsupported non-contextual nodes, node order. *)
   reachable : bool array;
       (** Entity reachable from some root over SupportedBy, or in the
-          context of such an entity — [Wellformed]'s reachability. *)
+          context of such an entity — the well-formedness reachability. *)
   goal_like : bool array;  (** Per node: {!Node.is_goal_like}. *)
   norm : string array;  (** Per node: normalised content-word text. *)
   content : string list array;  (** Per node: {!Textutil.content_words}. *)
@@ -685,12 +685,12 @@ let apply ?(derive = derive) ir structure edits =
 
 (* The cycle search over entity indices: DFS from each node entity in
    insertion order, children in link order, the recursion stack as the
-   path.  The witness (first back edge in this exact order) must match
-   [Structure.has_cycle]'s, because it lands in a diagnostic's subject
-   list.  An entity whose DFS returned [None] has no cycle reachable
-   from it, so a later visit could only return [None] again: it is
-   cleared at once, not only when it was an entry point, and the
-   search stays linear.  A bitmap answers "on the path". *)
+   path.  The witness (first back edge in this exact order) must match the
+   tree-walking oracle's ([Legacy_wellformed.has_cycle]), because it lands
+   in a diagnostic's subject list.  An entity whose DFS returned [None]
+   has no cycle reachable from it, so a later visit could only return
+   [None] again: it is cleared at once, not only when it was an entry
+   point, and the search stays linear.  A bitmap answers "on the path". *)
 let has_cycle ir =
   let cleared = Bytes.make (max 1 ir.n_entities) '\000' in
   let on_path = Bytes.make (max 1 ir.n_entities) '\000' in

@@ -60,8 +60,8 @@ type t = {
   ctx_out : int array;  (** InContextOf targets, link order per entity. *)
   roots : int list;  (** As {!Argus_gsn.Structure.roots}, node order. *)
   reachable : bool array;
-      (** {!Argus_gsn.Wellformed}'s reachability: the SupportedBy
-          closure of the roots plus one InContextOf hop from it. *)
+      (** The well-formedness reachability: the SupportedBy closure of
+          the roots plus one InContextOf hop from it. *)
   goal_like : bool array;  (** Per node: {!Argus_gsn.Node.is_goal_like}. *)
   norm : string array;  (** Per node: normalised content-word text. *)
   content : string list array;
@@ -145,6 +145,7 @@ val apply :
     [roots] and [reachable], which the result never overwrites. *)
 
 val has_cycle : t -> Argus_core.Id.t list option
-(** {!Argus_gsn.Structure.has_cycle} over the interned adjacency — the
-    same entry order and DFS, so the same witness — in time linear in
-    the entities and SupportedBy links. *)
+(** A SupportedBy cycle as a witness id list, if any: DFS from each
+    node in insertion order, children in link order, so the witness is
+    the one the tree-walking oracle in test/oracle finds — in time
+    linear in the entities and SupportedBy links. *)

@@ -2,18 +2,18 @@
    and the CAE rules, each run as index walks over an interned case
    instead of three independent tree traversals over [Structure.t].
 
-   This is a reimplementation, not a refactor: {!Argus_gsn.Wellformed},
-   {!Argus_fallacy.Informal} and {!Argus_cae.Cae} keep their list-walk
-   code and serve as the differential oracle (test/ir holds the two to
-   byte-identical diagnostic lists, the same pattern the compiled
-   Prolog engine uses against the interpreter).  Everything observable
-   is preserved: diagnostics and their order after {!Diagnostic.sort}
-   (the per-code emission orders below match the legacy per-code orders,
-   and the sort is stable), the [gsn.wf.*] counters, the
-   [gsn.wellformed*] spans, and the circular-support walk's budget
-   ticks — one per visit, skipped for on-path ids, charged even for
-   dangling endpoints, exactly as the legacy walk's short-circuit
-   evaluates.  [ir.fused_passes] counts passes. *)
+   This is a reimplementation, not a refactor: the list-walking checkers
+   it replaced live on in test/oracle ([Legacy_wellformed],
+   [Legacy_informal], [Legacy_cae]) as the differential oracle (test/ir
+   holds the two to byte-identical diagnostic lists, the same pattern the
+   compiled Prolog engine uses against the interpreter).  Everything
+   observable is preserved: diagnostics and their order after
+   {!Diagnostic.sort} (the per-code emission orders below match the legacy
+   per-code orders, and the sort is stable), the [gsn.wf.*] counters, the
+   [gsn.wellformed*] spans, and the circular-support walk's budget ticks —
+   one per visit, skipped for on-path ids, charged even for dangling
+   endpoints, exactly as the legacy walk's short-circuit evaluates.
+   [ir.fused_passes] counts passes. *)
 
 module Id = Argus_core.Id
 module Diagnostic = Argus_core.Diagnostic
@@ -31,8 +31,8 @@ type result = { wf : Diagnostic.t list; informal : Diagnostic.t list }
 
 let c_fused = Counter.make "ir.fused_passes"
 
-(* The same counters [Wellformed] registers — [Counter.make] interns by
-   name, so both checkers feed one catalogue entry. *)
+(* The same counters the tree-walking oracle registers — [Counter.make]
+   interns by name, so both checkers feed one catalogue entry. *)
 let c_nodes_visited = Counter.make "gsn.wf.nodes_visited"
 let c_links_checked = Counter.make "gsn.wf.links_checked"
 let c_findings = Counter.make "gsn.wf.findings"
@@ -387,17 +387,16 @@ let assemble ~wf ~informal =
    of the legacy tree walk, while the cross-module rules (away goals,
    module references, dependency cycles) stay in
    {!Argus_gsn.Modular}.  Byte-identical to the legacy runner
-   (test/oracle: [Modular.check_with ~wf:Wellformed.check]) because the
-   per-module fused pass is byte-identical to
-   {!Argus_gsn.Wellformed.check} (test/ir holds both equalities). *)
+   (test/oracle: [Legacy_modular], which passes the tree-walking
+   [Legacy_wellformed.check] as [wf]) because the per-module fused pass
+   is byte-identical to that oracle (test/ir holds both equalities). *)
 let check_modular ?pool m =
   Argus_gsn.Modular.check_with ?pool
     ~wf:(fun s ->
       (check ~lints:false (Caseir.intern ~derive:Caseir.derive_cached s)).wf)
     m
 
-(* Lints alone, for callers that would have invoked only
-   {!Argus_fallacy.Informal.check_structure} — no [gsn.wf.*] counters,
+(* Lints alone, for callers that only lint — no [gsn.wf.*] counters,
    no [gsn.wellformed*] spans, just the informal findings. *)
 let lint ?budget (ir : Caseir.t) =
   Counter.incr c_fused;

@@ -1,23 +1,36 @@
 (** The fused checker: well-formedness and the informal-fallacy lints
     in one pass over an interned case ({!Caseir}), and the CAE rules
-    over an interned CAE graph.
+    over an interned CAE graph.  This is the one GSN, lint and CAE
+    checker that ships; the CLI, the daemon and the store all run it.
 
-    A reimplementation with the legacy checkers as differential oracle:
-    {!check} produces byte-identical diagnostic lists to
-    {!Argus_gsn.Wellformed.check} and
-    {!Argus_fallacy.Informal.check_structure} on the same structure —
-    same findings, same order, same budget tick accounting for the
-    circular-support walk — and {!check_cae} likewise matches
-    {!Argus_cae.Cae.check} (test/ir holds them to it).  The
+    A reimplementation with the tree-walking checkers it replaced as
+    differential oracle (test/oracle: [Legacy_wellformed],
+    [Legacy_informal], [Legacy_cae]): {!check}, {!lint} and
+    {!check_cae} produce byte-identical diagnostic lists to them on the
+    same case — same findings, same order, same budget tick accounting
+    for the circular-support walk (test/ir holds them to it).  The
     [gsn.wf.*] counters and [gsn.wellformed*] spans fire exactly as
-    the legacy checker's do; [ir.fused_passes] counts fused passes. *)
+    the oracle's do; [ir.fused_passes] counts fused passes. *)
 
 type result = {
   wf : Argus_core.Diagnostic.t list;
-      (** As {!Argus_gsn.Wellformed.check}. *)
+      (** Well-formedness, codes under ["gsn/"].  Errors:
+          ["gsn/dangling-link"], ["gsn/bad-support-link"],
+          ["gsn/bad-context-link"],
+          ["gsn/solution-in-context-of-away-goal"], ["gsn/cycle"],
+          ["gsn/no-root"], ["gsn/unsupported-goal"],
+          ["gsn/undeveloped-strategy"], ["gsn/unknown-evidence"],
+          ["gsn/empty-text"], ["gsn/placeholder-text"], and
+          ({!Argus_gsn.Wellformed.Denney_pai_2013} only)
+          ["gsn/dp-goal-under-goal"].  Warnings:
+          ["gsn/multiple-roots"], ["gsn/root-not-goal"],
+          ["gsn/undeveloped-with-support"],
+          ["gsn/solution-without-evidence"], ["gsn/unreachable"],
+          ["gsn/non-propositional-goal"], ["gsn/uninstantiated"],
+          ["gsn/weak-evidence"]. *)
   informal : Argus_core.Diagnostic.t list;
-      (** As {!Argus_fallacy.Informal.check_structure}; [[]] when the
-          pass ran with [~lints:false]. *)
+      (** The informal lints, as {!lint}; [[]] when the pass ran with
+          [~lints:false]. *)
 }
 
 val check :
@@ -26,20 +39,30 @@ val check :
   ?lints:bool ->
   Caseir.t ->
   result
-(** [budget] governs only the circular-support walk, exactly as in
-    {!Argus_fallacy.Informal.check_structure}: when absent the walk
-    runs under an internal {!Argus_fallacy.Informal.default_walk_fuel}
-    budget whose exhaustion is reported in [informal].  [lints]
+(** [ruleset] defaults to {!Argus_gsn.Wellformed.Standard}.  [budget]
+    governs only the circular-support walk, as in {!lint}.  [lints]
     (default [true]) set to [false] skips the lints — and hence never
-    touches the budget, matching a caller that never invoked the
-    legacy lint entry point. *)
+    touches the budget. *)
 
 val lint :
   ?budget:Argus_rt.Budget.t -> Caseir.t -> Argus_core.Diagnostic.t list
-(** The informal lints alone — byte-identical to
-    {!Argus_fallacy.Informal.check_structure}, without firing any
-    [gsn.wf.*] counters or [gsn.wellformed*] spans, for callers that
-    only lint. *)
+(** The informal lints alone, without firing any [gsn.wf.*] counters
+    or [gsn.wellformed*] spans, for callers that only lint.  Warning
+    codes under ["informal/"]:
+    - ["informal/circular-support"] — a descendant goal restates an
+      ancestor goal's text (normalised);
+    - ["informal/argument-from-ignorance"] — node text argues from
+      absence of evidence ("no evidence that", "has never been
+      observed", "not been shown");
+    - ["informal/equivocation-candidate"] — a content word that appears
+      in several sibling goals with otherwise-disjoint vocabulary,
+      suggesting the word may be doing double duty.
+
+    The circular-support walk always runs under a budget: the caller's
+    when [?budget] is given (the caller then owns reporting its
+    exhaustion), otherwise an internal
+    {!Argus_fallacy.Informal.default_walk_fuel} one whose truncation is
+    reported here as an ["rt/budget-exhausted"] warning. *)
 
 (** {2 Per-unit entry points}
 
@@ -92,12 +115,17 @@ val check_modular :
 (** The modular checker compiled onto the IR: per-module
     well-formedness as a fused pass over each module's interned form,
     cross-module rules from {!Argus_gsn.Modular}.  Byte-identical to
-    the legacy runner [Modular.check_with ~wf:Wellformed.check] kept in
-    test/oracle.  The CLI and the daemon both run this. *)
+    the legacy runner kept in test/oracle ([Legacy_modular], the
+    tree-walking per-module check).  The CLI and the daemon both run
+    this. *)
 
 type cae_ir
 
 val intern_cae : Argus_cae.Cae.t -> cae_ir
 
 val check_cae : cae_ir -> Argus_core.Diagnostic.t list
-(** Byte-identical to {!Argus_cae.Cae.check}. *)
+(** CAE well-formedness, codes under ["cae/"]: ["cae/dangling-link"],
+    ["cae/claim-without-argument"], ["cae/multiple-arguments"]
+    (warning), ["cae/empty-argument"], ["cae/evidence-not-leaf"],
+    ["cae/bad-support"], ["cae/cycle"], ["cae/no-root"],
+    ["cae/empty-text"]. *)

@@ -36,10 +36,6 @@ let report ?budget ds =
   let warnings = budget_diags budget in
   answer ~findings:(Diagnostic.has_errors ds || warnings <> []) (ds @ warnings)
 
-let ruleset_of_string = function
-  | "denney-pai" -> Wellformed.Denney_pai_2013
-  | _ -> Wellformed.Standard
-
 let check ?pool ?budget ~ruleset ~lints ~filename source =
   let lint structure =
     if lints then Fused.lint ?budget (Caseir.intern structure) else []
@@ -153,14 +149,26 @@ let probes_payload (p : probes) =
   ]
   @ warnings_payload p.warnings
 
+(* The request's rule set, or a bad-request answer naming the accepted
+   values: an unknown name must not fall back to the standard rules. *)
+let with_ruleset (req : Protocol.request) k =
+  match Wellformed.ruleset_of_string req.Protocol.ruleset with
+  | Some ruleset -> k ruleset
+  | None ->
+      Protocol.error ~id:req.Protocol.id ~code:"svc/bad-request"
+        (Printf.sprintf "unknown ruleset %S (try %s or %s)"
+           req.Protocol.ruleset
+           (Wellformed.ruleset_to_string Wellformed.Standard)
+           (Wellformed.ruleset_to_string Wellformed.Denney_pai_2013))
+
 let handle (req : Protocol.request) ~budget =
   let id = req.Protocol.id and source = req.Protocol.source in
   match req.Protocol.op with
   | Protocol.Check ->
+      with_ruleset req @@ fun ruleset ->
       respond ~id report_payload
-        (check ?budget
-           ~ruleset:(ruleset_of_string req.Protocol.ruleset)
-           ~lints:req.Protocol.lints ~filename:req.Protocol.filename source)
+        (check ?budget ~ruleset ~lints:req.Protocol.lints
+           ~filename:req.Protocol.filename source)
   | Protocol.Fallacies ->
       respond ~id report_payload
         (fallacies ?budget ~filename:req.Protocol.filename source)
@@ -197,12 +205,12 @@ let store_error ~id (e : Durable.error) =
 
 let put store (req : Protocol.request) =
   let id = req.Protocol.id in
+  with_ruleset req @@ fun ruleset ->
   match
     Dsl.parse_collection ~filename:req.Protocol.filename req.Protocol.source
   with
   | Error ds -> respond ~id report_payload (reject (Invalid ds))
   | Ok [ case ] when case.Dsl.module_name = None -> (
-      let ruleset = ruleset_of_string req.Protocol.ruleset in
       match Durable.put ~ruleset store case.Dsl.structure with
       | Error e -> store_error ~id e
       | Ok digest ->

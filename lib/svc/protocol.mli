@@ -54,7 +54,9 @@ type request = {
   source : string;
   filename : string;  (** Label used in diagnostics; default ["<request>"]. *)
   goal : string option;  (** [prove] only. *)
-  ruleset : string;  (** [check] only: ["standard"] or ["denney-pai"]. *)
+  ruleset : string;
+      (** [check] and [put] only: ["standard"] or ["denney-pai"]; any
+          other name is answered ["svc/bad-request"]. *)
   lints : bool;  (** [check] only. *)
   deadline_ms : float option;  (** Client deadline; the server clamps it. *)
   fuel : int option;

@@ -4,7 +4,14 @@ module Evidence = Argus_core.Evidence
 module Diagnostic = Argus_core.Diagnostic
 module Structure = Argus_gsn.Structure
 module Node = Argus_gsn.Node
-module Wellformed = Argus_gsn.Wellformed
+module Caseir = Argus_ir.Caseir
+module Fused = Argus_ir.Fused
+
+(* The shipped checkers: the fused pass over the interned case. *)
+let fused_wf s = (Fused.check (Caseir.intern s)).Fused.wf
+let well_formed s = not (Diagnostic.has_errors (fused_wf s))
+let cae_check c = Fused.check_cae (Fused.intern_cae c)
+let cae_well_formed c = not (Diagnostic.has_errors (cae_check c))
 
 let codes ds = List.map (fun d -> d.Diagnostic.code) ds
 
@@ -29,17 +36,17 @@ let sample =
     ]
 
 let test_sample_well_formed () =
-  Alcotest.(check (list string)) "clean" [] (codes (Cae.check sample))
+  Alcotest.(check (list string)) "clean" [] (codes (cae_check sample))
 
 let test_claim_without_argument () =
   let c = Cae.of_nodes [ Cae.claim "C1" "unsupported claim" ] in
   Alcotest.(check bool) "flagged" true
-    (List.mem "cae/claim-without-argument" (codes (Cae.check c)))
+    (List.mem "cae/claim-without-argument" (codes (cae_check c)))
 
 let test_premise_claims_allowed () =
   let c = Cae.of_nodes [ Cae.claim ~premise:true "C1" "stipulated" ] in
   Alcotest.(check bool) "premises need no argument" true
-    (not (List.mem "cae/claim-without-argument" (codes (Cae.check c))))
+    (not (List.mem "cae/claim-without-argument" (codes (cae_check c))))
 
 let test_empty_argument () =
   let c =
@@ -48,7 +55,7 @@ let test_empty_argument () =
       [ Cae.claim "C1" "claim"; Cae.argument "A1" "empty inference" ]
   in
   Alcotest.(check bool) "flagged" true
-    (List.mem "cae/empty-argument" (codes (Cae.check c)))
+    (List.mem "cae/empty-argument" (codes (cae_check c)))
 
 let test_evidence_not_leaf () =
   let c =
@@ -62,7 +69,7 @@ let test_evidence_not_leaf () =
       ]
   in
   Alcotest.(check bool) "flagged" true
-    (List.mem "cae/evidence-not-leaf" (codes (Cae.check c)))
+    (List.mem "cae/evidence-not-leaf" (codes (cae_check c)))
 
 let test_direct_evidence_under_claim () =
   let c =
@@ -71,7 +78,7 @@ let test_direct_evidence_under_claim () =
       [ Cae.claim "C1" "claim"; Cae.evidence_ref "E1" "evidence" ]
   in
   Alcotest.(check bool) "flagged" true
-    (List.mem "cae/bad-support" (codes (Cae.check c)))
+    (List.mem "cae/bad-support" (codes (cae_check c)))
 
 let test_cycle () =
   let c =
@@ -84,7 +91,7 @@ let test_cycle () =
         Cae.argument "A2" "arg two";
       ]
   in
-  let cs = codes (Cae.check c) in
+  let cs = codes (cae_check c) in
   Alcotest.(check bool) "cycle" true (List.mem "cae/cycle" cs);
   Alcotest.(check bool) "no root" true (List.mem "cae/no-root" cs)
 
@@ -93,7 +100,7 @@ let test_dangling () =
     Cae.of_nodes ~links:[ ("C1", "Ghost") ] [ Cae.claim "C1" "claim" ]
   in
   Alcotest.(check bool) "flagged" true
-    (List.mem "cae/dangling-link" (codes (Cae.check c)))
+    (List.mem "cae/dangling-link" (codes (cae_check c)))
 
 let test_multiple_arguments_warned () =
   let c =
@@ -107,8 +114,8 @@ let test_multiple_arguments_warned () =
       ]
   in
   Alcotest.(check bool) "warned" true
-    (List.mem "cae/multiple-arguments" (codes (Cae.check c)));
-  Alcotest.(check bool) "warning only" true (Cae.is_well_formed c)
+    (List.mem "cae/multiple-arguments" (codes (cae_check c)));
+  Alcotest.(check bool) "warning only" true (cae_well_formed c)
 
 (* --- GSN conversion --- *)
 
@@ -135,7 +142,7 @@ let gsn_sample =
 
 let test_of_gsn_well_formed () =
   let cae = Cae.of_gsn gsn_sample in
-  Alcotest.(check (list string)) "clean" [] (codes (Cae.check cae));
+  Alcotest.(check (list string)) "clean" [] (codes (cae_check cae));
   (* Goals became claims, strategy an argument node, solution evidence. *)
   let find id = Cae.find (Id.of_string id) cae in
   (match find "G1" with
@@ -162,7 +169,7 @@ let test_of_gsn_synthesises_arguments () =
       ]
   in
   let cae = Cae.of_gsn gsn in
-  Alcotest.(check (list string)) "clean" [] (codes (Cae.check cae));
+  Alcotest.(check (list string)) "clean" [] (codes (cae_check cae));
   let args =
     List.filter (fun n -> n.Cae.node_type = Cae.Argument) (Cae.nodes cae)
   in
@@ -173,7 +180,7 @@ let test_to_gsn_round () =
   (* The translation of a well-formed CAE case is well-formed GSN except
      that evidence references are not registered items (solutions warn,
      never error). *)
-  Alcotest.(check bool) "well-formed GSN" true (Wellformed.is_well_formed gsn')
+  Alcotest.(check bool) "well-formed GSN" true (well_formed gsn')
 
 (* Random GSN trees (goals/strategies/solutions) convert to well-formed
    CAE. *)
@@ -210,7 +217,7 @@ let gen_gsn =
 let conversion_preserves_wellformedness =
   QCheck.Test.make ~name:"of_gsn yields well-formed CAE" ~count:100
     (QCheck.make gen_gsn) (fun gsn ->
-      not (Diagnostic.has_errors (Cae.check (Cae.of_gsn gsn))))
+      not (Diagnostic.has_errors (cae_check (Cae.of_gsn gsn))))
 
 let conversion_preserves_claims =
   QCheck.Test.make ~name:"every goal becomes a claim" ~count:100

@@ -4,9 +4,12 @@ module Diagnostic = Argus_core.Diagnostic
 module Evidence = Argus_core.Evidence
 module Structure = Argus_gsn.Structure
 module Node = Argus_gsn.Node
-module Wellformed = Argus_gsn.Wellformed
 module Metadata = Argus_gsn.Metadata
-module Legacy_modular = Argus_oracle.Legacy_modular
+module Caseir = Argus_ir.Caseir
+module Fused = Argus_ir.Fused
+
+(* The shipped checkers: the fused pass over the interned case. *)
+let fused_wf s = (Fused.check (Caseir.intern s)).Fused.wf
 
 let sample_text =
   {|
@@ -67,7 +70,7 @@ let test_sample_well_formed () =
   Alcotest.(check (list string)) "well-formed" []
     (List.map
        (fun d -> d.Diagnostic.code)
-       (Wellformed.check sample.structure))
+       (fused_wf sample.structure))
 
 let test_metadata_valid () =
   Alcotest.(check (list string)) "metadata valid" []
@@ -217,7 +220,7 @@ let test_collection_to_modular () =
       Alcotest.(check (list string)) "clean" []
         (List.map
            (fun d -> d.Diagnostic.code)
-           (Legacy_modular.check collection))
+           (Fused.check_modular collection))
 
 let test_collection_detects_bad_away_goal () =
   let broken =
@@ -234,7 +237,7 @@ let test_collection_detects_bad_away_goal () =
     (List.mem "modular/unknown-module"
        (List.map
           (fun d -> d.Diagnostic.code)
-          (Legacy_modular.check collection)))
+          (Fused.check_modular collection)))
 
 let test_unnamed_module_rejected () =
   let cases =

@@ -6,6 +6,11 @@ module Term = Argus_logic.Term
 module Structure = Argus_gsn.Structure
 module Node = Argus_gsn.Node
 module Diagnostic = Argus_core.Diagnostic
+module Caseir = Argus_ir.Caseir
+module Fused = Argus_ir.Fused
+
+(* The shipped checkers: the fused pass over the interned case. *)
+let lint s = Fused.lint (Caseir.intern s)
 
 let p = Prop.of_string_exn
 
@@ -193,7 +198,7 @@ let test_circular_support () =
           Node.status = Node.Undeveloped };
       ]
   in
-  let cs = List.map (fun d -> d.Diagnostic.code) (Informal.check_structure s) in
+  let cs = List.map (fun d -> d.Diagnostic.code) (lint s) in
   Alcotest.(check bool) "flagged" true
     (List.mem "informal/circular-support" cs)
 
@@ -209,7 +214,7 @@ let test_argument_from_ignorance () =
         };
       ]
   in
-  let cs = List.map (fun d -> d.Diagnostic.code) (Informal.check_structure s) in
+  let cs = List.map (fun d -> d.Diagnostic.code) (lint s) in
   Alcotest.(check bool) "flagged" true
     (List.mem "informal/argument-from-ignorance" cs)
 
@@ -235,7 +240,7 @@ let test_equivocation_candidate_in_structure () =
         };
       ]
   in
-  let cs = List.map (fun d -> d.Diagnostic.code) (Informal.check_structure s) in
+  let cs = List.map (fun d -> d.Diagnostic.code) (lint s) in
   Alcotest.(check bool) "flagged" true
     (List.mem "informal/equivocation-candidate" cs)
 
@@ -253,7 +258,7 @@ let test_clean_structure_no_lints () =
       ]
   in
   Alcotest.(check (list string)) "clean" []
-    (List.map (fun d -> d.Diagnostic.code) (Informal.check_structure s))
+    (List.map (fun d -> d.Diagnostic.code) (lint s))
 
 (* --- Properties --- *)
 

@@ -9,6 +9,14 @@ module Structure = Argus_gsn.Structure
 module Node = Argus_gsn.Node
 module Wellformed = Argus_gsn.Wellformed
 module Diagnostic = Argus_core.Diagnostic
+module Caseir = Argus_ir.Caseir
+module Fused = Argus_ir.Fused
+
+(* The shipped checkers: the fused pass over the interned case. *)
+let fused_wf ?ruleset s = (Fused.check ?ruleset (Caseir.intern s)).Fused.wf
+let well_formed s = not (Diagnostic.has_errors (fused_wf s))
+let lint s = Fused.lint (Caseir.intern s)
+let cae_check c = Fused.check_cae (Fused.intern_cae c)
 
 let printable_char = QCheck.Gen.(map Char.chr (int_range 32 126))
 
@@ -109,25 +117,27 @@ let checker_totality =
   [
     QCheck.Test.make ~name:"Wellformed.check is total on chaos" ~count:300
       (QCheck.make gen_chaotic_structure) (fun s ->
-        match Wellformed.check s with _ -> true | exception _ -> false);
+        match fused_wf s with _ -> true | exception _ -> false);
     QCheck.Test.make ~name:"strict ruleset is total on chaos" ~count:300
       (QCheck.make gen_chaotic_structure) (fun s ->
-        match Wellformed.check ~ruleset:Wellformed.Denney_pai_2013 s with
+        match fused_wf ~ruleset:Wellformed.Denney_pai_2013 s with
         | _ -> true
         | exception _ -> false);
     QCheck.Test.make ~name:"informal lints are total on chaos" ~count:300
       (QCheck.make gen_chaotic_structure) (fun s ->
-        match Argus_fallacy.Informal.check_structure s with
+        match lint s with
         | _ -> true
         | exception _ -> false);
     QCheck.Test.make ~name:"CAE conversion+check total on chaos" ~count:300
       (QCheck.make gen_chaotic_structure) (fun s ->
-        match Argus_cae.Cae.check (Argus_cae.Cae.of_gsn s) with
+        match cae_check (Argus_cae.Cae.of_gsn s) with
         | _ -> true
         | exception _ -> false);
     QCheck.Test.make ~name:"has_cycle is total on chaos" ~count:300
       (QCheck.make gen_chaotic_structure) (fun s ->
-        match Structure.has_cycle s with _ -> true | exception _ -> false);
+        match Caseir.has_cycle (Caseir.intern s) with
+        | _ -> true
+        | exception _ -> false);
     QCheck.Test.make ~name:"outline printing is total on chaos" ~count:300
       (QCheck.make gen_chaotic_structure) (fun s ->
         match Format.asprintf "%a" Structure.pp_outline s with
@@ -293,13 +303,15 @@ let budget_ltl =
 let budget_soundness =
   [ budget_sat; budget_count_models; budget_prolog; budget_ltl ]
 
-(* Cross-check: a structure with an error diagnostic is never reported
-   well-formed, and vice versa. *)
+(* Cross-check: the well-formedness verdict does not depend on whether
+   the pass also ran the lints (the wf-only pass is what the modular
+   checker and a lint-free `argus check` run). *)
 let wellformed_consistency =
   QCheck.Test.make ~name:"is_well_formed agrees with check" ~count:300
     (QCheck.make gen_chaotic_structure) (fun s ->
-      Bool.equal (Wellformed.is_well_formed s)
-        (not (Diagnostic.has_errors (Wellformed.check s))))
+      let ir = Caseir.intern s in
+      Bool.equal (well_formed s)
+        (not (Diagnostic.has_errors (Fused.check ~lints:false ir).Fused.wf)))
 
 let () =
   Alcotest.run "argus-fuzz"

@@ -2,7 +2,12 @@ open Argus_gsn
 module Id = Argus_core.Id
 module Evidence = Argus_core.Evidence
 module Diagnostic = Argus_core.Diagnostic
-module Legacy_modular = Argus_oracle.Legacy_modular
+module Caseir = Argus_ir.Caseir
+module Fused = Argus_ir.Fused
+
+(* The shipped checkers: the fused pass over the interned case. *)
+let fused_wf ?ruleset s = (Fused.check ?ruleset (Caseir.intern s)).Fused.wf
+let well_formed s = not (Diagnostic.has_errors (fused_wf s))
 
 let id = Id.of_string
 let codes ds = List.map (fun d -> d.Diagnostic.code) ds
@@ -80,7 +85,8 @@ let test_restrict () =
   Alcotest.(check int) "kept links" 2 (List.length (Structure.links s))
 
 let test_cycle_detection () =
-  Alcotest.(check bool) "sample acyclic" true (Structure.has_cycle sample = None);
+  Alcotest.(check bool) "sample acyclic" true
+    (Caseir.has_cycle (Caseir.intern sample) = None);
   let cyclic =
     Structure.of_nodes
       ~links:
@@ -90,7 +96,8 @@ let test_cycle_detection () =
         ]
       [ Node.goal "A" "a is safe"; Node.goal "B" "b is safe" ]
   in
-  Alcotest.(check bool) "cycle found" true (Structure.has_cycle cyclic <> None)
+  Alcotest.(check bool) "cycle found" true
+    (Caseir.has_cycle (Caseir.intern cyclic) <> None)
 
 let string_contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -108,7 +115,7 @@ let test_dot_output () =
 (* --- Wellformed --- *)
 
 let test_sample_well_formed () =
-  let ds = Wellformed.check sample in
+  let ds = fused_wf sample in
   Alcotest.(check (list string)) "no findings" [] (codes ds)
 
 let test_dangling_link () =
@@ -117,7 +124,7 @@ let test_dangling_link () =
       sample
   in
   Alcotest.(check bool) "dangling" true
-    (List.mem "gsn/dangling-link" (codes (Wellformed.check s)))
+    (List.mem "gsn/dangling-link" (codes (fused_wf s)))
 
 let test_bad_support_link () =
   let s =
@@ -126,7 +133,7 @@ let test_bad_support_link () =
       [ Node.solution "Sn" "results"; Node.goal "G" "g is safe" ]
   in
   Alcotest.(check bool) "solution cannot support" true
-    (List.mem "gsn/bad-support-link" (codes (Wellformed.check s)))
+    (List.mem "gsn/bad-support-link" (codes (fused_wf s)))
 
 let test_context_under_support () =
   let s =
@@ -135,7 +142,7 @@ let test_context_under_support () =
       [ Node.goal "G" "g is safe"; Node.context "C" "ctx" ]
   in
   Alcotest.(check bool) "context is not support" true
-    (List.mem "gsn/bad-support-link" (codes (Wellformed.check s)))
+    (List.mem "gsn/bad-support-link" (codes (fused_wf s)))
 
 let test_solution_in_context_of_away_goal () =
   (* The exact rule the paper quotes from the GSN standard. *)
@@ -151,7 +158,7 @@ let test_solution_in_context_of_away_goal () =
   in
   Alcotest.(check bool) "specific code" true
     (List.mem "gsn/solution-in-context-of-away-goal"
-       (codes (Wellformed.check s)))
+       (codes (fused_wf s)))
 
 let test_goal_under_goal_rulesets () =
   let s =
@@ -170,11 +177,11 @@ let test_goal_under_goal_rulesets () =
       ]
   in
   (* The GSN standard allows goal-to-goal support... *)
-  Alcotest.(check bool) "standard allows" true (Wellformed.is_well_formed s);
+  Alcotest.(check bool) "standard allows" true (well_formed s);
   (* ...but the Denney-Pai 2013 formalisation forbids it. *)
   Alcotest.(check bool) "Denney-Pai forbids" true
     (List.mem "gsn/dp-goal-under-goal"
-       (codes (Wellformed.check ~ruleset:Wellformed.Denney_pai_2013 s)))
+       (codes (fused_wf ~ruleset:Wellformed.Denney_pai_2013 s)))
 
 let test_cycle_reported () =
   let s =
@@ -186,19 +193,19 @@ let test_cycle_reported () =
         ]
       [ Node.goal "A" "a is safe"; Node.goal "B" "b is safe" ]
   in
-  let cs = codes (Wellformed.check s) in
+  let cs = codes (fused_wf s) in
   Alcotest.(check bool) "cycle" true (List.mem "gsn/cycle" cs);
   Alcotest.(check bool) "no root" true (List.mem "gsn/no-root" cs)
 
 let test_unsupported_goal () =
   let s = Structure.of_nodes [ Node.goal "G" "g is safe" ] in
   Alcotest.(check bool) "unsupported" true
-    (List.mem "gsn/unsupported-goal" (codes (Wellformed.check s)));
+    (List.mem "gsn/unsupported-goal" (codes (fused_wf s)));
   let ok =
     Structure.of_nodes
       [ { (Node.goal "G" "g is safe") with Node.status = Node.Undeveloped } ]
   in
-  Alcotest.(check bool) "undeveloped accepted" true (Wellformed.is_well_formed ok)
+  Alcotest.(check bool) "undeveloped accepted" true (well_formed ok)
 
 let test_undeveloped_strategy () =
   let s =
@@ -210,7 +217,7 @@ let test_undeveloped_strategy () =
       ]
   in
   Alcotest.(check bool) "leaf strategy" true
-    (List.mem "gsn/undeveloped-strategy" (codes (Wellformed.check s)))
+    (List.mem "gsn/undeveloped-strategy" (codes (fused_wf s)))
 
 let test_non_propositional_goal () =
   let s =
@@ -224,7 +231,7 @@ let test_non_propositional_goal () =
       ]
   in
   Alcotest.(check bool) "flagged" true
-    (List.mem "gsn/non-propositional-goal" (codes (Wellformed.check s)))
+    (List.mem "gsn/non-propositional-goal" (codes (fused_wf s)))
 
 let test_placeholder_text () =
   let s =
@@ -238,7 +245,7 @@ let test_placeholder_text () =
       ]
   in
   Alcotest.(check bool) "flagged" true
-    (List.mem "gsn/placeholder-text" (codes (Wellformed.check s)))
+    (List.mem "gsn/placeholder-text" (codes (fused_wf s)))
 
 let test_unknown_evidence () =
   let s =
@@ -250,7 +257,7 @@ let test_unknown_evidence () =
       ]
   in
   Alcotest.(check bool) "flagged" true
-    (List.mem "gsn/unknown-evidence" (codes (Wellformed.check s)))
+    (List.mem "gsn/unknown-evidence" (codes (fused_wf s)))
 
 let test_weak_evidence () =
   (* The paper's wcet example: universal claim on unit-test evidence. *)
@@ -265,7 +272,7 @@ let test_weak_evidence () =
       ]
   in
   Alcotest.(check bool) "flagged" true
-    (List.mem "gsn/weak-evidence" (codes (Wellformed.check s)))
+    (List.mem "gsn/weak-evidence" (codes (fused_wf s)))
 
 let test_unreachable () =
   let s =
@@ -273,14 +280,14 @@ let test_unreachable () =
       { (Node.goal "Gx" "orphan is safe") with Node.status = Node.Undeveloped }
       sample
   in
-  let cs = codes (Wellformed.check s) in
+  let cs = codes (fused_wf s) in
   (* Gx is a second root (not unreachable); attach below a solution? No —
      instead an orphan context node is unreachable. *)
   Alcotest.(check bool) "second root warned" true
     (List.mem "gsn/multiple-roots" cs);
   let s2 = Structure.add_node (Node.context "Cx" "orphan context") sample in
   Alcotest.(check bool) "orphan context unreachable" true
-    (List.mem "gsn/unreachable" (codes (Wellformed.check s2)))
+    (List.mem "gsn/unreachable" (codes (fused_wf s2)))
 
 (* --- Random well-formed cases, and the hicase invariant --- *)
 
@@ -342,7 +349,7 @@ let arb_wf =
 
 let generated_cases_are_well_formed =
   QCheck.Test.make ~name:"generated cases are well-formed" ~count:100 arb_wf
-    Wellformed.is_well_formed
+    well_formed
 
 let hicase_views_stay_well_formed =
   QCheck.Test.make ~name:"every fold state yields a well-formed view"
@@ -358,7 +365,7 @@ let hicase_views_stay_well_formed =
             Hicase.collapse node.Node.id hc)
           (Hicase.of_structure s) picks
       in
-      Wellformed.is_well_formed (Hicase.visible hc))
+      well_formed (Hicase.visible hc))
 
 let hicase_collapse_expand_roundtrip =
   QCheck.Test.make ~name:"expand undoes collapse" ~count:100 arb_wf (fun s ->
@@ -385,7 +392,7 @@ let test_hicase_depth_overview () =
   let v = Hicase.visible hc in
   Alcotest.(check bool) "root marked undeveloped" true
     ((Structure.find_exn (id "G1") v).Node.status = Node.Undeveloped);
-  Alcotest.(check bool) "view well-formed" true (Wellformed.is_well_formed v)
+  Alcotest.(check bool) "view well-formed" true (well_formed v)
 
 let test_hicase_leaf_collapse_noop () =
   let hc = Hicase.of_structure sample in
@@ -603,7 +610,7 @@ let test_modular_away_goal_id_mismatch () =
   (* AG_PG1's id must match a goal in Powertrain; it does not, so the
      collection reports the target error. *)
   Alcotest.(check bool) "mismatch flagged" true
-    (List.mem "modular/away-goal-target" (codes (Legacy_modular.check good_collection)))
+    (List.mem "modular/away-goal-target" (codes (Fused.check_modular good_collection)))
 
 let matched_collection =
   (* Rename the away goal to carry the cited goal's id, the standard's
@@ -623,14 +630,14 @@ let matched_collection =
 
 let test_modular_clean () =
   Alcotest.(check (list string)) "clean" []
-    (codes (Legacy_modular.check matched_collection))
+    (codes (Fused.check_modular matched_collection))
 
 let test_modular_unknown_module () =
   let collection =
     Modular.empty |> Modular.add_module ~name:(id "Vehicle") system_module
   in
   Alcotest.(check bool) "unknown module" true
-    (List.mem "modular/unknown-module" (codes (Legacy_modular.check collection)))
+    (List.mem "modular/unknown-module" (codes (Fused.check_modular collection)))
 
 let test_modular_private_goal () =
   let collection =
@@ -647,7 +654,7 @@ let test_modular_private_goal () =
               ~dst:(id "PG1"))
   in
   Alcotest.(check bool) "private goal warned" true
-    (List.mem "modular/private-goal" (codes (Legacy_modular.check collection)))
+    (List.mem "modular/private-goal" (codes (Fused.check_modular collection)))
 
 let test_modular_dependency_cycle () =
   let m_a =
@@ -674,7 +681,7 @@ let test_modular_dependency_cycle () =
     |> Modular.add_module ~name:(id "B") m_b
   in
   Alcotest.(check bool) "cycle flagged" true
-    (List.mem "modular/dependency-cycle" (codes (Legacy_modular.check collection)))
+    (List.mem "modular/dependency-cycle" (codes (Fused.check_modular collection)))
 
 let test_modular_dependencies () =
   Alcotest.(check (list string))

@@ -8,12 +8,20 @@ module Diagnostic = Argus_core.Diagnostic
 module Evidence = Argus_core.Evidence
 module Structure = Argus_gsn.Structure
 module Node = Argus_gsn.Node
-module Wellformed = Argus_gsn.Wellformed
 module Query = Argus_gsn.Query
 module Hicase = Argus_gsn.Hicase
 module Cae = Argus_cae.Cae
 module Informal = Argus_fallacy.Informal
 module Confidence = Argus_confidence.Confidence
+module Caseir = Argus_ir.Caseir
+module Fused = Argus_ir.Fused
+
+(* The shipped checkers: the fused pass over the interned case. *)
+let fused_wf s = (Fused.check (Caseir.intern s)).Fused.wf
+let well_formed s = not (Diagnostic.has_errors (fused_wf s))
+let lint s = Fused.lint (Caseir.intern s)
+let cae_check c = Fused.check_cae (Fused.intern_cae c)
+let cae_well_formed c = not (Diagnostic.has_errors (cae_check c))
 
 (* An insulin-pump safety case: three hazards, diverse evidence,
    metadata throughout, one formally-annotated goal. *)
@@ -92,11 +100,11 @@ let s = case.structure
 let test_parses_and_checks () =
   Alcotest.(check int) "node count" 17 (Structure.size s);
   Alcotest.(check (list string)) "well-formed" []
-    (List.map (fun d -> d.Diagnostic.code) (Wellformed.check s));
+    (List.map (fun d -> d.Diagnostic.code) (fused_wf s));
   Alcotest.(check (list string)) "metadata valid" []
     (List.map (fun d -> d.Diagnostic.code) (validate_metadata case));
   Alcotest.(check (list string)) "no informal lints" []
-    (List.map (fun d -> d.Diagnostic.code) (Informal.check_structure s))
+    (List.map (fun d -> d.Diagnostic.code) (lint s))
 
 let test_queries () =
   let q = Result.get_ok (Query.of_string "sil >= 4") in
@@ -112,20 +120,20 @@ let test_queries () =
   Alcotest.(check bool) "drops other hazards" false
     (Structure.mem (Id.of_string "G_hw") trace);
   Alcotest.(check bool) "trace view well-formed" true
-    (Wellformed.is_well_formed trace)
+    (well_formed trace)
 
 let test_views () =
   let hc = Hicase.collapse_to_depth 2 (Hicase.of_structure s) in
   let v = Hicase.visible hc in
   Alcotest.(check bool) "view smaller" true
     (Structure.size v < Structure.size s);
-  Alcotest.(check bool) "view well-formed" true (Wellformed.is_well_formed v)
+  Alcotest.(check bool) "view well-formed" true (well_formed v)
 
 let test_cae_conversion () =
   let cae = Cae.of_gsn s in
-  Alcotest.(check bool) "CAE well-formed" true (Cae.is_well_formed cae);
+  Alcotest.(check bool) "CAE well-formed" true (cae_well_formed cae);
   Alcotest.(check bool) "round-trip GSN well-formed" true
-    (Wellformed.is_well_formed (Cae.to_gsn cae))
+    (well_formed (Cae.to_gsn cae))
 
 let test_confidence_and_sufficiency () =
   let trust (ev : Evidence.t) =

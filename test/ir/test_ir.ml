@@ -1,7 +1,8 @@
-(* The fused array-IR checker against its legacy oracles: for every
-   structure, Fused.check must render byte-identically to
-   Wellformed.check + Informal.check_structure (same findings, same
-   order, same budget ticks), and Fused.check_cae to Cae.check. *)
+(* The fused array-IR checker against its tree-walking oracles
+   (test/oracle): for every structure, Fused.check must render
+   byte-identically to Legacy_wellformed.check +
+   Legacy_informal.check_structure (same findings, same order, same
+   budget ticks), and Fused.check_cae to Legacy_cae.check. *)
 
 module Id = Argus_core.Id
 module Diagnostic = Argus_core.Diagnostic
@@ -10,8 +11,10 @@ module Budget = Argus_rt.Budget
 module Node = Argus_gsn.Node
 module Structure = Argus_gsn.Structure
 module Wellformed = Argus_gsn.Wellformed
-module Informal = Argus_fallacy.Informal
 module Cae = Argus_cae.Cae
+module Legacy_wellformed = Argus_oracle.Legacy_wellformed
+module Legacy_informal = Argus_oracle.Legacy_informal
+module Legacy_cae = Argus_oracle.Legacy_cae
 module Caseir = Argus_ir.Caseir
 module Fused = Argus_ir.Fused
 
@@ -201,12 +204,12 @@ let parity_failure name s =
   let record fmt = Printf.ksprintf (fun m -> if !fail = None then fail := Some m) fmt in
   List.iter
     (fun ruleset ->
-      let legacy_wf = Wellformed.check ~ruleset s in
+      let legacy_wf = Legacy_wellformed.check ~ruleset s in
       let fused = Fused.check ~ruleset (Caseir.intern s) in
       if render legacy_wf <> render fused.Fused.wf then
         record "%s: wf mismatch\n--- legacy:\n%s--- fused:\n%s" name
           (render legacy_wf) (render fused.Fused.wf);
-      let legacy_inf = Informal.check_structure s in
+      let legacy_inf = Legacy_informal.check_structure s in
       if render legacy_inf <> render fused.Fused.informal then
         record "%s: informal mismatch\n--- legacy:\n%s--- fused:\n%s" name
           (render legacy_inf) (render fused.Fused.informal);
@@ -214,7 +217,7 @@ let parity_failure name s =
         (fun fuel ->
           let b1 = Budget.make ~fuel () in
           let b2 = Budget.make ~fuel () in
-          let legacy_b = Informal.check_structure ~budget:b1 s in
+          let legacy_b = Legacy_informal.check_structure ~budget:b1 s in
           let fused_b = Fused.check ~ruleset ~budget:b2 (Caseir.intern s) in
           if render legacy_b <> render fused_b.Fused.informal then
             record "%s: budgeted informal mismatch at fuel %d" name fuel;
@@ -224,13 +227,13 @@ let parity_failure name s =
         fuels)
     rulesets;
   let cae = Cae.of_gsn s in
-  let legacy_cae = Cae.check cae in
+  let legacy_cae = Legacy_cae.check cae in
   let fused_cae = Fused.check_cae (Fused.intern_cae cae) in
   if render legacy_cae <> render fused_cae then
     record "%s: CAE mismatch\n--- legacy:\n%s--- fused:\n%s" name
       (render legacy_cae) (render fused_cae);
   let lint = Fused.lint (Caseir.intern s) in
-  if render (Informal.check_structure s) <> render lint then
+  if render (Legacy_informal.check_structure s) <> render lint then
     record "%s: Fused.lint mismatch" name;
   !fail
 
@@ -251,7 +254,7 @@ let test_lints_off_leaves_budget_untouched () =
   let r = Fused.check ~budget:b ~lints:false (Caseir.intern s) in
   Alcotest.(check int) "no informal findings" 0 (List.length r.Fused.informal);
   Alcotest.(check int) "no budget ticks" 0 (Budget.steps b);
-  Alcotest.(check string) "wf unchanged" (render (Wellformed.check s))
+  Alcotest.(check string) "wf unchanged" (render (Legacy_wellformed.check s))
     (render r.Fused.wf)
 
 let test_ir_counters_advance () =
@@ -436,12 +439,9 @@ let cycle_witness_matches_legacy =
         | Some w -> String.concat " " (List.map Id.to_string w)
       in
       let got = Caseir.has_cycle ir
-      and want = Argus_oracle.Legacy_cycle.has_cycle ir in
+      and want = Legacy_wellformed.has_cycle s in
       if got <> want then
         QCheck.Test.fail_reportf "witness %s, legacy %s" (show got) (show want)
-      else if got <> Structure.has_cycle s then
-        QCheck.Test.fail_reportf "witness %s, Structure.has_cycle %s" (show got)
-          (show (Structure.has_cycle s))
       else true)
 
 (* --- the compiled modular checker --- *)

@@ -2,7 +2,12 @@ open Argus_kaos
 module Id = Argus_core.Id
 module Ltl = Argus_ltl.Ltl
 module Diagnostic = Argus_core.Diagnostic
-module Wellformed = Argus_gsn.Wellformed
+module Caseir = Argus_ir.Caseir
+module Fused = Argus_ir.Fused
+
+(* The shipped checkers: the fused pass over the interned case. *)
+let fused_wf s = (Fused.check (Caseir.intern s)).Fused.wf
+let well_formed s = not (Diagnostic.has_errors (fused_wf s))
 
 let ltl = Ltl.of_string_exn
 
@@ -114,7 +119,7 @@ let test_to_gsn_well_formed () =
   let s = Kaos.to_gsn uav in
   (* No errors; warnings such as the non-propositional-text heuristic on
      user-supplied requirement descriptions are acceptable. *)
-  Alcotest.(check bool) "well-formed" true (Wellformed.is_well_formed s);
+  Alcotest.(check bool) "well-formed" true (well_formed s);
   (* Structure reflects the goal model: root goal, strategies for
      refinements, solutions for assignments. *)
   Alcotest.(check (list string))

@@ -2,10 +2,15 @@ open Argus_patterns
 module Gsn = Argus_gsn
 module Structure = Argus_gsn.Structure
 module Node = Argus_gsn.Node
-module Wellformed = Argus_gsn.Wellformed
 module Id = Argus_core.Id
 module Evidence = Argus_core.Evidence
 module Diagnostic = Argus_core.Diagnostic
+module Caseir = Argus_ir.Caseir
+module Fused = Argus_ir.Fused
+
+(* The shipped checkers: the fused pass over the interned case. *)
+let fused_wf s = (Fused.check (Caseir.intern s)).Fused.wf
+let well_formed s = not (Diagnostic.has_errors (fused_wf s))
 
 let codes = function
   | Error ds -> List.map (fun d -> d.Diagnostic.code) ds
@@ -96,7 +101,7 @@ let test_instantiate_ok () =
       Alcotest.(check string) "scalar substituted"
         "The braking controller is acceptably safe" top.Node.text;
       (* Instantiation output is well-formed GSN. *)
-      let ds = Wellformed.check s in
+      let ds = fused_wf s in
       Alcotest.(check (list string)) "well-formed" []
         (List.map (fun d -> d.Diagnostic.code) ds)
 
@@ -234,7 +239,7 @@ let replication_scales =
               (Structure.nodes s)
           in
           List.length copies = n
-          && Wellformed.is_well_formed s
+          && well_formed s
           && Structure.fold_nodes
                (fun node ok -> ok && Pattern.placeholders node.Node.text = [])
                s true)
@@ -302,7 +307,7 @@ let test_catalogue_instantiations () =
           Alcotest.failf "instantiation failed: %s"
             (Format.asprintf "%a" Diagnostic.pp_report ds)
       | Ok s ->
-          if not (Wellformed.is_well_formed s) then
+          if not (well_formed s) then
             Alcotest.failf "instantiated %s not well-formed"
               (Format.asprintf "%a" Structure.pp_outline s))
     cases

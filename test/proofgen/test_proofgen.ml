@@ -2,12 +2,17 @@ module Prop = Argus_logic.Prop
 module Natded = Argus_logic.Natded
 module Structure = Argus_gsn.Structure
 module Node = Argus_gsn.Node
-module Wellformed = Argus_gsn.Wellformed
 module Id = Argus_core.Id
 module Evidence = Argus_core.Evidence
 module Proofgen = Argus_proofgen.Proofgen
 module Confidence = Argus_confidence.Confidence
 module Diagnostic = Argus_core.Diagnostic
+module Caseir = Argus_ir.Caseir
+module Fused = Argus_ir.Fused
+
+(* The shipped checkers: the fused pass over the interned case. *)
+let fused_wf s = (Fused.check (Caseir.intern s)).Fused.wf
+let well_formed s = not (Diagnostic.has_errors (fused_wf s))
 
 let p = Prop.of_string_exn
 
@@ -33,7 +38,7 @@ let generated = Proofgen.generate checked
 (* --- Generation --- *)
 
 let test_generated_is_well_formed () =
-  let ds = Wellformed.check generated in
+  let ds = fused_wf generated in
   Alcotest.(check (list string)) "clean" []
     (List.map (fun d -> d.Diagnostic.code) ds)
 
@@ -87,7 +92,7 @@ let test_abstract_shrinks () =
   Alcotest.(check bool) "smaller" true
     (Proofgen.node_count abstracted < Proofgen.node_count generated);
   Alcotest.(check (list string)) "still well-formed" []
-    (List.map (fun d -> d.Diagnostic.code) (Wellformed.check abstracted));
+    (List.map (fun d -> d.Diagnostic.code) (fused_wf abstracted));
   (* Root preserved. *)
   Alcotest.(check bool) "same root" true
     (Structure.roots abstracted = Structure.roots generated)
@@ -142,8 +147,8 @@ let generated_always_well_formed =
       | Ok c ->
           let s = Proofgen.generate c in
           let a = Proofgen.abstract s in
-          Wellformed.is_well_formed s
-          && Wellformed.is_well_formed a
+          well_formed s
+          && well_formed a
           && Proofgen.node_count a <= Proofgen.node_count s
           && Structure.roots a = Structure.roots s)
 

@@ -842,6 +842,34 @@ let memory_store () =
   | Ok (store, _) -> store
   | Error e -> Alcotest.failf "in-memory durable create failed: %s" e
 
+(* An unknown rule-set name is refused as a bad request that names the
+   accepted values — never checked (or, for a put, WAL-logged) under
+   the standard rules. *)
+let test_unknown_ruleset_rejected () =
+  let store = memory_store () in
+  let handle = Handlers.with_store store in
+  List.iter
+    (fun op ->
+      let name = Protocol.op_to_string op in
+      let req = Protocol.request ~id:"r1" ~source ~ruleset:"denney_pai" op in
+      (match (handle req ~budget:None).Protocol.outcome with
+      | Error (code, msg) ->
+          Alcotest.(check string) (name ^ " code") "svc/bad-request" code;
+          Alcotest.(check bool)
+            (name ^ " names the accepted values")
+            true
+            (string_contains msg "standard"
+            && string_contains msg "denney-pai")
+      | Ok _ -> Alcotest.failf "%s accepted an unknown ruleset" name);
+      match
+        (handle { req with Protocol.ruleset = "denney-pai" } ~budget:None)
+          .Protocol.outcome
+      with
+      | Ok _ -> ()
+      | Error (c, m) -> Alcotest.failf "%s denney-pai failed: %s %s" name c m)
+    [ Protocol.Check; Protocol.Put ];
+  Alcotest.(check int) "only the accepted put was logged" 1 (Durable.seq store)
+
 let test_with_store_lifecycle () =
   let store = memory_store () in
   let handle = Handlers.with_store store in
@@ -1065,6 +1093,8 @@ let () =
             test_store_wire_errors;
           Alcotest.test_case "read-only degraded mode on the wire" `Quick
             test_store_read_only_wire_error;
+          Alcotest.test_case "unknown ruleset is a bad request" `Quick
+            test_unknown_ruleset_rejected;
         ] );
       ( "ops",
         [

@@ -2,6 +2,12 @@ open Argus_toulmin
 module Prop = Argus_logic.Prop
 module Natded = Argus_logic.Natded
 module Diagnostic = Argus_core.Diagnostic
+module Caseir = Argus_ir.Caseir
+module Fused = Argus_ir.Fused
+
+(* The shipped checkers: the fused pass over the interned case. *)
+let fused_wf s = (Fused.check (Caseir.intern s)).Fused.wf
+let well_formed s = not (Diagnostic.has_errors (fused_wf s))
 
 (* The paper's Section III.K inner-argument example. *)
 let haley_inner_text =
@@ -292,7 +298,7 @@ let test_satisfaction_invalid_outer () =
 let test_to_gsn_haley () =
   let s = To_gsn.convert haley_inner in
   Alcotest.(check bool) "well-formed" true
-    (Argus_gsn.Wellformed.is_well_formed s);
+    (well_formed s);
   (* One root: the outer claim. *)
   (match Argus_gsn.Structure.roots s with
   | [ root ] ->
@@ -311,7 +317,7 @@ let test_to_gsn_haley () =
 let to_gsn_always_well_formed =
   QCheck.Test.make ~name:"conversion yields well-formed GSN" ~count:100
     (QCheck.make ~print:Toulmin.to_string gen_argument) (fun arg ->
-      Argus_gsn.Wellformed.is_well_formed (To_gsn.convert arg))
+      well_formed (To_gsn.convert arg))
 
 let () =
   Alcotest.run "argus-toulmin"
