@@ -393,6 +393,82 @@ let dsl_case_5k () =
       structure = bench_store_case ~strategies:500 ~leaves:9;
     }
 
+(* One fixed, seeded ~5k-node tree for the per-phase kernels, grown
+   the way the serving benchmark grows its edit-loop cases: goals
+   breadth-first, half of them split by a strategy over 2-4 sub-goals,
+   the rest supported by 1-3 goals or solutions, a context on about one
+   goal in five, and every goal still open at the end closed by a
+   solution.  Goal texts are distinct, so the circular-support walk
+   compares claims all the way down and finds nothing.  Returns the
+   case and the id of its last goal, the one the edit kernel patches. *)
+let phase_case_5k () =
+  let module Node = Argus_gsn.Node in
+  let module Evidence = Argus_core.Evidence in
+  let st = Random.State.make [| 5000 |] in
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let subjects =
+    [| "brake controller"; "pressure relief valve"; "infusion pump";
+       "lane keeping assist"; "reactor trip logic"; "flight control law" |]
+  and qualities =
+    [| "acceptably safe"; "adequately mitigated"; "correctly implemented";
+       "sufficiently verified"; "independently reviewed" |]
+  in
+  let nodes = ref [] and links = ref [] and count = ref 0 in
+  let fresh make letter text =
+    incr count;
+    let id = Printf.sprintf "%s%d" letter !count in
+    nodes := make id text :: !nodes;
+    id
+  in
+  let link kind src dst = links := (kind, src, dst) :: !links in
+  let goal () =
+    fresh Node.goal "G"
+      (Printf.sprintf "Claim item %d: the %s is %s" (!count + 1)
+         (pick subjects) (pick qualities))
+  in
+  let solution parent =
+    link Structure.Supported_by parent
+      (fresh (Node.solution ~evidence:"E1") "Sn" "Hardware-in-the-loop test report")
+  in
+  let root = goal () in
+  let last_goal = ref root in
+  let frontier = Queue.create () in
+  Queue.add root frontier;
+  let sub_goal parent =
+    let g = goal () in
+    link Structure.Supported_by parent g;
+    last_goal := g;
+    Queue.add g frontier
+  in
+  while !count + Queue.length frontier < 5000 && not (Queue.is_empty frontier) do
+    let g = Queue.pop frontier in
+    if Random.State.int st 5 = 0 then
+      link Structure.In_context_of g
+        (fresh Node.context "C" "Operating envelope as defined in the concept of operations");
+    if Random.State.bool st then begin
+      let s = fresh Node.strategy "S" "Argue over each identified hazard" in
+      link Structure.Supported_by g s;
+      for _ = 1 to 2 + Random.State.int st 3 do
+        sub_goal s
+      done
+    end
+    else begin
+      for _ = 1 to 1 + Random.State.int st 3 do
+        if Random.State.int st 100 < 55 then sub_goal g else solution g
+      done;
+      if Queue.is_empty frontier then sub_goal g
+    end
+  done;
+  Queue.iter solution frontier;
+  ( Structure.of_nodes ~links:(List.rev !links)
+      ~evidence:
+        [
+          Evidence.make ~id:(Argus_core.Id.of_string "E1")
+            ~kind:Evidence.Test_results "HIL campaign";
+        ]
+      (List.rev !nodes),
+    Argus_core.Id.of_string !last_goal )
+
 let store_edit_texts =
   [|
     "operating region 42 mode 7 remains safe during sustained operation";
@@ -788,6 +864,35 @@ let bench_subjects =
                    Store.Link (Structure.Supported_by, id "S999", id "G999_9");
                  ]
              with
+            | Ok d' -> d := d'
+            | Error e -> failwith (Store.error_message e));
+            match Store.verdict st ~digest:!d with
+            | Ok v -> ignore v.Store.result
+            | Error e -> failwith (Store.error_message e))));
+    (* Per-phase kernels on one seeded ~5k-node tree, the size of an
+       edit-loop case.  [fused-check-5k] is a full check with lints of
+       the interned case; [store-verdict-5k] is what a live case tool
+       pays per keystroke — one set-text patch by digest, then the
+       verdict, whose largest part is the circular-support walk.
+       compare.exe --require-speedup gates their ratio within the smoke
+       run. *)
+    Test.make_with_resource ~name:"fused-check-5k" Test.uniq
+      ~allocate:(fun () -> Caseir.intern (fst (phase_case_5k ())))
+      ~free:(fun _ -> ())
+      (Staged.stage (fun ir -> ignore (Fused.check ~lints:true ir)));
+    (let flip = ref 0 in
+     Test.make_with_resource ~name:"store-verdict-5k" Test.uniq
+       ~allocate:(fun () ->
+         let case, leaf = phase_case_5k () in
+         let st = Store.create () in
+         let d = ref (Store.put st case) in
+         ignore (Store.verdict st ~digest:!d);
+         (st, d, leaf))
+       ~free:(fun _ -> ())
+       (Staged.stage (fun (st, d, leaf) ->
+            incr flip;
+            let text = store_edit_texts.(!flip land 1) in
+            (match Store.patch st ~digest:!d [ Store.Set_text (leaf, text) ] with
             | Ok d' -> d := d'
             | Error e -> failwith (Store.error_message e));
             match Store.verdict st ~digest:!d with

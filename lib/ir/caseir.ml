@@ -20,10 +20,10 @@
    all of them.  An entity index [i] names a real node iff [i < n_nodes].
 
    Interning also caches the per-node text derivations the checkers
-   recompute on every run (content words, the normalised claim text,
-   the ignorance/universal/propositional predicates); the graph shape
-   and the texts are immutable once interned, so these are plain
-   arrays.  [ir.interned] counts interning passes.
+   recompute on every run (content words, the normalised claim text and
+   its integer claim key, the ignorance/universal/propositional
+   predicates); the graph shape and the texts are immutable once
+   interned, so these are plain arrays.  [ir.interned] counts interning passes.
 
    Two extensions serve the incremental store (lib/store).  [intern]
    takes an optional [?derive] hook so a caller can hash-cons the text
@@ -49,6 +49,7 @@ module Informal = Argus_fallacy.Informal
 type derived = {
   d_goal_like : bool;
   d_norm : string;
+  d_claim : int;
   d_content : string list;
   d_ignorance : bool;
   d_universal : bool;
@@ -77,6 +78,7 @@ type t = {
           context of such an entity — the well-formedness reachability. *)
   goal_like : bool array;  (** Per node: {!Node.is_goal_like}. *)
   norm : string array;  (** Per node: normalised content-word text. *)
+  claim : int array;  (** Per node: the claim key of its norm. *)
   content : string list array;  (** Per node: {!Textutil.content_words}. *)
   ignorance : bool array;  (** Per node: {!Informal.argues_from_ignorance}. *)
   universal : bool array;
@@ -94,9 +96,15 @@ let derive (n : Node.t) =
   let text = n.Node.text in
   let words = Textutil.content_words text in
   let gl = Node.is_goal_like n.Node.node_type in
+  let norm = String.concat " " words in
   {
     d_goal_like = gl;
-    d_norm = String.concat " " words;
+    d_norm = norm;
+    (* The claim key, the circular-support walk's prefilter: it
+       compares these ints and reads the norm strings only when two
+       match.  [Hashtbl.hash] reads every byte of a string and is the
+       same in every process; [1 +] keeps [0] for "no claim". *)
+    d_claim = (if gl && norm <> "" then 1 + Hashtbl.hash norm else 0);
     d_content = words;
     d_ignorance = Informal.argues_from_ignorance text;
     d_universal = (if gl then Wellformed.claims_universally text else false);
@@ -229,6 +237,7 @@ let graph ?into ~n_nodes ~n_entities ~contextual link_kind link_src link_dst =
 type columns = {
   c_goal_like : bool array;
   c_norm : string array;
+  c_claim : int array;
   c_content : string list array;
   c_ignorance : bool array;
   c_universal : bool array;
@@ -238,6 +247,7 @@ type columns = {
 let set_columns c i d =
   c.c_goal_like.(i) <- d.d_goal_like;
   c.c_norm.(i) <- d.d_norm;
+  c.c_claim.(i) <- d.d_claim;
   c.c_content.(i) <- d.d_content;
   c.c_ignorance.(i) <- d.d_ignorance;
   c.c_universal.(i) <- d.d_universal;
@@ -248,6 +258,7 @@ let blank =
   {
     d_goal_like = false;
     d_norm = "";
+    d_claim = 0;
     d_content = [];
     d_ignorance = false;
     d_universal = false;
@@ -260,6 +271,7 @@ let columns n derived =
     {
       c_goal_like = Array.make (max 1 n) blank.d_goal_like;
       c_norm = Array.make (max 1 n) blank.d_norm;
+      c_claim = Array.make (max 1 n) blank.d_claim;
       c_content = Array.make (max 1 n) blank.d_content;
       c_ignorance = Array.make (max 1 n) blank.d_ignorance;
       c_universal = Array.make (max 1 n) blank.d_universal;
@@ -301,6 +313,7 @@ let make ?into ~structure ~index ~ids ~nodes ~n_entities ~columns:c link_kind
     reachable = g.g_reachable;
     goal_like = c.c_goal_like;
     norm = c.c_norm;
+    claim = c.c_claim;
     content = c.c_content;
     ignorance = c.c_ignorance;
     universal = c.c_universal;
@@ -591,6 +604,7 @@ let reshape ~derive ir structure edits =
         {
           c_goal_like = compact ir.goal_like false;
           c_norm = compact ir.norm "";
+          c_claim = compact ir.claim 0;
           c_content = compact ir.content [];
           c_ignorance = compact ir.ignorance false;
           c_universal = compact ir.universal false;
@@ -670,6 +684,7 @@ let apply ?(derive = derive) ir structure edits =
         {
           c_goal_like = ir.goal_like;
           c_norm = ir.norm;
+          c_claim = ir.claim;
           c_content = ir.content;
           c_ignorance = ir.ignorance;
           c_universal = ir.universal;

@@ -28,6 +28,9 @@
 type derived = {
   d_goal_like : bool;  (** {!Argus_gsn.Node.is_goal_like}. *)
   d_norm : string;  (** Normalised content-word text. *)
+  d_claim : int;
+      (** The claim key: [0] unless goal-like with a non-empty
+          [d_norm], else a non-zero hash of [d_norm]. *)
   d_content : string list;  (** {!Argus_core.Textutil.content_words}. *)
   d_ignorance : bool;
       (** {!Argus_fallacy.Informal.argues_from_ignorance}. *)
@@ -64,6 +67,15 @@ type t = {
           the roots plus one InContextOf hop from it. *)
   goal_like : bool array;  (** Per node: {!Argus_gsn.Node.is_goal_like}. *)
   norm : string array;  (** Per node: normalised content-word text. *)
+  claim : int array;
+      (** Per node: the claim key, [0] for a node that is not goal-like
+          or whose [norm] is empty, else a non-zero 30-bit hash of
+          [norm].  Equal norms give equal keys; distinct norms may
+          collide.  It is only a prefilter for the circular-support
+          walk ({!Fused}), which confirms a key match with
+          [String.equal] on [norm]: no digest, memo key, log record or
+          diagnostic ever contains it, so replacing the hash changes no
+          output. *)
   content : string list array;
       (** Per node: {!Argus_core.Textutil.content_words}. *)
   ignorance : bool array;

@@ -88,7 +88,21 @@ let node_lints (ir : Caseir.t) i inf_add =
    rather than a node scan, so it keeps its own (budgeted) walk.  Tick
    accounting matches the legacy walk exactly: one tick per visit,
    skipped for on-path ids (the [||] short-circuit), charged even for
-   dangling endpoints. *)
+   dangling endpoints.
+
+   What it reads per visit: the on-path byte, the node's claim key
+   ([ir.claim]) and its CSR row.  The on-path ancestors that can be
+   restated — goal-like, non-empty norm, i.e. a non-zero key — sit on
+   an explicit stack of node indices, and [seen] counts them by the low
+   bits of their keys: a visit whose slot is empty has no ancestor with
+   its key and skips the stack.  Otherwise it compares integer keys
+   down the stack and reads the two norm strings only when the keys
+   match, with [String.equal] deciding.  On a large live heap the norm
+   strings are scattered, so reading one per ancestor per visit cost
+   several times the rest of the walk.  Nothing is allocated per
+   visit: the stack doubles when full. *)
+let filter_mask = 255
+
 let circular_walk ?budget (ir : Caseir.t) inf_add =
   let walk_budget, internal =
     match budget with
@@ -97,30 +111,58 @@ let circular_walk ?budget (ir : Caseir.t) inf_add =
   in
   let n_nodes = ir.Caseir.n_nodes in
   let sup_out_off = ir.Caseir.sup_out_off and sup_out = ir.Caseir.sup_out in
-  let on_path = Array.make (max 1 ir.Caseir.n_entities) false in
-  let rec walk ancestors i =
-    if on_path.(i) || not (Budget.tick walk_budget ~engine:"informal") then ()
+  let claim = ir.Caseir.claim and norm = ir.Caseir.norm in
+  let on_path = Bytes.make (max 1 ir.Caseir.n_entities) '\000' in
+  let stack = ref (Array.make 64 0) and depth = ref 0 in
+  let seen = Array.make (filter_mask + 1) 0 in
+  let rec walk i =
+    if
+      Bytes.get on_path i = '\001'
+      || not (Budget.tick walk_budget ~engine:"informal")
+    then ()
     else if i >= n_nodes then ()
     else begin
-      let here = ir.Caseir.norm.(i) in
-      let gl = ir.Caseir.goal_like.(i) in
-      if
-        gl && here <> ""
-        && List.exists (fun (ai, atext) -> ai <> i && atext = here) ancestors
-      then
-        inf_add
-          (Diagnostic.warningf ~code:"informal/circular-support"
-             ~subjects:[ ir.Caseir.ids.(i) ]
-             "goal restates an ancestor goal's claim");
-      let ancestors' = if gl then (i, here) :: ancestors else ancestors in
-      on_path.(i) <- true;
+      let key = claim.(i) in
+      let slot = key land filter_mask in
+      if key <> 0 then begin
+        let st = !stack in
+        if seen.(slot) > 0 then begin
+          let d = ref (!depth - 1) in
+          while
+            !d >= 0
+            && not
+                 (claim.(st.(!d)) = key
+                 && String.equal norm.(st.(!d)) norm.(i))
+          do
+            decr d
+          done;
+          if !d >= 0 then
+            inf_add
+              (Diagnostic.warningf ~code:"informal/circular-support"
+                 ~subjects:[ ir.Caseir.ids.(i) ]
+                 "goal restates an ancestor goal's claim")
+        end;
+        if !depth = Array.length st then begin
+          let grown = Array.make (2 * !depth) 0 in
+          Array.blit st 0 grown 0 !depth;
+          stack := grown
+        end;
+        !stack.(!depth) <- i;
+        incr depth;
+        seen.(slot) <- seen.(slot) + 1
+      end;
+      Bytes.set on_path i '\001';
       for k = sup_out_off.(i) to sup_out_off.(i + 1) - 1 do
-        walk ancestors' sup_out.(k)
+        walk sup_out.(k)
       done;
-      on_path.(i) <- false
+      Bytes.set on_path i '\000';
+      if key <> 0 then begin
+        decr depth;
+        seen.(slot) <- seen.(slot) - 1
+      end
     end
   in
-  List.iter (walk []) ir.Caseir.roots;
+  List.iter walk ir.Caseir.roots;
   if internal then List.iter inf_add (Budget.diagnostics walk_budget)
 
 (* One link's well-formedness findings, in [check]'s emission order.

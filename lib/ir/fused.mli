@@ -99,7 +99,12 @@ val walk_findings :
   ?budget:Argus_rt.Budget.t -> Caseir.t -> Argus_core.Diagnostic.t list
 (** The circular-support walk, with {!check}'s budget semantics
     (internal {!Argus_fallacy.Informal.default_walk_fuel} budget when
-    absent, exhaustion reported in the result). *)
+    absent, exhaustion reported in the result).  Per visit it reads
+    the SupportedBy CSR row and the integer claim key
+    ([claim] in {!Caseir.t}) of the node; the normalised texts
+    ([norm]) are read only for an on-path ancestor whose key
+    equals the node's, and [String.equal] on them decides.  Findings,
+    their order and the budget ticks are the legacy walk's. *)
 
 val assemble :
   wf:Argus_core.Diagnostic.t list ->

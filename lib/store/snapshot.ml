@@ -86,9 +86,10 @@ let fsync_dir dir =
 let write ~dir (image : image) =
   Fault.point ~key:(string_of_int image.seq) "store.snapshot.write";
   let payload = Marshal.to_string image [] in
-  let body =
+  (* Header and payload go out as two writes of the same bytes: the
+     payload is case-sized, so concatenating it would copy it. *)
+  let header =
     magic ^ Wal.u32le (String.length payload) ^ Wal.u32le (Wal.crc32 payload)
-    ^ payload
   in
   let final = Filename.concat dir (filename ~seq:image.seq) in
   let tmp = final ^ ".tmp" in
@@ -98,7 +99,8 @@ let write ~dir (image : image) =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      Wal.write_fully fd body;
+      Wal.write_fully fd header;
+      Wal.write_fully fd payload;
       Unix.fsync fd);
   Unix.rename tmp final;
   fsync_dir dir;

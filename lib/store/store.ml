@@ -14,10 +14,13 @@
    whole case.  A full rebuild is the one fallback:
 
    - {e Node arena.}  Per-payload text derivations (content words,
-     the universal/propositional/ignorance predicates) are hash-consed
-     in a bounded table keyed by payload digest, so re-interning a
-     patched structure skips the text analysis for every payload seen
-     before ([store.node_hits] counts hits).
+     the claim key, the universal/propositional/ignorance predicates)
+     are hash-consed in a bounded table keyed by payload digest, so a
+     [rebuild] (a [put], or the fallback of a patch) skips the text
+     analysis for every payload seen before ([store.node_hits] counts
+     hits).  A patch derives the payloads it sets or adds directly,
+     without the arena: an edited text is almost always new, so filing
+     it would only grow the table with entries that are never hit.
 
    - {e Merkle digests.}  Each node carries a digest covering its
      payload, its id, and the digests of its SupportedBy /
@@ -630,8 +633,9 @@ let reaches (ir : Caseir.t) src dst =
 let zero_term = String.make 16 '\000'
 
 (* An edit batch without a rebuild.  [Caseir.apply] replays it on the
-   IR, and then keys and verdicts are recomputed over the key cone of
-   the batch's seeds — every node it set, added or linked to or from,
+   IR, deriving the set or added payloads without the arena, and then
+   keys and verdicts are recomputed over the key cone of the batch's
+   seeds — every node it set, added or linked to or from,
    and the old neighbours of every removed node — and Merkle terms over
    their ancestor cone (in cyclic digest mode, over the seeds alone).
 
@@ -673,7 +677,7 @@ let delta store st structure edits =
         | _ -> [])
       edits
   in
-  match Caseir.apply ~derive:(arena_derive store) old structure edits with
+  match Caseir.apply old structure edits with
   | None -> false
   | Some (ir, map) ->
       let n = ir.Caseir.n_nodes in

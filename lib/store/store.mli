@@ -10,7 +10,8 @@
     near-constant instead of a full re-check:
 
     - a {e node arena} hash-consing per-payload text derivations
-      across cases ([store.node_hits]);
+      across the cases a [put] (or a patch's rebuild fallback) interns
+      ([store.node_hits]);
     - {e Merkle-style digests} — each node's digest covers its payload
       and its children's digests, folded into an order-independent
       128-bit sum, so a payload edit re-digests only its ancestor

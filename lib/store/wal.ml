@@ -186,11 +186,10 @@ let now_ms () = Unix.gettimeofday () *. 1000.
    write raises and the caller degrades; a crash mid-write instead
    leaves a torn tail, which recovery truncates. *)
 let write_fully fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
+  let n = String.length s in
   let rec go off =
     if off < n then
-      match Unix.write fd b off (n - off) with
+      match Unix.write_substring fd s off (n - off) with
       | 0 -> raise (Unix.Unix_error (Unix.ENOSPC, "write", ""))
       | written -> go (off + written)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off

@@ -271,6 +271,92 @@ let test_ir_counters_advance () =
   Alcotest.(check bool) "ir.fused_passes counted both passes" true
     (Argus_obs.Counter.value passes >= p0 + 2)
 
+(* --- claim-key collisions --- *)
+
+(* The circular-support walk compares integer claim keys first and the
+   norm strings only on a key match, so two distinct claims whose keys
+   collide must still not count as a restatement.  A birthday search
+   over generated goal texts finds such a pair (the key is 30 bits, so
+   ~2^15 texts suffice); each case is also held to the legacy walk. *)
+let colliding_claims () =
+  let seen = Hashtbl.create 65536 in
+  let word n =
+    let b = Buffer.create 8 in
+    let rec go n =
+      Buffer.add_char b (Char.chr (Char.code 'a' + (n mod 26)));
+      if n >= 26 then go ((n / 26) - 1)
+    in
+    go n;
+    Buffer.contents b
+  in
+  let rec search n =
+    if n > 1 lsl 22 then Alcotest.fail "no claim-key collision found"
+    else
+      let text = Printf.sprintf "The %s subsystem holds" (word n) in
+      let d = Caseir.derive (Node.goal "G" text) in
+      match Hashtbl.find_opt seen d.Caseir.d_claim with
+      | Some (text', norm') when norm' <> d.Caseir.d_norm -> (text', text)
+      | Some _ -> search (n + 1)
+      | None ->
+          Hashtbl.add seen d.Caseir.d_claim (text, d.Caseir.d_norm);
+          search (n + 1)
+  in
+  search 0
+
+let circular_ids ds =
+  List.filter_map
+    (fun (d : Diagnostic.t) ->
+      if d.Diagnostic.code = "informal/circular-support" then
+        Some (String.concat "," (List.map Id.to_string d.Diagnostic.subjects))
+      else None)
+    ds
+
+(* Goals [texts] chained top-down, a strategy between each pair. *)
+let goal_chain texts =
+  let n = List.length texts in
+  Structure.of_nodes
+    ~links:
+      (List.concat
+         (List.init (n - 1) (fun k ->
+              [
+                (Structure.Supported_by, Printf.sprintf "G%d" k,
+                 Printf.sprintf "S%d" k);
+                (Structure.Supported_by, Printf.sprintf "S%d" k,
+                 Printf.sprintf "G%d" (k + 1));
+              ])))
+    (List.concat
+       (List.mapi
+          (fun k text ->
+            Node.goal (Printf.sprintf "G%d" k) text
+            :: (if k < n - 1 then
+                  [ Node.strategy (Printf.sprintf "S%d" k) "Argue over parts" ]
+                else []))
+          texts))
+
+let test_colliding_claim_keys () =
+  let a, b = colliding_claims () in
+  let key t = (Caseir.derive (Node.goal "G" t)).Caseir.d_claim in
+  Alcotest.(check int) "the pair collides" (key a) (key b);
+  let circular s =
+    (match parity_failure "collision" s with
+    | None -> ()
+    | Some msg -> Alcotest.fail msg);
+    let ir = Caseir.intern s in
+    let from_check = circular_ids (Fused.check ir).Fused.informal in
+    Alcotest.(check (list string)) "lint agrees with check" from_check
+      (circular_ids (Fused.lint ir));
+    from_check
+  in
+  Alcotest.(check (list string)) "colliding keys are not a restatement" []
+    (circular (goal_chain [ a; b ]));
+  Alcotest.(check (list string)) "equal texts are" [ "G1" ]
+    (circular (goal_chain [ a; a ]));
+  (* The nearest matching key is the impostor; the search must go on
+     past it to the real restatement. *)
+  Alcotest.(check (list string)) "a colliding ancestor does not hide one"
+    [ "G2" ]
+    (circular (goal_chain [ a; b; a ]))
+
 (* --- Random structures --- *)
 
 (* Texts chosen to tickle every lint: ignorance phrases, shared-word
@@ -488,5 +574,7 @@ let () =
           QCheck_alcotest.to_alcotest set_node_parity;
           QCheck_alcotest.to_alcotest check_modular_matches_legacy;
           QCheck_alcotest.to_alcotest cycle_witness_matches_legacy;
+          Alcotest.test_case "colliding claim keys" `Quick
+            test_colliding_claim_keys;
         ] );
     ]

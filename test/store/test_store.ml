@@ -1053,6 +1053,7 @@ let ir_diff (a : Caseir.t) (b : Caseir.t) =
       ("reachable", a.Caseir.reachable = b.Caseir.reachable);
       ("goal_like", a.Caseir.goal_like = b.Caseir.goal_like);
       ("norm", a.Caseir.norm = b.Caseir.norm);
+      ("claim", a.Caseir.claim = b.Caseir.claim);
       ("content", a.Caseir.content = b.Caseir.content);
       ("ignorance", a.Caseir.ignorance = b.Caseir.ignorance);
       ("universal", a.Caseir.universal = b.Caseir.universal);
