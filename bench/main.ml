@@ -393,6 +393,51 @@ let dsl_case_5k () =
       structure = bench_store_case ~strategies:500 ~leaves:9;
     }
 
+(* The goal-text vocabulary of the seeded phase cases below. *)
+let subjects =
+  [| "brake controller"; "pressure relief valve"; "infusion pump";
+     "lane keeping assist"; "reactor trip logic"; "flight control law" |]
+
+let qualities =
+  [| "acceptably safe"; "adequately mitigated"; "correctly implemented";
+     "sufficiently verified"; "independently reviewed" |]
+
+(* One strategy over [k] sibling goals, each closed by a solution that
+   cites registered evidence: the fan-out the equivocation scan
+   compares pairwise.  Every goal text says "Claim item N", so every
+   pair shares two words and is a candidate the scan must merge (and
+   none fires: a finding needs exactly one shared word). *)
+let wide_case k =
+  let module Node = Argus_gsn.Node in
+  let module Evidence = Argus_core.Evidence in
+  let st = Random.State.make [| k |] in
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let goal i = Printf.sprintf "G%d" i and sol i = Printf.sprintf "Sn%d" i in
+  Structure.of_nodes
+    ~links:
+      ((Structure.Supported_by, "G", "S")
+      :: List.concat
+           (List.init k (fun i ->
+                [
+                  (Structure.Supported_by, "S", goal i);
+                  (Structure.Supported_by, goal i, sol i);
+                ])))
+    ~evidence:
+      [
+        Evidence.make ~id:(Argus_core.Id.of_string "E1")
+          ~kind:Evidence.Test_results "HIL campaign";
+      ]
+    (Node.goal "G" "The system is acceptably safe"
+    :: Node.strategy "S" "Argue over each identified hazard"
+    :: List.concat
+         (List.init k (fun i ->
+              [
+                Node.goal (goal i)
+                  (Printf.sprintf "Claim item %d: the %s is %s" i
+                     (pick subjects) (pick qualities));
+                Node.solution ~evidence:"E1" (sol i) "Test report";
+              ])))
+
 (* One fixed, seeded ~5k-node tree for the per-phase kernels, grown
    the way the serving benchmark grows its edit-loop cases: goals
    breadth-first, half of them split by a strategy over 2-4 sub-goals,
@@ -406,13 +451,6 @@ let phase_case_5k () =
   let module Evidence = Argus_core.Evidence in
   let st = Random.State.make [| 5000 |] in
   let pick a = a.(Random.State.int st (Array.length a)) in
-  let subjects =
-    [| "brake controller"; "pressure relief valve"; "infusion pump";
-       "lane keeping assist"; "reactor trip logic"; "flight control law" |]
-  and qualities =
-    [| "acceptably safe"; "adequately mitigated"; "correctly implemented";
-       "sufficiently verified"; "independently reviewed" |]
-  in
   let nodes = ref [] and links = ref [] and count = ref 0 in
   let fresh make letter text =
     incr count;
@@ -870,12 +908,27 @@ let bench_subjects =
             | Ok v -> ignore v.Store.result
             | Error e -> failwith (Store.error_message e))));
     (* Per-phase kernels on one seeded ~5k-node tree, the size of an
-       edit-loop case.  [fused-check-5k] is a full check with lints of
-       the interned case; [store-verdict-5k] is what a live case tool
-       pays per keystroke — one set-text patch by digest, then the
-       verdict, whose largest part is the circular-support walk.
-       compare.exe --require-speedup gates their ratio within the smoke
-       run. *)
+       edit-loop case.  [ir-derive-5k] is the text derivation of every
+       payload; [fused-check-5k] is a full check with lints of the
+       interned case; [store-verdict-5k] is what a live case tool pays
+       per keystroke — one set-text patch by digest, then the verdict,
+       whose largest part is the circular-support walk.  compare.exe
+       --require-speedup gates the verdict against dsl-parse-5k within
+       the smoke run. *)
+    Test.make_with_resource ~name:"ir-derive-5k" Test.uniq
+      ~allocate:(fun () ->
+        Array.of_list (Structure.nodes (fst (phase_case_5k ()))))
+      ~free:(fun _ -> ())
+      (Staged.stage (fun nodes ->
+           Array.iter (fun n -> ignore (Caseir.derive n)) nodes));
+    (* A full check with lints of one strategy over 1000 sibling goals
+       (~2k nodes): ~500k candidate pairs for the equivocation scan.
+       compare.exe --require-speedup bounds it against
+       store-full-recheck-100k within the smoke run. *)
+    Test.make_with_resource ~name:"lint-wide-1000" Test.uniq
+      ~allocate:(fun () -> Caseir.intern (wide_case 1000))
+      ~free:(fun _ -> ())
+      (Staged.stage (fun ir -> ignore (Fused.check ~lints:true ir)));
     Test.make_with_resource ~name:"fused-check-5k" Test.uniq
       ~allocate:(fun () -> Caseir.intern (fst (phase_case_5k ())))
       ~free:(fun _ -> ())

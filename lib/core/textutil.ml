@@ -1,27 +1,35 @@
 let is_alnum c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 
-let words s =
+(* The one tokenizer: [f i j] for each maximal alphanumeric run
+   [s.[i..j-1]], left to right. *)
+let iter_tokens s f =
   let n = String.length s in
-  let rec go i acc =
-    if i >= n then List.rev acc
-    else if not (is_alnum s.[i]) then go (i + 1) acc
-    else
-      let j = ref (i + 1) in
-      while !j < n && is_alnum s.[!j] do
+  let i = ref 0 in
+  while !i < n do
+    if is_alnum (String.unsafe_get s !i) then begin
+      let j = ref (!i + 1) in
+      while !j < n && is_alnum (String.unsafe_get s !j) do
         incr j
       done;
-      go !j (String.sub s i (!j - i) :: acc)
-  in
-  go 0 []
+      f !i !j;
+      i := !j
+    end
+    else incr i
+  done
 
-let normalise_word w =
-  let lower i = Char.lowercase_ascii w.[i] in
+let words s =
+  let acc = ref [] in
+  iter_tokens s (fun i j -> acc := String.sub s i (j - i) :: !acc);
+  List.rev !acc
+
+(* [w] already lowercased. *)
+let strip_plural w =
   let n = String.length w in
-  let n =
-    if n > 3 && lower (n - 1) = 's' && lower (n - 2) <> 's' then n - 1 else n
-  in
-  String.init n lower
+  if n > 3 && w.[n - 1] = 's' && w.[n - 2] <> 's' then String.sub w 0 (n - 1)
+  else w
+
+let normalise_word w = strip_plural (String.lowercase_ascii w)
 
 let is_stop_word = function
   | "a" | "an" | "the" | "is" | "are" | "was" | "were" | "be" | "been"
@@ -34,12 +42,94 @@ let is_stop_word = function
       true
   | _ -> false
 
-let content_words s =
-  List.filter_map
-    (fun w ->
-      let w = normalise_word w in
-      if is_stop_word w then None else Some w)
-    (words s)
+(* Finite-verb (or copula) markers that make a sentence read as a
+   proposition rather than a noun phrase.  Deliberately coarse. *)
+let is_verb_marker = function
+  | "is" | "are" | "was" | "were" | "be" | "been" | "holds" | "hold" | "has"
+  | "have" | "meets" | "meet" | "satisfies" | "satisfy" | "complies"
+  | "comply" | "shall" | "will" | "must" | "can" | "cannot" | "does" | "do"
+  | "operates" | "operate" | "remains" | "remain" | "occurs" | "occur"
+  | "exists" | "exist" | "prevents" | "prevent" | "ensures" | "ensure"
+  | "implies" | "imply" | "managed" | "mitigated" | "acceptable" | "tolerable"
+  | "identified" | "addressed" | "inhibited" | "correct" | "safe" | "secure"
+  | "sufficient" | "valid" | "complete" ->
+      true
+  | _ -> false
+
+let is_universal_marker = function
+  | "all" | "always" | "never" | "every" | "any" -> true
+  | _ -> false
+
+(* The argument-from-ignorance phrases, lowercase, by first letter. *)
+let ignorance_phrases_a = [ "absence of any report" ]
+let ignorance_phrases_h =
+  [ "has never been observed"; "have never been observed" ]
+
+let ignorance_phrases_n =
+  [
+    "no evidence that";
+    "no evidence of";
+    "not been shown";
+    "never been demonstrated";
+    "no counterexample";
+  ]
+
+(* Whether the lowercase [p] occurs in [s] at [k], ignoring the case of
+   [s] — compared in place, without a closure. *)
+let rec matches_ci s k p m =
+  m = String.length p
+  || Char.lowercase_ascii (String.unsafe_get s (k + m)) = String.unsafe_get p m
+     && matches_ci s k p (m + 1)
+
+let rec phrase_at s k = function
+  | [] -> false
+  | p :: ps ->
+      (k + String.length p <= String.length s && matches_ci s k p 0)
+      || phrase_at s k ps
+
+type scan = {
+  content : string list;
+  universal : bool;
+  verb : bool;
+  ignorance : bool;
+}
+
+(* One pass: each token is lowercased once, into the one string that
+   the marker tables, the plural stripper and the stop list all read.
+   Every ignorance phrase starts with a letter, so a match starts inside
+   a token: the lowercasing loop dispatches on each lowered letter and
+   tries only the phrases that begin with it, reading [s] in place. *)
+let scan s =
+  let content = ref [] in
+  let universal = ref false and verb = ref false and ignorance = ref false in
+  iter_tokens s (fun i j ->
+      let lw = Bytes.create (j - i) in
+      for k = i to j - 1 do
+        let c = Char.lowercase_ascii (String.unsafe_get s k) in
+        Bytes.unsafe_set lw (k - i) c;
+        if not !ignorance then
+          let phrases =
+            match c with
+            | 'a' -> ignorance_phrases_a
+            | 'h' -> ignorance_phrases_h
+            | 'n' -> ignorance_phrases_n
+            | _ -> []
+          in
+          if phrase_at s k phrases then ignorance := true
+      done;
+      let lw = Bytes.unsafe_to_string lw in
+      if (not !universal) && is_universal_marker lw then universal := true;
+      if (not !verb) && is_verb_marker lw then verb := true;
+      let w = strip_plural lw in
+      if not (is_stop_word w) then content := w :: !content);
+  {
+    content = List.rev !content;
+    universal = !universal;
+    verb = !verb;
+    ignorance = !ignorance;
+  }
+
+let content_words s = (scan s).content
 
 let sentences s =
   let out = ref [] in

@@ -1,5 +1,7 @@
 (** Plain-text utilities shared by the lints and the reading-audience
-    experiment: tokenisation, normalisation, and a readability score.
+    experiment: tokenisation, normalisation, the one per-text scan the
+    checkers derive their text predicates from, and a readability
+    score.
 
     The equivocation lint needs word-level comparison of node texts; the
     Section VI.C simulation needs a per-argument reading-difficulty
@@ -17,8 +19,35 @@ val normalise_word : string -> string
     longer than three characters — a deliberately light stemmer, enough
     to make ["Banks"] and ["bank"] compare equal in the lint. *)
 
+type scan = {
+  content : string list;
+      (** The content words, in text order: each word lowercased, a
+          plural ['s] stripped as {!normalise_word} does, stop words
+          dropped. *)
+  universal : bool;
+      (** Some word, lowercased, is a universal marker ("all",
+          "always", "never", "every", "any") — the paper's wcet
+          example hinges on one. *)
+  verb : bool;
+      (** Some word, lowercased, is a finite-verb or copula marker
+          ("is", "holds", "shall", "meets", "mitigated", ...) — what
+          makes a goal read as a proposition rather than a noun
+          phrase. *)
+  ignorance : bool;
+      (** The text contains, case-insensitively, a phrase that argues
+          from absence of evidence ("no evidence that", "has never been
+          observed", "not been shown", ...). *)
+}
+(** Everything the checkers read off a node's words. *)
+
+val scan : string -> scan
+(** One pass over the text: the same tokens as {!words}, each
+    lowercased once, and the ignorance phrases matched in place by
+    their first letter, without a lowered copy of the text. *)
+
 val content_words : string -> string list
-(** {!words}, normalised, with English stop words removed. *)
+(** [(scan s).content]: {!words}, normalised, with English stop words
+    removed. *)
 
 val sentences : string -> string list
 (** Splits on [.!?] boundaries; drops empty sentences. *)

@@ -46,22 +46,7 @@ let equivocation_candidates program =
     roles []
   |> List.sort String.compare
 
-let ignorance_phrases =
-  [
-    "no evidence that";
-    "no evidence of";
-    "has never been observed";
-    "have never been observed";
-    "not been shown";
-    "never been demonstrated";
-    "absence of any report";
-    "no counterexample";
-  ]
-
-(* The phrases are lowercase, so the text is lowered once per call. *)
-let argues_from_ignorance text =
-  let text = String.lowercase_ascii text in
-  List.exists (Textutil.contains_substring text) ignorance_phrases
+let argues_from_ignorance text = (Textutil.scan text).Textutil.ignorance
 
 (* Path enumeration on a dense DAG is exponential and a lint need not
    be exhaustive, so the circular-support walk always runs under a

@@ -24,9 +24,9 @@ val equivocation_candidates : Argus_prolog.Program.t -> string list
     exactly [["bank"]]. *)
 
 val argues_from_ignorance : string -> bool
-(** The text-level predicate behind ["informal/argument-from-ignorance"]
-    (case-insensitive phrase scan), exposed so the fused array-IR
-    checker ({!Argus_ir.Fused}) shares it. *)
+(** The text-level predicate behind ["informal/argument-from-ignorance"]:
+    the [ignorance] flag of {!Argus_core.Textutil.scan}, a
+    case-insensitive phrase match. *)
 
 val default_walk_fuel : int
 (** Fuel of the internal budget the circular-support walk of

@@ -57,25 +57,9 @@ let is_contextual = function
   | Goal | Strategy | Solution | Away_goal _ | Module_ref _ | Contract _ ->
       false
 
-(* Finite-verb (or copula) markers that make a sentence read as a
-   proposition rather than a noun phrase.  Deliberately coarse. *)
-let is_verb_marker = function
-  | "is" | "are" | "was" | "were" | "be" | "been" | "holds" | "hold" | "has"
-  | "have" | "meets" | "meet" | "satisfies" | "satisfy" | "complies"
-  | "comply" | "shall" | "will" | "must" | "can" | "cannot" | "does" | "do"
-  | "operates" | "operate" | "remains" | "remain" | "occurs" | "occur"
-  | "exists" | "exist" | "prevents" | "prevent" | "ensures" | "ensure"
-  | "implies" | "imply" | "managed" | "mitigated" | "acceptable" | "tolerable"
-  | "identified" | "addressed" | "inhibited" | "correct" | "safe" | "secure"
-  | "sufficient" | "valid" | "complete" ->
-      true
-  | _ -> false
-
 let looks_propositional text =
   Argus_core.Textutil.contains_symbolic_notation text
-  || List.exists
-       (fun w -> is_verb_marker (String.lowercase_ascii w))
-       (Argus_core.Textutil.words text)
+  || (Argus_core.Textutil.scan text).Argus_core.Textutil.verb
 
 let type_to_string = function
   | Goal -> "goal"

@@ -70,7 +70,9 @@ val looks_propositional : string -> bool
     text to be a proposition, and the paper criticises generated goals
     like "Formal proof that Quat4::quat(NED, Body) holds for Fc.cpp" for
     not being one.  We flag goal text with no finite-verb marker (no
-    "is"/"are"/"holds"/"shall"/"meets"/..., no [->]) as suspect. *)
+    "is"/"are"/"holds"/"shall"/"meets"/..., no [->]) as suspect:
+    {!Argus_core.Textutil.contains_symbolic_notation} or the [verb]
+    flag of {!Argus_core.Textutil.scan}. *)
 
 val type_to_string : node_type -> string
 val type_of_string : string -> node_type option

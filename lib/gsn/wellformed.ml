@@ -44,11 +44,5 @@ let context_target_ok = function
 let has_placeholder text =
   String.contains text '{' && String.contains text '}'
 
-let is_universal_marker = function
-  | "all" | "always" | "never" | "every" | "any" -> true
-  | _ -> false
-
 let claims_universally text =
-  List.exists
-    (fun w -> is_universal_marker (String.lowercase_ascii w))
-    (Argus_core.Textutil.words text)
+  (Argus_core.Textutil.scan text).Argus_core.Textutil.universal

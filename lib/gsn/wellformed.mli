@@ -45,4 +45,5 @@ val has_placeholder : string -> bool
 
 val claims_universally : string -> bool
 (** Text contains a universal marker ("all", "always", "never",
-    "every", "any") — the paper's wcet example hinges on one. *)
+    "every", "any") — the paper's wcet example hinges on one.  The
+    [universal] flag of {!Argus_core.Textutil.scan}. *)

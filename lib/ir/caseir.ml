@@ -20,17 +20,19 @@
    all of them.  An entity index [i] names a real node iff [i < n_nodes].
 
    Interning also caches the per-node text derivations the checkers
-   recompute on every run (content words, the normalised claim text and
-   its integer claim key, the ignorance/universal/propositional
-   predicates); the graph shape and the texts are immutable once
+   recompute on every run, all from one [Textutil.scan] of the text:
+   the content words (as a row sorted by word hash, with the hashes in
+   a parallel column, for the equivocation scan), the normalised claim
+   text and its integer claim key, the ignorance/universal/propositional
+   predicates; the graph shape and the texts are immutable once
    interned, so these are plain arrays.  [ir.interned] counts interning passes.
 
    Two extensions serve the incremental store (lib/store).  [intern]
    takes an optional [?derive] hook so a caller can hash-cons the text
    derivations across cases — re-interning a patched structure then
-   skips [Textutil.content_words] and friends for every node payload
-   already seen.  And [apply] replays an edit batch (set, add, remove,
-   link, unlink) on an existing IR.  A batch that only sets payloads,
+   skips the text scan for every node payload already seen.  And
+   [apply] replays an edit batch (set, add, remove, link, unlink) on an
+   existing IR.  A batch that only sets payloads,
    keeping every node's contextual-ness, writes the node and text
    arrays in place and leaves the graph half alone, so a one-node text
    edit costs one derivation.  Any other batch rebuilds the link
@@ -43,14 +45,13 @@ module Id = Argus_core.Id
 module Textutil = Argus_core.Textutil
 module Node = Argus_gsn.Node
 module Structure = Argus_gsn.Structure
-module Wellformed = Argus_gsn.Wellformed
-module Informal = Argus_fallacy.Informal
 
 type derived = {
   d_goal_like : bool;
   d_norm : string;
   d_claim : int;
-  d_content : string list;
+  d_content : string array;
+  d_content_hash : int array;
   d_ignorance : bool;
   d_universal : bool;
   d_propositional : bool;
@@ -79,38 +80,85 @@ type t = {
   goal_like : bool array;  (** Per node: {!Node.is_goal_like}. *)
   norm : string array;  (** Per node: normalised content-word text. *)
   claim : int array;  (** Per node: the claim key of its norm. *)
-  content : string list array;  (** Per node: {!Textutil.content_words}. *)
-  ignorance : bool array;  (** Per node: {!Informal.argues_from_ignorance}. *)
+  content : string array array;
+      (** Per node: its content words, sorted by [content_hash]. *)
+  content_hash : int array array;
+      (** Per node: [Hashtbl.hash] of each word of [content], ascending. *)
+  ignorance : bool array;
+      (** Per node: {!Argus_fallacy.Informal.argues_from_ignorance}. *)
   universal : bool array;
-      (** Per goal-like node: {!Wellformed.claims_universally}. *)
+      (** Per goal-like node: {!Argus_gsn.Wellformed.claims_universally}. *)
   propositional : bool array;
       (** Per [Goal] node: {!Node.looks_propositional}. *)
 }
 
 let c_interned = Argus_obs.Counter.make "ir.interned"
 
+(* The content words as the equivocation scan reads them: sorted by
+   [Hashtbl.hash], equal hashes by [String.compare], so equal words sit
+   side by side, with the hashes in a parallel array.  The scan merges
+   two such rows comparing integers and reads a string only on a hash
+   tie.  [Hashtbl.hash] reads every byte of a string and is the same
+   in every process.  Insertion sort: a node has a handful of words. *)
+let content_row words =
+  let ws = Array.of_list words in
+  let n = Array.length ws in
+  let hs = Array.map Hashtbl.hash ws in
+  let before h w h' w' = h < h' || (h = h' && String.compare w w' < 0) in
+  if n <= 32 then
+    for i = 1 to n - 1 do
+      let h = hs.(i) and w = ws.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && before h w hs.(!j) ws.(!j) do
+        hs.(!j + 1) <- hs.(!j);
+        ws.(!j + 1) <- ws.(!j);
+        decr j
+      done;
+      hs.(!j + 1) <- h;
+      ws.(!j + 1) <- w
+    done
+  else begin
+    let pairs = Array.init n (fun i -> (hs.(i), ws.(i))) in
+    Array.sort
+      (fun (h, w) (h', w') ->
+        if h <> h' then Int.compare h h' else String.compare w w')
+      pairs;
+    Array.iteri
+      (fun i (h, w) ->
+        hs.(i) <- h;
+        ws.(i) <- w)
+      pairs
+  end;
+  (ws, hs)
+
 (* Everything the checkers derive from one node payload, independent of
    the surrounding graph — the unit of hash-consing for the store's
-   arena. *)
+   arena.  One {!Textutil.scan} of the text feeds every column: the
+   content words (and from them the norm, the claim key and the hashed
+   row), the universal and verb-marker flags, and the ignorance flag;
+   only a goal with no verb marker is scanned again, for symbolic
+   notation. *)
 let derive (n : Node.t) =
   let text = n.Node.text in
-  let words = Textutil.content_words text in
+  let sc = Textutil.scan text in
   let gl = Node.is_goal_like n.Node.node_type in
-  let norm = String.concat " " words in
+  let norm = String.concat " " sc.Textutil.content in
+  let content, content_hash = content_row sc.Textutil.content in
   {
     d_goal_like = gl;
     d_norm = norm;
     (* The claim key, the circular-support walk's prefilter: it
        compares these ints and reads the norm strings only when two
-       match.  [Hashtbl.hash] reads every byte of a string and is the
-       same in every process; [1 +] keeps [0] for "no claim". *)
+       match.  [1 +] keeps [0] for "no claim". *)
     d_claim = (if gl && norm <> "" then 1 + Hashtbl.hash norm else 0);
-    d_content = words;
-    d_ignorance = Informal.argues_from_ignorance text;
-    d_universal = (if gl then Wellformed.claims_universally text else false);
+    d_content = content;
+    d_content_hash = content_hash;
+    d_ignorance = sc.Textutil.ignorance;
+    d_universal = gl && sc.Textutil.universal;
     d_propositional =
-      (if n.Node.node_type = Node.Goal then Node.looks_propositional text
-       else true);
+      n.Node.node_type <> Node.Goal
+      || sc.Textutil.verb
+      || Textutil.contains_symbolic_notation text;
   }
 
 (* [reuse old len x]: the array [old] itself when it already has length
@@ -238,7 +286,8 @@ type columns = {
   c_goal_like : bool array;
   c_norm : string array;
   c_claim : int array;
-  c_content : string list array;
+  c_content : string array array;
+  c_content_hash : int array array;
   c_ignorance : bool array;
   c_universal : bool array;
   c_propositional : bool array;
@@ -249,6 +298,7 @@ let set_columns c i d =
   c.c_norm.(i) <- d.d_norm;
   c.c_claim.(i) <- d.d_claim;
   c.c_content.(i) <- d.d_content;
+  c.c_content_hash.(i) <- d.d_content_hash;
   c.c_ignorance.(i) <- d.d_ignorance;
   c.c_universal.(i) <- d.d_universal;
   c.c_propositional.(i) <- d.d_propositional
@@ -259,7 +309,8 @@ let blank =
     d_goal_like = false;
     d_norm = "";
     d_claim = 0;
-    d_content = [];
+    d_content = [||];
+    d_content_hash = [||];
     d_ignorance = false;
     d_universal = false;
     d_propositional = true;
@@ -273,6 +324,7 @@ let columns n derived =
       c_norm = Array.make (max 1 n) blank.d_norm;
       c_claim = Array.make (max 1 n) blank.d_claim;
       c_content = Array.make (max 1 n) blank.d_content;
+      c_content_hash = Array.make (max 1 n) blank.d_content_hash;
       c_ignorance = Array.make (max 1 n) blank.d_ignorance;
       c_universal = Array.make (max 1 n) blank.d_universal;
       c_propositional = Array.make (max 1 n) blank.d_propositional;
@@ -315,6 +367,7 @@ let make ?into ~structure ~index ~ids ~nodes ~n_entities ~columns:c link_kind
     norm = c.c_norm;
     claim = c.c_claim;
     content = c.c_content;
+    content_hash = c.c_content_hash;
     ignorance = c.c_ignorance;
     universal = c.c_universal;
     propositional = c.c_propositional;
@@ -605,7 +658,8 @@ let reshape ~derive ir structure edits =
           c_goal_like = compact ir.goal_like false;
           c_norm = compact ir.norm "";
           c_claim = compact ir.claim 0;
-          c_content = compact ir.content [];
+          c_content = compact ir.content [||];
+          c_content_hash = compact ir.content_hash [||];
           c_ignorance = compact ir.ignorance false;
           c_universal = compact ir.universal false;
           c_propositional = compact ir.propositional true;
@@ -686,6 +740,7 @@ let apply ?(derive = derive) ir structure edits =
           c_norm = ir.norm;
           c_claim = ir.claim;
           c_content = ir.content;
+          c_content_hash = ir.content_hash;
           c_ignorance = ir.ignorance;
           c_universal = ir.universal;
           c_propositional = ir.propositional;

@@ -7,7 +7,8 @@
     in insertion order, then dangling link endpoints in link-scan order
     — to a dense integer index, CSR-style adjacency arrays over those
     indices, and per-node caches of the text derivations the checkers
-    recompute on every legacy run.
+    recompute on every legacy run — all from one
+    {!Argus_core.Textutil.scan} per payload.
 
     Dangling endpoints are first-class entities because the legacy
     traversals propagate through them: a missing node's own outgoing
@@ -31,7 +32,11 @@ type derived = {
   d_claim : int;
       (** The claim key: [0] unless goal-like with a non-empty
           [d_norm], else a non-zero hash of [d_norm]. *)
-  d_content : string list;  (** {!Argus_core.Textutil.content_words}. *)
+  d_content : string array;
+      (** {!Argus_core.Textutil.content_words}, duplicates kept, sorted
+          by [Hashtbl.hash] and equal hashes by [String.compare]. *)
+  d_content_hash : int array;
+      (** [Hashtbl.hash] of each word of [d_content], ascending. *)
   d_ignorance : bool;
       (** {!Argus_fallacy.Informal.argues_from_ignorance}. *)
   d_universal : bool;
@@ -43,7 +48,9 @@ type derived = {
 }
 (** Everything the checkers derive from one node payload, independent
     of the surrounding graph — the unit of hash-consing for the
-    store's node arena. *)
+    store's node arena.  All of it comes from one
+    {!Argus_core.Textutil.scan} of the text (a [Goal] with no verb
+    marker is also checked for symbolic notation). *)
 
 type t = {
   structure : Argus_gsn.Structure.t;  (** The source, for evidence lookups. *)
@@ -76,8 +83,18 @@ type t = {
           [String.equal] on [norm]: no digest, memo key, log record or
           diagnostic ever contains it, so replacing the hash changes no
           output. *)
-  content : string list array;
-      (** Per node: {!Argus_core.Textutil.content_words}. *)
+  content : string array array;
+      (** Per node: its content words, duplicates kept, sorted by
+          [content_hash] and equal hashes by [String.compare], so equal
+          words are adjacent. *)
+  content_hash : int array array;
+      (** Per node: [Hashtbl.hash] of each word of [content], in the
+          same (ascending) order.  Like [claim], only a prefilter: the
+          equivocation scan ({!Fused}) uses the hashes to find sibling
+          pairs that may share a word and to merge two rows comparing
+          integers, and [String.equal] on the words decides every
+          match.  No digest, memo key, log record or diagnostic ever
+          contains a hash, so replacing it changes no output. *)
   ignorance : bool array;
       (** Per node: {!Argus_fallacy.Informal.argues_from_ignorance}. *)
   universal : bool array;

@@ -10,10 +10,19 @@
    observable is preserved: diagnostics and their order after
    {!Diagnostic.sort} (the per-code emission orders below match the legacy
    per-code orders, and the sort is stable), the [gsn.wf.*] counters, the
-   [gsn.wellformed*] spans, and the circular-support walk's budget ticks —
-   one per visit, skipped for on-path ids, charged even for dangling
-   endpoints, exactly as the legacy walk's short-circuit evaluates.
-   [ir.fused_passes] counts passes. *)
+   [gsn.wellformed*] spans, and the budget ticks — the circular-support
+   walk's one per visit, skipped for on-path ids, charged even for
+   dangling endpoints, exactly as the legacy walk's short-circuit
+   evaluates; then the equivocation scan's one per candidate pair.
+   [ir.fused_passes] counts passes.
+
+   The lints read the text columns [Caseir.derive] computed once per
+   payload.  The equivocation scan reads a per-node row of content
+   words sorted by [Hashtbl.hash] with the hashes beside it
+   ([Caseir.content], [content_hash]); like the circular walk's claim
+   key, a hash only preselects — a string comparison confirms every
+   match, and no hash reaches a digest, a memo key, a log or a
+   diagnostic. *)
 
 module Id = Argus_core.Id
 module Diagnostic = Argus_core.Diagnostic
@@ -37,52 +46,214 @@ let c_nodes_visited = Counter.make "gsn.wf.nodes_visited"
 let c_links_checked = Counter.make "gsn.wf.links_checked"
 let c_findings = Counter.make "gsn.wf.findings"
 
-(* The per-node lints (argument-from-ignorance, equivocation among
-   sibling goals) for node [i] — legacy runs these as two whole-node
-   scans; here they ride the well-formedness node loop.  The stable
-   {!Diagnostic.sort} groups findings back by code, so the interleaved
-   emission sorts identically to the legacy scan-by-scan order. *)
-let node_lints (ir : Caseir.t) i inf_add =
-  let ids = ir.Caseir.ids in
-  let n_nodes = ir.Caseir.n_nodes in
-  let sup_out_off = ir.Caseir.sup_out_off and sup_out = ir.Caseir.sup_out in
+(* Argument from ignorance at node [i]: a flag [Caseir.derive] already
+   computed. *)
+let ignorance_lint (ir : Caseir.t) i inf_add =
   if ir.Caseir.ignorance.(i) then
     inf_add
       (Diagnostic.warningf ~code:"informal/argument-from-ignorance"
-         ~subjects:[ ids.(i) ]
+         ~subjects:[ ir.Caseir.ids.(i) ]
          "claim argued from absence of evidence; confirm the search \
-          procedure was adequate");
-  let goal_children = ref [] in
-  for k = sup_out_off.(i + 1) - 1 downto sup_out_off.(i) do
-    let j = sup_out.(k) in
-    if j < n_nodes && ir.Caseir.goal_like.(j) then
-      goal_children := j :: !goal_children
+          procedure was adequate")
+
+(* Equivocation among node [i]'s goal-like SupportedBy children: a
+   pair of siblings fires when exactly one word of the first (counted
+   with its duplicates) is a word of the second, and each has at least
+   3 words (again with duplicates) that the other lacks.  So both
+   sides need 4 words or more, and a pair that shares no word never
+   fires.
+
+   Each sibling's row ([Caseir.content], [content_hash]) is sorted by
+   hash, then by string, so one merge of two rows counts the shared
+   words: it compares integers and reads strings only on a hash tie,
+   where [String.equal] decides (and, for two distinct words that
+   collide, [String.compare] says which row advances).  It takes a run
+   of equal words from each side at once and stops at the second
+   shared word.  Below [index_min] siblings every eligible pair is merged;
+   from there on candidates come from an inverted index: each eligible
+   sibling's distinct hashes, packed with its position as
+   [hash lsl 32 lor position] and sorted, so a hash's group lists its
+   siblings in order and a sibling's candidates are the later members
+   of its groups.  A pair sharing no hash is never merged.
+
+   Budget: one tick per candidate pair — both sides eligible and at
+   least one shared word — in pair order, before its finding; an
+   exhausted budget ends the scan, here and at every later node.
+   Findings come in the legacy pair order (first sibling, then second,
+   in link order). *)
+let index_min = 8
+
+let equivocation_lint ?(budget = Budget.unlimited) (ir : Caseir.t) i inf_add =
+  let n_nodes = ir.Caseir.n_nodes in
+  let sup_out_off = ir.Caseir.sup_out_off and sup_out = ir.Caseir.sup_out in
+  let goal_like = ir.Caseir.goal_like in
+  let k = ref 0 in
+  for e = sup_out_off.(i) to sup_out_off.(i + 1) - 1 do
+    let j = sup_out.(e) in
+    if j < n_nodes && goal_like.(j) then incr k
   done;
-  match !goal_children with
-  | _ :: _ :: _ as siblings ->
-      let word_sets =
-        List.map (fun j -> (j, ir.Caseir.content.(j))) siblings
-      in
-      let rec pairs = function
-        | [] -> []
-        | x :: rest -> List.map (fun y -> (x, y)) rest @ pairs rest
-      in
-      List.iter
-        (fun ((j1, ws1), (j2, ws2)) ->
-          let shared = List.filter (fun w -> List.mem w ws2) ws1 in
-          let only1 = List.filter (fun w -> not (List.mem w ws2)) ws1 in
-          let only2 = List.filter (fun w -> not (List.mem w ws1)) ws2 in
-          match shared with
-          | [ word ] when List.length only1 >= 3 && List.length only2 >= 3 ->
-              inf_add
-                (Diagnostic.warningf ~code:"informal/equivocation-candidate"
-                   ~subjects:[ ids.(j1); ids.(j2) ]
-                   "the word %S links otherwise-unrelated sibling goals; \
-                    check it means the same thing in both"
-                   word)
-          | _ -> ())
-        (pairs word_sets)
-  | _ -> ()
+  let k = !k in
+  if k >= 2 then begin
+    let sib = Array.make k 0 in
+    let next = ref 0 in
+    for e = sup_out_off.(i) to sup_out_off.(i + 1) - 1 do
+      let j = sup_out.(e) in
+      if j < n_nodes && goal_like.(j) then begin
+        sib.(!next) <- j;
+        incr next
+      end
+    done;
+    let words = ir.Caseir.content and hashes = ir.Caseir.content_hash in
+    let eligible p = Array.length hashes.(sib.(p)) >= 4 in
+    let live = ref true in
+    (* Merge the rows of positions [p] and [q]; [false] once the budget
+       is spent. *)
+    let pair p q =
+      let a = sib.(p) and b = sib.(q) in
+      let ha = hashes.(a) and wa = words.(a) in
+      let hb = hashes.(b) and wb = words.(b) in
+      let la = Array.length ha and lb = Array.length hb in
+      let x = ref 0 and y = ref 0 in
+      let shared = ref 0 and covered = ref 0 and word = ref 0 in
+      while !x < la && !y < lb && !shared < 2 do
+        let h = ha.(!x) and h' = hb.(!y) in
+        if h < h' then incr x
+        else if h > h' then incr y
+        else if String.equal wa.(!x) wb.(!y) then begin
+          let w = wa.(!x) in
+          word := !x;
+          while !x < la && ha.(!x) = h && String.equal wa.(!x) w do
+            incr x;
+            incr shared
+          done;
+          while !y < lb && hb.(!y) = h && String.equal wb.(!y) w do
+            incr y;
+            incr covered
+          done
+        end
+        else if String.compare wa.(!x) wb.(!y) < 0 then incr x
+        else incr y
+      done;
+      !shared = 0
+      || Budget.tick budget ~engine:"informal"
+         && begin
+              if !shared = 1 && la - 1 >= 3 && lb - !covered >= 3 then
+                inf_add
+                  (Diagnostic.warningf
+                     ~code:"informal/equivocation-candidate"
+                     ~subjects:[ ir.Caseir.ids.(a); ir.Caseir.ids.(b) ]
+                     "the word %S links otherwise-unrelated sibling goals; \
+                      check it means the same thing in both"
+                     wa.(!word));
+              true
+            end
+    in
+    if k < index_min then begin
+      let p = ref 0 in
+      while !live && !p < k - 1 do
+        if eligible !p then begin
+          let q = ref (!p + 1) in
+          while !live && !q < k do
+            if eligible !q then live := pair !p !q;
+            incr q
+          done
+        end;
+        incr p
+      done
+    end
+    else begin
+      (* Per eligible position, its distinct hashes (adjacent in the
+         sorted row), as packed entries. *)
+      let n_entries = ref 0 in
+      let count = Array.make k 0 in
+      for p = 0 to k - 1 do
+        if eligible p then begin
+          let h = hashes.(sib.(p)) in
+          for x = 0 to Array.length h - 1 do
+            if x = 0 || h.(x) <> h.(x - 1) then
+              count.(p) <- count.(p) + 1
+          done;
+          n_entries := !n_entries + count.(p)
+        end
+      done;
+      let entries = Array.make !n_entries 0 in
+      let m = ref 0 in
+      for p = 0 to k - 1 do
+        if count.(p) > 0 then begin
+          let h = hashes.(sib.(p)) in
+          for x = 0 to Array.length h - 1 do
+            if x = 0 || h.(x) <> h.(x - 1) then begin
+              entries.(!m) <- (h.(x) lsl 32) lor p;
+              incr m
+            end
+          done
+        end
+      done;
+      Array.sort Int.compare entries;
+      let n_entries = !n_entries in
+      (* [group_end.(e)]: one past the last entry with [e]'s hash. *)
+      let group_end = Array.make n_entries n_entries in
+      for e = n_entries - 2 downto 0 do
+        group_end.(e) <-
+          (if entries.(e) lsr 32 = entries.(e + 1) lsr 32 then
+             group_end.(e + 1)
+           else e + 1)
+      done;
+      (* Each position's entries, CSR-style. *)
+      let off = Array.make (k + 1) 0 in
+      for p = 0 to k - 1 do
+        off.(p + 1) <- off.(p) + count.(p)
+      done;
+      let at = Array.sub off 0 k in
+      let of_pos = Array.make n_entries 0 in
+      for e = 0 to n_entries - 1 do
+        let p = entries.(e) land 0xFFFF_FFFF in
+        of_pos.(at.(p)) <- e;
+        at.(p) <- at.(p) + 1
+      done;
+      let mark = Array.make k (-1) in
+      let cand = Array.make k 0 in
+      let p = ref 0 in
+      while !live && !p < k - 1 do
+        let c = ref 0 in
+        for r = off.(!p) to off.(!p + 1) - 1 do
+          let e = of_pos.(r) in
+          for e' = e + 1 to group_end.(e) - 1 do
+            let q = entries.(e') land 0xFFFF_FFFF in
+            if mark.(q) <> !p then begin
+              mark.(q) <- !p;
+              cand.(!c) <- q;
+              incr c
+            end
+          done
+        done;
+        (* The candidates in position order: sorted when few, else
+           read off the marks, whichever is the smaller walk. *)
+        if !c * 16 < k - !p then begin
+          let qs = Array.sub cand 0 !c in
+          Array.sort Int.compare qs;
+          let r = ref 0 in
+          while !live && !r < !c do
+            live := pair !p qs.(!r);
+            incr r
+          done
+        end
+        else begin
+          let q = ref (!p + 1) in
+          while !live && !q < k do
+            if mark.(!q) = !p then live := pair !p !q;
+            incr q
+          done
+        end;
+        incr p
+      done
+    end
+  end
+
+(* Node [i]'s per-node lints, unbudgeted: the store's memoised unit. *)
+let node_lints ir i inf_add =
+  ignorance_lint ir i inf_add;
+  equivocation_lint ir i inf_add
 
 (* The circular-support walk — the one lint that is a path traversal
    rather than a node scan, so it keeps its own (budgeted) walk.  Tick
@@ -164,6 +335,16 @@ let circular_walk ?budget (ir : Caseir.t) inf_add =
   in
   List.iter walk ir.Caseir.roots;
   if internal then List.iter inf_add (Budget.diagnostics walk_budget)
+
+(* The lints that tick a budget, in the legacy oracle's order: the
+   circular-support walk, then the equivocation scan node by node.
+   The scan ticks only the caller's budget; without one it runs
+   unbudgeted, as the store's per-node path does. *)
+let budgeted_lints ?budget ir inf_add =
+  circular_walk ?budget ir inf_add;
+  for i = 0 to ir.Caseir.n_nodes - 1 do
+    equivocation_lint ?budget ir i inf_add
+  done
 
 (* One link's well-formedness findings, in [check]'s emission order.
    Counter accounting stays with the caller. *)
@@ -369,14 +550,14 @@ let check ?(ruleset = Wellformed.Standard) ?budget ?(lints = true)
           cycle_into ir wf_add);
       (* Roots. *)
       roots_into ir wf_add;
-      (* Per-node rules, with the per-node lints fused in. *)
+      (* Per-node rules, with the ignorance lint fused in. *)
       Span.with_ ~name:"gsn.wellformed.nodes" (fun () ->
           for i = 0 to n_nodes - 1 do
             Counter.incr c_nodes_visited;
             node_findings_into ir i wf_add;
-            if lints then node_lints ir i inf_add
+            if lints then ignorance_lint ir i inf_add
           done));
-  if lints then circular_walk ?budget ir inf_add;
+  if lints then budgeted_lints ?budget ir inf_add;
   {
     wf = Diagnostic.sort (List.rev !wf_out);
     informal = Diagnostic.sort (List.rev !inf_out);
@@ -445,9 +626,9 @@ let lint ?budget (ir : Caseir.t) =
   let inf_out = ref [] in
   let inf_add d = inf_out := d :: !inf_out in
   for i = 0 to ir.Caseir.n_nodes - 1 do
-    node_lints ir i inf_add
+    ignorance_lint ir i inf_add
   done;
-  circular_walk ?budget ir inf_add;
+  budgeted_lints ?budget ir inf_add;
   Diagnostic.sort (List.rev !inf_out)
 
 (* --- CAE --- *)

@@ -8,7 +8,8 @@
     [Legacy_informal], [Legacy_cae]): {!check}, {!lint} and
     {!check_cae} produce byte-identical diagnostic lists to them on the
     same case — same findings, same order, same budget tick accounting
-    for the circular-support walk (test/ir holds them to it).  The
+    for the circular-support walk and the equivocation scan (test/ir
+    holds them to it).  The
     [gsn.wf.*] counters and [gsn.wellformed*] spans fire exactly as
     the oracle's do; [ir.fused_passes] counts fused passes. *)
 
@@ -40,9 +41,9 @@ val check :
   Caseir.t ->
   result
 (** [ruleset] defaults to {!Argus_gsn.Wellformed.Standard}.  [budget]
-    governs only the circular-support walk, as in {!lint}.  [lints]
-    (default [true]) set to [false] skips the lints — and hence never
-    touches the budget. *)
+    governs only the circular-support walk and the equivocation scan,
+    as in {!lint}.  [lints] (default [true]) set to [false] skips the
+    lints — and hence never touches the budget. *)
 
 val lint :
   ?budget:Argus_rt.Budget.t -> Caseir.t -> Argus_core.Diagnostic.t list
@@ -62,7 +63,18 @@ val lint :
     when [?budget] is given (the caller then owns reporting its
     exhaustion), otherwise an internal
     {!Argus_fallacy.Informal.default_walk_fuel} one whose truncation is
-    reported here as an ["rt/budget-exhausted"] warning. *)
+    reported here as an ["rt/budget-exhausted"] warning.
+
+    The equivocation scan runs after the walk and ticks only the
+    caller's budget: one step per candidate pair of sibling goals —
+    both with at least 4 content words, sharing at least one — in
+    pair order.  Once the budget is spent it examines no further pair,
+    so a fuel or deadline budget bounds a single wide parent.  Without
+    [?budget] it is unbudgeted.  Candidates come from an inverted index
+    over the parent's goal children, and a pair is compared by merging
+    two rows of content-word hashes ([content_hash] in {!Caseir.t});
+    [String.equal] confirms every match, so a hash collision never
+    makes or hides a finding. *)
 
 (** {2 Per-unit entry points}
 
@@ -93,7 +105,7 @@ val node_findings : Caseir.t -> int -> Argus_core.Diagnostic.t list
 
 val node_lint_findings : Caseir.t -> int -> Argus_core.Diagnostic.t list
 (** Node [i]'s per-node lints (argument-from-ignorance, equivocation
-    among its goal-like SupportedBy children). *)
+    among its goal-like SupportedBy children), unbudgeted. *)
 
 val walk_findings :
   ?budget:Argus_rt.Budget.t -> Caseir.t -> Argus_core.Diagnostic.t list

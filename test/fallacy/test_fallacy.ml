@@ -437,6 +437,59 @@ let text_derivation_properties =
       Legacy_text.argues_from_ignorance;
   ]
 
+(* [Caseir.derive] runs one scan for every text column; each field must
+   be what the oracle's separate derivations compose to, for every node
+   type.  The content row is the oracle's word list, duplicates kept,
+   sorted by hash and then by string, with the hashes beside it. *)
+let derive_agrees =
+  let types =
+    [
+      Node.Goal; Node.Strategy; Node.Solution; Node.Context;
+      Node.Away_goal (Argus_core.Id.of_string "M1");
+    ]
+  in
+  QCheck.Test.make ~name:"Caseir.derive" ~count:1000
+    (QCheck.pair (QCheck.oneofl types) arb_text)
+    (fun (node_type, text) ->
+      let d =
+        Caseir.derive
+          (Node.make ~id:(Argus_core.Id.of_string "N") ~node_type text)
+      in
+      let gl = Node.is_goal_like node_type in
+      let words = Legacy_text.content_words text in
+      let norm = String.concat " " words in
+      let row =
+        List.sort
+          (fun w w' ->
+            compare (Hashtbl.hash w, w) (Hashtbl.hash w', w'))
+          words
+      in
+      let fields =
+        [
+          ("goal_like", d.Caseir.d_goal_like = gl);
+          ("norm", d.Caseir.d_norm = norm);
+          ( "claim",
+            d.Caseir.d_claim
+            = if gl && norm <> "" then 1 + Hashtbl.hash norm else 0 );
+          ("content", Array.to_list d.Caseir.d_content = row);
+          ( "content_hash",
+            Array.to_list d.Caseir.d_content_hash
+            = List.map Hashtbl.hash row );
+          ( "ignorance",
+            d.Caseir.d_ignorance = Legacy_text.argues_from_ignorance text );
+          ( "universal",
+            d.Caseir.d_universal = (gl && Legacy_text.claims_universally text)
+          );
+          ( "propositional",
+            d.Caseir.d_propositional
+            = (node_type <> Node.Goal || Legacy_text.looks_propositional text)
+          );
+        ]
+      in
+      match List.find_opt (fun (_, ok) -> not ok) fields with
+      | None -> true
+      | Some (field, _) -> QCheck.Test.fail_reportf "field %s differs" field)
+
 (* Needles: empty, a slice of the text, a fragment, or longer than the
    text. *)
 let gen_hay_needle =
@@ -528,5 +581,6 @@ let () =
         ] );
       ( "text-derivations",
         List.map QCheck_alcotest.to_alcotest
-          (substring_scan_agrees :: text_derivation_properties) );
+          (substring_scan_agrees :: text_derivation_properties
+          @ [ derive_agrees ]) );
     ]

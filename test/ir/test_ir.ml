@@ -20,7 +20,7 @@ module Fused = Argus_ir.Fused
 
 let render ds = Format.asprintf "%a" Diagnostic.pp_report ds
 let rulesets = [ Wellformed.Standard; Wellformed.Denney_pai_2013 ]
-let fuels = [ 1; 2; 3; 5; 100 ]
+let fuels = [ 1; 2; 3; 5; 100; 400 ]
 
 (* --- The adversarial case battery --- *)
 
@@ -357,6 +357,148 @@ let test_colliding_claim_keys () =
     [ "G2" ]
     (circular (goal_chain [ a; b; a ]))
 
+(* --- content-word hash collisions --- *)
+
+(* The equivocation scan merges sibling rows by word hash and compares
+   strings only on a hash tie, so two distinct words with equal hashes
+   must neither make a shared word nor hide one.  A birthday search
+   finds such a pair among generated words (30-bit hashes: ~2^15 words
+   suffice); the words avoid stop words and a trailing 's', so each is
+   its own content word. *)
+let colliding_words () =
+  let seen = Hashtbl.create 65536 in
+  let word n =
+    let b = Buffer.create 8 in
+    Buffer.add_char b 'q';
+    let rec go n =
+      Buffer.add_char b (Char.chr (Char.code 'a' + (n mod 26)));
+      if n >= 26 then go ((n / 26) - 1)
+    in
+    go n;
+    Buffer.contents b
+  in
+  let hash w =
+    let d = Caseir.derive (Node.goal "G" w) in
+    if d.Caseir.d_content <> [| w |] then None
+    else Some d.Caseir.d_content_hash.(0)
+  in
+  let rec search n =
+    if n > 1 lsl 22 then Alcotest.fail "no content-word hash collision found"
+    else
+      let w = word n in
+      match hash w with
+      | None -> search (n + 1)
+      | Some h -> (
+          match Hashtbl.find_opt seen h with
+          | Some w' -> (w', w)
+          | None ->
+              Hashtbl.add seen h w;
+              search (n + 1))
+  in
+  search 0
+
+let equivocations ds =
+  List.filter_map
+    (fun (d : Diagnostic.t) ->
+      if d.Diagnostic.code = "informal/equivocation-candidate" then
+        Some
+          (String.concat "," (List.map Id.to_string d.Diagnostic.subjects)
+          ^ " " ^ d.Diagnostic.message)
+      else None)
+    ds
+
+(* A strategy over goals [texts] (ids [G0], [G1], ...), after [filler]
+   short goals that can never fire — enough filler puts the pair on the
+   inverted-index path. *)
+let siblings ?(filler = 0) texts =
+  let fill = List.init filler (fun k -> Printf.sprintf "Filler %d holds" k) in
+  let goals =
+    List.mapi (fun k t -> Node.goal (Printf.sprintf "G%d" k) t) (fill @ texts)
+  in
+  Structure.of_nodes
+    ~links:
+      ((Structure.Supported_by, "R", "S")
+      :: List.map
+           (fun (g : Node.t) ->
+             (Structure.Supported_by, "S", Id.to_string g.Node.id))
+           goals)
+    (Node.goal "R" "The root claim holds" :: Node.strategy "S" "Argue" :: goals)
+
+let test_colliding_content_words () =
+  let a, b = colliding_words () in
+  let hash w = (Caseir.derive (Node.goal "G" w)).Caseir.d_content_hash in
+  Alcotest.(check (array int)) "the pair collides" (hash a) (hash b);
+  List.iter
+    (fun filler ->
+      let found texts =
+        let s = siblings ~filler texts in
+        (match parity_failure "collision" s with
+        | None -> ()
+        | Some msg -> Alcotest.fail msg);
+        let ir = Caseir.intern s in
+        let from_check = equivocations (Fused.check ir).Fused.informal in
+        Alcotest.(check (list string)) "lint agrees with check" from_check
+          (equivocations (Fused.lint ir));
+        from_check
+      in
+      let g k = Printf.sprintf "G%d,G%d" (filler + k) (filler + k + 1) in
+      Alcotest.(check (list string)) "colliding words are not shared" []
+        (found
+           [ "alpha beta gamma " ^ a; "delta epsilon zeta " ^ b ]);
+      Alcotest.(check (list string)) "one shared word fires"
+        [ Printf.sprintf "%s the word %S links otherwise-unrelated sibling \
+                          goals; check it means the same thing in both"
+            (g 0) a ]
+        (found [ "alpha beta gamma " ^ a; "delta epsilon zeta " ^ a ]);
+      (* [b] sits beside [a] in the second row: it must not count as a
+         second copy of the shared word. *)
+      Alcotest.(check (list string)) "a colliding neighbour does not hide one"
+        [ Printf.sprintf "%s the word %S links otherwise-unrelated sibling \
+                          goals; check it means the same thing in both"
+            (g 0) a ]
+        (found [ "alpha beta gamma " ^ a; "delta epsilon " ^ a ^ " " ^ b ]);
+      Alcotest.(check (list string)) "nor make a second shared word" [
+        Printf.sprintf "%s the word %S links otherwise-unrelated sibling \
+                        goals; check it means the same thing in both"
+          (g 0) "kappa" ]
+        (found
+           [ "alpha beta gamma kappa " ^ a; "delta epsilon zeta kappa " ^ b ]))
+    [ 0; 9 ]
+
+(* --- the equivocation scan stops at its budget --- *)
+
+(* One strategy over 4000 sibling goals, every pair of which shares
+   exactly one word ("bank") and nothing else, so every pair is a
+   candidate and fires.  The walk visits the root, the strategy and
+   the 4000 goals; the scan then gets the rest of the fuel, one tick
+   per pair.  Counting findings counts the pairs the scan examined:
+   without the ticks it would examine all ~8M. *)
+let test_scan_stops_at_fuel () =
+  let k = 4000 in
+  let s =
+    siblings
+      (List.init k (fun i ->
+           Printf.sprintf "bank x%da x%db x%dc" i i i))
+  in
+  let ir = Caseir.intern s in
+  let walk = k + 2 in
+  List.iter
+    (fun extra ->
+      let b = Budget.make ~fuel:(walk + extra) () in
+      let ds = Fused.lint ~budget:b ir in
+      Alcotest.(check int)
+        (Printf.sprintf "pairs examined with %d fuel left" extra)
+        extra
+        (List.length (equivocations ds));
+      Alcotest.(check int) "steps stop at the fuel" (walk + extra + 1)
+        (Budget.steps b);
+      let b' = Budget.make ~fuel:(walk + extra) () in
+      Alcotest.(check int) "check stops as lint does" extra
+        (List.length
+           (equivocations (Fused.check ~budget:b' ir).Fused.informal));
+      Alcotest.(check int) "same steps" (Budget.steps b) (Budget.steps b'))
+    [ 0; 1; 1000 ]
+
 (* --- Random structures --- *)
 
 (* Texts chosen to tickle every lint: ignorance phrases, shared-word
@@ -422,6 +564,66 @@ let gen_structure =
     (list_size (int_range 0 12) (link n))
   |> map (fun (nodes, links) -> Structure.of_nodes ~links nodes)
 
+(* Wide parents for the equivocation scan: one parent (a goal or a
+   strategy, under a root goal) over 2-40 children, most of them goal
+   -like, some solutions the scan must skip.  Texts come from a small
+   vocabulary: each draws words from one topic, so siblings on
+   different topics share nothing, plus now and then a bridge word the
+   topics have in common — so pairs that share exactly one word are
+   frequent.  Words repeat within a text, plurals and "ss" endings
+   normalise differently, case varies, and stop words pad. *)
+let topics =
+  [|
+    [| "river"; "Rivers"; "erosion"; "flood"; "levee"; "silt" |];
+    [| "ledger"; "office"; "audit"; "Audits"; "teller"; "vault" |];
+    [| "class"; "glass"; "press"; "boss"; "MASS"; "passes" |];
+    [| "pump"; "pumps"; "valve"; "Valves"; "seal"; "flow" |];
+  |]
+
+let bridges = [| "bank"; "Banks"; "BANK"; "charge"; "Charges" |]
+
+let gen_wide_text =
+  let open QCheck.Gen in
+  let* topic = oneofa topics in
+  let* own = list_size (int_range 1 6) (oneofa topic) in
+  let* bridge = list_size (int_bound 2) (oneofa bridges) in
+  let* pad = list_size (int_bound 2) (oneofl [ "the"; "is"; "of"; "All" ]) in
+  let* words = shuffle_l (own @ bridge @ pad) in
+  oneof
+    [ return (String.concat " " words); oneofa texts ]
+
+let gen_wide =
+  let open QCheck.Gen in
+  let* m = int_range 2 40 in
+  let* parent_is_goal = bool in
+  let child c =
+    map2
+      (fun kind text ->
+        let id = Id.of_string (Printf.sprintf "C%d" c) in
+        let node_type =
+          match kind with
+          | 0 -> Node.Solution
+          | 1 -> Node.Away_goal (Id.of_string "M1")
+          | _ -> Node.Goal
+        in
+        Node.make ~id ~node_type text)
+      (int_bound 7) gen_wide_text
+  in
+  let* children = flatten_l (List.init m child) in
+  let parent =
+    if parent_is_goal then Node.goal "P" "Parent claim holds"
+    else Node.strategy "P" "Argue over each item"
+  in
+  return
+    (Structure.of_nodes
+       ~links:
+         ((Structure.Supported_by, "R", "P")
+         :: List.map
+              (fun (c : Node.t) ->
+                (Structure.Supported_by, "P", Id.to_string c.Node.id))
+              children)
+       (Node.goal "R" "The root claim holds" :: parent :: children))
+
 let print_structure s =
   String.concat "; "
     (List.map
@@ -434,7 +636,8 @@ let print_structure s =
 let fused_matches_legacy_on_random_structures =
   QCheck.Test.make ~name:"fused checker = legacy checkers (random structures)"
     ~count:300
-    (QCheck.make ~print:print_structure gen_structure)
+    (QCheck.make ~print:print_structure
+       QCheck.Gen.(oneof [ gen_structure; gen_wide ]))
     (fun s ->
       match parity_failure "random" s with
       | None -> true
@@ -452,9 +655,9 @@ let set_node_parity =
     (QCheck.make
        ~print:(fun (s, _, _) -> print_structure s)
        QCheck.Gen.(
-         gen_structure >>= fun s ->
+         oneof [ gen_structure; gen_wide ] >>= fun s ->
          let n = List.length (Structure.nodes s) in
-         pair (int_bound (max 0 (n - 1))) (int_bound (Array.length texts - 1))
+         pair (int_bound (max 0 (n - 1))) gen_wide_text
          >>= fun (pick, text) -> return (s, pick, text)))
     (fun (s, pick, text) ->
       let ir = Caseir.intern s in
@@ -463,8 +666,7 @@ let set_node_parity =
       let n' =
         Node.make ~id:node.Node.id ~node_type:node.Node.node_type
           ~status:node.Node.status ?formal:node.Node.formal
-          ~annotations:node.Node.annotations ?evidence:node.Node.evidence
-          texts.(text)
+          ~annotations:node.Node.annotations ?evidence:node.Node.evidence text
       in
       let s' = Structure.add_node n' s in
       let patched =
@@ -576,5 +778,9 @@ let () =
           QCheck_alcotest.to_alcotest cycle_witness_matches_legacy;
           Alcotest.test_case "colliding claim keys" `Quick
             test_colliding_claim_keys;
+          Alcotest.test_case "colliding content words" `Quick
+            test_colliding_content_words;
+          Alcotest.test_case "equivocation scan stops at its fuel" `Quick
+            test_scan_stops_at_fuel;
         ] );
     ]

@@ -12,6 +12,8 @@ module Budget = Argus_rt.Budget
 open Argus_fallacy.Informal
 
 let check_structure ?budget structure =
+  (* The equivocation scan ticks only a caller's budget. *)
+  let scan_budget = Option.value budget ~default:Budget.unlimited in
   let budget, internal =
     match budget with
     | Some b -> (b, false)
@@ -65,7 +67,9 @@ let check_structure ?budget structure =
               procedure was adequate"))
     (Structure.nodes structure);
   (* Equivocation candidates among sibling goals: a shared content word
-     whose surrounding vocabularies are otherwise disjoint. *)
+     whose surrounding vocabularies are otherwise disjoint.  A pair that
+     could fire — both sides with 4 or more words, some word shared —
+     ticks the budget first, and is skipped once it is spent. *)
   let goal_children id =
     Structure.children Structure.Supported_by id structure
     |> List.filter_map (fun cid ->
@@ -92,7 +96,14 @@ let check_structure ?budget structure =
             let shared = List.filter (fun w -> List.mem w ws2) ws1 in
             let only1 = List.filter (fun w -> not (List.mem w ws2)) ws1 in
             let only2 = List.filter (fun w -> not (List.mem w ws1)) ws2 in
+            let candidate =
+              shared <> [] && List.length ws1 >= 4 && List.length ws2 >= 4
+            in
+            let spent () =
+              not (Budget.tick scan_budget ~engine:"informal")
+            in
             match shared with
+            | _ when candidate && spent () -> ()
             | [ word ]
               when List.length only1 >= 3 && List.length only2 >= 3 ->
                 add

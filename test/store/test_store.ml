@@ -1055,6 +1055,7 @@ let ir_diff (a : Caseir.t) (b : Caseir.t) =
       ("norm", a.Caseir.norm = b.Caseir.norm);
       ("claim", a.Caseir.claim = b.Caseir.claim);
       ("content", a.Caseir.content = b.Caseir.content);
+      ("content_hash", a.Caseir.content_hash = b.Caseir.content_hash);
       ("ignorance", a.Caseir.ignorance = b.Caseir.ignorance);
       ("universal", a.Caseir.universal = b.Caseir.universal);
       ("propositional", a.Caseir.propositional = b.Caseir.propositional);
