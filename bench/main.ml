@@ -404,14 +404,12 @@ let qualities =
 
 (* One strategy over [k] sibling goals, each closed by a solution that
    cites registered evidence: the fan-out the equivocation scan
-   compares pairwise.  Every goal text says "Claim item N", so every
-   pair shares two words and is a candidate the scan must merge (and
-   none fires: a finding needs exactly one shared word). *)
-let wide_case k =
+   compares pairwise.  [text st i] writes goal [i]'s text from the
+   case's seeded random state. *)
+let fan_case k text =
   let module Node = Argus_gsn.Node in
   let module Evidence = Argus_core.Evidence in
   let st = Random.State.make [| k |] in
-  let pick a = a.(Random.State.int st (Array.length a)) in
   let goal i = Printf.sprintf "G%d" i and sol i = Printf.sprintf "Sn%d" i in
   Structure.of_nodes
     ~links:
@@ -432,11 +430,35 @@ let wide_case k =
     :: List.concat
          (List.init k (fun i ->
               [
-                Node.goal (goal i)
-                  (Printf.sprintf "Claim item %d: the %s is %s" i
-                     (pick subjects) (pick qualities));
+                Node.goal (goal i) (text st i);
                 Node.solution ~evidence:"E1" (sol i) "Test report";
               ])))
+
+(* Every goal text says "Claim item N", so every pair shares two words
+   and is a candidate the scan must merge (and none fires: a finding
+   needs exactly one shared word). *)
+let wide_case k =
+  fan_case k (fun st i ->
+      let pick a = a.(Random.State.int st (Array.length a)) in
+      Printf.sprintf "Claim item %d: the %s is %s" i (pick subjects)
+        (pick qualities))
+
+(* The sparse twin: 125 topics of 8 made-up words each, goal [i] on
+   topic [i mod 125] with 5 cyclically consecutive words of it.  Goals
+   on different topics share no word, so only ~3.5k of the ~500k pairs
+   are candidates; goals on one topic share at least two words, so
+   none fires. *)
+let sparse_case k =
+  let syllables =
+    [| "ka"; "lo"; "mi"; "ru"; "te"; "va"; "no"; "pi"; "de"; "zu" |]
+  in
+  let word n =
+    syllables.(n / 100) ^ syllables.(n / 10 mod 10) ^ syllables.(n mod 10)
+  in
+  fan_case k (fun st i ->
+      let topic = i mod 125 and first = Random.State.int st 8 in
+      String.concat " "
+        (List.init 5 (fun j -> word ((topic * 8) + ((first + j) mod 8)))))
 
 (* One fixed, seeded ~5k-node tree for the per-phase kernels, grown
    the way the serving benchmark grows its edit-loop cases: goals
@@ -927,6 +949,12 @@ let bench_subjects =
        store-full-recheck-100k within the smoke run. *)
     Test.make_with_resource ~name:"lint-wide-1000" Test.uniq
       ~allocate:(fun () -> Caseir.intern (wide_case 1000))
+      ~free:(fun _ -> ())
+      (Staged.stage (fun ir -> ignore (Fused.check ~lints:true ir)));
+    (* The same fan-out whose siblings share few words: ~3.5k candidate
+       pairs out of ~500k, the case the scan's inverted index is for. *)
+    Test.make_with_resource ~name:"lint-sparse-1000" Test.uniq
+      ~allocate:(fun () -> Caseir.intern (sparse_case 1000))
       ~free:(fun _ -> ())
       (Staged.stage (fun ir -> ignore (Fused.check ~lints:true ir)));
     Test.make_with_resource ~name:"fused-check-5k" Test.uniq

@@ -1,4 +1,3 @@
-module Textutil = Argus_core.Textutil
 module Term = Argus_logic.Term
 module Program = Argus_prolog.Program
 
@@ -45,8 +44,6 @@ let equivocation_candidates program =
     (fun name rs acc -> if List.length rs >= 2 then name :: acc else acc)
     roles []
   |> List.sort String.compare
-
-let argues_from_ignorance text = (Textutil.scan text).Textutil.ignorance
 
 (* Path enumeration on a dense DAG is exponential and a lint need not
    be exhaustive, so the circular-support walk always runs under a

@@ -23,11 +23,6 @@ val equivocation_candidates : Argus_prolog.Program.t -> string list
     different things in different clauses.  For {!desert_bank} this is
     exactly [["bank"]]. *)
 
-val argues_from_ignorance : string -> bool
-(** The text-level predicate behind ["informal/argument-from-ignorance"]:
-    the [ignorance] flag of {!Argus_core.Textutil.scan}, a
-    case-insensitive phrase match. *)
-
 val default_walk_fuel : int
 (** Fuel of the internal budget the circular-support walk of
     {!Argus_ir.Fused.lint} runs under when the caller passes none

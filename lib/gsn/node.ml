@@ -57,10 +57,6 @@ let is_contextual = function
   | Goal | Strategy | Solution | Away_goal _ | Module_ref _ | Contract _ ->
       false
 
-let looks_propositional text =
-  Argus_core.Textutil.contains_symbolic_notation text
-  || (Argus_core.Textutil.scan text).Argus_core.Textutil.verb
-
 let type_to_string = function
   | Goal -> "goal"
   | Strategy -> "strategy"

@@ -65,15 +65,6 @@ val is_goal_like : node_type -> bool
 val is_contextual : node_type -> bool
 (** Context, assumption, justification. *)
 
-val looks_propositional : string -> bool
-(** Heuristic used by the well-formedness checker: GSN requires goal
-    text to be a proposition, and the paper criticises generated goals
-    like "Formal proof that Quat4::quat(NED, Body) holds for Fc.cpp" for
-    not being one.  We flag goal text with no finite-verb marker (no
-    "is"/"are"/"holds"/"shall"/"meets"/..., no [->]) as suspect:
-    {!Argus_core.Textutil.contains_symbolic_notation} or the [verb]
-    flag of {!Argus_core.Textutil.scan}. *)
-
 val type_to_string : node_type -> string
 val type_of_string : string -> node_type option
 (** Inverse of {!type_to_string} for the simple types; modular types

@@ -43,6 +43,3 @@ let context_target_ok = function
 
 let has_placeholder text =
   String.contains text '{' && String.contains text '}'
-
-let claims_universally text =
-  (Argus_core.Textutil.scan text).Argus_core.Textutil.universal

@@ -42,8 +42,3 @@ val context_target_ok : Node.node_type -> bool
 
 val has_placeholder : string -> bool
 (** Text still contains a [{placeholder}]. *)
-
-val claims_universally : string -> bool
-(** Text contains a universal marker ("all", "always", "never",
-    "every", "any") — the paper's wcet example hinges on one.  The
-    [universal] flag of {!Argus_core.Textutil.scan}. *)

@@ -38,12 +38,13 @@ type derived = {
   d_content_hash : int array;
       (** [Hashtbl.hash] of each word of [d_content], ascending. *)
   d_ignorance : bool;
-      (** {!Argus_fallacy.Informal.argues_from_ignorance}. *)
+      (** The [ignorance] flag of {!Argus_core.Textutil.scan}. *)
   d_universal : bool;
-      (** {!Argus_gsn.Wellformed.claims_universally}; [false] unless
-          goal-like. *)
+      (** The [universal] flag of {!Argus_core.Textutil.scan}; [false]
+          unless goal-like. *)
   d_propositional : bool;
-      (** {!Argus_gsn.Node.looks_propositional}; [true] unless a
+      (** {!Argus_core.Textutil.contains_symbolic_notation} or the
+          [verb] flag of {!Argus_core.Textutil.scan}; [true] unless a
           [Goal]. *)
 }
 (** Everything the checkers derive from one node payload, independent
@@ -96,12 +97,19 @@ type t = {
           match.  No digest, memo key, log record or diagnostic ever
           contains a hash, so replacing it changes no output. *)
   ignorance : bool array;
-      (** Per node: {!Argus_fallacy.Informal.argues_from_ignorance}. *)
+      (** Per node: the [ignorance] flag of {!Argus_core.Textutil.scan},
+          behind ["informal/argument-from-ignorance"]. *)
   universal : bool array;
-      (** Per goal-like node:
-          {!Argus_gsn.Wellformed.claims_universally}. *)
+      (** Per goal-like node: the [universal] flag of
+          {!Argus_core.Textutil.scan} — the paper's wcet example hinges
+          on a universal marker. *)
   propositional : bool array;
-      (** Per [Goal] node: {!Argus_gsn.Node.looks_propositional}. *)
+      (** Per [Goal] node: whether its text reads as a proposition —
+          {!Argus_core.Textutil.contains_symbolic_notation} or the
+          [verb] flag of {!Argus_core.Textutil.scan}; [true] for every
+          other type.  GSN requires goal text to be a proposition, and
+          the paper criticises generated goals like "Formal proof that
+          Quat4::quat(NED, Body) holds for Fc.cpp" for not being one. *)
 }
 (** Treat all fields as read-only; the checkers index them freely. *)
 

@@ -8,6 +8,7 @@ module Node = Argus_gsn.Node
 module Diagnostic = Argus_core.Diagnostic
 module Caseir = Argus_ir.Caseir
 module Fused = Argus_ir.Fused
+module Legacy_text = Argus_oracle.Legacy_text
 
 (* The shipped checkers: the fused pass over the interned case. *)
 let lint s = Fused.lint (Caseir.intern s)
@@ -379,7 +380,6 @@ let test_corpus_path_independent () =
 (* --- Text derivations against their first definitions --- *)
 
 module Textutil = Argus_core.Textutil
-module Wellformed = Argus_gsn.Wellformed
 
 (* Node-text-like strings: stop words, verb and universal markers,
    ignorance phrases, the digraphs and UTF-8 logic symbols, [&],
@@ -429,11 +429,15 @@ let text_derivation_properties =
     text_agrees "contains_symbolic_notation"
       Textutil.contains_symbolic_notation
       Legacy_text.contains_symbolic_notation;
-    text_agrees "looks_propositional" Node.looks_propositional
+    text_agrees "looks_propositional"
+      (fun t ->
+        Textutil.contains_symbolic_notation t || (Textutil.scan t).Textutil.verb)
       Legacy_text.looks_propositional;
-    text_agrees "claims_universally" Wellformed.claims_universally
+    text_agrees "claims_universally"
+      (fun t -> (Textutil.scan t).Textutil.universal)
       Legacy_text.claims_universally;
-    text_agrees "argues_from_ignorance" Informal.argues_from_ignorance
+    text_agrees "argues_from_ignorance"
+      (fun t -> (Textutil.scan t).Textutil.ignorance)
       Legacy_text.argues_from_ignorance;
   ]
 

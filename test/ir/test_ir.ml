@@ -635,7 +635,7 @@ let print_structure s =
 
 let fused_matches_legacy_on_random_structures =
   QCheck.Test.make ~name:"fused checker = legacy checkers (random structures)"
-    ~count:300
+    ~count:600
     (QCheck.make ~print:print_structure
        QCheck.Gen.(oneof [ gen_structure; gen_wide ]))
     (fun s ->
@@ -651,7 +651,7 @@ let fused_matches_legacy_on_random_structures =
    structure. *)
 let set_node_parity =
   QCheck.Test.make ~name:"set_node = full re-intern (random text edits)"
-    ~count:300
+    ~count:600
     (QCheck.make
        ~print:(fun (s, _, _) -> print_structure s)
        QCheck.Gen.(

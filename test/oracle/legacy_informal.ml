@@ -59,7 +59,7 @@ let check_structure ?budget structure =
   (* Argument from ignorance. *)
   List.iter
     (fun n ->
-      if argues_from_ignorance n.Node.text then
+      if Legacy_text.argues_from_ignorance n.Node.text then
         add
           (Diagnostic.warningf ~code:"informal/argument-from-ignorance"
              ~subjects:[ n.Node.id ]

@@ -1,8 +1,9 @@
 (* The per-node text derivations as they were first written — list
    membership under polymorphic equality and a substring scan that
    copies a [String.sub] at every offset — kept as the differential
-   oracle for the allocation-free versions in Textutil, Node,
-   Wellformed and Informal. *)
+   oracle for the one scan ([Textutil.scan]) and the columns
+   [Caseir.derive] computes from it.  The tree-walking checkers in this
+   library read their text predicates from here. *)
 
 let is_alnum c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')

@@ -185,7 +185,7 @@ let check ?(ruleset = Standard) structure =
             add
               (Diagnostic.errorf ~code:"gsn/unsupported-goal" ~subjects:[ id ]
                  "goal is neither supported nor marked undeveloped");
-          if not (Node.looks_propositional n.Node.text) then
+          if not (Legacy_text.looks_propositional n.Node.text) then
             add
               (Diagnostic.warningf ~code:"gsn/non-propositional-goal"
                  ~subjects:[ id ]
@@ -225,7 +225,7 @@ let check ?(ruleset = Standard) structure =
                       match node pid with
                       | Some p
                         when Node.is_goal_like p.Node.node_type
-                             && claims_universally p.Node.text
+                             && Legacy_text.claims_universally p.Node.text
                              && not
                                   (Evidence.supports_kind ev.Evidence.kind
                                      Evidence.Universal) ->

@@ -82,7 +82,7 @@ let test_goal_texts_are_propositions () =
         Alcotest.(check bool)
           (Printf.sprintf "%s propositional" (Id.to_string n.Node.id))
           true
-          (Node.looks_propositional n.Node.text))
+          (Caseir.derive n).Caseir.d_propositional)
     (Structure.nodes generated)
 
 (* --- Abstraction --- *)
