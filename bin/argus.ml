@@ -1395,7 +1395,7 @@ let top_cmd =
               render payload;
               if once then 0
               else begin
-                Unix.sleepf (Float.max 0.05 (interval_ms /. 1000.));
+                Argus_core.Clock.sleep_ms (Float.max 50. interval_ms);
                 loop ()
               end)
     in

@@ -42,10 +42,10 @@ let make ~name ~capacity =
 let name t = t.name
 let capacity t = Array.length t.buf
 
-let now_ms () = Unix.gettimeofday () *. 1000.
-
 let record ?ts_ms t ~kind fields =
-  let ts_ms = match ts_ms with Some t -> t | None -> now_ms () in
+  let ts_ms =
+    match ts_ms with Some t -> t | None -> Argus_core.Clock.wall_ms ()
+  in
   Mutex.protect t.mu (fun () ->
       t.buf.(t.next) <- Some { ts_ms; kind; fields };
       t.next <- (t.next + 1) mod Array.length t.buf;

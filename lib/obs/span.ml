@@ -24,11 +24,11 @@ let enabled () = !enabled_flag
    captures pays one extra atomic load per span site. *)
 let n_captures = Atomic.make 0
 
-(* Wall time in ns, relative to module load so the ints stay small, the
+(* Monotonic ns relative to module load, so the ints stay small, the
    JSONL output is stable-ish across runs, and there is no racy
    first-call initialisation across domains. *)
-let epoch = Unix.gettimeofday ()
-let now_ns () = int_of_float ((Unix.gettimeofday () -. epoch) *. 1e9)
+let epoch = Argus_core.Clock.now_ns ()
+let now_ns () = Argus_core.Clock.now_ns () - epoch
 
 (* Each domain keeps its own span stack and completed list, so workers
    record spans without locks or interleaving; [roots] merges the

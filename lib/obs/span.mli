@@ -11,10 +11,9 @@
     {!Metrics}, giving per-rule / per-phase duration aggregates for
     free.
 
-    Timing uses the highest-resolution clock the sealed toolchain
-    offers ([Unix.gettimeofday], microsecond wall time); durations are
-    reported in nanoseconds so a true monotonic source can be dropped
-    in without changing the format.
+    Timing reads the monotonic {!Argus_core.Clock} in nanoseconds, so
+    a wall-clock step cannot produce a negative duration, and a test
+    under {!Argus_core.Clock.with_fake} gets exact durations.
 
     Spans are domain-safe: each domain records into its own stack and
     completed buffer ([Domain.DLS]), so worker domains never interleave

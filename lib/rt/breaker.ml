@@ -1,10 +1,11 @@
+module Clock = Argus_core.Clock
+
 type state = Closed | Open | Half_open
 
 type t = {
   bname : string;
   failures : int;
   cooldown_ms : float;
-  now_ms : unit -> float;
   mu : Mutex.t;
   mutable st : state;
   mutable consecutive : int;
@@ -13,15 +14,11 @@ type t = {
 
 let c_opened = Argus_obs.Counter.make "rt.breaker_open"
 
-let default_now_ms () = Unix.gettimeofday () *. 1000.
-
-let make ?(failures = 5) ?(cooldown_ms = 1000.) ?(now_ms = default_now_ms)
-    ~name () =
+let make ?(failures = 5) ?(cooldown_ms = 1000.) ~name () =
   {
     bname = name;
     failures;
     cooldown_ms;
-    now_ms;
     mu = Mutex.create ();
     st = Closed;
     consecutive = 0;
@@ -32,7 +29,7 @@ let name t = t.bname
 
 (* Caller holds [t.mu]. *)
 let refresh t =
-  if t.st = Open && t.now_ms () -. t.opened_at >= t.cooldown_ms then
+  if t.st = Open && Clock.now_ms () -. t.opened_at >= t.cooldown_ms then
     t.st <- Half_open
 
 let state t =
@@ -67,7 +64,7 @@ let success t =
 
 let open_now t =
   t.st <- Open;
-  t.opened_at <- t.now_ms ();
+  t.opened_at <- Clock.now_ms ();
   Argus_obs.Counter.incr c_opened
 
 let failure t =

@@ -11,10 +11,11 @@
     crash-restart cycles, while still re-probing the class
     periodically.
 
-    The clock is injectable so unit tests drive open → half-open →
-    closed transitions deterministically; the service passes the real
-    monotonic clock.  All operations are thread-safe (admission happens
-    on the acceptor thread, outcomes on worker domains).
+    Cooldowns run on the monotonic {!Argus_core.Clock}; unit tests
+    drive open → half-open → closed transitions deterministically under
+    {!Argus_core.Clock.with_fake}.  All operations are thread-safe
+    (admission happens on the acceptor thread, outcomes on worker
+    domains).
 
     Counter: [rt.breaker_open] (transitions into [Open]). *)
 
@@ -25,14 +26,12 @@ type t
 val make :
   ?failures:int ->
   ?cooldown_ms:float ->
-  ?now_ms:(unit -> float) ->
   name:string ->
   unit ->
   t
 (** [failures] defaults to 5 ([<= 0] disables the breaker: it never
-    opens); [cooldown_ms] defaults to 1000; [now_ms] defaults to a
-    monotonic wall-clock in milliseconds.  [name] labels the breaker in
-    health reports. *)
+    opens); [cooldown_ms] defaults to 1000.  [name] labels the breaker
+    in health reports. *)
 
 val name : t -> string
 val state : t -> state

@@ -1,16 +1,17 @@
 module Diagnostic = Argus_core.Diagnostic
+module Clock = Argus_core.Clock
 
 type reason = Deadline | Fuel | Depth | Solutions
 type exhaustion = { reason : reason; engine : string; steps : int }
 
 (* Limits are encoded without options so the hot checks are integer
-   compares: [max_int] fuel/depth/solutions and [infinity] deadline
-   mean "absent".  [limited] short-circuits every probe on the shared
-   {!unlimited} value, which therefore is never written to and is safe
-   to share across domains. *)
+   compares: [max_int] fuel/depth/solutions/deadline means "absent".
+   [limited] short-circuits every probe on the shared {!unlimited}
+   value, which therefore is never written to and is safe to share
+   across domains. *)
 type t = {
   limited : bool;
-  deadline : float;  (** absolute [Unix.gettimeofday] time *)
+  deadline : int;  (** absolute {!Clock.now_ns} reading *)
   fuel : int;
   max_depth : int;
   max_solutions : int;
@@ -64,7 +65,7 @@ let c_deadline_hits = Argus_obs.Counter.make "rt.deadline_hits"
 let unlimited =
   {
     limited = false;
-    deadline = infinity;
+    deadline = max_int;
     fuel = max_int;
     max_depth = max_int;
     max_solutions = max_int;
@@ -78,14 +79,16 @@ let make ?deadline_ms ?fuel ?max_depth ?max_solutions () =
   let pos_int v = match v with Some n when n > 0 -> n | _ -> max_int in
   let deadline =
     match deadline_ms with
-    | Some ms when ms > 0. -> Unix.gettimeofday () +. (ms /. 1000.)
-    | _ -> infinity
+    | Some ms when ms > 0. ->
+        (* Capped at ~31 years so the ns sum cannot overflow. *)
+        Clock.now_ns () + int_of_float (Float.min ms 1e12 *. 1e6)
+    | _ -> max_int
   in
   let fuel = pos_int fuel
   and max_depth = pos_int max_depth
   and max_solutions = pos_int max_solutions in
   let limited =
-    deadline < infinity || fuel < max_int || max_depth < max_int
+    deadline < max_int || fuel < max_int || max_depth < max_int
     || max_solutions < max_int
   in
   if not limited then unlimited
@@ -115,8 +118,8 @@ let exhaust b ~engine reason =
     if reason = Deadline then Argus_obs.Counter.incr c_deadline_hits
   end
 
-(* The wall clock is consulted once per [deadline_mask + 1] steps:
-   [Unix.gettimeofday] costs ~25 ns, a counter bump ~1. *)
+(* The clock is consulted once per [deadline_mask + 1] steps:
+   [Clock.now_ns] costs ~40 ns, a counter bump ~1. *)
 let deadline_mask = 255
 
 let tick b ~engine =
@@ -132,9 +135,9 @@ let tick b ~engine =
           false
         end
         else if
-          b.deadline < infinity
+          b.deadline < max_int
           && s land deadline_mask = 0
-          && Unix.gettimeofday () > b.deadline
+          && Clock.now_ns () > b.deadline
         then begin
           exhaust b ~engine Deadline;
           false
@@ -153,7 +156,7 @@ let ticks b ~engine n =
           exhaust b ~engine Fuel;
           false
         end
-        else if b.deadline < infinity && Unix.gettimeofday () > b.deadline
+        else if b.deadline < max_int && Clock.now_ns () > b.deadline
         then begin
           exhaust b ~engine Deadline;
           false

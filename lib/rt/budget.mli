@@ -1,8 +1,8 @@
 (** Cooperative resource budgets for the engines.
 
-    A budget bounds how much work an engine call may do — wall-clock
-    deadline, step ("fuel") counter, recursion depth, solution count —
-    and is checked at the engines' probe points.  Exhaustion never
+    A budget bounds how much work an engine call may do — a deadline
+    on the monotonic {!Argus_core.Clock}, step ("fuel") counter,
+    recursion depth, solution count — and is checked at the engines' probe points.  Exhaustion never
     raises: the engine stops exploring, returns the partial result it
     has, and the budget records what gave out, so the caller can attach
     a structured [Diagnostic.warning] (code ["rt/budget-exhausted"]) to
@@ -21,12 +21,12 @@
     within the bench regression gate ([rt-budget-overhead-*]).
 
     Counters: [rt.budget_exhausted] (budgets that gave out),
-    [rt.deadline_hits] (the subset that hit the wall clock). *)
+    [rt.deadline_hits] (the subset that hit the deadline). *)
 
 type t
 
 type reason =
-  | Deadline  (** Wall-clock deadline passed. *)
+  | Deadline  (** Deadline passed on the monotonic clock. *)
   | Fuel  (** Step counter exhausted. *)
   | Depth  (** A branch was pruned at the budget's depth cap. *)
   | Solutions  (** The solution cap was reached; the result is truncated. *)
@@ -72,7 +72,7 @@ val is_limited : t -> bool
 val tick : t -> engine:string -> bool
 (** Consume one fuel step.  [false] means the budget is exhausted (now
     or previously) and the engine must stop and return what it has.
-    The wall clock is consulted every 256 steps, so a pure-deadline
+    The clock is consulted every 256 steps, so a pure-deadline
     budget still costs only a counter bump per probe. *)
 
 val ticks : t -> engine:string -> int -> bool

@@ -19,8 +19,6 @@ let default_policy =
     seed = 0;
   }
 
-let c_retries = Argus_obs.Counter.make "rt.retries"
-
 let delay_ms policy ~key ~attempt =
   let attempt = max 1 attempt in
   let raw =
@@ -35,20 +33,3 @@ let delay_ms policy ~key ~attempt =
        (seed, key, attempt), so schedules replay exactly. *)
     let g = Prng.create (policy.seed lxor Hashtbl.hash (key, attempt)) in
     capped *. (1. -. (jitter *. Prng.float g))
-
-let run ?(policy = default_policy) ?(sleep_ms = fun ms -> Unix.sleepf (ms /. 1000.))
-    ?(retryable = fun _ -> true) ?(on_retry = fun ~attempt:_ _ -> ()) ~key f =
-  let rec go attempt =
-    match f () with
-    | v -> Ok v
-    | exception e ->
-        if attempt >= max 1 policy.max_attempts || not (retryable e) then
-          Error e
-        else begin
-          Argus_obs.Counter.incr c_retries;
-          on_retry ~attempt e;
-          sleep_ms (delay_ms policy ~key ~attempt);
-          go (attempt + 1)
-        end
-  in
-  go 1

@@ -1,16 +1,14 @@
-(** Generic retry with exponential backoff and seeded jitter.
+(** Exponential backoff with seeded jitter.
 
     The service layer uses this in two places: restarting a crashed
-    worker (the supervision loop of {!Argus_svc.Supervisor}) and
-    transient I/O such as a client connecting to a server that is still
-    binding its socket.  Delays grow geometrically from
-    [base_delay_ms] up to [max_delay_ms] and are then jittered
-    *deterministically*: the jitter draw is a pure function of
-    [(seed, key, attempt)] through {!Argus_core.Prng}, so a test that
-    fixes the policy seed sees the exact same backoff schedule on every
-    run — the same discipline as {!Argus_rt.Fault}.
-
-    Counter: [rt.retries] (one per re-attempt, not per call). *)
+    worker (the supervision loop of {!Argus_svc.Supervisor}) and the
+    resilient client's attempt loop ({!Argus_svc.Client.call}); each
+    runs its own loop and sleeps through {!Argus_core.Clock}.  Delays
+    grow geometrically from [base_delay_ms] up to [max_delay_ms] and
+    are then jittered *deterministically*: the jitter draw is a pure
+    function of [(seed, key, attempt)] through {!Argus_core.Prng}, so a
+    test that fixes the policy seed sees the exact same backoff
+    schedule on every run — the same discipline as {!Argus_rt.Fault}. *)
 
 type policy = {
   max_attempts : int;  (** Total attempts, including the first. *)
@@ -31,18 +29,3 @@ val default_policy : policy
 val delay_ms : policy -> key:string -> attempt:int -> float
 (** Delay to sleep after failed attempt number [attempt] (1-based).
     Pure: same policy, key and attempt give the same delay. *)
-
-val run :
-  ?policy:policy ->
-  ?sleep_ms:(float -> unit) ->
-  ?retryable:(exn -> bool) ->
-  ?on_retry:(attempt:int -> exn -> unit) ->
-  key:string ->
-  (unit -> 'a) ->
-  ('a, exn) result
-(** [run ~key f] calls [f] up to [policy.max_attempts] times, sleeping
-    [delay_ms] between attempts.  A non-[retryable] exception (default:
-    everything is retryable) aborts immediately; the result is the
-    first success or the last exception.  [sleep_ms] defaults to a real
-    [Unix.sleepf] — tests inject a recorder.  [on_retry] fires before
-    each re-attempt. *)

@@ -45,6 +45,7 @@
 module Structure = Argus_gsn.Structure
 module Wellformed = Argus_gsn.Wellformed
 module Fault = Argus_rt.Fault
+module Clock = Argus_core.Clock
 module Counter = Argus_obs.Counter
 
 let c_appends = Counter.make "store.wal_appends"
@@ -179,8 +180,6 @@ type t = {
   mutable closed : bool;
 }
 
-let now_ms () = Unix.gettimeofday () *. 1000.
-
 (* A partial [write] (ENOSPC, or a signal) retried here would leave the
    already-written fragment as a permanent mid-record gap, so any short
    write raises and the caller degrades; a crash mid-write instead
@@ -203,13 +202,13 @@ let openw ?(sync = Always) path =
   in
   let size = (Unix.fstat fd).Unix.st_size in
   if fresh || size = 0 then write_fully fd magic;
-  { path; fd; sync; last_fsync_ms = now_ms (); closed = false }
+  { path; fd; sync; last_fsync_ms = Clock.now_ms (); closed = false }
 
 let do_fsync t ~key =
   Fault.point ~key "store.wal.fsync";
   Unix.fsync t.fd;
   Counter.incr c_fsyncs;
-  t.last_fsync_ms <- now_ms ()
+  t.last_fsync_ms <- Clock.now_ms ()
 
 let append t (r : record) =
   Fault.point ~key:(string_of_int r.seq) "store.wal.append";
@@ -219,7 +218,7 @@ let append t (r : record) =
   | Always -> do_fsync t ~key:(string_of_int r.seq)
   | Never -> ()
   | Interval ms ->
-      if now_ms () -. t.last_fsync_ms >= ms then
+      if Clock.now_ms () -. t.last_fsync_ms >= ms then
         do_fsync t ~key:(string_of_int r.seq)
 
 let flush t = if not t.closed then do_fsync t ~key:"flush"

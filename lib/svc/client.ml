@@ -1,4 +1,5 @@
 module Retry = Argus_rt.Retry
+module Clock = Argus_core.Clock
 module Counter = Argus_obs.Metrics.Counter
 module Gauge = Argus_obs.Metrics.Gauge
 
@@ -65,8 +66,6 @@ let create ?(policy = default_policy) ?(overall_deadline_ms = 30_000.)
   }
 
 let endpoints t = Array.to_list t.eps
-
-let now_ms () = Unix.gettimeofday () *. 1000.
 
 let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -153,7 +152,7 @@ let recv_line pc ~deadline_at =
           (String.length data - nl - 1);
         Ok line
     | None ->
-        if now_ms () >= deadline_at then Error (got_any, "response timed out")
+        if Clock.now_ms () >= deadline_at then Error (got_any, "response timed out")
         else (
           match Unix.read pc.pfd chunk 0 (Bytes.length chunk) with
           | 0 -> Error (got_any, "server closed the connection")
@@ -175,7 +174,7 @@ let exchange pc line ~attempt_ms ~deadline_at =
   | Error (false, e) -> Error (Stale (Printf.sprintf "write: %s" e))
   | Error (true, e) -> Error (Fail (Printf.sprintf "write: %s" e))
   | Ok () -> (
-      match recv_line pc ~deadline_at:(Float.min deadline_at (now_ms () +. attempt_ms)) with
+      match recv_line pc ~deadline_at:(Float.min deadline_at (Clock.now_ms () +. attempt_ms)) with
       | Error (false, e) -> Error (Stale e)
       | Error (true, e) -> Error (Fail e)
       | Ok resp_line -> Ok resp_line)
@@ -189,7 +188,7 @@ let seq_echoed (resp : Protocol.response) =
 
 let call ?op t line =
   let is_patch = op = Some Protocol.Patch in
-  let deadline_at = now_ms () +. t.overall_ms in
+  let deadline_at = Clock.now_ms () +. t.overall_ms in
   let n = Array.length t.eps in
   let key = Endpoint.to_string t.eps.(0) in
   let last_err = ref (Connect_failed "no attempt made") in
@@ -207,7 +206,7 @@ let call ?op t line =
   let rec attempt_loop attempt =
     if attempt > t.policy.Retry.max_attempts then Error !last_err
     else
-      let remaining = deadline_at -. now_ms () in
+      let remaining = deadline_at -. Clock.now_ms () in
       if remaining <= 0. then
         Error (Timeout (error_message !last_err))
       else begin
@@ -222,8 +221,8 @@ let call ?op t line =
           last_err := err;
           Counter.incr c_retries;
           let d = Retry.delay_ms t.policy ~key ~attempt in
-          let d = Float.min d (Float.max 0. (deadline_at -. now_ms ())) in
-          if d > 0. then Unix.sleepf (d /. 1000.);
+          let d = Float.min d (Float.max 0. (deadline_at -. Clock.now_ms ())) in
+          Clock.sleep_ms d;
           attempt_loop (attempt + 1)
         in
         (* Stale pooled connections are consumed (and discarded) here

@@ -1,4 +1,5 @@
 module Json = Argus_core.Json
+module Clock = Argus_core.Clock
 module Metrics = Argus_obs.Metrics
 module Ring = Argus_obs.Ring
 module Fault = Argus_rt.Fault
@@ -56,8 +57,6 @@ let c_net_fault_write = Counter.make "svc.net.fault.write"
 let c_net_reaped_idle = Counter.make "svc.net.reaped.idle"
 let c_net_reaped_frame = Counter.make "svc.net.reaped.read_deadline"
 let g_net_conns = Gauge.make "svc.net.conns"
-
-let now_ms () = Unix.gettimeofday () *. 1000.
 
 type conn = {
   fd : Unix.file_descr;
@@ -247,7 +246,7 @@ let stats_json t =
              else None)
   in
   [
-    ("now_ms", Json.Num (Unix.gettimeofday () *. 1000.));
+    ("now_ms", Json.Num (Clock.wall_ms ()));
     ("ready", Json.Bool (Supervisor.accepting t.sup));
     ("queue_depth", Json.int (Supervisor.queue_depth t.sup));
     ("queue_capacity", Json.int t.cfg.queue_capacity);
@@ -382,7 +381,7 @@ let reap_now t conn =
     end
     else begin
       Mutex.protect t.dmu (fun () -> t.dead <- conn :: t.dead);
-      arm_sweep t (now_ms () +. 25.)
+      arm_sweep t (Clock.now_ms () +. 25.)
     end
 
 (* Forfeit: the write side is done for (I/O error, injected fault,
@@ -413,7 +412,7 @@ let service_conn t conn =
           conn.frame_since <- Float.nan;
           reap_now t conn
       | n ->
-          let now = now_ms () in
+          let now = Clock.now_ms () in
           conn.last_ms <- now;
           Buffer.add_subbytes conn.rbuf buf 0 n;
           drain_lines t conn;
@@ -459,7 +458,7 @@ let accept_loop t lfd kind =
             if kind = `Tcp then
               (try Unix.setsockopt fd Unix.TCP_NODELAY true
                with Unix.Unix_error _ -> ());
-            let now = now_ms () in
+            let now = Clock.now_ms () in
             let rec conn =
               {
                 fd;
@@ -568,7 +567,7 @@ let serve_loop t =
     try
       Readiness.add t.engine t.wake_r;
       while not (Atomic.get t.stop) do
-        let now = now_ms () in
+        let now = Clock.now_ms () in
         if now >= t.sweep_at then sweep t now;
         (* Retry contended reaps before blocking: a failed [try_lock]
            re-arms [sweep_at] a few ms out, so the wait below stays

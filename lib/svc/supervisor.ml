@@ -1,4 +1,5 @@
 module Json = Argus_core.Json
+module Clock = Argus_core.Clock
 module Budget = Argus_rt.Budget
 module Breaker = Argus_rt.Breaker
 module Retry = Argus_rt.Retry
@@ -13,11 +14,6 @@ let c_accepted = Counter.make "svc.accepted"
 let c_shed = Counter.make "svc.shed"
 let c_breaker_open = Counter.make "svc.breaker_open"
 let c_restarts = Counter.make "svc.restarts"
-
-(* Registered here so the name exists in the registry even before the
-   first retrying call site (the [argus call] connect loop) runs. *)
-let c_retried = Counter.make "svc.retried"
-let _ = c_retried
 
 let h_latency = Histogram.make "svc.request_latency_ms"
 
@@ -87,8 +83,6 @@ type config = {
   budget : budget_policy;
   slow_ms : float option;
   on_crash : unit -> unit;
-  now_ms : unit -> float;
-  sleep_ms : float -> unit;
 }
 
 let default_config =
@@ -102,8 +96,6 @@ let default_config =
       { default_deadline_ms = None; max_deadline_ms = None; max_fuel = None };
     slow_ms = None;
     on_crash = ignore;
-    now_ms = (fun () -> Unix.gettimeofday () *. 1000.);
-    sleep_ms = (fun ms -> if ms > 0. then Unix.sleepf (ms /. 1000.));
   }
 
 type job = {
@@ -142,8 +134,7 @@ let breaker_of t op =
       | None ->
           let b =
             Breaker.make ~failures:t.cfg.breaker_failures
-              ~cooldown_ms:t.cfg.breaker_cooldown_ms ~now_ms:t.cfg.now_ms
-              ~name:op ()
+              ~cooldown_ms:t.cfg.breaker_cooldown_ms ~name:op ()
           in
           Hashtbl.add t.breakers op b;
           b)
@@ -181,7 +172,7 @@ let finish t (job : job) resp =
   (* A reply callback that raises (client hung up mid-write) must not
      count as a worker crash — the request itself succeeded. *)
   (try job.reply resp with _ -> ());
-  let ms = t.cfg.now_ms () -. job.admitted_ms in
+  let ms = Clock.now_ms () -. job.admitted_ms in
   let op = Protocol.op_to_string job.req.Protocol.op in
   Histogram.observe h_latency ms;
   Histogram.observe (h_latency_op op) ms;
@@ -277,7 +268,7 @@ let worker t i =
             (* The crash hook runs after the victim's reply is out, so a
                flight dump already shows the restart it reports. *)
             (try t.cfg.on_crash () with _ -> ());
-            t.cfg.sleep_ms
+            Clock.sleep_ms
               (Retry.delay_ms t.cfg.restart_policy
                  ~key:(Printf.sprintf "svc.worker-%d" i)
                  ~attempt);
@@ -332,14 +323,14 @@ let submit t req ~reply =
           req;
           budget = mint_budget t.cfg.budget req;
           reply;
-          admitted_ms = t.cfg.now_ms ();
+          admitted_ms = Clock.now_ms ();
         }
       in
       Mutex.protect t.mu (fun () -> t.inflight <- t.inflight + 1);
       (* Stamp admission before the push: a worker can pop and even
          finish the job before this domain gets to record the event,
          so the default now-clock would misorder admit after slow. *)
-      let admit_wall_ms = Unix.gettimeofday () *. 1000. in
+      let admit_wall_ms = Clock.wall_ms () in
       match Queue.push t.q job with
       | `Accepted ->
           Counter.incr c_accepted;
@@ -401,7 +392,7 @@ let drain t ~deadline_ms =
     Ring.record flight ~kind:"drain"
       [ ("queue_depth", Json.int (Queue.depth t.q)) ];
     Queue.close t.q;
-    let deadline = t.cfg.now_ms () +. deadline_ms in
+    let deadline = Clock.now_ms () +. deadline_ms in
     let rec wait () =
       let all_exited =
         Mutex.protect t.mu (fun () ->
@@ -412,9 +403,9 @@ let drain t ~deadline_ms =
         t.domains <- [||];
         true
       end
-      else if t.cfg.now_ms () >= deadline then false
+      else if Clock.now_ms () >= deadline then false
       else begin
-        t.cfg.sleep_ms 2.;
+        Clock.sleep_ms 2.;
         wait ()
       end
     in

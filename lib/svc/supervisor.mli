@@ -20,8 +20,9 @@
       max (the deadline clock starts at admission, so time spent
       queued counts against it).
 
-    The clock and the backoff sleep are injectable, so unit tests
-    replay restart and breaker schedules deterministically; replies are
+    Latency, drain deadlines and the restart backoff read and sleep
+    through {!Argus_core.Clock}, so unit tests replay restart and
+    breaker schedules deterministically under its fake; replies are
     delivered on worker domains via the [reply] callback passed to
     {!submit} (the server's callback writes the response line under the
     connection's write lock).
@@ -63,14 +64,12 @@ type config = {
       (** Called on a worker domain after a crash's typed reply is out
           and the restart is booked — the server hooks a flight-recorder
           dump here.  Exceptions are swallowed. *)
-  now_ms : unit -> float;
-  sleep_ms : float -> unit;
 }
 
 val default_config : config
 (** jobs 1, capacity 64, {!Argus_rt.Retry.default_policy} restarts,
     breaker 5 failures / 1 s cooldown, no budget limits, no slow
-    threshold, no crash hook, real clock and sleep. *)
+    threshold, no crash hook. *)
 
 val flight : Argus_obs.Ring.t
 (** The service flight recorder (ring ["svc.flight"], capacity 512). *)

@@ -8,6 +8,7 @@ module Ring = Argus_obs.Ring
 module Prom = Argus_obs.Prom
 module Trace = Argus_obs.Trace
 module Json = Argus_core.Json
+module Clock = Argus_core.Clock
 
 (* Every test starts from a clean slate: spans recording, data empty. *)
 let fresh () =
@@ -40,15 +41,17 @@ let test_span_nesting () =
 
 let test_span_duration_contains_children () =
   fresh ();
-  Span.with_ ~name:"outer" (fun () ->
-      Span.with_ ~name:"inner" (fun () -> Unix.sleepf 0.002));
+  Clock.with_fake (fun () ->
+      Span.with_ ~name:"outer" (fun () ->
+          Clock.sleep_ms 1.;
+          Span.with_ ~name:"inner" (fun () -> Clock.sleep_ms 2.)));
   match Span.roots () with
   | [ outer ] ->
       let inner = List.hd outer.Span.children in
-      Alcotest.(check bool) "inner ran for some time" true (inner.Span.dur_ns > 0);
-      Alcotest.(check bool)
-        "outer covers inner" true
-        (outer.Span.dur_ns >= inner.Span.dur_ns)
+      Alcotest.(check int) "inner lasts its 2 ms" 2_000_000 inner.Span.dur_ns;
+      Alcotest.(check int) "outer covers inner" 3_000_000 outer.Span.dur_ns;
+      Alcotest.(check int) "inner starts 1 ms in" 1_000_000
+        (inner.Span.start_ns - outer.Span.start_ns)
   | _ -> Alcotest.fail "expected one root"
 
 let test_span_disabled_is_transparent () =

@@ -1,5 +1,6 @@
 module Budget = Argus_rt.Budget
 module Fault = Argus_rt.Fault
+module Clock = Argus_core.Clock
 
 (* --- Budget --- *)
 
@@ -39,7 +40,7 @@ let test_fuel () =
   | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
 
 let test_deadline () =
-  (* An already-passed deadline: the first wall-clock consultation
+  (* An already-passed deadline: the first clock consultation
      (every 256 ticks) must stop the run. *)
   let b = Budget.make ~deadline_ms:0.000001 () in
   let stopped = ref false in
@@ -55,6 +56,36 @@ let test_deadline () =
   match Budget.exhausted b with
   | Some { Budget.reason = Budget.Deadline; _ } -> ()
   | _ -> Alcotest.fail "expected deadline exhaustion"
+
+(* The deadline reads the monotonic Clock: under the fake, an armed
+   50 ms budget survives a clock consultation at +49 ms and gives out
+   after +51 ms, with no real time passing. *)
+let test_deadline_follows_clock () =
+  Clock.with_fake @@ fun () ->
+  let b = Budget.make ~deadline_ms:50. () in
+  let consult () =
+    (* [tick] reads the clock on every 256th step. *)
+    let ok = ref true in
+    for _ = 1 to 256 do
+      ok := Budget.tick b ~engine:"t"
+    done;
+    !ok
+  in
+  Clock.sleep_ms 49.;
+  Alcotest.(check bool) "ticks at +49 ms" true (consult ());
+  Alcotest.(check bool) "batch ticks at +49 ms" true
+    (Budget.ticks b ~engine:"t" 10);
+  Clock.sleep_ms 2.;
+  Alcotest.(check bool) "stops after +51 ms" false (consult ());
+  (match Budget.exhausted b with
+  | Some { Budget.reason = Budget.Deadline; _ } -> ()
+  | _ -> Alcotest.fail "expected deadline exhaustion");
+  (* A client may send any deadline: one past the int range of ns must
+     not wrap into the past. *)
+  let huge = Budget.make ~deadline_ms:1e300 () in
+  Clock.sleep_ms 1.;
+  Alcotest.(check bool) "a huge deadline does not wrap" true
+    (Budget.ticks huge ~engine:"t" 1)
 
 let test_solutions () =
   let b = Budget.make ~max_solutions:2 () in
@@ -178,6 +209,8 @@ let () =
           Alcotest.test_case "unlimited" `Quick test_unlimited;
           Alcotest.test_case "fuel" `Quick test_fuel;
           Alcotest.test_case "deadline" `Quick test_deadline;
+          Alcotest.test_case "deadline follows the clock" `Quick
+            test_deadline_follows_clock;
           Alcotest.test_case "solution cap" `Quick test_solutions;
           Alcotest.test_case "depth non-fatal" `Quick test_depth_nonfatal;
           Alcotest.test_case "spec round-trip" `Quick test_spec;

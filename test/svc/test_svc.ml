@@ -1,4 +1,5 @@
 module Json = Argus_core.Json
+module Clock = Argus_core.Clock
 module Budget = Argus_rt.Budget
 module Fault = Argus_rt.Fault
 module Retry = Argus_rt.Retry
@@ -49,63 +50,11 @@ let test_retry_delay_deterministic () =
   (* Different keys draw different jitter (with these constants). *)
   Alcotest.(check bool) "keyed jitter" true (near <> far)
 
-let test_retry_run_recovers () =
-  let p =
-    { Retry.max_attempts = 5; base_delay_ms = 10.; max_delay_ms = 1000.;
-      multiplier = 2.0; jitter = 0.5; seed = 3 }
-  in
-  let sleeps = ref [] in
-  let sleep_ms d = sleeps := d :: !sleeps in
-  let calls = ref 0 in
-  let r =
-    Retry.run ~policy:p ~sleep_ms ~key:"connect" (fun () ->
-        incr calls;
-        if !calls < 3 then failwith "transient";
-        "up")
-  in
-  Alcotest.(check bool) "succeeds" true (r = Ok "up");
-  Alcotest.(check int) "third attempt" 3 !calls;
-  let expected =
-    [ Retry.delay_ms p ~key:"connect" ~attempt:1;
-      Retry.delay_ms p ~key:"connect" ~attempt:2 ]
-  in
-  Alcotest.(check (list (float 0.))) "slept the schedule" expected
-    (List.rev !sleeps)
-
-let test_retry_run_gives_up () =
-  let p = { Retry.default_policy with max_attempts = 3 } in
-  let calls = ref 0 in
-  let r =
-    Retry.run ~policy:p ~sleep_ms:ignore ~key:"k" (fun () ->
-        incr calls;
-        failwith "down")
-  in
-  (match r with
-  | Error (Failure _) -> ()
-  | _ -> Alcotest.fail "expected the last exception");
-  Alcotest.(check int) "all attempts used" 3 !calls
-
-let test_retry_non_retryable () =
-  let calls = ref 0 in
-  let r =
-    Retry.run ~sleep_ms:ignore
-      ~retryable:(function Failure _ -> false | _ -> true)
-      ~key:"k"
-      (fun () ->
-        incr calls;
-        failwith "fatal")
-  in
-  Alcotest.(check bool) "aborted" true (Result.is_error r);
-  Alcotest.(check int) "single attempt" 1 !calls
-
 (* --- Breaker --- *)
 
 let test_breaker_transitions () =
-  let clock = ref 0. in
-  let b =
-    Breaker.make ~failures:2 ~cooldown_ms:100. ~now_ms:(fun () -> !clock)
-      ~name:"check" ()
-  in
+  Clock.with_fake @@ fun () ->
+  let b = Breaker.make ~failures:2 ~cooldown_ms:100. ~name:"check" () in
   Alcotest.(check bool) "closed admits" true (Breaker.admit b);
   Breaker.failure b;
   Alcotest.(check bool) "one failure still closed" true
@@ -113,9 +62,9 @@ let test_breaker_transitions () =
   Breaker.failure b;
   Alcotest.(check bool) "threshold opens" true (Breaker.state b = Breaker.Open);
   Alcotest.(check bool) "open refuses" false (Breaker.admit b);
-  clock := 99.;
+  Clock.sleep_ms 99.;
   Alcotest.(check bool) "cooldown not elapsed" false (Breaker.admit b);
-  clock := 101.;
+  Clock.sleep_ms 2.;
   Alcotest.(check bool) "half-open admits one trial" true (Breaker.admit b);
   Alcotest.(check bool) "trial in flight refuses" false (Breaker.admit b);
   Breaker.success b;
@@ -125,12 +74,12 @@ let test_breaker_transitions () =
   Breaker.failure b;
   Breaker.failure b;
   Alcotest.(check bool) "re-opens" true (Breaker.state b = Breaker.Open);
-  clock := 250.;
+  Clock.sleep_ms 149.;
   Alcotest.(check bool) "half-open again" true (Breaker.admit b);
   Breaker.failure b;
   Alcotest.(check bool) "trial failure re-opens" true
     (Breaker.state b = Breaker.Open);
-  clock := 400.;
+  Clock.sleep_ms 150.;
   Alcotest.(check bool) "trial granted" true (Breaker.admit b);
   Breaker.cancel b;
   Alcotest.(check bool) "cancelled trial grantable again" true
@@ -434,15 +383,10 @@ let test_supervisor_breaker () =
   Fault.with_spec
     { Fault.probe = "svc.request"; key = Some "bad"; rate = 1.; seed = 1 }
     (fun () ->
-      let clock = Atomic.make 0. in
       let cfg =
         { Supervisor.default_config with
           Supervisor.jobs = 1; queue_capacity = 16; breaker_failures = 2;
-          breaker_cooldown_ms = 100.;
-          now_ms = (fun () -> Atomic.get clock);
-          (* Sleeping (worker backoff) does not advance the clock here:
-             the cooldown is driven explicitly below. *)
-          sleep_ms = (fun _ -> ()) }
+          breaker_cooldown_ms = 100. }
       in
       let sup = Supervisor.create ~config:cfg ~handler:echo_handler () in
       let reply, all = make_sink () in
@@ -450,30 +394,36 @@ let test_supervisor_breaker () =
         Supervisor.submit sup (req_check id) ~reply;
         Supervisor.await_idle sup
       in
-      submit_and_wait "bad";
-      submit_and_wait "bad";
-      Alcotest.(check bool) "breaker opened for check" true
-        (List.mem_assoc "check" (Supervisor.breaker_states sup)
-        && List.assoc "check" (Supervisor.breaker_states sup) = Breaker.Open);
-      submit_and_wait "fine";
-      (match all () with
-      | [ _; _; r3 ] -> (
-          match r3.Protocol.outcome with
-          | Error ("svc/breaker-open", _) -> ()
-          | _ -> Alcotest.fail "expected svc/breaker-open while open")
-      | rs -> Alcotest.failf "expected 3 replies, got %d" (List.length rs));
-      Atomic.set clock 150.;
-      submit_and_wait "fine2";
-      submit_and_wait "fine3";
-      (match List.rev (all ()) with
-      | r5 :: r4 :: _ ->
-          Alcotest.(check int) "half-open trial succeeded" 0
-            (Protocol.exit_code_of_response r4);
-          Alcotest.(check int) "breaker closed again" 0
-            (Protocol.exit_code_of_response r5)
-      | _ -> Alcotest.fail "missing replies");
-      Alcotest.(check bool) "closed in health" true
-        (List.assoc "check" (Supervisor.breaker_states sup) = Breaker.Closed);
+      (* Under the fake, the workers' restart backoff advances the clock
+         too: at most 10 + 20 ms, well inside the 100 ms cooldown. *)
+      Clock.with_fake (fun () ->
+          submit_and_wait "bad";
+          submit_and_wait "bad";
+          Alcotest.(check bool) "breaker opened for check" true
+            (List.mem_assoc "check" (Supervisor.breaker_states sup)
+            && List.assoc "check" (Supervisor.breaker_states sup)
+               = Breaker.Open);
+          submit_and_wait "fine";
+          (match all () with
+          | [ _; _; r3 ] -> (
+              match r3.Protocol.outcome with
+              | Error ("svc/breaker-open", _) -> ()
+              | _ -> Alcotest.fail "expected svc/breaker-open while open")
+          | rs -> Alcotest.failf "expected 3 replies, got %d" (List.length rs));
+          Clock.sleep_ms 150.;
+          submit_and_wait "fine2";
+          submit_and_wait "fine3";
+          (match List.rev (all ()) with
+          | r5 :: r4 :: _ ->
+              Alcotest.(check int) "half-open trial succeeded" 0
+                (Protocol.exit_code_of_response r4);
+              Alcotest.(check int) "breaker closed again" 0
+                (Protocol.exit_code_of_response r5)
+          | _ -> Alcotest.fail "missing replies");
+          Alcotest.(check bool) "closed in health" true
+            (List.assoc "check" (Supervisor.breaker_states sup)
+            = Breaker.Closed));
+      (* Drain polls with sleeps; outside the fake they block. *)
       ignore (Supervisor.drain sup ~deadline_ms:60_000.))
 
 (* Server-side fuel clamp: the handler sees a budget already clamped to
@@ -1064,9 +1014,6 @@ let () =
         [
           Alcotest.test_case "deterministic delays" `Quick
             test_retry_delay_deterministic;
-          Alcotest.test_case "recovers" `Quick test_retry_run_recovers;
-          Alcotest.test_case "gives up" `Quick test_retry_run_gives_up;
-          Alcotest.test_case "non-retryable" `Quick test_retry_non_retryable;
         ] );
       ( "breaker",
         [
