@@ -123,25 +123,6 @@ let print_service_quantiles path =
           | _ -> ())
       | _ -> ())
 
-(* The ISSUE acceptance target for always-on telemetry: the plain
-   [svc-roundtrip] kernel — which runs with histograms, flight
-   recorder and trace_id minting armed — must not be more than 10%
-   slower than the committed baseline.  Advisory like all svc-*
-   numbers. *)
-let print_armed_overhead baseline current =
-  let find timings =
-    List.find_opt
-      (fun (name, _) -> String.ends_with ~suffix:"svc-roundtrip" name)
-      timings
-  in
-  match (find baseline, find current) with
-  | Some (_, base), Some (_, cur) when base > 0. ->
-      Format.printf
-        "armed telemetry on svc-roundtrip: %+.1f%% vs baseline (advisory \
-         target < 10%%)@."
-        ((cur -. base) /. base *. 100.)
-  | _ -> ()
-
 let () =
   let rec parse paths threshold summary required speedups = function
     | [] -> (List.rev paths, threshold, summary, List.rev required,
@@ -217,7 +198,6 @@ let () =
             Format.printf "%-34s %14.0f %14s %9s@." name base "-" "gone")
         baseline;
       print_service_quantiles current_path;
-      print_armed_overhead baseline current;
       let unimproved =
         List.filter_map
           (fun name ->

@@ -48,12 +48,6 @@ val scores :
     Returns each entity's confidence, [0] for the entities {!assess}
     leaves out.  One linear pass. *)
 
-val evidence_lookup :
-  Argus_gsn.Structure.t -> Argus_core.Id.t -> Argus_core.Evidence.t option
-(** {!Argus_gsn.Structure.find_evidence} through a hash table built
-    when partially applied — the [find_evidence] for one {!scores}
-    pass. *)
-
 val impact_by_tracing :
   Argus_gsn.Structure.t -> Argus_core.Id.t -> Argus_core.Id.t list
 (** [impact_by_tracing s evidence_id]: every goal or strategy on a path

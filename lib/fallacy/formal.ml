@@ -126,7 +126,7 @@ let check_propositional_uncached ?budget { premises; conclusion } =
    observable contract and must run every time.  [Sat]'s own
    (structural) memo set the precedent; this one just sits a layer up,
    where the whole finding list can be reused. *)
-let memo_capacity = 64
+let memo_size = 64
 
 let memo_key : (propositional * finding list) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
@@ -148,8 +148,8 @@ let check_propositional ?budget arg =
           let fs = check_propositional_uncached ?budget arg in
           let entries = (arg, fs) :: !cache in
           cache :=
-            (if List.length entries > memo_capacity then
-               List.filteri (fun i _ -> i < memo_capacity) entries
+            (if List.length entries > memo_size then
+               List.filteri (fun i _ -> i < memo_size) entries
              else entries);
           fs)
 

@@ -405,7 +405,7 @@ let entity_index ir id = Hashtbl.find_opt ir.index (Id.to_string id)
    cost.  FIFO eviction keeps the table bounded, and evicting never
    changes a result — a miss just re-derives.  [ir.derive_hits]
    counts hits. *)
-let derive_memo_capacity = 1 lsl 16
+let derive_capacity = 1 lsl 16
 
 let derive_tbl : (string, derived) Hashtbl.t = Hashtbl.create 4096
 let derive_fifo : string Queue.t = Queue.create ()
@@ -430,7 +430,7 @@ let derive_cached n =
       if not (Hashtbl.mem derive_tbl key) then begin
         Hashtbl.add derive_tbl key d;
         Queue.add key derive_fifo;
-        if Queue.length derive_fifo > derive_memo_capacity then
+        if Queue.length derive_fifo > derive_capacity then
           Hashtbl.remove derive_tbl (Queue.pop derive_fifo)
       end;
       Mutex.unlock derive_mu;

@@ -53,13 +53,13 @@ let mode t = t.mode
 let durable t = t.dir <> None
 let seq t = t.seq
 
-let create ?dir ?(sync = Wal.Always) ?(snapshot_every = 1024) ?memo_capacity ()
-    : (t * string, string) result =
+let create ?dir ?(sync = Wal.Always) ?(snapshot_every = 1024) () :
+    (t * string, string) result =
   match dir with
   | None ->
       Ok
         ( {
-            store = Store.create ?memo_capacity ();
+            store = Store.create ();
             dir = None;
             wal = None;
             sync;
@@ -72,7 +72,7 @@ let create ?dir ?(sync = Wal.Always) ?(snapshot_every = 1024) ?memo_capacity ()
           },
           "in-memory store (no data dir)" )
   | Some dir -> (
-      match Recover.load ?memo_capacity ~dir () with
+      match Recover.load ~dir () with
       | Error _ as e -> e
       | Ok outcome -> (
           match Wal.openw ~sync (Recover.wal_path dir) with

@@ -30,7 +30,6 @@ val create :
   ?dir:string ->
   ?sync:Wal.sync ->
   ?snapshot_every:int ->
-  ?memo_capacity:int ->
   unit ->
   (t * string, string) result
 (** Open (recovering if [dir] holds prior state) or create a store.

@@ -85,7 +85,7 @@ let apply_record store (r : Wal.record) : (unit, string) result =
             (Printf.sprintf "WAL record seq %d: replay failed: %s" r.seq
                (Store.error_message e)))
 
-let load ?memo_capacity ~dir () : (outcome, string) result =
+let load ~dir () : (outcome, string) result =
   match
     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
     else if not (Sys.is_directory dir) then
@@ -98,7 +98,7 @@ let load ?memo_capacity ~dir () : (outcome, string) result =
   | exception Invalid_argument msg -> Error msg
   | () -> (
       Snapshot.sweep_tmp dir;
-      let store = Store.create ?memo_capacity () in
+      let store = Store.create () in
       let snapshot_result =
         match Snapshot.latest dir with
         | None -> Ok 0

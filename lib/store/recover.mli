@@ -28,4 +28,4 @@ val wal_path : string -> string
 val summary : outcome -> string
 (** One human line for serve's startup log. *)
 
-val load : ?memo_capacity:int -> dir:string -> unit -> (outcome, string) result
+val load : dir:string -> unit -> (outcome, string) result

@@ -1,6 +1,6 @@
 (* The incremental assurance-case store: content-addressed cases,
-   hash-consed node derivations, Merkle-style digests and memoized
-   per-node verdicts.
+   hash-consed node derivations, Merkle-style digests and per-node
+   verdicts re-checked over the dirty cone of each edit.
 
    The heavy-traffic workload is many clients mutating large living
    cases, each edit needing a fast re-verdict — not one-shot batch
@@ -11,7 +11,8 @@
    graph alone, a shape batch (add, remove, link, unlink) rebuilds only
    the integer adjacency arrays, so an edit costs at most linear
    integer work plus its cone, never a re-intern or a re-digest of the
-   whole case.  A full rebuild is the one fallback:
+   whole case.  A full rebuild is the one fallback.  Two layers of
+   reuse sit under it:
 
    - {e Node arena.}  Per-payload text derivations (content words,
      the claim key, the universal/propositional/ignorance predicates)
@@ -33,23 +34,21 @@
      digest is not well defined, so the case digest falls back to an
      equally canonical flat sum over payloads and links.
 
-   - {e Verdict memo.}  Each node's well-formedness findings and
-     per-node lints depend on a small, explicit input set: its
-     payload, its support degree, its SupportedBy parents' universal
-     flags, the evidence table's answer for its citation, its
-     goal-like children's ids and content words, its reachability bit
-     and whether the case has roots ({!Argus_ir.Fused.node_findings}
-     documents this).  A digest of exactly those inputs keys a
-     bounded, domain-safe memo of the per-node diagnostic lists —
-     [store.reused_verdicts] counts reuse, [store.dirty_cone] counts
-     the nodes actually re-checked.  FIFO eviction never changes a
-     result: a miss just re-derives.
+   Each case keeps its per-node well-formedness findings and per-node
+   lints.  A [rebuild] computes them for every node; a patch recomputes
+   them only over the findings cone of its edits — the nodes whose
+   findings read what the batch changed, as
+   {!Argus_ir.Fused.node_findings} and
+   {!Argus_ir.Fused.node_lint_findings} document their inputs.
+   [store.dirty_cone] counts the nodes whose findings were computed.
 
    A verdict reassembles the cached per-link, shape and per-node
    findings in {!Argus_ir.Fused.check}'s emission order, re-runs the
    (fuel-capped) circular-support walk, and applies the same stable
    sort — byte-identical to a full [Fused.check] of the same
    structure, which test/store holds it to after every random edit.
+   The assembled verdict is cached until the next patch
+   ([store.reused_verdicts] counts the verdicts answered from it).
    Root confidence is the {!Confidence.scores} kernel over the IR's
    node array and SupportedBy CSR, run at the first verdict after a
    shape edit; text edits keep it.
@@ -107,7 +106,7 @@ type case_state = {
           dirty-cone walk needs and the IR's CSR does not keep. *)
   mutable acyclic : bool;
       (** Combined SupportedBy/InContextOf relation acyclic. *)
-  (* The per-node arrays [elem], [keys], [wf_node] and [inf_node] may
+  (* The per-node arrays [elem], [wf_node] and [inf_node] may
      run past the node count: a shape edit compacts them in place and
      grows them with slack, so only the first [ir.n_nodes] cells mean
      anything. *)
@@ -117,7 +116,6 @@ type case_state = {
           otherwise. *)
   mutable sum : Bytes.t;  (** Rolling 128-bit sum of all terms. *)
   mutable digest : string;
-  mutable keys : string array;  (** Per node: verdict-memo key. *)
   mutable wf_node : Diagnostic.t list array;
   mutable inf_node : Diagnostic.t list array;
   mutable link_wf : Diagnostic.t list;  (** All per-link findings. *)
@@ -134,42 +132,35 @@ type t = {
   cases : (string, case_state) Hashtbl.t;
   arena : (string, Caseir.derived) Hashtbl.t;
   arena_fifo : string Queue.t;
-  memo : (string, Diagnostic.t list * Diagnostic.t list) Hashtbl.t;
-  memo_fifo : string Queue.t;
-  capacity : int;  (** Of the arena and of the memo, each. *)
+  capacity : int;  (** Of the arena. *)
 }
 
-let create ?(memo_capacity = 1 lsl 18) () =
+let create ?(arena_capacity = 1 lsl 18) () =
   {
     mu = Mutex.create ();
     cases = Hashtbl.create 16;
     arena = Hashtbl.create 1024;
     arena_fifo = Queue.create ();
-    memo = Hashtbl.create 1024;
-    memo_fifo = Queue.create ();
-    capacity = max 16 memo_capacity;
+    capacity = max 16 arena_capacity;
   }
-
-(* Find-or-add in the arena or the memo: bounded, FIFO eviction.
-   Evicting never changes a result — a miss just recomputes. *)
-let find_or_add store tbl fifo ~hit key compute =
-  match Hashtbl.find_opt tbl key with
-  | Some v ->
-      Counter.incr hit;
-      v
-  | None ->
-      let v = compute () in
-      Hashtbl.add tbl key v;
-      Queue.add key fifo;
-      if Queue.length fifo > store.capacity then
-        Hashtbl.remove tbl (Queue.pop fifo);
-      v
 
 (* --- the node arena: hash-consed payload derivations --- *)
 
+(* Find-or-derive in the arena: bounded, FIFO eviction.  Evicting
+   never changes a result — a miss just re-derives. *)
 let arena_derive store n =
-  find_or_add store store.arena store.arena_fifo ~hit:c_node_hits
-    (Caseir.payload_key n) (fun () -> Caseir.derive n)
+  let key = Caseir.payload_key n in
+  match Hashtbl.find_opt store.arena key with
+  | Some d ->
+      Counter.incr c_node_hits;
+      d
+  | None ->
+      let d = Caseir.derive n in
+      Hashtbl.add store.arena key d;
+      Queue.add key store.arena_fifo;
+      if Queue.length store.arena_fifo > store.capacity then
+        Hashtbl.remove store.arena (Queue.pop store.arena_fifo);
+      d
 
 (* --- digests --- *)
 
@@ -302,87 +293,12 @@ let digest_of structure =
   let _, _, _, digest = digest_state (Caseir.intern structure) in
   digest
 
-(* --- verdict-memo keys --- *)
+(* --- per-node verdicts --- *)
 
-let status_tag = function
-  | Node.Developed -> "d"
-  | Node.Undeveloped -> "u"
-  | Node.Uninstantiated -> "i"
-  | Node.Undeveloped_uninstantiated -> "w"
-
-(* Exactly the inputs of [Fused.node_findings] + [node_lint_findings]
-   for node [i] — see the intro comment.  Two nodes with equal keys
-   produce equal diagnostic lists, which is what lets the memo serve
-   across cases and across edits. *)
-let node_key (ir : Caseir.t) i =
-  let b = Buffer.create 160 in
-  let n = ir.Caseir.nodes.(i) in
-  Buffer.add_string b "k1\x00";
-  Buffer.add_string b (Id.to_string ir.Caseir.ids.(i));
-  Buffer.add_char b '\x00';
-  Buffer.add_string b (Node.type_to_string n.Node.node_type);
-  Buffer.add_char b '\x00';
-  Buffer.add_string b (status_tag n.Node.status);
-  Buffer.add_char b '\x00';
-  Buffer.add_string b n.Node.text;
-  Buffer.add_char b '\x00';
-  let unsupported =
-    ir.Caseir.sup_out_off.(i + 1) = ir.Caseir.sup_out_off.(i)
-  in
-  Buffer.add_char b (if unsupported then '1' else '0');
-  Buffer.add_char b (if ir.Caseir.reachable.(i) then '1' else '0');
-  Buffer.add_char b (if ir.Caseir.roots <> [] then '1' else '0');
-  (match n.Node.node_type with
-  | Node.Solution ->
-      (match n.Node.evidence with
-      | None -> Buffer.add_string b "ev:-"
-      | Some ev_id -> (
-          Buffer.add_string b "ev:";
-          Buffer.add_string b (Id.to_string ev_id);
-          Buffer.add_char b ':';
-          match Structure.find_evidence ev_id ir.Caseir.structure with
-          | None -> Buffer.add_char b '?'
-          | Some ev ->
-              Buffer.add_string b (Evidence.kind_to_string ev.Evidence.kind)));
-      (* SupportedBy parents in link order: id and whether the parent
-         is a universal goal-like claim (the weak-evidence inputs). *)
-      for k = ir.Caseir.sup_in_off.(i) to ir.Caseir.sup_in_off.(i + 1) - 1 do
-        let pi = ir.Caseir.sup_in.(k) in
-        if pi < ir.Caseir.n_nodes then begin
-          Buffer.add_string b "\x00p:";
-          Buffer.add_string b (Id.to_string ir.Caseir.ids.(pi));
-          Buffer.add_char b
-            (if ir.Caseir.goal_like.(pi) && ir.Caseir.universal.(pi) then 'u'
-             else '-')
-        end
-      done
-  | _ -> ());
-  (* Goal-like SupportedBy children in link order: id and content
-     words (the equivocation-lint inputs). *)
-  for k = ir.Caseir.sup_out_off.(i) to ir.Caseir.sup_out_off.(i + 1) - 1 do
-    let j = ir.Caseir.sup_out.(k) in
-    if j < ir.Caseir.n_nodes && ir.Caseir.goal_like.(j) then begin
-      Buffer.add_string b "\x00g:";
-      Buffer.add_string b (Id.to_string ir.Caseir.ids.(j));
-      Buffer.add_char b ':';
-      Buffer.add_string b ir.Caseir.norm.(j)
-    end
-  done;
-  Digest.string (Buffer.contents b)
-
-(* --- per-node verdicts through the memo --- *)
-
-(* Re-key node [i] and fetch its findings through the memo. *)
-let recheck store st i =
-  st.keys.(i) <- node_key st.ir i;
-  let wf, inf =
-    find_or_add store store.memo store.memo_fifo ~hit:c_reused st.keys.(i)
-      (fun () ->
-        Counter.incr c_dirty;
-        (Fused.node_findings st.ir i, Fused.node_lint_findings st.ir i))
-  in
-  st.wf_node.(i) <- wf;
-  st.inf_node.(i) <- inf
+let recheck st i =
+  Counter.incr c_dirty;
+  st.wf_node.(i) <- Fused.node_findings st.ir i;
+  st.inf_node.(i) <- Fused.node_lint_findings st.ir i
 
 (* --- building and rebuilding case state --- *)
 
@@ -397,7 +313,7 @@ let build_ctx_in (ir : Caseir.t) =
   ctx_in
 
 (* Full (re)build from a structure: intern through the arena, then
-   recompute digests, keys, per-node verdicts and the link/shape
+   recompute digests, per-node verdicts and the link/shape
    findings.  The one reference path: [put] runs it, and [patch] falls
    back to it ([store.shape_rebuilds]) only when [delta] does not
    apply. *)
@@ -411,11 +327,10 @@ let rebuild store st structure =
   st.acyclic <- acyclic;
   st.sum <- sum;
   st.digest <- digest;
-  st.keys <- Array.make (max 1 n) "";
   st.wf_node <- Array.make (max 1 n) [];
   st.inf_node <- Array.make (max 1 n) [];
   for i = 0 to n - 1 do
-    recheck store st i
+    recheck st i
   done;
   st.link_wf <- Fused.link_findings ~ruleset:st.ruleset ir;
   st.shape_wf <- Fused.shape_findings ir;
@@ -431,7 +346,6 @@ let fresh_state ruleset =
     elem = [||];
     sum = sum_zero ();
     digest = "";
-    keys = [||];
     wf_node = [||];
     inf_node = [||];
     link_wf = [];
@@ -543,11 +457,15 @@ let redigest_cone st cone =
   else ISet.iter (fun i -> swap i (local_digest ir.Caseir.nodes.(i))) cone;
   st.digest <- render_digest ~acyclic:st.acyclic st.sum
 
-(* The nodes whose memo keys a payload edit of [i] can change: [i]
-   itself, its SupportedBy parents (their equivocation lints read
-   [i]'s content words), and its SupportedBy children (a solution
+(* The nodes whose findings a payload edit of [i] can change.  A node's
+   findings read its own payload, support degree, reachability bit and
+   the case's roots bit, the universal flags of its SupportedBy parents
+   and the content words of its goal-like SupportedBy children
+   ({!Fused.node_findings}, {!Fused.node_lint_findings}).  So the cone
+   is [i] itself, its SupportedBy parents (their equivocation lints
+   read [i]'s content words) and its SupportedBy children (a solution
    child's weak-evidence rule reads [i]'s universal flag). *)
-let key_cone st i =
+let findings_cone st i =
   let ir = st.ir in
   let n = ir.Caseir.n_nodes in
   let acc = ref (ISet.singleton i) in
@@ -634,25 +552,25 @@ let zero_term = String.make 16 '\000'
 
 (* An edit batch without a rebuild.  [Caseir.apply] replays it on the
    IR, deriving the set or added payloads without the arena, and then
-   keys and verdicts are recomputed over the key cone of the batch's
-   seeds — every node it set, added or linked to or from,
+   per-node verdicts are recomputed over the findings cone of the
+   batch's seeds — every node it set, added or linked to or from,
    and the old neighbours of every removed node — and Merkle terms over
    their ancestor cone (in cyclic digest mode, over the seeds alone).
 
    When the graph is unchanged (a text batch: [apply] moved no index)
    that is all.  Otherwise the per-node state here is first remapped
    through [apply]'s index map, the removed nodes' terms leave the sum,
-   every node whose reachability bit flipped joins the key cone, and
-   the per-link and shape findings are recomputed in full.
+   every node whose reachability bit flipped joins the findings cone,
+   and the per-link and shape findings are recomputed in full.
 
    [false] (the caller rebuilds) when the batch is outside
    [Caseir.apply], and for a shape batch in cyclic digest mode, that
    closes a cycle, or that makes the case gain or lose its last root
-   (every key reads that bit).  [Caseir.apply] consumes the old IR — it
-   overwrites arrays in place — so the removed nodes' neighbours are
-   read before it runs, and once it has run a [false] still leaves the
-   case to be rebuilt.  It never overwrites the old [roots] and
-   [reachable], which are read after. *)
+   (every node's findings read that bit).  [Caseir.apply] consumes the
+   old IR — it overwrites arrays in place — so the removed nodes'
+   neighbours are read before it runs, and once it has run a [false]
+   still leaves the case to be rebuilt.  It never overwrites the old
+   [roots] and [reachable], which are read after. *)
 let delta store st structure edits =
   let old = st.ir in
   let n0 = old.Caseir.n_nodes in
@@ -740,7 +658,6 @@ let delta store st structure edits =
                 arr'
               in
               if not identity then begin
-                st.keys <- remap "" st.keys;
                 st.elem <- remap zero_term st.elem;
                 st.wf_node <- remap [] st.wf_node;
                 st.inf_node <- remap [] st.inf_node
@@ -775,9 +692,9 @@ let delta store st structure edits =
                 !flipped )
         in
         st.ir <- ir;
-        ISet.iter (recheck store st)
+        ISet.iter (recheck st)
           (List.fold_left
-             (fun acc i -> ISet.union acc (key_cone st i))
+             (fun acc i -> ISet.union acc (findings_cone st i))
              flipped seeds);
         redigest_cone st
           (if st.acyclic then ancestor_cone st seeds else ISet.of_list seeds);
@@ -838,8 +755,8 @@ let verdict store ~digest =
                       | [] -> 0.0
                       | root :: _ ->
                           (Confidence.scores ~trust:default_trust
-                             ~find_evidence:
-                               (Confidence.evidence_lookup ir.Caseir.structure)
+                             ~find_evidence:(fun id ->
+                               Structure.find_evidence id ir.Caseir.structure)
                              ir.Caseir.nodes ~sup_off:ir.Caseir.sup_out_off
                              ~sup:ir.Caseir.sup_out).(root)
                     in

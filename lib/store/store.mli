@@ -6,8 +6,12 @@
     per-node findings into a result byte-identical to a full
     {!Argus_ir.Fused.check} of the same structure.
 
-    Three layers of reuse make an edit of one node in a 100k-node case
-    near-constant instead of a full re-check:
+    An edit of one node in a 100k-node case re-checks only its
+    findings cone — the nodes whose findings read what the edit
+    changed, as {!Argus_ir.Fused.node_findings} documents their inputs
+    ([store.dirty_cone] counts the nodes whose findings were computed)
+    — instead of the whole case.  Two layers of reuse keep the rest of
+    the work near-constant:
 
     - a {e node arena} hash-consing per-payload text derivations
       across the cases a [put] (or a patch's rebuild fallback) interns
@@ -15,17 +19,17 @@
     - {e Merkle-style digests} — each node's digest covers its payload
       and its children's digests, folded into an order-independent
       128-bit sum, so a payload edit re-digests only its ancestor
-      cone;
-    - a {e verdict memo} keyed by a digest of exactly the inputs each
-      node's findings read ([store.reused_verdicts] counts reuse,
-      [store.dirty_cone] counts nodes actually re-checked).
+      cone.
+
+    The assembled verdict is cached until the next patch
+    ([store.reused_verdicts] counts the verdicts answered from it).
 
     All operations are serialised by an internal mutex; the store may
     be shared freely across domains.  The gauge [store.nodes] tracks
     live nodes across cases. *)
 
 type t
-(** A store: cases keyed by digest, plus the shared arena and memo. *)
+(** A store: cases keyed by digest, plus the shared arena. *)
 
 type edit =
   | Set_text of Argus_core.Id.t * string
@@ -61,9 +65,9 @@ type verdict = {
 val default_trust : Argus_core.Evidence.t -> float
 (** Uniform 0.9, the experiments' baseline trust. *)
 
-val create : ?memo_capacity:int -> unit -> t
-(** [memo_capacity] (default [2^18], at least 16) bounds the arena and
-    the verdict memo, each to that many entries; FIFO eviction, and
+val create : ?arena_capacity:int -> unit -> t
+(** [arena_capacity] (default [2^18], at least 16) bounds the node
+    arena to that many payload derivations; FIFO eviction, and
     eviction never changes results — a miss just re-derives. *)
 
 val put :
@@ -118,9 +122,9 @@ val find :
 val size : t -> int
 
 val remove : t -> string -> unit
-(** Drop the case bound at a digest (a no-op when absent).  Arena and
-    memo entries it contributed stay cached until evicted — eviction
-    never changes results.  {!Durable} uses this to roll back an
+(** Drop the case bound at a digest (a no-op when absent).  Arena
+    entries it contributed stay cached until evicted — eviction never
+    changes results.  {!Durable} uses this to roll back an
     operation whose WAL append failed. *)
 
 val cases :

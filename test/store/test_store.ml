@@ -1,9 +1,10 @@
 (* The incremental store against its oracle: after every [put] and
    every [patch], [Store.verdict] must render byte-identically to a
    from-scratch [Fused.check ~lints:true] of the same structure — the
-   memo, the dirty-cone re-checking and the digest bookkeeping must
-   never show through in the report.  Digests must be insensitive to
-   insertion order, bounded memo eviction must never change results,
+   node arena, the findings-cone re-checking and the digest bookkeeping
+   must never show through in the report.  A patch must re-check its
+   findings cone and nothing more.  Digests must be insensitive to
+   insertion order, bounded arena eviction must never change results,
    and one store must serve concurrent domains. *)
 
 module Id = Argus_core.Id
@@ -63,11 +64,17 @@ let check_verdict ?ruleset store digest shadow =
 
 (* --- generators --- *)
 
+(* The random text pool.  The three long texts share exactly one
+   content word pairwise, so siblings drawn from any two of them raise
+   an equivocation candidate: a set-text on a child then changes its
+   parent's lints. *)
 let texts =
   [|
     "The system is acceptably safe";
     "There is no evidence that failures occur";
     "The river bank erosion control scheme performs well";
+    "Pump controller isolates primary power bank";
+    "Bank vault alarm wiring passes inspection";
     "All inputs are always validated";
     "Deadlock is impossible in every mode";
     "";
@@ -240,13 +247,13 @@ let incremental_matches_full =
       | Ok () -> true
       | Error msg -> QCheck.Test.fail_report msg)
 
-(* A tiny memo forces constant eviction; results must not move. *)
+(* A tiny arena forces constant eviction; results must not move. *)
 let eviction_never_changes_results =
-  QCheck.Test.make ~name:"bounded memo eviction never changes results"
+  QCheck.Test.make ~name:"bounded arena eviction never changes results"
     ~count:60
     (QCheck.make ~print:print_scenario gen_case_and_edits)
     (fun scenario ->
-      let store = Store.create ~memo_capacity:1 () in
+      let store = Store.create ~arena_capacity:1 () in
       match drive store scenario with
       | Ok () -> true
       | Error msg -> QCheck.Test.fail_report msg)
@@ -1238,11 +1245,11 @@ let counter name = Counter.value (Counter.make name)
 (* Every batch must take the fast path — no shape rebuild, no
    re-intern — and leave the store exactly where a fresh put of the
    edited structure lands: same IR, verdict, digest and confidence. *)
-let fast_path_matches_fresh ~memo_capacity =
+let fast_path_matches_fresh ~arena_capacity =
   QCheck.Test.make
     ~name:
-      (Printf.sprintf "shape edits take the fast path (memo %s)"
-         (if memo_capacity = 1 then "1" else "default"))
+      (Printf.sprintf "shape edits take the fast path (arena %s)"
+         (if arena_capacity = 1 then "1" else "default"))
     ~count:25
     (QCheck.make
        ~print:(fun (seed, size) -> Printf.sprintf "seed %d, %d nodes" seed size)
@@ -1250,7 +1257,7 @@ let fast_path_matches_fresh ~memo_capacity =
     (fun (seed, size) ->
       let rand = Random.State.make [| seed |] in
       let s = tree_case rand size in
-      let store = Store.create ~memo_capacity () in
+      let store = Store.create ~arena_capacity () in
       let d = ref (Store.put store s) in
       ignore (Store.verdict store ~digest:!d);
       let ir = ref (Caseir.intern s) and s = ref s in
@@ -1367,6 +1374,56 @@ let text_batches_never_rebuild =
         batches;
       true)
 
+(* A patch re-checks exactly its findings cone: a put computes every
+   node's findings, and a set-text on the middle goal of
+   goal -> strategy -> three goals (the middle one closed by a
+   solution) computes the node's own, its SupportedBy parent's and its
+   SupportedBy child's — three, whatever the case's size. *)
+let test_patch_rechecks_cone () =
+  let dirty () = counter "store.dirty_cone" in
+  let s =
+    Structure.of_nodes
+      ~links:
+        [
+          (Structure.Supported_by, "G1", "S1");
+          (Structure.Supported_by, "S1", "G2");
+          (Structure.Supported_by, "S1", "G3");
+          (Structure.Supported_by, "S1", "G4");
+          (Structure.Supported_by, "G3", "Sn1");
+        ]
+      ~evidence:
+        [
+          Evidence.make ~id:(Id.of_string "E0") ~kind:Evidence.Test_results
+            "tests";
+        ]
+      [
+        Node.goal "G1" "The system is acceptably safe";
+        Node.strategy "S1" "Argue over each hazard";
+        Node.goal "G2" "Hazard one is mitigated";
+        Node.goal "G3" "Hazard two is mitigated";
+        Node.goal "G4" "Hazard three is mitigated";
+        Node.solution ~evidence:"E0" "Sn1" "Test report";
+      ]
+  in
+  let store = Store.create () in
+  let before = dirty () in
+  let d = Store.put store s in
+  Alcotest.(check int) "a put checks every node" 6 (dirty () - before);
+  let edit = Store.Set_text (Id.of_string "G3", "Hazard two is removed") in
+  let s' = Structure.add_node (Node.goal "G3" "Hazard two is removed") s in
+  let before = dirty () in
+  let d' =
+    match Store.patch store ~digest:d [ edit ] with
+    | Ok d' -> d'
+    | Error e -> Alcotest.fail (Store.error_message e)
+  in
+  Alcotest.(check int)
+    "a set-text checks the node, its parent and its child" 3
+    (dirty () - before);
+  match check_verdict store d' s' with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
 let () =
   Fault.configure_from_env ();
   Alcotest.run "argus-store"
@@ -1380,9 +1437,9 @@ let () =
       ( "shape",
         [
           QCheck_alcotest.to_alcotest apply_matches_intern;
-          QCheck_alcotest.to_alcotest (fast_path_matches_fresh ~memo_capacity:1);
+          QCheck_alcotest.to_alcotest (fast_path_matches_fresh ~arena_capacity:1);
           QCheck_alcotest.to_alcotest
-            (fast_path_matches_fresh ~memo_capacity:(1 lsl 18));
+            (fast_path_matches_fresh ~arena_capacity:(1 lsl 18));
           QCheck_alcotest.to_alcotest text_batches_never_rebuild;
         ] );
       ( "digest",
@@ -1398,6 +1455,8 @@ let () =
           Alcotest.test_case "unknown digests and bad edits" `Quick
             test_errors;
           Alcotest.test_case "verdict memoization" `Quick test_memoization;
+          Alcotest.test_case "a patch re-checks its cone" `Quick
+            test_patch_rechecks_cone;
         ] );
       ( "concurrency",
         [
