@@ -334,8 +334,8 @@ let bench_modular =
 
 (* A bushy-and-shallow case for the incremental-store kernels: one
    root goal fanned over [strategies] strategies of [leaves] undeveloped
-   leaf goals each.  Shallow keeps the Merkle ancestor cone of any leaf
-   at three nodes; bushy keeps the node count high.  Sibling leaf texts
+   leaf goals each.  Shallow keeps the findings cone of any leaf at
+   three nodes; bushy keeps the node count high.  Sibling leaf texts
    share most of their content words, so the equivocation pair scan
    runs but stays quiet — the store's dirty-cone cost, not a diagnostic
    flood, is what these kernels time. *)
@@ -986,7 +986,7 @@ let bench_subjects =
        disk property; the sync policy that pays it is the operator's
        call).  [store-recover-100k] is restart cost: Recover.load of a
        data dir whose WAL holds one ~110k-node put — Marshal decode,
-       re-intern, and Merkle digest verification, the same work
+       re-intern, and digest verification, the same work
        `argus serve --store --data-dir` does before its first accept.
        Both touch the filesystem, so compare.exe treats them as
        advisory (see the store- rule there). *)

@@ -471,7 +471,7 @@ type extra_link = {
    delta, and so is an [Add_node] naming an id the case already
    mentions (a payload replacement the caller should express as
    [Set_node]). *)
-let reshape ~derive ir structure edits =
+let reshape ir structure edits =
   let n0 = ir.n_nodes and e0 = ir.n_entities in
   let m0 = Array.length ir.link_kind in
   let dead = Bytes.make (max 1 n0) '\000' in
@@ -699,7 +699,7 @@ let reshape ~derive ir structure edits =
    (the one payload bit the graph half reads, through the roots) moves
    no index and leaves the graph as it is: the nodes and text columns
    are written in place.  Every other batch is [reshape]d. *)
-let apply ?(derive = derive) ir structure edits =
+let apply ir structure edits =
   let in_place = function
     | Set_node n -> (
         match Hashtbl.find_opt ir.index (Id.to_string n.Node.id) with
@@ -712,7 +712,7 @@ let apply ?(derive = derive) ir structure edits =
     | _ -> raise_notrace Outside
   in
   match List.map in_place edits with
-  | exception Outside -> reshape ~derive ir structure edits
+  | exception Outside -> reshape ir structure edits
   | sets ->
       let c =
         {

@@ -152,7 +152,6 @@ type edit =
     semantics for the same operation. *)
 
 val apply :
-  ?derive:(Argus_gsn.Node.t -> derived) ->
   t ->
   Argus_gsn.Structure.t ->
   edit list ->
@@ -160,7 +159,7 @@ val apply :
 (** [apply ir structure edits] is the IR of [structure], the result of
     replaying [edits] in order on [ir]'s source, built without a
     re-intern: equal field by field to [intern structure] ([index] by
-    bindings).  [ir.interned] does not move, and [?derive] runs only
+    bindings).  [ir.interned] does not move, and {!derive} runs only
     on the payloads the batch sets or adds.
 
     A batch of [Set_node]s only, each on a node of the case that keeps

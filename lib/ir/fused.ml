@@ -728,18 +728,28 @@ let check_cae ir =
                (cae_type_string s.Cae.node_type)
                (cae_type_string d.Cae.node_type))
   done;
-  (* The legacy cycle test: path-only DFS from every node entity. *)
+  (* DFS from every node entity over the support relation.  An entity
+     whose DFS found no cycle has none reachable from it, so it is
+     cleared and never searched again, and a bitmap answers "on the
+     path": linear, as [Caseir.has_cycle]. *)
   let has_cycle =
-    let rec visit path i =
-      List.mem i path
-      ||
-      let path = i :: path in
-      let rec go k =
-        k < ir.supp_off.(i + 1) && (visit path ir.supp.(k) || go (k + 1))
-      in
-      go ir.supp_off.(i)
+    let cleared = Bytes.make (max 1 ir.n_cae_entities) '\000' in
+    let on_path = Bytes.make (max 1 ir.n_cae_entities) '\000' in
+    let rec visit i =
+      Bytes.get on_path i = '\001'
+      || Bytes.get cleared i = '\000'
+         && begin
+              Bytes.set on_path i '\001';
+              let rec go k =
+                k < ir.supp_off.(i + 1) && (visit ir.supp.(k) || go (k + 1))
+              in
+              let found = go ir.supp_off.(i) in
+              Bytes.set on_path i '\000';
+              if not found then Bytes.set cleared i '\001';
+              found
+            end
     in
-    let rec entries i = i < n_nodes && (visit [] i || entries (i + 1)) in
+    let rec entries i = i < n_nodes && (visit i || entries (i + 1)) in
     entries 0
   in
   if has_cycle then

@@ -135,15 +135,17 @@ let maybe_snapshot t =
         | exception e -> degrade t (cause_of_exn e))
     | _ -> ()
 
-(* Run one mutating store operation and make it durable.  [op] must
-   not raise for reasons the WAL should not see; its [Error] case is
-   a clean store-level refusal that logs nothing.  [rollback] undoes
-   the in-memory effect when the WAL append fails: the refused
-   operation leaves no trace, so the digests clients hold stay
-   exactly the acked (and durable) ones. *)
+(* Run one mutating store operation and make it durable, answering
+   its digest and the seq it took — read here, under the mutex, since
+   by the time the caller could read [t.seq] another domain may have
+   advanced it.  [op] must not raise for reasons the WAL should not
+   see; its [Error] case is a clean store-level refusal that logs
+   nothing.  [rollback] undoes the in-memory effect when the WAL
+   append fails: the refused operation leaves no trace, so the digests
+   clients hold stay exactly the acked (and durable) ones. *)
 let logged t
     (op : unit -> (string * Wal.op * (unit -> unit), Store.error) result) :
-    (string, error) result =
+    (string * int, error) result =
   locked t (fun () ->
       match t.mode with
       | Read_only cause -> Error (Read_only cause)
@@ -151,6 +153,7 @@ let logged t
           match op () with
           | Error e -> Error (Store_error e)
           | Ok (digest, wop, rollback) -> (
+              let seq = t.seq + 1 in
               match t.wal with
               | None ->
                   (* No WAL, but the sequence cursor still advances:
@@ -158,16 +161,15 @@ let logged t
                      can audit retried patches (a duplicate commit
                      shows as two acks with distinct seqs and the same
                      digest) in memory-only servers too. *)
-                  t.seq <- t.seq + 1;
-                  Ok digest
+                  t.seq <- seq;
+                  Ok (digest, seq)
               | Some wal -> (
-                  let seq = t.seq + 1 in
                   match Wal.append wal { Wal.seq; op = wop; digest } with
                   | () ->
                       t.seq <- seq;
                       t.since_snapshot <- t.since_snapshot + 1;
                       maybe_snapshot t;
-                      Ok digest
+                      Ok (digest, seq)
                   | exception e ->
                       let cause = cause_of_exn e in
                       rollback ();

@@ -48,19 +48,24 @@ val durable : t -> bool
 val seq : t -> int
 (** The sequence cursor: advances by one on every acked mutation
     ({!put}, {!patch}) whether or not a WAL is attached — on durable
-    stores it is the last WAL sequence number appended.  Echoed in the
-    server's put/patch acks so a client that retried a write can audit
-    whether it committed once or twice (the digest alone cannot tell:
-    the store is content-addressed, so a replay converges to the same
-    digest). *)
+    stores it is the last WAL sequence number appended. *)
 
 val put :
   ?ruleset:Argus_gsn.Wellformed.ruleset ->
   t ->
   Argus_gsn.Structure.t ->
-  (string, error) result
+  (string * int, error) result
+(** [Ok (digest, seq)]: the case's digest and the sequence number its
+    commit took, read under the commit mutex (on durable stores, the
+    seq of the WAL record that holds the digest).  Echoed in the
+    server's put/patch acks so a client that retried a write can audit
+    whether it committed once or twice (the digest alone cannot tell:
+    the store is content-addressed, so a replay converges to the same
+    digest). *)
 
-val patch : t -> digest:string -> Store.edit list -> (string, error) result
+val patch :
+  t -> digest:string -> Store.edit list -> (string * int, error) result
+(** Like {!put}: the new digest and the seq of the commit. *)
 
 val verdict : t -> digest:string -> (Store.verdict, error) result
 

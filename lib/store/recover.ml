@@ -17,9 +17,12 @@
    Digest verification is the load-bearing step: the digest in each
    record is what the store answered when the operation originally
    committed, so equality after replay proves the recovered case is
-   byte-identical (the digest is a Merkle sum over payloads and
-   topology) and therefore that verdicts stay byte-identical to
-   [Fused.check] — PR 8's invariant, carried across the crash.
+   byte-identical (the digest is a sum of per-node terms over
+   payloads and out-links) and therefore that verdicts stay
+   byte-identical to [Fused.check], carried across the crash.  A
+   snapshot or log in an earlier format holds digests of another
+   scheme: {!Snapshot.read} and {!Wal.parse} refuse it, naming the
+   format, before any digest is verified.
 
    Records with seq <= snapshot seq can legitimately appear (a crash
    between snapshot rename and WAL reset); they are skipped.  A seq

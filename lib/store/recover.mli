@@ -5,11 +5,13 @@
     see {!Snapshot}), then replays WAL records with
     [seq > snapshot seq] in order.  A torn WAL tail is truncated on
     disk; mid-stream corruption, sequence gaps, or any recovered
-    case whose recomputed Merkle digest differs from the digest the
-    log recorded are refused with a precise diagnostic.  Digest
-    equality after replay is what carries PR 8's invariant across a
-    crash: verdicts on recovered cases stay byte-identical to
-    [Fused.check].
+    case whose recomputed digest differs from the digest the log
+    recorded are refused with a precise diagnostic.  A snapshot or
+    WAL in an earlier format ({!Wal.format}) is refused before any of
+    its digests is verified, with a diagnostic that names the format
+    and asks for an empty data dir.  Digest equality after replay is
+    what carries the store's invariant across a crash: verdicts on
+    recovered cases stay byte-identical to [Fused.check].
 
     Fault probe: [store.recover.read], keyed ["wal"]/["snapshot"] for
     file reads and by seq for each replayed record. *)

@@ -3,9 +3,11 @@
    A snapshot is the WAL's rendezvous point: once `snapshot-<seq>.snap`
    holds every case as of sequence number <seq>, the log can be reset
    and recovery starts from the snapshot instead of replaying history.
-   The file reuses the WAL's framing — magic, then ONE crc-framed
-   record whose payload is Marshal of {seq; cases} — so the same
-   checksum discipline covers both files.
+   The file reuses the WAL's framing — magic ("ARGUSSNAP2\n", the
+   digit being the WAL's format), then ONE crc-framed record whose
+   payload is Marshal of {seq; cases} — so the same checksum
+   discipline, and the same refusal of an earlier format's file,
+   cover both files.
 
    Atomicity: write to `<name>.tmp`, fsync the file, rename over the
    final name, fsync the directory.  A crash at any point leaves
@@ -29,7 +31,7 @@ module Counter = Argus_obs.Counter
 
 let c_snapshots = Counter.make "store.snapshots"
 
-let magic = "ARGUSSNAP1\n"
+let magic = Printf.sprintf "ARGUSSNAP%d\n" Wal.format
 
 type image = {
   seq : int;  (** Last WAL sequence number the snapshot covers. *)
@@ -130,7 +132,11 @@ let read path : (image, string) result =
       let n = String.length data in
       let mlen = String.length magic in
       if n < mlen || String.sub data 0 mlen <> magic then
-        Error (Printf.sprintf "%s: not an argus snapshot (bad magic)" path)
+        Error
+          (Printf.sprintf "%s: %s" path
+             (Option.value ~default:"not an argus snapshot (bad magic)"
+                (Wal.earlier_format ~stem:"ARGUSSNAP" ~what:"the snapshot"
+                   data)))
       else if n - mlen < 8 then
         Error (Printf.sprintf "%s: snapshot truncated (no record header)" path)
       else

@@ -1,14 +1,16 @@
 (** Compacting snapshots of the live case set.
 
-    A snapshot file is the WAL's magic-and-checksum framing around one
-    [Marshal]-encoded {!image}; it is written atomically
+    A snapshot file (magic ["ARGUSSNAP2\n"]) is the WAL's
+    magic-and-checksum framing around one [Marshal]-encoded {!image};
+    it is written atomically
     (tmp + fsync + rename + directory fsync) and supersedes all older
     generations plus every WAL record with [seq <= image.seq].
 
     The newest snapshot must parse: the WAL was reset when it was
     written, so falling back to an older generation would silently
     drop the operations between the two — {!read} refuses damaged
-    files with a diagnostic instead.
+    files with a diagnostic instead, and refuses a file in an earlier
+    format (["ARGUSSNAP1\n"]) with {!Wal.earlier_format}'s.
 
     Fault probes: [store.snapshot.write] (keyed by seq) on {!write},
     [store.recover.read] (key ["snapshot"]) on {!read}. *)

@@ -1,5 +1,5 @@
 (* The incremental assurance-case store: content-addressed cases,
-   hash-consed node derivations, Merkle-style digests and per-node
+   hash-consed node derivations, per-node digest terms and per-node
    verdicts re-checked over the dirty cone of each edit.
 
    The heavy-traffic workload is many clients mutating large living
@@ -23,16 +23,14 @@
      without the arena: an edited text is almost always new, so filing
      it would only grow the table with entries that are never hit.
 
-   - {e Merkle digests.}  Each node carries a digest covering its
-     payload, its id, and the digests of its SupportedBy /
-     InContextOf children; the case digest folds the per-node digests
-     (plus the evidence table) into an order-independent 128-bit sum,
-     so two structurally equal cases get one digest no matter the
-     insertion order.  A payload edit re-digests only the edited
-     node's ancestor cone and adjusts the sum by the changed terms.
-     When the combined support/context relation is cyclic the subtree
-     digest is not well defined, so the case digest falls back to an
-     equally canonical flat sum over payloads and links.
+   - {e Per-node digest terms.}  Each node's term covers its payload
+     and the ids of its SupportedBy and InContextOf targets; the case
+     digest folds the node terms, the out-links of dangling sources
+     and the evidence table into an order-independent 128-bit sum, so
+     two structurally equal cases get one digest no matter the
+     insertion order.  The scheme is defined on every graph, cyclic or
+     not, and an edit recomputes only the terms of the nodes whose
+     payload or out-links it changed.
 
    Each case keeps its per-node well-formedness findings and per-node
    lints.  A [rebuild] computes them for every node; a patch recomputes
@@ -102,18 +100,14 @@ type case_state = {
   ruleset : Wellformed.ruleset;
   mutable ir : Caseir.t;  (** Carries the case's structure. *)
   mutable ctx_in : int list array;
-      (** Per entity: InContextOf sources — the reverse edges the
-          dirty-cone walk needs and the IR's CSR does not keep. *)
-  mutable acyclic : bool;
-      (** Combined SupportedBy/InContextOf relation acyclic. *)
+      (** Per entity: InContextOf sources — the reverse edges a
+          removed node's seeds need and the IR's CSR does not keep. *)
   (* The per-node arrays [elem], [wf_node] and [inf_node] may
      run past the node count: a shape edit compacts them in place and
      grows them with slack, so only the first [ir.n_nodes] cells mean
      anything. *)
   mutable elem : string array;
-      (** Per node: its term in the case-digest sum — the Merkle
-          subtree digest when acyclic, the local payload digest
-          otherwise. *)
+      (** Per node: its term in the case-digest sum. *)
   mutable sum : Bytes.t;  (** Rolling 128-bit sum of all terms. *)
   mutable digest : string;
   mutable wf_node : Diagnostic.t list array;
@@ -187,9 +181,14 @@ let sum_sub acc (d : string) =
 
 (* The local digest covers the full payload — id, type, status, text,
    formal rendering, annotations, evidence citation.  Marshal is
-   deterministic on this pure data and spares a hand-rolled codec. *)
-let local_digest (n : Node.t) = Digest.string ("n\x00" ^ Marshal.to_string n [])
-let evidence_digest ev = Digest.string ("e\x00" ^ Marshal.to_string ev [])
+   deterministic on this pure data and spares a hand-rolled codec;
+   [No_sharing] makes it read the value alone, so a payload whose
+   strings are shared digests like one whose strings are copies. *)
+let local_digest (n : Node.t) =
+  Digest.string ("n\x00" ^ Marshal.to_string n [ Marshal.No_sharing ])
+
+let evidence_digest ev =
+  Digest.string ("e\x00" ^ Marshal.to_string ev [ Marshal.No_sharing ])
 
 let link_digest kind src dst =
   Digest.string
@@ -199,98 +198,62 @@ let link_digest kind src dst =
        | Structure.In_context_of -> "c")
        (Id.to_string src) (Id.to_string dst))
 
-let dangling_digest id = Digest.string ("d\x00" ^ Id.to_string id)
-let cycle_digest id = Digest.string ("y\x00" ^ Id.to_string id)
-
-(* A node's Merkle subtree digest: its local payload digest, then the
-   sorted digests [sub] gives its SupportedBy children, then those of
-   its InContextOf children.  Sorting makes sibling order irrelevant,
-   so structurally equal cases digest equal. *)
-let merkle_node (ir : Caseir.t) sub i =
-  let kids off dat =
+(* A node's term in the case-digest sum: its local payload digest (16
+   bytes), then the sorted ids of its SupportedBy targets, then those
+   of its InContextOf targets, each after a NUL and a kind letter.  Ids
+   never contain a NUL, so the rendering is unambiguous.  Targets are
+   named by id, not by digest, so a term is defined on any graph,
+   cyclic or not, and changes only with the node's own payload and
+   out-links. *)
+let node_term (ir : Caseir.t) i =
+  let b = Buffer.create 64 in
+  Buffer.add_char b 't';
+  Buffer.add_string b (local_digest ir.Caseir.nodes.(i));
+  let targets tag off dat =
     let acc = ref [] in
     for k = off.(i) to off.(i + 1) - 1 do
-      acc := sub dat.(k) :: !acc
+      acc := Id.to_string ir.Caseir.ids.(dat.(k)) :: !acc
     done;
-    List.sort String.compare !acc
+    List.iter
+      (fun id ->
+        Buffer.add_char b '\x00';
+        Buffer.add_char b tag;
+        Buffer.add_string b id)
+      (List.sort String.compare !acc)
   in
-  let s = kids ir.Caseir.sup_out_off ir.Caseir.sup_out in
-  let c = kids ir.Caseir.ctx_out_off ir.Caseir.ctx_out in
-  Digest.string
-    (String.concat ""
-       ("m\x00" :: local_digest ir.Caseir.nodes.(i) :: "\x01" :: s
-       @ ("\x02" :: c)))
+  targets 's' ir.Caseir.sup_out_off ir.Caseir.sup_out;
+  targets 'c' ir.Caseir.ctx_out_off ir.Caseir.ctx_out;
+  Digest.string (Buffer.contents b)
 
-(* The Merkle subtree digest of every node.  A grey child during the
-   DFS marks the combined relation cyclic; the caller then discards
-   these in favour of the flat scheme (a traversal-order-dependent
-   cycle cut would break order independence). *)
-let merkle_subs (ir : Caseir.t) =
-  let n = ir.Caseir.n_nodes in
-  let subs = Array.make (max 1 n) "" in
-  let state = Array.make (max 1 ir.Caseir.n_entities) 0 in
-  let cyclic = ref false in
-  let rec sub i =
-    if i >= n then dangling_digest ir.Caseir.ids.(i)
-    else if state.(i) = 1 then begin
-      cyclic := true;
-      cycle_digest ir.Caseir.ids.(i)
-    end
-    else if state.(i) = 2 then subs.(i)
-    else begin
-      state.(i) <- 1;
-      let d = merkle_node ir sub i in
-      state.(i) <- 2;
-      subs.(i) <- d;
-      d
-    end
-  in
-  for i = 0 to n - 1 do
-    ignore (sub i)
-  done;
-  (subs, not !cyclic)
+let zero_term = String.make 16 '\000'
+let render_digest sum =
+  Digest.to_hex (Digest.string ("T" ^ Bytes.to_string sum))
 
-let render_digest ~acyclic sum =
-  Digest.to_hex
-    (Digest.string ((if acyclic then "A" else "C") ^ Bytes.to_string sum))
-
-(* Full digest state of an IR: the per-node terms, cyclicity, the sum
-   (including evidence and, when cyclic, link terms) and the final
-   case digest. *)
+(* Full digest state of an IR: the per-node terms, their sum with the
+   link terms of dangling sources (which have no node term to carry
+   their out-links) and the evidence terms, and the case digest. *)
 let digest_state (ir : Caseir.t) =
-  let subs, acyclic = merkle_subs ir in
   let n = ir.Caseir.n_nodes in
-  let elem =
-    if acyclic then subs
-    else Array.init (max 1 n) (fun i -> local_digest ir.Caseir.nodes.(i))
-  in
+  let elem = Array.make (max 1 n) zero_term in
   let sum = sum_zero () in
   for i = 0 to n - 1 do
+    elem.(i) <- node_term ir i;
     sum_add sum elem.(i)
   done;
-  if acyclic then begin
-    (* A real source's Merkle digest covers its out-links; a dangling
-       source has no digest of its own, so its out-links enter the sum
-       directly or they would be invisible. *)
-    for k = 0 to Array.length ir.Caseir.link_kind - 1 do
-      let si = ir.Caseir.link_src.(k) in
-      if si >= n then
-        sum_add sum
-          (link_digest ir.Caseir.link_kind.(k) ir.Caseir.ids.(si)
-             ir.Caseir.ids.(ir.Caseir.link_dst.(k)))
-    done
-  end
-  else
-    List.iter
-      (fun (kind, src, dst) -> sum_add sum (link_digest kind src dst))
-      (Structure.links ir.Caseir.structure);
+  for k = 0 to Array.length ir.Caseir.link_kind - 1 do
+    let si = ir.Caseir.link_src.(k) in
+    if si >= n then
+      sum_add sum
+        (link_digest ir.Caseir.link_kind.(k) ir.Caseir.ids.(si)
+           ir.Caseir.ids.(ir.Caseir.link_dst.(k)))
+  done;
   List.iter
     (fun ev -> sum_add sum (evidence_digest ev))
     (Structure.evidence ir.Caseir.structure);
-  (elem, acyclic, sum, render_digest ~acyclic sum)
+  (elem, sum, render_digest sum)
 
 let digest_of structure =
-  let _, _, _, digest = digest_state (Caseir.intern structure) in
+  let _, _, digest = digest_state (Caseir.intern structure) in
   digest
 
 (* --- per-node verdicts --- *)
@@ -322,9 +285,8 @@ let rebuild store st structure =
   let n = ir.Caseir.n_nodes in
   st.ir <- ir;
   st.ctx_in <- build_ctx_in ir;
-  let elem, acyclic, sum, digest = digest_state ir in
+  let elem, sum, digest = digest_state ir in
   st.elem <- elem;
-  st.acyclic <- acyclic;
   st.sum <- sum;
   st.digest <- digest;
   st.wf_node <- Array.make (max 1 n) [];
@@ -342,7 +304,6 @@ let fresh_state ruleset =
     ruleset;
     ir = Caseir.intern Structure.empty;
     ctx_in = [||];
-    acyclic = true;
     elem = [||];
     sum = sum_zero ();
     digest = "";
@@ -408,54 +369,17 @@ let cases store =
         store.cases []
       |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b))
 
-(* The ancestor cone of the edited nodes: everything whose Merkle
-   digest covers them, over reverse SupportedBy and reverse
-   InContextOf edges.  Only meaningful in acyclic mode (cyclic-mode
-   terms are local, so the cone is the edited set itself). *)
-let ancestor_cone st seeds =
-  let ir = st.ir in
-  let rec up cone i =
-    if i >= ir.Caseir.n_nodes || ISet.mem i cone then cone
-    else begin
-      let cone = ref (ISet.add i cone) in
-      for k = ir.Caseir.sup_in_off.(i) to ir.Caseir.sup_in_off.(i + 1) - 1 do
-        cone := up !cone ir.Caseir.sup_in.(k)
-      done;
-      List.fold_left up !cone st.ctx_in.(i)
-    end
-  in
-  List.fold_left up ISet.empty seeds
-
-(* Re-digest the cone of an edit, swapping each changed term out of the
-   sum and the new one in.  In acyclic mode the cone is an ancestor
-   cone and its Merkle digests are recomputed (cached digests outside
-   it are final, and acyclicity makes the recursion terminate); in
-   cyclic mode terms are local payload digests, so each edited node
-   swaps exactly its own term. *)
-let redigest_cone st cone =
-  let ir = st.ir in
-  let n = ir.Caseir.n_nodes in
-  let swap i d =
-    sum_sub st.sum st.elem.(i);
-    sum_add st.sum d;
-    st.elem.(i) <- d
-  in
-  if st.acyclic then begin
-    let computed = ref ISet.empty in
-    let rec sub i =
-      if i >= n then dangling_digest ir.Caseir.ids.(i)
-      else if ISet.mem i !computed || not (ISet.mem i cone) then st.elem.(i)
-      else begin
-        let d = merkle_node ir sub i in
-        computed := ISet.add i !computed;
-        swap i d;
-        d
-      end
-    in
-    ISet.iter (fun i -> ignore (sub i)) cone
-  end
-  else ISet.iter (fun i -> swap i (local_digest ir.Caseir.nodes.(i))) cone;
-  st.digest <- render_digest ~acyclic:st.acyclic st.sum
+(* Recompute the terms of the given nodes, swapping each old term out
+   of the sum and the new one in. *)
+let redigest st nodes =
+  ISet.iter
+    (fun i ->
+      let d = node_term st.ir i in
+      sum_sub st.sum st.elem.(i);
+      sum_add st.sum d;
+      st.elem.(i) <- d)
+    nodes;
+  st.digest <- render_digest st.sum
 
 (* The nodes whose findings a payload edit of [i] can change.  A node's
    findings read its own payload, support degree, reachability bit and
@@ -525,37 +449,15 @@ let apply_edits structure edits =
   in
   go structure [] edits
 
-(* Whether [dst] is reachable from [src] over SupportedBy and
-   InContextOf links between real nodes — the relation the Merkle
-   digests recurse over. *)
-let reaches (ir : Caseir.t) src dst =
-  let n = ir.Caseir.n_nodes in
-  let seen = Bytes.make (max 1 n) '\000' in
-  let rec go i =
-    i = dst
-    || i < n
-       && Bytes.get seen i = '\000'
-       && begin
-            Bytes.set seen i '\001';
-            let rec any off dat k =
-              k < off.(i + 1) && (go dat.(k) || any off dat (k + 1))
-            in
-            any ir.Caseir.sup_out_off ir.Caseir.sup_out
-              ir.Caseir.sup_out_off.(i)
-            || any ir.Caseir.ctx_out_off ir.Caseir.ctx_out
-                 ir.Caseir.ctx_out_off.(i)
-          end
-  in
-  go src
-
-let zero_term = String.make 16 '\000'
-
 (* An edit batch without a rebuild.  [Caseir.apply] replays it on the
-   IR, deriving the set or added payloads without the arena, and then
-   per-node verdicts are recomputed over the findings cone of the
-   batch's seeds — every node it set, added or linked to or from,
-   and the old neighbours of every removed node — and Merkle terms over
-   their ancestor cone (in cyclic digest mode, over the seeds alone).
+   IR, deriving the set or added payloads without the arena.  The
+   batch's seeds are every node it set, added or linked to or from, and
+   the old neighbours of every removed node.  Per-node verdicts are
+   recomputed over the findings cone of the seeds, and node terms over
+   the seeds themselves: a term reads only its node's payload and
+   out-links, and every node whose payload or out-links the batch
+   changed is a seed (a removed node's SupportedBy and InContextOf
+   sources lose an out-link naming it, which is why [ctx_in] is kept).
 
    When the graph is unchanged (a text batch: [apply] moved no index)
    that is all.  Otherwise the per-node state here is first remapped
@@ -564,13 +466,12 @@ let zero_term = String.make 16 '\000'
    and the per-link and shape findings are recomputed in full.
 
    [false] (the caller rebuilds) when the batch is outside
-   [Caseir.apply], and for a shape batch in cyclic digest mode, that
-   closes a cycle, or that makes the case gain or lose its last root
-   (every node's findings read that bit).  [Caseir.apply] consumes the
-   old IR — it overwrites arrays in place — so the removed nodes'
-   neighbours are read before it runs, and once it has run a [false]
-   still leaves the case to be rebuilt.  It never overwrites the old
-   [roots] and [reachable], which are read after. *)
+   [Caseir.apply], or makes the case gain or lose its last root (every
+   node's findings read that bit).  [Caseir.apply] consumes the old IR
+   — it overwrites arrays in place — so the removed nodes' neighbours
+   are read before it runs, and once it has run a [false] still leaves
+   the case to be rebuilt.  It never overwrites the old [roots] and
+   [reachable], which are read after. *)
 let delta store st structure edits =
   let old = st.ir in
   let n0 = old.Caseir.n_nodes in
@@ -604,21 +505,7 @@ let delta store st structure edits =
         | Some i when i < n -> [ i ]
         | _ -> []
       in
-      let closes_cycle () =
-        List.exists
-          (function
-            | Caseir.Link (_, src, dst) -> (
-                match (node src, node dst) with
-                | [ s ], [ d ] -> reaches ir d s
-                | _ -> false)
-            | _ -> false)
-          edits
-      in
-      if
-        (map <> None && not st.acyclic)
-        || (ir.Caseir.roots = []) <> (old.Caseir.roots = [])
-        || closes_cycle ()
-      then false
+      if (ir.Caseir.roots = []) <> (old.Caseir.roots = []) then false
       else begin
         let seeds =
           List.concat_map
@@ -696,8 +583,7 @@ let delta store st structure edits =
           (List.fold_left
              (fun acc i -> ISet.union acc (findings_cone st i))
              flipped seeds);
-        redigest_cone st
-          (if st.acyclic then ancestor_cone st seeds else ISet.of_list seeds);
+        redigest st (ISet.of_list seeds);
         if map <> None then update_gauge store;
         true
       end

@@ -16,10 +16,11 @@
     - a {e node arena} hash-consing per-payload text derivations
       across the cases a [put] (or a patch's rebuild fallback) interns
       ([store.node_hits]);
-    - {e Merkle-style digests} — each node's digest covers its payload
-      and its children's digests, folded into an order-independent
-      128-bit sum, so a payload edit re-digests only its ancestor
-      cone.
+    - {e per-node digest terms} — each node's term covers its payload
+      and the ids of its SupportedBy and InContextOf targets, folded
+      into an order-independent 128-bit sum, so an edit recomputes
+      only the terms of the nodes whose payload or out-links it
+      changed, on any graph, cyclic or not.
 
     The assembled verdict is cached until the next patch
     ([store.reused_verdicts] counts the verdicts answered from it).
@@ -95,10 +96,9 @@ val patch : t -> digest:string -> edit list -> (string, error) result
     under the returned new digest (the old digest is released).  A
     failed batch leaves the store untouched.  Every batch goes through
     {!Argus_ir.Caseir.apply} and re-checks only its cone: an
-    all-[Set_text] batch writes the interned case in place, in either
-    digest mode, and keeps the root confidence.  Any other batch is
-    rebuilt from its structure instead when the case is cyclic, or the
-    batch closes a cycle, touches a dangling endpoint, adds an id
+    all-[Set_text] batch writes the interned case in place and keeps
+    the root confidence.  Any other batch is rebuilt from its
+    structure instead when it touches a dangling endpoint, adds an id
     already present, or makes the case gain or lose its last root;
     [store.shape_rebuilds] counts those.  Both ways give the same
     digest and verdict. *)

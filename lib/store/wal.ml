@@ -8,8 +8,15 @@
    engine's, and dumb framing keeps the torn-write analysis exact:
 
      file   := magic record*
-     magic  := "ARGUSWAL1\n"
+     magic  := "ARGUSWAL2\n"
      record := len:u32le crc:u32le payload[len]
+
+   The digit in the magic is the format.  Format 2 carries the digests
+   of the per-node term scheme ({!Store}); format 1 files were written
+   under the Merkle scheme before it, and their digests cannot be
+   recomputed, so {!parse} and {!Snapshot.read} refuse them with a
+   diagnostic that names the format ({!earlier_format}) before
+   replaying or verifying anything.
 
    [crc] is CRC-32 (IEEE) of the payload bytes; the payload is the
    [Marshal] encoding of {!record} — pure data (the structure, the
@@ -51,7 +58,26 @@ module Counter = Argus_obs.Counter
 let c_appends = Counter.make "store.wal_appends"
 let c_fsyncs = Counter.make "store.wal_fsyncs"
 
-let magic = "ARGUSWAL1\n"
+let format = 2
+let magic = Printf.sprintf "ARGUSWAL%d\n" format
+
+(* The refusal of a file that opens with the magic [stem ^ v ^ "\n"]
+   of an earlier format [v]: its digests belong to a scheme this build
+   does not compute, so there is nothing to verify it against. *)
+let earlier_format ~stem ~what data =
+  let rec go v =
+    if v >= format then None
+    else if String.starts_with ~prefix:(Printf.sprintf "%s%d\n" stem v) data
+    then
+      Some
+        (Printf.sprintf
+           "%s is format %d, written by an earlier argus build; this build \
+            reads format %d only and cannot verify its digests. Start from \
+            an empty data dir and re-put the cases."
+           what v format)
+    else go (v + 1)
+  in
+  go 1
 
 type sync = Always | Interval of float | Never
 
@@ -113,7 +139,9 @@ let parse (data : string) : (record list * tail, string) result =
       Ok ([], if n = 0 then Clean else Torn { offset = 0; dropped = n })
     else Error "not an argus WAL (bad magic)"
   else if not (String.equal (String.sub data 0 mlen) magic) then
-    Error "not an argus WAL (bad magic)"
+    Error
+      (Option.value ~default:"not an argus WAL (bad magic)"
+         (earlier_format ~stem:"ARGUSWAL" ~what:"the WAL" data))
   else begin
     let records = ref [] in
     let result = ref None in

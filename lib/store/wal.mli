@@ -1,12 +1,14 @@
 (** Append-only write-ahead log of store operations.
 
-    File layout: a magic line ["ARGUSWAL1\n"] followed by records of
+    File layout: a magic line ["ARGUSWAL2\n"] followed by records of
     the form [len:u32le ^ crc32:u32le ^ payload], where the payload is
     the [Marshal] encoding of {!record}.  {!parse} classifies damage:
     an interrupted append (incomplete record, or a bad checksum in the
     {e final} record) is a torn tail and reports how many bytes to
     truncate; a bad checksum with data after it is mid-stream
     corruption and is refused with a diagnostic naming the offset.
+    A log in an earlier format (["ARGUSWAL1\n"]: digests of an older
+    scheme) is refused with a diagnostic naming its format.
 
     Fault probes: [store.wal.append] and [store.wal.fsync], keyed by
     the record's sequence number; [store.recover.read] (key ["wal"])
@@ -30,7 +32,18 @@ type record = {
           committed; recovery recomputes and verifies it. *)
 }
 
+val format : int
+(** The on-disk format, the digit in the WAL and snapshot magics:
+    [2], the per-node term digests of {!Store}. *)
+
 val magic : string
+
+val earlier_format : stem:string -> what:string -> string -> string option
+(** [earlier_format ~stem ~what data] is the refusal diagnostic when
+    [data] opens with the magic [stem ^ v ^ "\n"] of a format
+    [v < format]: it names [what] and [v] and tells the operator to
+    start from an empty data dir and re-put the cases.  [None]
+    otherwise. *)
 
 val crc32 : string -> int
 (** CRC-32 (IEEE) of a string, in [0, 0xFFFFFFFF]. *)
@@ -53,9 +66,9 @@ type tail =
 
 val parse : string -> (record list * tail, string) result
 (** Decode a whole log image: the checksum-valid record prefix plus
-    the tail state, or [Error diagnostic] for mid-stream corruption
-    (bad magic, checksum failure before the end, undecodable
-    payload). *)
+    the tail state, or [Error diagnostic] for an earlier format or
+    mid-stream corruption (bad magic, checksum failure before the end,
+    undecodable payload). *)
 
 (** {1 Appending} *)
 

@@ -213,12 +213,12 @@ let put store (req : Protocol.request) =
   | Ok [ case ] when case.Dsl.module_name = None -> (
       match Durable.put ~ruleset store case.Dsl.structure with
       | Error e -> store_error ~id e
-      | Ok digest ->
+      | Ok (digest, seq) ->
           (* The seq echo is the retry audit trail: a client that had
              to resend sees whether its write committed once or twice
              (the digest cannot tell — replays converge on it). *)
           Protocol.ok ~id ~exit_code:0
-            [ ("digest", Json.Str digest); ("seq", Json.int (Durable.seq store)) ])
+            [ ("digest", Json.Str digest); ("seq", Json.int seq) ])
   | Ok _ ->
       Protocol.error ~id ~code:"svc/bad-request"
         "put stores exactly one unnamed case"
@@ -236,9 +236,9 @@ let patch store (req : Protocol.request) =
   with_digest req (fun digest ->
       match Durable.patch store ~digest req.Protocol.edits with
       | Error e -> store_error ~id e
-      | Ok digest' ->
+      | Ok (digest', seq) ->
           Protocol.ok ~id ~exit_code:0
-            [ ("digest", Json.Str digest'); ("seq", Json.int (Durable.seq store)) ])
+            [ ("digest", Json.Str digest'); ("seq", Json.int seq) ])
 
 let verdict store (req : Protocol.request) =
   let id = req.Protocol.id in

@@ -95,6 +95,46 @@ let test_cycle () =
   Alcotest.(check bool) "cycle" true (List.mem "cae/cycle" cs);
   Alcotest.(check bool) "no root" true (List.mem "cae/no-root" cs)
 
+(* A chain of 200 diamonds — claim C(i) supported by arguments A(i) and
+   B(i), both supported by claim C(i+1) — has 2^200 support paths; the
+   cycle check must still visit each entity once.  One back edge from
+   the deepest argument to the top claim closes a cycle. *)
+let test_diamond_chain () =
+  let k = 200 in
+  let id fmt = Printf.sprintf fmt in
+  let nodes =
+    List.concat
+      (List.init k (fun i ->
+           [
+             Cae.claim (id "C%d" i) "claim";
+             Cae.argument (id "A%d" i) "left";
+             Cae.argument (id "B%d" i) "right";
+           ]))
+    @ [
+        Cae.claim (id "C%d" k) "claim";
+        Cae.argument "Z" "last";
+        Cae.evidence_ref "E" "report";
+      ]
+  in
+  let links =
+    List.concat
+      (List.init k (fun i ->
+           [
+             (id "C%d" i, id "A%d" i);
+             (id "C%d" i, id "B%d" i);
+             (id "A%d" i, id "C%d" (i + 1));
+             (id "B%d" i, id "C%d" (i + 1));
+           ]))
+    @ [ (id "C%d" k, "Z"); ("Z", "E") ]
+  in
+  let cs = codes (cae_check (Cae.of_nodes ~links nodes)) in
+  Alcotest.(check bool) "acyclic chain" false (List.mem "cae/cycle" cs);
+  let cs =
+    codes (cae_check (Cae.of_nodes ~links:(("Z", "C0") :: links) nodes))
+  in
+  Alcotest.(check bool) "back edge closes a cycle" true
+    (List.mem "cae/cycle" cs)
+
 let test_dangling () =
   let c =
     Cae.of_nodes ~links:[ ("C1", "Ghost") ] [ Cae.claim "C1" "claim" ]
@@ -250,6 +290,8 @@ let () =
           Alcotest.test_case "dangling" `Quick test_dangling;
           Alcotest.test_case "multiple arguments" `Quick
             test_multiple_arguments_warned;
+          Alcotest.test_case "cycle check on a diamond chain" `Quick
+            test_diamond_chain;
         ] );
       ( "conversion",
         [

@@ -15,6 +15,7 @@ module Structure = Argus_gsn.Structure
 module Wellformed = Argus_gsn.Wellformed
 module Caseir = Argus_ir.Caseir
 module Fused = Argus_ir.Fused
+module Prop = Argus_logic.Prop
 module Pool = Argus_par.Pool
 module Store = Argus_store.Store
 module Wal = Argus_store.Wal
@@ -374,6 +375,38 @@ let test_digest_roundtrip () =
   in
   Alcotest.(check string) "undo returns to the original digest" d0 d2
 
+(* Structurally equal cases digest equal whatever their in-memory
+   sharing: a goal whose formal rendering names one variable string
+   twice against one naming two copies of it, and an evidence item
+   whose id and description are one string against copies. *)
+let test_digest_ignores_sharing () =
+  let x () = String.make 1 'x' in
+  let e () = String.make 2 'E' in
+  let case formal ev_id ev_text =
+    Structure.of_nodes
+      ~evidence:
+        [
+          Evidence.make ~id:(Id.of_string ev_id) ~kind:Evidence.Test_results
+            ev_text;
+        ]
+      [
+        Node.make ~id:(Id.of_string "G1") ~node_type:Node.Goal ~formal
+          "A holds";
+      ]
+  in
+  let shared =
+    let v = x () and ev = e () in
+    case (Prop.And (Prop.Var v, Prop.Var v)) ev ev
+  in
+  let copied =
+    case (Prop.And (Prop.Var (x ()), Prop.Var (x ()))) (e ()) (e ())
+  in
+  Alcotest.(check bool)
+    "structurally equal" true
+    (Structure.equal shared copied);
+  Alcotest.(check string) "equal digests" (Store.digest_of copied)
+    (Store.digest_of shared)
+
 let test_errors () =
   let store = Store.create () in
   (match Store.patch store ~digest:"nope" [] with
@@ -470,6 +503,12 @@ let without_faults f =
   Fault.set None;
   Fun.protect ~finally:(fun () -> Fault.set saved) f
 
+(* Whether [needle] occurs in [hay]. *)
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 let base_structure =
   Structure.of_nodes
     ~links:
@@ -503,7 +542,7 @@ let build_history ?snapshot_every ~ops dir =
   let wal_size () = (Unix.stat wal).Unix.st_size in
   let d0 =
     match Durable.put durable base_structure with
-    | Ok d -> d
+    | Ok (d, _) -> d
     | Error e -> Alcotest.failf "put failed: %s" (Durable.error_message e)
   in
   let digests = ref [ d0 ] in
@@ -523,7 +562,7 @@ let build_history ?snapshot_every ~ops dir =
     let batch = nth_edit i in
     match Durable.patch durable ~digest:(List.hd !digests) batch with
     | Error e -> Alcotest.failf "patch %d failed: %s" i (Durable.error_message e)
-    | Ok d ->
+    | Ok (d, _) ->
         digests := d :: !digests;
         shadows := apply_shadow (List.hd !shadows) batch :: !shadows;
         sizes := wal_size () :: !sizes
@@ -703,15 +742,94 @@ let test_corrupt_refused_end_to_end () =
   | Error diagnostic ->
       Alcotest.(check bool)
         "diagnostic says mid-stream" true
-        (let has needle =
-           let nh = String.length diagnostic and nn = String.length needle in
-           let rec go i =
-             i + nn <= nh
-             && (String.sub diagnostic i nn = needle || go (i + 1))
-           in
-           go 0
-         in
-         has "mid-stream" || has "checksum")
+        (contains diagnostic "mid-stream" || contains diagnostic "checksum")
+
+(* A data dir written in format 1 (the Merkle digests) cannot be
+   verified by this build: recovery refuses its WAL and its snapshot
+   with a diagnostic naming the format and the way out, and never
+   reports it as a log that "does not describe this store". *)
+let test_format_1_refused () =
+  without_faults @@ fun () ->
+  let downgrade path magic =
+    let data = In_channel.with_open_bin path In_channel.input_all in
+    let n = String.length magic in
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc magic;
+        Out_channel.output_string oc
+          (String.sub data n (String.length data - n)))
+  in
+  let refused what dir =
+    match Durable.create ~dir ~sync:Wal.Always () with
+    | Ok _ -> Alcotest.failf "a format-1 %s must be refused" what
+    | Error diagnostic ->
+        List.iter
+          (fun needle ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s diagnostic names %S: %s" what needle
+                 diagnostic)
+              true
+              (contains diagnostic needle))
+          [ "format 1"; "empty data dir" ];
+        Alcotest.(check bool)
+          (what ^ " refusal is not a digest mismatch")
+          false
+          (contains diagnostic "does not describe")
+  in
+  (with_dir @@ fun dir ->
+   ignore (build_history ~ops:3 dir);
+   downgrade (Recover.wal_path dir) "ARGUSWAL1\n";
+   refused "WAL" dir);
+  with_dir @@ fun dir ->
+  ignore (build_history ~snapshot_every:2 ~ops:4 dir);
+  match Snapshot.latest dir with
+  | None -> Alcotest.fail "no snapshot written"
+  | Some (_, path) ->
+      downgrade path "ARGUSSNAP1\n";
+      refused "snapshot" dir
+
+(* Every ack echoes the seq its own commit took.  Domains put distinct
+   cases through one durable store: the seqs answered are exactly
+   1..N, and each is the seq of the WAL record that holds its digest. *)
+let test_concurrent_seq_echo () =
+  without_faults @@ fun () ->
+  with_dir @@ fun dir ->
+  let durable =
+    match Durable.create ~dir ~sync:Wal.Never ~snapshot_every:0 () with
+    | Ok (d, _) -> d
+    | Error e -> Alcotest.failf "create failed: %s" e
+  in
+  let n = 1000 in
+  let acks =
+    Pool.with_pool ~jobs:8 (fun pool ->
+        Pool.map_array ~pool
+          (fun i ->
+            let text = Printf.sprintf "Case %d is acceptably safe" i in
+            match
+              Durable.put durable (Structure.of_nodes [ Node.goal "G1" text ])
+            with
+            | Ok ack -> ack
+            | Error e ->
+                Alcotest.failf "put %d: %s" i (Durable.error_message e))
+          (Array.init n Fun.id))
+  in
+  Durable.close durable;
+  let seqs = List.sort compare (Array.to_list (Array.map snd acks)) in
+  Alcotest.(check (list int)) "seqs 1..N" (List.init n succ) seqs;
+  let logged =
+    match
+      Wal.parse
+        (In_channel.with_open_bin (Recover.wal_path dir) In_channel.input_all)
+    with
+    | Ok (records, _) ->
+        List.map (fun (r : Wal.record) -> (r.Wal.digest, r.Wal.seq)) records
+    | Error e -> Alcotest.failf "WAL: %s" e
+  in
+  Array.iter
+    (fun (digest, seq) ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "seq of %s" digest)
+        (Some seq) (List.assoc_opt digest logged))
+    acks
 
 (* Injected I/O faults trip read-only, stick, and never lose acked
    state: after reopening the dir, everything acked before the fault
@@ -726,7 +844,7 @@ let test_fault_trips_read_only () =
   in
   let d0 =
     match Durable.put durable base_structure with
-    | Ok d -> d
+    | Ok (d, _) -> d
     | Error e -> Alcotest.failf "put failed: %s" (Durable.error_message e)
   in
   let spec =
@@ -791,7 +909,7 @@ let test_refused_put_leaves_no_trace () =
   with_durable (fun durable ->
       let d0 =
         match Durable.put durable base_structure with
-        | Ok d -> d
+        | Ok (d, _) -> d
         | Error e -> Alcotest.failf "put failed: %s" (Durable.error_message e)
       in
       let equal = reversed base_structure in
@@ -826,7 +944,7 @@ let test_snapshot_fault_degrades () =
     match
       Fault.with_spec spec (fun () -> Durable.put durable base_structure)
     with
-    | Ok d -> d
+    | Ok (d, _) -> d
     | Error e ->
         Alcotest.failf "the logged op itself must ack: %s"
           (Durable.error_message e)
@@ -856,12 +974,7 @@ let test_recover_read_fault () =
   | Error diagnostic ->
       Alcotest.(check bool)
         "diagnostic names the injected fault" true
-        (let needle = "injected fault" in
-         let nh = String.length diagnostic and nn = String.length needle in
-         let rec go i =
-           i + nn <= nh && (String.sub diagnostic i nn = needle || go (i + 1))
-         in
-         go 0)
+        (contains diagnostic "injected fault")
 
 (* The durable differential: scenarios driven through Durable handles
    (one data dir each) across domains.  Under ambient fault injection
@@ -883,7 +996,7 @@ let durable_differential jobs () =
         let acked = ref [] in
         let shadow = ref base_structure in
         (match Durable.put durable base_structure with
-        | Ok d -> acked := [ (d, base_structure) ]
+        | Ok (d, _) -> acked := [ (d, base_structure) ]
         | Error (Durable.Read_only _) -> ()
         | Error e -> Alcotest.failf "put: %s" (Durable.error_message e));
         (try
@@ -892,7 +1005,7 @@ let durable_differential jobs () =
              | [] -> raise Exit
              | (digest, _) :: _ -> (
                  match Durable.patch durable ~digest (nth_edit i) with
-                 | Ok d ->
+                 | Ok (d, _) ->
                      let n =
                        Option.get (Structure.find (Id.of_string "G2") !shadow)
                      in
@@ -1310,8 +1423,8 @@ let fast_path_matches_fresh ~arena_capacity =
 (* Every all-[Set_text] batch takes [Caseir.apply]'s in-place branch:
    no rebuild, no re-intern, and the store lands where a fresh put of
    the edited structure does.  The small random cases have cycles and
-   dangling endpoints, so this covers the cyclic digest mode the tree
-   cases above never reach.  An empty batch keeps the digest. *)
+   dangling endpoints, which the tree cases above never reach.  An
+   empty batch keeps the digest. *)
 let text_batches_never_rebuild =
   let set_text n =
     QCheck.Gen.(
@@ -1373,6 +1486,59 @@ let text_batches_never_rebuild =
               v.Store.confidence w.Store.confidence)
         batches;
       true)
+
+(* One digest scheme on every graph: a shape batch that closes a
+   SupportedBy or InContextOf cycle, and the batch that reopens it, take
+   the delta like any other, and each lands where a fresh put of the
+   edited structure lands: [check_verdict] holds the digest to
+   [digest_of], the verdict to the full check and the confidence to
+   the legacy recursion. *)
+let test_cycle_close_reopen () =
+  let s =
+    Structure.of_nodes
+      ~links:
+        [
+          (Structure.Supported_by, "G1", "S1");
+          (Structure.Supported_by, "S1", "G2");
+          (Structure.Supported_by, "G2", "Sn1");
+          (Structure.In_context_of, "G2", "C1");
+        ]
+      ~evidence:evidence_table
+      [
+        Node.goal "G1" "The system is acceptably safe";
+        Node.strategy "S1" "Argue over hazards";
+        Node.goal "G2" "Hazard H1 is mitigated";
+        Node.solution ~evidence:"E0" "Sn1" "Test report";
+        Node.context "C1" "Operating context";
+      ]
+  in
+  let sb = Structure.Supported_by and ic = Structure.In_context_of in
+  let id = Id.of_string in
+  let store = Store.create () in
+  let d = ref (Store.put store s) and s = ref s in
+  List.iteri
+    (fun b batch ->
+      let rebuilds = counter "store.shape_rebuilds" in
+      (match Store.patch store ~digest:!d batch with
+      | Ok d' -> d := d'
+      | Error e -> Alcotest.failf "batch %d: %s" b (Store.error_message e));
+      Alcotest.(check int)
+        (Printf.sprintf "batch %d took the delta" b)
+        rebuilds
+        (counter "store.shape_rebuilds");
+      s := List.fold_left shadow_edit !s batch;
+      match check_verdict store !d !s with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "batch %d: %s" b e)
+    [
+      [ Store.Link (sb, id "G2", id "S1") ];
+      [ Store.Set_text (id "S1", "Argue over each hazard") ];
+      [ Store.Link (ic, id "C1", id "G2") ];
+      [
+        Store.Unlink (sb, id "G2", id "S1");
+        Store.Unlink (ic, id "C1", id "G2");
+      ];
+    ]
 
 (* A patch re-checks exactly its findings cone: a put computes every
    node's findings, and a set-text on the middle goal of
@@ -1441,6 +1607,8 @@ let () =
           QCheck_alcotest.to_alcotest
             (fast_path_matches_fresh ~arena_capacity:(1 lsl 18));
           QCheck_alcotest.to_alcotest text_batches_never_rebuild;
+          Alcotest.test_case "closing and reopening a cycle takes the delta"
+            `Quick test_cycle_close_reopen;
         ] );
       ( "digest",
         [
@@ -1449,6 +1617,8 @@ let () =
             digest_separates;
           Alcotest.test_case "put idempotent, patch invertible" `Quick
             test_digest_roundtrip;
+          Alcotest.test_case "digests ignore in-memory sharing" `Quick
+            test_digest_ignores_sharing;
         ] );
       ( "store",
         [
@@ -1490,5 +1660,9 @@ let () =
             (durable_differential 8);
           Alcotest.test_case "refused put leaves no trace" `Quick
             test_refused_put_leaves_no_trace;
+          Alcotest.test_case "format-1 data dir refused" `Quick
+            test_format_1_refused;
+          Alcotest.test_case "concurrent puts echo their own seq" `Quick
+            test_concurrent_seq_echo;
         ] );
     ]
