@@ -216,6 +216,11 @@ let () =
             | _ -> Some (name ^ " missing from baseline or current run"))
           required
       in
+      (* Ratios under 10 keep two decimals: a gate may bound a kernel
+         to a fraction of its yardstick's time. *)
+      let times digits r =
+        Printf.sprintf "%.*fx" (if r >= 10. then digits else 2) r
+      in
       let unheld_speedups =
         List.filter_map
           (fun (slow, fast, ratio) ->
@@ -226,16 +231,14 @@ let () =
                 let got = s /. f in
                 if got >= ratio then begin
                   Format.printf
-                    "required speedup held: %s runs %.0fx under %s (need \
-                     %.0fx)@."
-                    fast got slow ratio;
+                    "required speedup held: %s runs %s under %s (need %s)@."
+                    fast (times 0 got) slow (times 0 ratio);
                   None
                 end
                 else
                   Some
-                    (Format.asprintf
-                       "%s is only %.1fx faster than %s (need %.0fx)" fast got
-                       slow ratio)
+                    (Format.asprintf "%s is only %s faster than %s (need %s)"
+                       fast (times 1 got) slow (times 0 ratio))
             | _ ->
                 Some
                   (Format.asprintf "%s or %s missing from current run" slow

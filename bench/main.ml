@@ -393,6 +393,42 @@ let dsl_case_5k () =
       structure = bench_store_case ~strategies:500 ~leaves:9;
     }
 
+(* One 8-node case in the shape the serving benchmark's small-mix
+   sends to check — its largest: an ontology, one evidence item, a
+   hazard annotation, goals closed by solutions.  A parse this small
+   is mostly per-parse fixed cost. *)
+let dsl_case_8 =
+  {|case "Component argument" {
+  enum severity { catastrophic hazardous major minor }
+  attr hazard (string, severity)
+  evidence E1 analysis "Fault tree analysis results 1"
+  goal G1 "Claim item 0: the infusion pump is acceptably safe" {
+    in-context-of C2
+    supported-by S3
+  }
+  context C2 "Operating envelope as defined in the concept of operations"
+  strategy S3 "Argue over each identified hazard" {
+    supported-by G4, G5
+  }
+  goal G4 "Claim item 4: hazard H4 (overdose) of the infusion pump is fully traceable" {
+    meta "hazard \"H4\" catastrophic"
+    supported-by Sn6
+  }
+  goal G5 "Claim item 5: the infusion pump is sufficiently verified" {
+    supported-by Sn7, G8
+  }
+  solution Sn6 "Static analysis findings 6" {
+    evidence E1
+  }
+  solution Sn7 "Formal proof log 7" {
+    evidence E1
+  }
+  goal G8 "Claim item 8: the infusion pump is correctly implemented" {
+    undeveloped
+  }
+}
+|}
+
 (* The goal-text vocabulary of the seeded phase cases below. *)
 let subjects =
   [| "brake controller"; "pressure relief valve"; "infusion pump";
@@ -732,6 +768,7 @@ let bench_subjects =
   let fig1_q = Compile.query [ goal ] in
   let dsl_5k = dsl_case_5k () in
   assert (Result.is_ok (Argus_dsl.Dsl.parse dsl_5k));
+  assert (Result.is_ok (Argus_dsl.Dsl.parse dsl_case_8));
   let sample_ir = Caseir.intern sample_case in
   let deep_ir = Caseir.intern deep_case in
   (* Direct CNF in which [p] and [q] appear with a single polarity, so
@@ -751,6 +788,13 @@ let bench_subjects =
         ignore (Exec.provable fig1_cp fig1_q)));
     Test.make ~name:"dsl-parse-5k" (Staged.stage (fun () ->
         ignore (Argus_dsl.Dsl.parse dsl_5k)));
+    (* The same parse through the list lexer the pull lexer replaced
+       (the test oracle [Legacy_dsl]): the yardstick of the parse
+       gate, measured next to it in the same run. *)
+    Test.make ~name:"dsl-parse-5k-list" (Staged.stage (fun () ->
+        ignore (Argus_oracle.Legacy_dsl.parse dsl_5k)));
+    Test.make ~name:"dsl-parse-8" (Staged.stage (fun () ->
+        ignore (Argus_dsl.Dsl.parse dsl_case_8)));
     Test.make ~name:"ir-intern-cost" (Staged.stage (fun () ->
         ignore (Caseir.intern deep_case)));
     Test.make ~name:"fused-corpus-check" (Staged.stage (fun () ->

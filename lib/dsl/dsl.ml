@@ -17,16 +17,13 @@ type case = {
 
 (* --- Lexer --- *)
 
-type token_kind =
-  | Word of string  (** Identifier or keyword. *)
-  | Str of string
-  | TLbrace
-  | TRbrace
-  | TLparen
-  | TRparen
-  | TComma
+(* The parser pulls one token at a time from a cursor over the input.
+   The lookahead token lives in mutable fields of the state — its
+   kind, its text (words and strings only) and its span as line and
+   column numbers — so lexing a token allocates nothing but the text,
+   and a [Loc.t] is built only when a diagnostic keeps one. *)
 
-type token = { kind : token_kind; loc : Loc.t }
+type kind = Eof | Word | Str | Lbrace | Rbrace | Lparen | Rparen | Comma
 
 exception Syntax_error of string * Loc.t
 
@@ -45,169 +42,248 @@ let is_word_char c =
   || (c >= '0' && c <= '9')
   || c = '_' || c = '-' || c = '.'
 
-let tokenise ~filename s =
-  let n = String.length s in
-  let line = ref 1 and bol = ref 0 in
-  let pos i = Loc.pos ~file:filename ~line:!line ~col:(i - !bol) () in
-  let depth = ref 0 in
-  let enter i =
-    incr depth;
-    if !depth > max_nesting then
-      raise
-        (Syntax_error
-           ( Printf.sprintf "nesting exceeds %d levels" max_nesting,
-             Loc.point (pos i) ))
-  in
-  let leave () = if !depth > 0 then decr depth in
-  let rec go i acc =
-    if i >= n then List.rev acc
-    else
-      match s.[i] with
-      | '\n' ->
-          incr line;
-          bol := i + 1;
-          go (i + 1) acc
-      | ' ' | '\t' | '\r' -> go (i + 1) acc
-      | '/' when i + 1 < n && s.[i + 1] = '/' ->
-          let j = ref i in
-          while !j < n && s.[!j] <> '\n' do
-            incr j
-          done;
-          go !j acc
-      | '{' ->
-          enter i;
-          go (i + 1) ({ kind = TLbrace; loc = Loc.point (pos i) } :: acc)
-      | '}' ->
-          leave ();
-          go (i + 1) ({ kind = TRbrace; loc = Loc.point (pos i) } :: acc)
-      | '(' ->
-          enter i;
-          go (i + 1) ({ kind = TLparen; loc = Loc.point (pos i) } :: acc)
-      | ')' ->
-          leave ();
-          go (i + 1) ({ kind = TRparen; loc = Loc.point (pos i) } :: acc)
-      | ',' -> go (i + 1) ({ kind = TComma; loc = Loc.point (pos i) } :: acc)
-      | '"' ->
-          let start = pos i in
-          let buf = Buffer.create 32 in
-          let rec scan j =
-            if j >= n then
-              raise (Syntax_error ("unterminated string", Loc.point start))
-            else
-              match s.[j] with
-              | '"' -> j + 1
-              | '\\' when j + 1 < n ->
-                  Buffer.add_char buf s.[j + 1];
-                  scan (j + 2)
-              | '\n' ->
-                  incr line;
-                  bol := j + 1;
-                  Buffer.add_char buf '\n';
-                  scan (j + 1)
-              | c ->
-                  Buffer.add_char buf c;
-                  scan (j + 1)
-          in
-          let next = scan (i + 1) in
-          let tok =
-            {
-              kind = Str (Buffer.contents buf);
-              loc = Loc.make start (pos (next - 1));
-            }
-          in
-          go next (tok :: acc)
-      | c when is_word_char c ->
-          let start = pos i in
-          let j = ref i in
-          while !j < n && is_word_char s.[!j] do
-            incr j
-          done;
-          let tok =
-            {
-              kind = Word (String.sub s i (!j - i));
-              loc = Loc.make start (pos (!j - 1));
-            }
-          in
-          go !j (tok :: acc)
-      | c ->
-          raise
-            (Syntax_error
-               (Printf.sprintf "unexpected character %C" c, Loc.point (pos i)))
-  in
-  go 0 []
-
-(* --- Parser --- *)
-
 type state = {
-  mutable toks : token list;
-  mutable last_loc : Loc.t;
+  src : string;
+  file : string;
+  mutable cur : int;  (** Next byte to scan. *)
+  mutable line : int;
+  mutable bol : int;  (** Offset of the first byte of [line]. *)
+  mutable depth : int;  (** Open braces and parentheses. *)
+  mutable kind : kind;  (** The lookahead token. *)
+  mutable text : string;  (** Its text, when it is a [Word] or a [Str]. *)
+  mutable sl : int;
+      (** Its span: start line [sl] and column [sc], stop line [el]
+          and column [ec]. *)
+  mutable sc : int;
+  mutable el : int;
+  mutable ec : int;
+  mutable last_sl : int;
+      (** The span of the last token consumed, which errors point at;
+          line 0 before the first. *)
+  mutable last_sc : int;
+  mutable last_el : int;
+  mutable last_ec : int;
   mutable diags : Diagnostic.t list;  (** Semantic issues, reverse order. *)
 }
 
-let peek st = match st.toks with [] -> None | t :: _ -> Some t.kind
+let pos st line col = Loc.pos ~file:st.file ~line ~col ()
+let span st sl sc el ec = Loc.make (pos st sl sc) (pos st el ec)
+
+let last_loc st =
+  if st.last_sl = 0 then Loc.dummy
+  else span st st.last_sl st.last_sc st.last_el st.last_ec
+
+let error_at st i msg =
+  raise (Syntax_error (msg, Loc.point (pos st st.line (i - st.bol))))
+
+let newline st i =
+  st.line <- st.line + 1;
+  st.bol <- i + 1
+
+let enter st i =
+  st.depth <- st.depth + 1;
+  if st.depth > max_nesting then
+    error_at st i (Printf.sprintf "nesting exceeds %d levels" max_nesting)
+
+let leave st = if st.depth > 0 then st.depth <- st.depth - 1
+
+let punct st i kind =
+  st.kind <- kind;
+  st.sl <- st.line;
+  st.sc <- i - st.bol;
+  st.el <- st.sl;
+  st.ec <- st.sc;
+  st.cur <- i + 1
+
+(* The body of a string whose escapes or newlines rule out a plain
+   [String.sub]: bytes [a, b) with each backslash pair read as its
+   second byte. *)
+let unescape s a b =
+  let buf = Buffer.create (b - a) in
+  let k = ref a in
+  while !k < b do
+    if s.[!k] = '\\' then begin
+      Buffer.add_char buf s.[!k + 1];
+      k := !k + 2
+    end
+    else begin
+      Buffer.add_char buf s.[!k];
+      incr k
+    end
+  done;
+  Buffer.contents buf
+
+(* The string whose opening quote is at [i].  A backslash escapes the
+   byte after it (a newline included: it still starts a line); a
+   string with neither an escape nor a newline is one [String.sub]. *)
+let lex_string st i ~keep =
+  let s = st.src in
+  let n = String.length s in
+  st.sl <- st.line;
+  st.sc <- i - st.bol;
+  let j = ref (i + 1) and plain = ref true in
+  while !j < n && s.[!j] <> '"' do
+    match s.[!j] with
+    | '\\' when !j + 1 < n ->
+        plain := false;
+        if s.[!j + 1] = '\n' then newline st (!j + 1);
+        j := !j + 2
+    | '\n' ->
+        plain := false;
+        newline st !j;
+        incr j
+    | _ -> incr j
+  done;
+  if !j >= n then
+    raise
+      (Syntax_error ("unterminated string", Loc.point (pos st st.sl st.sc)));
+  st.kind <- Str;
+  st.el <- st.line;
+  st.ec <- !j - st.bol;
+  st.cur <- !j + 1;
+  if keep then
+    st.text <-
+      (if !plain then String.sub s (i + 1) (!j - i - 1)
+       else unescape s (i + 1) !j)
+
+let lex_word st i ~keep =
+  let s = st.src in
+  let n = String.length s in
+  let j = ref (i + 1) in
+  while !j < n && is_word_char s.[!j] do
+    incr j
+  done;
+  st.kind <- Word;
+  st.sl <- st.line;
+  st.sc <- i - st.bol;
+  st.el <- st.line;
+  st.ec <- !j - 1 - st.bol;
+  st.cur <- !j;
+  if keep then st.text <- String.sub s i (!j - i)
+
+(* Scans the next token into the lookahead fields; [keep] is whether
+   to cut out its text. *)
+let rec lex st ~keep =
+  let s = st.src in
+  let n = String.length s in
+  let i = st.cur in
+  if i >= n then st.kind <- Eof
+  else
+    match s.[i] with
+    | '\n' ->
+        newline st i;
+        st.cur <- i + 1;
+        lex st ~keep
+    | ' ' | '\t' | '\r' ->
+        st.cur <- i + 1;
+        lex st ~keep
+    | '/' when i + 1 < n && s.[i + 1] = '/' ->
+        let j = ref i in
+        while !j < n && s.[!j] <> '\n' do
+          incr j
+        done;
+        st.cur <- !j;
+        lex st ~keep
+    | '{' ->
+        enter st i;
+        punct st i Lbrace
+    | '}' ->
+        leave st;
+        punct st i Rbrace
+    | '(' ->
+        enter st i;
+        punct st i Lparen
+    | ')' ->
+        leave st;
+        punct st i Rparen
+    | ',' -> punct st i Comma
+    | '"' -> lex_string st i ~keep
+    | c when is_word_char c -> lex_word st i ~keep
+    | c -> error_at st i (Printf.sprintf "unexpected character %C" c)
+
+(* A lexical error — an unexpected character, an unterminated string,
+   nesting beyond [max_nesting] — is reported alone, before any syntax
+   or semantic diagnostic, wherever it sits in the text.  So one dry
+   run of the lexer over the whole input, keeping no text, comes first;
+   it raises the first lexical error, and after it the parser's pulls
+   cannot fail. *)
+let validate st =
+  lex st ~keep:false;
+  while st.kind <> Eof do
+    lex st ~keep:false
+  done;
+  st.cur <- 0;
+  st.line <- 1;
+  st.bol <- 0;
+  st.depth <- 0
+
+(* --- Parser --- *)
 
 let advance st =
-  match st.toks with
-  | [] -> raise (Syntax_error ("unexpected end of input", st.last_loc))
-  | t :: rest ->
-      st.toks <- rest;
-      st.last_loc <- t.loc;
-      t
+  (match st.kind with
+  | Eof -> raise (Syntax_error ("unexpected end of input", last_loc st))
+  | _ -> ());
+  st.last_sl <- st.sl;
+  st.last_sc <- st.sc;
+  st.last_el <- st.el;
+  st.last_ec <- st.ec;
+  lex st ~keep:true
 
-let fail st msg = raise (Syntax_error (msg, st.last_loc))
+let fail st msg = raise (Syntax_error (msg, last_loc st))
+
+(* Each [p_*] below reads the lookahead's kind and text, consumes it,
+   and on a mismatch fails at the span of the token it consumed. *)
 
 let expect_word st w =
-  match advance st with
-  | { kind = Word w'; _ } when w = w' -> ()
-  | { loc; _ } -> raise (Syntax_error (Printf.sprintf "expected %S" w, loc))
+  let k = st.kind and t = st.text in
+  advance st;
+  if not (k = Word && t = w) then fail st (Printf.sprintf "expected %S" w)
 
 let expect st kind what =
-  match advance st with
-  | t when t.kind = kind -> t
-  | { loc; _ } ->
-      raise (Syntax_error (Printf.sprintf "expected %s" what, loc))
+  let k = st.kind in
+  advance st;
+  if k <> kind then fail st (Printf.sprintf "expected %s" what)
 
 let p_string st what =
-  match advance st with
-  | { kind = Str s; _ } -> s
-  | { loc; _ } ->
-      raise (Syntax_error (Printf.sprintf "expected a string (%s)" what, loc))
+  let k = st.kind and t = st.text in
+  advance st;
+  match k with
+  | Str -> t
+  | _ -> fail st (Printf.sprintf "expected a string (%s)" what)
 
 let p_word st what =
-  match advance st with
-  | { kind = Word w; _ } -> w
-  | { loc; _ } ->
-      raise (Syntax_error (Printf.sprintf "expected a word (%s)" what, loc))
+  let k = st.kind and t = st.text in
+  advance st;
+  match k with
+  | Word -> t
+  | _ -> fail st (Printf.sprintf "expected a word (%s)" what)
 
 let p_id st what =
-  let t = advance st in
-  match t.kind with
-  | Word w -> (
-      match Id.of_string_opt w with
+  let k = st.kind and t = st.text in
+  advance st;
+  match k with
+  | Word -> (
+      match Id.of_string_opt t with
       | Some id -> id
-      | None ->
-          raise
-            (Syntax_error (Printf.sprintf "invalid identifier %S (%s)" w what, t.loc)))
-  | _ -> raise (Syntax_error (Printf.sprintf "expected an identifier (%s)" what, t.loc))
+      | None -> fail st (Printf.sprintf "invalid identifier %S (%s)" t what))
+  | _ -> fail st (Printf.sprintf "expected an identifier (%s)" what)
 
 let semantic st d = st.diags <- d :: st.diags
 
 (* Comma- or space-separated identifier list, ending before a word that
    is a body keyword or '}'. *)
-let body_keywords =
-  [
-    "formal"; "meta"; "evidence"; "supported-by"; "in-context-of";
-    "undeveloped"; "uninstantiated"; "undeveloped-uninstantiated";
-  ]
+let is_body_keyword = function
+  | "formal" | "meta" | "evidence" | "supported-by" | "in-context-of"
+  | "undeveloped" | "uninstantiated" | "undeveloped-uninstantiated" ->
+      true
+  | _ -> false
 
 let p_id_list st =
   let rec loop acc =
-    match peek st with
-    | Some (Word w) when not (List.mem w body_keywords) ->
+    match st.kind with
+    | Word when not (is_body_keyword st.text) ->
         let id = p_id st "link target" in
-        (match peek st with
-        | Some TComma -> ignore (advance st)
-        | _ -> ());
+        (match st.kind with Comma -> advance st | _ -> ());
         loop (id :: acc)
     | _ -> List.rev acc
   in
@@ -215,8 +291,11 @@ let p_id_list st =
 
 let evidence_kinds = Evidence.all_kinds
 
+(* Called with the [evidence] keyword just consumed: a diagnostic about
+   the item points at it. *)
 let p_evidence st =
-  let loc = st.last_loc in
+  let sl = st.last_sl and sc = st.last_sc and el = st.last_el
+  and ec = st.last_ec in
   let id = p_id st "evidence id" in
   let kind_word = p_word st "evidence kind" in
   let kind =
@@ -224,7 +303,8 @@ let p_evidence st =
     | Some k -> k
     | None ->
         semantic st
-          (Diagnostic.errorf ~code:"dsl/bad-evidence-kind" ~loc
+          (Diagnostic.errorf ~code:"dsl/bad-evidence-kind"
+             ~loc:(span st sl sc el ec)
              "unknown evidence kind %S (expected one of %s)" kind_word
              (String.concat ", " (List.map Evidence.kind_to_string evidence_kinds)));
         Evidence.Analysis
@@ -232,20 +312,20 @@ let p_evidence st =
   let description = p_string st "evidence description" in
   let source = ref None and strength = ref None in
   let rec opts () =
-    match peek st with
-    | Some (Word "source") ->
-        ignore (advance st);
+    match st.kind with
+    | Word when st.text = "source" ->
+        advance st;
         source := Some (p_string st "evidence source");
         opts ()
-    | Some (Word "strength") ->
-        ignore (advance st);
+    | Word when st.text = "strength" ->
+        advance st;
         let w = p_word st "evidence strength" in
         (match Evidence.strength_of_string w with
         | Some s -> strength := Some s
         | None ->
             semantic st
-              (Diagnostic.errorf ~code:"dsl/bad-strength" ~loc
-                 "unknown evidence strength %S" w));
+              (Diagnostic.errorf ~code:"dsl/bad-strength"
+                 ~loc:(span st sl sc el ec) "unknown evidence strength %S" w));
         opts ()
     | _ -> ()
   in
@@ -261,6 +341,48 @@ type node_props = {
   mutable contexts : Id.t list;
 }
 
+(* [Prop.of_string] is recursive-descent: bound the paren depth before
+   handing it a formula, or a hostile one overflows the stack instead
+   of producing a diagnostic. *)
+let formula_depth text =
+  let d = ref 0 and m = ref 0 in
+  String.iter
+    (fun c ->
+      if c = '(' then begin
+        incr d;
+        if !d > !m then m := !d
+      end
+      else if c = ')' then decr d)
+    text;
+  !m
+
+let p_formal st props =
+  let sl = st.last_sl and sc = st.last_sc and el = st.last_el
+  and ec = st.last_ec in
+  let text = p_string st "formula" in
+  if formula_depth text > max_formula_nesting then
+    semantic st
+      (Diagnostic.errorf ~code:"dsl/bad-formula" ~loc:(span st sl sc el ec)
+         "formula nesting exceeds %d levels" max_formula_nesting)
+  else
+    match Prop.of_string text with
+    | Ok f -> props.formal <- Some f
+    | Error e ->
+        semantic st
+          (Diagnostic.errorf ~code:"dsl/bad-formula" ~loc:(span st sl sc el ec)
+             "cannot parse formula %S: %s" text e)
+
+let p_meta st props =
+  let sl = st.last_sl and sc = st.last_sc and el = st.last_el
+  and ec = st.last_ec in
+  let text = p_string st "annotation" in
+  match Metadata.annotation_of_string text with
+  | Ok a -> props.annotations <- props.annotations @ [ a ]
+  | Error e ->
+      semantic st
+        (Diagnostic.errorf ~code:"dsl/bad-annotation"
+           ~loc:(span st sl sc el ec) "cannot parse annotation %S: %s" text e)
+
 let p_node_body st =
   let props =
     {
@@ -272,96 +394,63 @@ let p_node_body st =
       contexts = [];
     }
   in
-  (match peek st with
-  | Some TLbrace ->
-      ignore (advance st);
+  let unexpected () =
+    advance st;
+    fail st "unexpected token in node body"
+  in
+  (match st.kind with
+  | Lbrace ->
+      advance st;
       let rec loop () =
-        match peek st with
-        | Some TRbrace -> ignore (advance st)
-        | Some (Word "undeveloped") ->
-            ignore (advance st);
-            props.status <- Node.Undeveloped;
-            loop ()
-        | Some (Word "uninstantiated") ->
-            ignore (advance st);
-            props.status <- Node.Uninstantiated;
-            loop ()
-        | Some (Word "undeveloped-uninstantiated") ->
-            ignore (advance st);
-            props.status <- Node.Undeveloped_uninstantiated;
-            loop ()
-        | Some (Word "formal") ->
-            ignore (advance st);
-            let loc = st.last_loc in
-            let text = p_string st "formula" in
-            (* [Prop.of_string] is recursive-descent: bound the paren
-               depth before handing it a formula, or a hostile one
-               overflows the stack instead of producing a
-               diagnostic. *)
-            let fdepth =
-              let d = ref 0 and m = ref 0 in
-              String.iter
-                (fun c ->
-                  if c = '(' then begin
-                    incr d;
-                    if !d > !m then m := !d
-                  end
-                  else if c = ')' then decr d)
-                text;
-              !m
-            in
-            if fdepth > max_formula_nesting then begin
-              semantic st
-                (Diagnostic.errorf ~code:"dsl/bad-formula" ~loc
-                   "formula nesting exceeds %d levels" max_formula_nesting);
-              loop ()
-            end
-            else begin
-            (match Prop.of_string text with
-            | Ok f -> props.formal <- Some f
-            | Error e ->
-                semantic st
-                  (Diagnostic.errorf ~code:"dsl/bad-formula" ~loc
-                     "cannot parse formula %S: %s" text e));
-            loop ()
-            end
-        | Some (Word "meta") ->
-            ignore (advance st);
-            let loc = st.last_loc in
-            let text = p_string st "annotation" in
-            (match Metadata.annotation_of_string text with
-            | Ok a -> props.annotations <- props.annotations @ [ a ]
-            | Error e ->
-                semantic st
-                  (Diagnostic.errorf ~code:"dsl/bad-annotation" ~loc
-                     "cannot parse annotation %S: %s" text e));
-            loop ()
-        | Some (Word "evidence") ->
-            ignore (advance st);
-            props.evidence_ref <- Some (p_id st "evidence reference");
-            loop ()
-        | Some (Word "supported-by") ->
-            ignore (advance st);
-            props.supported <- props.supported @ p_id_list st;
-            loop ()
-        | Some (Word "in-context-of") ->
-            ignore (advance st);
-            props.contexts <- props.contexts @ p_id_list st;
-            loop ()
-        | Some _ ->
-            let t = advance st in
-            raise (Syntax_error ("unexpected token in node body", t.loc))
-        | None -> fail st "unterminated node body"
+        match st.kind with
+        | Rbrace -> advance st
+        | Eof -> fail st "unterminated node body"
+        | Word -> (
+            match st.text with
+            | "undeveloped" ->
+                advance st;
+                props.status <- Node.Undeveloped;
+                loop ()
+            | "uninstantiated" ->
+                advance st;
+                props.status <- Node.Uninstantiated;
+                loop ()
+            | "undeveloped-uninstantiated" ->
+                advance st;
+                props.status <- Node.Undeveloped_uninstantiated;
+                loop ()
+            | "formal" ->
+                advance st;
+                p_formal st props;
+                loop ()
+            | "meta" ->
+                advance st;
+                p_meta st props;
+                loop ()
+            | "evidence" ->
+                advance st;
+                props.evidence_ref <- Some (p_id st "evidence reference");
+                loop ()
+            | "supported-by" ->
+                advance st;
+                props.supported <- props.supported @ p_id_list st;
+                loop ()
+            | "in-context-of" ->
+                advance st;
+                props.contexts <- props.contexts @ p_id_list st;
+                loop ()
+            | _ -> unexpected ())
+        | _ -> unexpected ()
       in
       loop ()
   | _ -> ());
   props
 
-let node_type_words =
-  [
-    "goal"; "strategy"; "solution"; "context"; "assumption"; "justification";
-    "away-goal"; "module"; "contract";
-  ]
+let is_node_type_word = function
+  | "goal" | "strategy" | "solution" | "context" | "assumption"
+  | "justification" | "away-goal" | "module" | "contract" ->
+      true
+  | _ -> false
 
 let p_node st word =
   let node_type =
@@ -373,9 +462,9 @@ let p_node st word =
     | "assumption" -> Node.Assumption
     | "justification" -> Node.Justification
     | "away-goal" | "module" | "contract" ->
-        ignore (expect st TLparen "'('");
+        expect st Lparen "'('";
         let m = p_id st "module name" in
-        ignore (expect st TRparen "')'");
+        expect st Rparen "')'";
         (match word with
         | "away-goal" -> Node.Away_goal m
         | "module" -> Node.Module_ref m
@@ -393,53 +482,53 @@ let p_node st word =
 
 let p_enum st =
   let name = p_word st "enumeration name" in
-  ignore (expect st TLbrace "'{'");
+  expect st Lbrace "'{'";
   let rec members acc =
-    match advance st with
-    | { kind = TRbrace; _ } -> List.rev acc
-    | { kind = Word w; _ } -> members (w :: acc)
-    | { loc; _ } -> raise (Syntax_error ("expected an enum member or '}'", loc))
+    let k = st.kind and t = st.text in
+    advance st;
+    match k with
+    | Rbrace -> List.rev acc
+    | Word -> members (t :: acc)
+    | _ -> fail st "expected an enum member or '}'"
   in
   (name, members [])
 
 let p_attr st enums =
   let name = p_word st "attribute name" in
-  ignore (expect st TLparen "'('");
-  let param_of_word loc w =
+  expect st Lparen "'('";
+  let param_of_word w =
     match w with
     | "int" -> Metadata.Pint
     | "nat" -> Metadata.Pnat
     | "string" -> Metadata.Pstr
     | other ->
         if List.mem_assoc other enums then Metadata.Penum other
-        else
-          raise
-            (Syntax_error
-               (Printf.sprintf "unknown parameter type %S" other, loc))
+        else fail st (Printf.sprintf "unknown parameter type %S" other)
   in
   let rec params acc =
-    let t = advance st in
-    match t.kind with
-    | TRparen -> List.rev acc
-    | Word w -> (
-        let p = param_of_word t.loc w in
-        match advance st with
-        | { kind = TComma; _ } -> params (p :: acc)
-        | { kind = TRparen; _ } -> List.rev (p :: acc)
-        | { loc; _ } -> raise (Syntax_error ("expected ',' or ')'", loc)))
-    | _ -> raise (Syntax_error ("expected a parameter type or ')'", t.loc))
+    let k = st.kind and t = st.text in
+    advance st;
+    match k with
+    | Rparen -> List.rev acc
+    | Word -> (
+        let p = param_of_word t in
+        let k = st.kind in
+        advance st;
+        match k with
+        | Comma -> params (p :: acc)
+        | Rparen -> List.rev (p :: acc)
+        | _ -> fail st "expected ',' or ')'")
+    | _ -> fail st "expected a parameter type or ')'"
   in
   Metadata.attr name (params [])
 
 let p_case st =
   expect_word st "case";
   let module_name =
-    match peek st with
-    | Some (Word _) -> Some (p_id st "module name")
-    | _ -> None
+    match st.kind with Word -> Some (p_id st "module name") | _ -> None
   in
   let title = p_string st "case title" in
-  ignore (expect st TLbrace "'{'");
+  expect st Lbrace "'{'";
   (* Declarations accumulate newest-first and the structure is built
      once at the closing brace. *)
   let nodes = ref [] in
@@ -448,44 +537,53 @@ let p_case st =
   let enums = ref [] in
   let attrs = ref [] in
   let seen_ids = Hashtbl.create 16 in
+  let bad_declaration () =
+    fail st
+      "expected a declaration (enum, attr, evidence or a node type) or '}'"
+  in
   let rec items () =
-    match advance st with
-    | { kind = TRbrace; _ } -> ()
-    | { kind = Word "enum"; loc } ->
-        let name, members = p_enum st in
-        if List.mem_assoc name !enums then
-          semantic st
-            (Diagnostic.errorf ~code:"dsl/duplicate-enum" ~loc
-               "enumeration %s declared twice" name)
-        else enums := (name, members) :: !enums;
-        items ()
-    | { kind = Word "attr"; _ } ->
-        attrs := p_attr st !enums :: !attrs;
-        items ()
-    | { kind = Word "evidence"; _ } ->
-        evidence := p_evidence st :: !evidence;
-        items ()
-    | { kind = Word w; loc } when List.mem w node_type_words ->
-        let node, supported, contexts = p_node st w in
-        if Hashtbl.mem seen_ids node.Node.id then
-          semantic st
-            (Diagnostic.errorf ~code:"dsl/duplicate-id" ~loc
-               ~subjects:[ node.Node.id ] "node %s declared twice"
-               (Id.to_string node.Node.id))
-        else begin
-          Hashtbl.add seen_ids node.Node.id ();
-          nodes := node :: !nodes;
-          let add kind d = links := (kind, node.Node.id, d) :: !links in
-          List.iter (add Structure.Supported_by) supported;
-          List.iter (add Structure.In_context_of) contexts
-        end;
-        items ()
-    | { loc; _ } ->
-        raise
-          (Syntax_error
-             ( "expected a declaration (enum, attr, evidence or a node \
-                type) or '}'",
-               loc ))
+    let k = st.kind and w = st.text in
+    advance st;
+    (* The declaration keyword's span, for a diagnostic about it. *)
+    let sl = st.last_sl and sc = st.last_sc and el = st.last_el
+    and ec = st.last_ec in
+    match k with
+    | Rbrace -> ()
+    | Word -> (
+        match w with
+        | "enum" ->
+            let name, members = p_enum st in
+            if List.mem_assoc name !enums then
+              semantic st
+                (Diagnostic.errorf ~code:"dsl/duplicate-enum"
+                   ~loc:(span st sl sc el ec) "enumeration %s declared twice"
+                   name)
+            else enums := (name, members) :: !enums;
+            items ()
+        | "attr" ->
+            attrs := p_attr st !enums :: !attrs;
+            items ()
+        | "evidence" ->
+            evidence := p_evidence st :: !evidence;
+            items ()
+        | w when is_node_type_word w ->
+            let node, supported, contexts = p_node st w in
+            if Hashtbl.mem seen_ids node.Node.id then
+              semantic st
+                (Diagnostic.errorf ~code:"dsl/duplicate-id"
+                   ~loc:(span st sl sc el ec) ~subjects:[ node.Node.id ]
+                   "node %s declared twice"
+                   (Id.to_string node.Node.id))
+            else begin
+              Hashtbl.add seen_ids node.Node.id ();
+              nodes := node :: !nodes;
+              let add kind d = links := (kind, node.Node.id, d) :: !links in
+              List.iter (add Structure.Supported_by) supported;
+              List.iter (add Structure.In_context_of) contexts
+            end;
+            items ()
+        | _ -> bad_declaration ())
+    | _ -> bad_declaration ()
   in
   items ();
   let structure =
@@ -499,7 +597,8 @@ let p_case st =
     structure;
   }
 
-(* Shared parse driver: tokenise, run [body], collect diagnostics. *)
+(* Shared parse driver: check the input lexically, pull the first
+   token, run [body], collect diagnostics. *)
 let run_parser ~filename text body =
   if String.length text > max_input_bytes then
     Error
@@ -510,37 +609,60 @@ let run_parser ~filename text body =
           max_input_bytes;
       ]
   else
-  match tokenise ~filename text with
-  | exception Syntax_error (msg, loc) ->
-      Error [ Diagnostic.error ~code:"dsl/syntax" ~loc msg ]
-  | tokens -> (
-      let st = { toks = tokens; last_loc = Loc.dummy; diags = [] } in
-      match body st with
-      | result ->
-          if Diagnostic.has_errors st.diags then
-            Error (Diagnostic.sort (List.rev st.diags))
-          else Ok result
-      | exception Syntax_error (msg, loc) ->
-          Error
-            (Diagnostic.sort
-               (Diagnostic.error ~code:"dsl/syntax" ~loc msg
-               :: List.rev st.diags)))
+    let st =
+      {
+        src = text;
+        file = filename;
+        cur = 0;
+        line = 1;
+        bol = 0;
+        depth = 0;
+        kind = Eof;
+        text = "";
+        sl = 0;
+        sc = 0;
+        el = 0;
+        ec = 0;
+        last_sl = 0;
+        last_sc = 0;
+        last_el = 0;
+        last_ec = 0;
+        diags = [];
+      }
+    in
+    match validate st with
+    | exception Syntax_error (msg, loc) ->
+        Error [ Diagnostic.error ~code:"dsl/syntax" ~loc msg ]
+    | () -> (
+        lex st ~keep:true;
+        match body st with
+        | result ->
+            if Diagnostic.has_errors st.diags then
+              Error (Diagnostic.sort (List.rev st.diags))
+            else Ok result
+        | exception Syntax_error (msg, loc) ->
+            Error
+              (Diagnostic.sort
+                 (Diagnostic.error ~code:"dsl/syntax" ~loc msg
+                 :: List.rev st.diags)))
 
 let parse ?(filename = "<input>") text =
   run_parser ~filename text (fun st ->
       let case = p_case st in
-      (match st.toks with
-      | [] -> ()
-      | t :: _ -> raise (Syntax_error ("trailing input after case", t.loc)));
+      (match st.kind with
+      | Eof -> ()
+      | _ ->
+          raise
+            (Syntax_error
+               ("trailing input after case", span st st.sl st.sc st.el st.ec)));
       case)
 
 let parse_collection ?(filename = "<input>") text =
   run_parser ~filename text (fun st ->
       let rec loop acc =
-        match st.toks with
-        | [] ->
-            if acc = [] then
-              raise (Syntax_error ("expected at least one case", st.last_loc))
+        match st.kind with
+        | Eof ->
+            if acc = [] then fail st "expected at least one case"
             else List.rev acc
         | _ -> loop (p_case st :: acc)
       in

@@ -27,7 +27,17 @@
     Node bodies may also carry [undeveloped], [uninstantiated] or
     [undeveloped-uninstantiated] marks.  Away goals, module references
     and contracts are written [away-goal(M) AG1 "text"], [module(M) ...],
-    [contract(M) ...].  Comments run from [//] to end of line. *)
+    [contract(M) ...].  Comments run from [//] to end of line.
+
+    The parser pulls tokens one at a time from a cursor over the input;
+    no token list is built, so a large case's tokens never outlive the
+    minor heap.  A string with no escape and no newline is one
+    substring; a backslash escapes the byte after it, and an escaped
+    newline still starts a line.  Lexical errors — an unexpected
+    character, an unterminated string, nesting beyond 256 levels — are
+    found by one pass of the same lexer over the whole input before
+    parsing starts, so such an error is reported alone, ahead of any
+    syntax or semantic diagnostic, wherever it sits in the text. *)
 
 type case = {
   module_name : Argus_core.Id.t option;

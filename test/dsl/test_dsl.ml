@@ -176,6 +176,18 @@ let test_comments_and_multiline_strings () =
   Alcotest.(check bool) "newline preserved" true
     (String.contains g.Node.text '\n')
 
+(* A backslash before a newline inside a string escapes the newline,
+   which still starts a line: the error on line 4 is reported there. *)
+let test_escaped_newline_location () =
+  let text =
+    "case \"t\" {\n  goal G1 \"a \\\nb\"\n  goal G2 \"c\" { bogus }\n}\n"
+  in
+  match parse ~filename:"t.arg" text with
+  | Error [ { Diagnostic.loc = Some loc; _ } ] ->
+      Alcotest.(check string) "span" "t.arg:4.16-4.20"
+        (Format.asprintf "%a" Argus_core.Loc.pp loc)
+  | _ -> Alcotest.fail "expected exactly one located diagnostic"
+
 (* --- Multi-module collections --- *)
 
 let modular_text =
@@ -592,6 +604,82 @@ let bulk_parse_matches_fold =
       | Ok case -> same_parts case.structure (fold_decls decls)
       | Error _ -> false)
 
+(* --- The pull lexer against the list lexer it replaced --- *)
+
+module Legacy_dsl = Argus_oracle.Legacy_dsl
+
+(* Texts for the differential: printed cases (the round-trip
+   generator's, and the bulk-builder's declarations with evidence),
+   collections of named cases, and damaged copies of them — a random
+   prefix, or one byte inserted or replaced by one that moves the
+   lexer — plus nesting around [max_nesting]. *)
+let gen_dsl_text =
+  let open QCheck.Gen in
+  let named i c =
+    { c with module_name = Some (Id.of_string (Printf.sprintf "M%d" i)) }
+  in
+  let collection =
+    let* cases = list_size (int_range 1 3) gen_case in
+    return
+      (String.concat "\n" (List.mapi (fun i c -> print (named i c)) cases))
+  in
+  let base =
+    oneof [ map print gen_case; map render_decls gen_decls; collection ]
+  in
+  let lexical =
+    oneofl [ '"'; '\\'; '{'; '}'; '('; ')'; ','; '\n'; '/'; '@' ]
+  in
+  let damaged =
+    let* text = base in
+    let n = String.length text in
+    let* i = int_bound n in
+    let* c = lexical in
+    let splice skip =
+      String.sub text 0 i ^ String.make 1 c
+      ^ String.sub text (i + skip) (n - i - skip)
+    in
+    oneofl
+      [ String.sub text 0 i; splice 0; (if i < n then splice 1 else text) ]
+  in
+  let nesting =
+    let* d =
+      int_range (Legacy_dsl.max_nesting - 2) (Legacy_dsl.max_nesting + 2)
+    in
+    let* opener = oneofl [ '{'; '(' ] in
+    let* closed = bool in
+    let closer = if opener = '{' then '}' else ')' in
+    (* The case's own brace is one level. *)
+    return
+      (Printf.sprintf {|case "x" { goal G1 "t" %s%s}|}
+         (String.make (d - 1) opener)
+         (if closed then String.make (d - 1) closer else ""))
+  in
+  frequency [ (3, base); (6, damaged); (1, nesting) ]
+
+let same_case a b =
+  a.module_name = b.module_name
+  && a.title = b.title
+  && a.ontology = b.ontology
+  && Structure.equal a.structure b.structure
+  && same_parts a.structure b.structure
+
+let same_answer same a b =
+  match (a, b) with
+  | Ok x, Ok y -> same x y
+  | Error ds, Error ds' -> ds = ds'
+  | _ -> false
+
+let pull_lexer_matches_list_lexer =
+  QCheck.Test.make ~name:"pull lexer parse equals the list-lexer oracle"
+    ~count:1000
+    (QCheck.make ~print:String.escaped gen_dsl_text)
+    (fun text ->
+      same_answer same_case (parse ~filename:"d.arg" text)
+        (Legacy_dsl.parse ~filename:"d.arg" text)
+      && same_answer (List.equal same_case)
+           (parse_collection ~filename:"d.arg" text)
+           (Legacy_dsl.parse_collection ~filename:"d.arg" text))
+
 let () =
   Alcotest.run "argus-dsl"
     [
@@ -612,6 +700,8 @@ let () =
             test_pathological_input;
           Alcotest.test_case "semantic errors" `Quick test_semantic_errors;
           Alcotest.test_case "error location" `Quick test_error_location;
+          Alcotest.test_case "escaped newline location" `Quick
+            test_escaped_newline_location;
         ] );
       ( "modular",
         [
@@ -633,4 +723,6 @@ let () =
         ] );
       ( "bulk-builder",
         [ QCheck_alcotest.to_alcotest bulk_parse_matches_fold ] );
+      ( "pull-lexer",
+        [ QCheck_alcotest.to_alcotest pull_lexer_matches_list_lexer ] );
     ]
