@@ -979,8 +979,8 @@ let bench_subjects =
        interned case; [store-verdict-5k] is what a live case tool pays
        per keystroke — one set-text patch by digest, then the verdict,
        whose largest part is the circular-support walk.  compare.exe
-       --require-speedup gates the verdict against dsl-parse-5k within
-       the smoke run. *)
+       --require-speedup gates the verdict against lint-sparse-1000
+       within the smoke run. *)
     Test.make_with_resource ~name:"ir-derive-5k" Test.uniq
       ~allocate:(fun () ->
         Array.of_list (Structure.nodes (fst (phase_case_5k ()))))
