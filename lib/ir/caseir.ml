@@ -27,21 +27,23 @@
    predicates; the graph shape and the texts are immutable once
    interned, so these are plain arrays.  [ir.interned] counts interning passes.
 
-   Two extensions serve the incremental store (lib/store).  [intern]
-   takes an optional [?derive] hook so a caller can hash-cons the text
-   derivations across cases — re-interning a patched structure then
-   skips the text scan for every node payload already seen.  And
-   [apply] replays an edit batch (set, add, remove, link, unlink) on an
-   existing IR.  A batch that only sets payloads,
-   keeping every node's contextual-ness, writes the node and text
-   arrays in place and leaves the graph half alone, so a one-node text
-   edit costs one derivation.  Any other batch rebuilds the link
+   The incremental store (lib/store) keeps a case as its IR alone, so
+   the IR also carries the evidence table and [to_structure] builds
+   the structure back on demand.  [intern] takes an optional [?derive]
+   hook so a caller can hash-cons the text derivations across cases —
+   re-interning a patched structure then skips the text scan for every
+   node payload already seen.  And [apply] validates and replays an
+   edit batch (set-text, add, remove, link, unlink) on an existing IR.
+   A batch that only sets texts writes the node and text arrays in
+   place and leaves the graph half alone, so a one-node text edit
+   costs one derivation.  Any other batch rebuilds the link
    arrays, the CSRs, roots and reachability over the integers,
    compacts the per-node arrays through an old-to-new index map, and
    derives text only for the payloads the batch sets or adds — the
    same IR a fresh [intern] would build, without one. *)
 
 module Id = Argus_core.Id
+module Evidence = Argus_core.Evidence
 module Textutil = Argus_core.Textutil
 module Node = Argus_gsn.Node
 module Structure = Argus_gsn.Structure
@@ -58,7 +60,6 @@ type derived = {
 }
 
 type t = {
-  structure : Structure.t;  (** The source, for evidence lookups. *)
   n_nodes : int;  (** Entities [0 .. n_nodes-1] are real nodes. *)
   n_entities : int;  (** Nodes plus dangling link endpoints. *)
   index : (string, int) Hashtbl.t;  (** Id string to entity index. *)
@@ -91,6 +92,8 @@ type t = {
   propositional : bool array;
       (** Per [Goal] node: symbolic notation or the [verb] flag of
           {!Textutil.scan}. *)
+  evidence : Evidence.t array;  (** The evidence table, in table order. *)
+  evidence_index : (string, int) Hashtbl.t;  (** Evidence id to position. *)
 }
 
 let c_interned = Argus_obs.Counter.make "ir.interned"
@@ -317,8 +320,8 @@ let columns n derived =
 
 (* An IR from its entity table, nodes, link arrays and text columns;
    the graph half is built from the links. *)
-let make ?into ~structure ~index ~ids ~nodes ~n_entities ~columns:c link_kind
-    link_src link_dst =
+let make ?into ~evidence ~evidence_index ~index ~ids ~nodes ~n_entities
+    ~columns:c link_kind link_src link_dst =
   let n_nodes = Array.length nodes in
   let g =
     graph ?into ~n_nodes ~n_entities
@@ -326,7 +329,6 @@ let make ?into ~structure ~index ~ids ~nodes ~n_entities ~columns:c link_kind
       link_kind link_src link_dst
   in
   {
-    structure;
     n_nodes;
     n_entities;
     index;
@@ -351,6 +353,8 @@ let make ?into ~structure ~index ~ids ~nodes ~n_entities ~columns:c link_kind
     ignorance = c.c_ignorance;
     universal = c.c_universal;
     propositional = c.c_propositional;
+    evidence;
+    evidence_index;
   }
 
 let intern ?(derive = derive) structure =
@@ -390,11 +394,28 @@ let intern ?(derive = derive) structure =
   let ids = Array.make (max 1 n_entities) (Id.of_string "x") in
   Array.iteri (fun i n -> ids.(i) <- n.Node.id) nodes;
   List.iteri (fun j id -> ids.(n_entities - 1 - j) <- id) !extra;
-  make ~structure ~index ~ids ~nodes ~n_entities
+  let evidence = Array.of_list (Structure.evidence structure) in
+  let evidence_index = Hashtbl.create (Array.length evidence) in
+  Array.iteri
+    (fun k ev -> Hashtbl.replace evidence_index (Id.to_string ev.Evidence.id) k)
+    evidence;
+  make ~evidence ~evidence_index ~index ~ids ~nodes ~n_entities
     ~columns:(columns n_nodes (fun i -> derive nodes.(i)))
     link_kind link_src link_dst
 
 let entity_index ir id = Hashtbl.find_opt ir.index (Id.to_string id)
+
+let find_evidence ir id =
+  Option.map
+    (fun k -> ir.evidence.(k))
+    (Hashtbl.find_opt ir.evidence_index (Id.to_string id))
+
+let to_structure ir =
+  Structure.build
+    ~links:
+      (List.init (Array.length ir.link_kind) (fun k ->
+           (ir.link_kind.(k), ir.ids.(ir.link_src.(k)), ir.ids.(ir.link_dst.(k)))))
+    ~evidence:(Array.to_list ir.evidence) (Array.to_list ir.nodes)
 
 (* A process-wide, bounded, domain-safe memo of [derive], keyed by the
    payload content the derivations read (type and text) — the
@@ -439,13 +460,14 @@ let derive_cached n =
 (* --- graph deltas --- *)
 
 type edit =
-  | Set_node of Node.t
+  | Set_text of Id.t * string
   | Add_node of Node.t
   | Remove_node of Id.t
   | Link of Structure.link * Id.t * Id.t
   | Unlink of Structure.link * Id.t * Id.t
 
 exception Outside
+exception Bad of string
 
 type extra_link = {
   kind : Structure.link;
@@ -453,6 +475,12 @@ type extra_link = {
   dst : int;
   mutable live : bool;
 }
+
+(* A [Set_text] or [Remove_node] names a node of the case, as it stands
+   at that point of the batch, or the whole batch is refused — with the
+   message a replay on the structure gives. *)
+let refusal what id = Printf.sprintf "%s: no node %s" what (Id.to_string id)
+let bad what id = raise_notrace (Bad (refusal what id))
 
 (* Replay a shape batch on the integer arrays.  Entities keep their old
    index while the batch runs; the k-th added node is [n_entities + k].
@@ -469,9 +497,9 @@ type extra_link = {
    it, so any edit that adds or drops a link touching one (or promotes
    one to a node) could reorder them: such a batch is [Outside] the
    delta, and so is an [Add_node] naming an id the case already
-   mentions (a payload replacement the caller should express as
-   [Set_node]). *)
-let reshape ir structure edits =
+   mentions (a payload replacement).  Both raise before anything is
+   written, and so does a [Bad] edit. *)
+let reshape ir edits =
   let n0 = ir.n_nodes and e0 = ir.n_entities in
   let m0 = Array.length ir.link_kind in
   let dead = Bytes.make (max 1 n0) '\000' in
@@ -497,6 +525,9 @@ let reshape ir structure edits =
     | Some w when not (dangling w) -> w
     | _ -> raise_notrace Outside
   in
+  let live what id =
+    match find id with Some w when not (dangling w) -> w | _ -> bad what id
+  in
   (* The live old link [kind s -> d], or [-1]; then the appended one. *)
   let old_link kind s d =
     let rec go k =
@@ -517,7 +548,14 @@ let reshape ir structure edits =
       !extra
   in
   let step = function
-    | Set_node n -> Hashtbl.replace payload (node n.Node.id) n
+    | Set_text (id, text) ->
+        let w = live "set-text" id in
+        let n =
+          match Hashtbl.find_opt payload w with
+          | Some n -> n
+          | None -> ir.nodes.(w)
+        in
+        Hashtbl.replace payload w { n with Node.text }
     | Add_node n ->
         if find n.Node.id <> None then raise_notrace Outside;
         let w = !next in
@@ -526,7 +564,7 @@ let reshape ir structure edits =
         Hashtbl.replace payload w n;
         added_order := w :: !added_order
     | Remove_node id ->
-        let w = node id in
+        let w = live "remove-node" id in
         if w < n0 then Bytes.set dead w '\001'
         else Hashtbl.remove added (Id.to_string id);
         Hashtbl.remove payload w;
@@ -691,47 +729,71 @@ let reshape ir structure edits =
           Hashtbl.replace index (Id.to_string nodes.(j).Node.id) j)
         fresh;
       Some
-        ( make ~into:ir ~structure ~index ~ids ~nodes ~n_entities ~columns:c
-            link_kind link_src link_dst,
+        ( make ~into:ir ~evidence:ir.evidence ~evidence_index:ir.evidence_index
+            ~index ~ids ~nodes ~n_entities ~columns:c link_kind link_src
+            link_dst,
           Some map )
 
-(* A batch of [Set_node]s on live nodes that keep their contextual-ness
-   (the one payload bit the graph half reads, through the roots) moves
-   no index and leaves the graph as it is: the nodes and text columns
-   are written in place.  Every other batch is [reshape]d. *)
-let apply ir structure edits =
+(* A batch of [Set_text]s keeps every node's type, so it moves no
+   index and leaves the graph as it is: once every id is found to name
+   a node, the nodes and text columns are written in place.  Every
+   other batch is [reshape]d: the edits are met in order, so its first
+   shape edit sends it there before a later id is looked up here. *)
+let apply ir edits =
   let in_place = function
-    | Set_node n -> (
-        match Hashtbl.find_opt ir.index (Id.to_string n.Node.id) with
-        | Some i
-          when i < ir.n_nodes
-               && Node.is_contextual ir.nodes.(i).Node.node_type
-                  = Node.is_contextual n.Node.node_type ->
-            (i, n)
-        | _ -> raise_notrace Outside)
+    | Set_text (id, text) -> (
+        match entity_index ir id with
+        | Some i when i < ir.n_nodes -> (i, text)
+        | _ -> bad "set-text" id)
     | _ -> raise_notrace Outside
   in
-  match List.map in_place edits with
-  | exception Outside -> reshape ir structure edits
-  | sets ->
-      let c =
-        {
-          c_goal_like = ir.goal_like;
-          c_norm = ir.norm;
-          c_claim = ir.claim;
-          c_content = ir.content;
-          c_content_hash = ir.content_hash;
-          c_ignorance = ir.ignorance;
-          c_universal = ir.universal;
-          c_propositional = ir.propositional;
-        }
-      in
-      List.iter
-        (fun (i, n) ->
-          ir.nodes.(i) <- n;
-          set_columns c i (derive n))
-        sets;
-      Some ({ ir with structure }, None)
+  match
+    match List.map in_place edits with
+    | exception Outside -> reshape ir edits
+    | sets ->
+        let c =
+          {
+            c_goal_like = ir.goal_like;
+            c_norm = ir.norm;
+            c_claim = ir.claim;
+            c_content = ir.content;
+            c_content_hash = ir.content_hash;
+            c_ignorance = ir.ignorance;
+            c_universal = ir.universal;
+            c_propositional = ir.propositional;
+          }
+        in
+        List.iter
+          (fun (i, text) ->
+            let n = { (ir.nodes.(i)) with Node.text } in
+            ir.nodes.(i) <- n;
+            set_columns c i (derive n))
+          sets;
+        Some (ir, None)
+  with
+  | delta -> Ok delta
+  | exception Bad msg -> Error msg
+
+(* The same batch on the structure, the reference semantics [apply]
+   follows: a [Set_text] or [Remove_node] on a missing node refuses
+   the whole batch. *)
+let replay structure edits =
+  let rec go s = function
+    | [] -> Ok s
+    | Set_text (id, text) :: rest -> (
+        match Structure.find id s with
+        | None -> Error (refusal "set-text" id)
+        | Some n -> go (Structure.add_node { n with Node.text } s) rest)
+    | Add_node n :: rest -> go (Structure.add_node n s) rest
+    | Remove_node id :: rest ->
+        if Structure.mem id s then go (Structure.remove_node id s) rest
+        else Error (refusal "remove-node" id)
+    | Link (kind, src, dst) :: rest ->
+        go (Structure.connect kind ~src ~dst s) rest
+    | Unlink (kind, src, dst) :: rest ->
+        go (Structure.disconnect kind ~src ~dst s) rest
+  in
+  go structure edits
 
 (* The cycle search over entity indices: DFS from each node entity in
    insertion order, children in link order, the recursion stack as the

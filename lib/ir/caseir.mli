@@ -20,11 +20,14 @@
     — is computed a single time and amortised over every subsequent
     {!Fused.check}.  [ir.interned] counts interning passes.
 
-    For the incremental store (lib/store), [intern] accepts a
+    For the incremental store (lib/store) the IR is the one live copy
+    of a stored case: it carries the case's evidence table, {!apply}
+    validates and replays an edit batch on it without re-interning
+    ([ir.interned] does not move) — in place for a text-only batch,
+    over the integer arrays for any other — and {!to_structure} builds
+    the {!Argus_gsn.Structure.t} back on demand.  [intern] accepts a
     [?derive] hook so text derivations can be hash-consed across
-    cases, and {!apply} replays an edit batch without re-interning
-    ([ir.interned] does not move): in place for a payload-only batch,
-    over the integer arrays for any other. *)
+    cases. *)
 
 type derived = {
   d_goal_like : bool;  (** {!Argus_gsn.Node.is_goal_like}. *)
@@ -54,7 +57,6 @@ type derived = {
     marker is also checked for symbolic notation). *)
 
 type t = {
-  structure : Argus_gsn.Structure.t;  (** The source, for evidence lookups. *)
   n_nodes : int;  (** Entities [0 .. n_nodes-1] are real nodes. *)
   n_entities : int;  (** Nodes plus dangling link endpoints. *)
   index : (string, int) Hashtbl.t;  (** Id string to entity index. *)
@@ -110,6 +112,11 @@ type t = {
           other type.  GSN requires goal text to be a proposition, and
           the paper criticises generated goals like "Formal proof that
           Quat4::quat(NED, Body) holds for Fc.cpp" for not being one. *)
+  evidence : Argus_core.Evidence.t array;
+      (** The evidence table, as {!Argus_gsn.Structure.evidence} orders
+          it.  No edit changes it. *)
+  evidence_index : (string, int) Hashtbl.t;
+      (** Evidence id string to its position in [evidence]. *)
 }
 (** Treat all fields as read-only; the checkers index them freely. *)
 
@@ -125,6 +132,16 @@ val intern : ?derive:(Argus_gsn.Node.t -> derived) -> Argus_gsn.Structure.t -> t
 val entity_index : t -> Argus_core.Id.t -> int option
 (** The entity index of an id the structure mentions, if any. *)
 
+val find_evidence : t -> Argus_core.Id.t -> Argus_core.Evidence.t option
+(** As {!Argus_gsn.Structure.find_evidence} on the source. *)
+
+val to_structure : t -> Argus_gsn.Structure.t
+(** The structure the IR stands for: its {!Argus_gsn.Structure.nodes},
+    [links] and [evidence] are those of the structure [intern] read, in
+    order (after an {!apply}, those of the edited structure).  It reads
+    only [nodes], [ids], the link arrays and [evidence], and costs a
+    whole {!Argus_gsn.Structure.build}: for exports, never per edit. *)
+
 val derive_cached : Argus_gsn.Node.t -> derived
 (** {!derive} through a process-wide, bounded, domain-safe memo keyed
     by the payload content the derivations read (type and text) —
@@ -139,46 +156,59 @@ val payload_key : Argus_gsn.Node.t -> string
 (** {2 Graph deltas} *)
 
 type edit =
-  | Set_node of Argus_gsn.Node.t
-      (** Replace an existing node's payload (same id). *)
+  | Set_text of Argus_core.Id.t * string
+      (** Replace a node's text, keeping its type, status, annotations,
+          formal rendering and evidence citation. *)
   | Add_node of Argus_gsn.Node.t
-      (** Append a node whose id the case does not mention yet. *)
+      (** Append a node; on an id already present, replace its payload. *)
   | Remove_node of Argus_core.Id.t
       (** Drop a node and every link touching it. *)
   | Link of Argus_gsn.Structure.link * Argus_core.Id.t * Argus_core.Id.t
-      (** [Link (kind, src, dst)]: append the link unless present. *)
+      (** [Link (kind, src, dst)]: append the link unless present;
+          endpoints need not exist. *)
   | Unlink of Argus_gsn.Structure.link * Argus_core.Id.t * Argus_core.Id.t
-(** One step of a shape batch, with {!Argus_gsn.Structure}'s
-    semantics for the same operation. *)
+      (** Drop the link if present. *)
+(** One step of an edit batch, with {!Argus_gsn.Structure}'s semantics
+    for the same operation.  The store's wire and WAL edit type: its
+    constructors, their order and their argument types are the
+    Marshal layout of logged patches, so they must not change. *)
 
 val apply :
-  t ->
-  Argus_gsn.Structure.t ->
-  edit list ->
-  (t * int array option) option
-(** [apply ir structure edits] is the IR of [structure], the result of
-    replaying [edits] in order on [ir]'s source, built without a
-    re-intern: equal field by field to [intern structure] ([index] by
-    bindings).  [ir.interned] does not move, and {!derive} runs only
-    on the payloads the batch sets or adds.
+  t -> edit list -> ((t * int array option) option, string) result
+(** [apply ir edits] validates [edits] and replays them in order on
+    [ir], without a re-intern: [Ok (Some (ir', map))] is equal field by
+    field to [intern] of the edited structure ([index] by bindings).
+    [ir.interned] does not move, and {!derive} runs only on the
+    payloads the batch sets or adds.
 
-    A batch of [Set_node]s only, each on a node of the case that keeps
-    the contextual-ness of its type (the empty batch included), is
-    written in place: the nodes and text columns change, no index
-    moves and the graph half (CSRs, [roots], [reachable]) is
-    unchanged, and the second component is [None].  Any other batch
-    rebuilds the link arrays, the CSRs, [roots] and [reachable] over
-    the integers and carries every other node's text columns over; the
-    second component maps each old entity index to its new one, [-1]
-    for a removed node.
+    [Error msg], with [ir] untouched, when a [Set_text] or
+    [Remove_node] names no node of the case as it stands at that point
+    of the batch: ["set-text: no node ID"] or ["remove-node: no node
+    ID"], the refusal a replay on the structure gives.
 
-    [None], with [ir] untouched, when the batch is outside the delta:
-    a [Set_node], [Remove_node] or [Link] names a node that is not
+    A batch of [Set_text]s only (the empty batch included) is written
+    in place: the nodes and text columns change, no index moves and the
+    graph half (CSRs, [roots], [reachable]) is unchanged, and [map] is
+    [None].  Any other batch rebuilds the link arrays, the CSRs,
+    [roots] and [reachable] over the integers and carries every other
+    node's text columns over; [map] maps each old entity index to its
+    new one, [-1] for a removed node.
+
+    [Ok None], with [ir] untouched, when the batch is outside the delta
+    (met before any refused edit): a [Link] names a node that is not
     there (or a dangling endpoint), an edit adds or drops a link
-    touching a dangling endpoint, or an [Add_node] names an id the
-    case already mentions.  On [Some], [ir]'s arrays and entity table
-    have been reused and [ir] must not be used afterwards — except its
-    [roots] and [reachable], which the result never overwrites. *)
+    touching a dangling endpoint, or an [Add_node] names an id the case
+    already mentions.  The caller replays such a batch on
+    {!to_structure}, which also finds any later refused edit.  On
+    [Ok (Some _)], [ir]'s arrays and entity table have been reused and
+    [ir] must not be used afterwards — except its [roots] and
+    [reachable], which the result never overwrites. *)
+
+val replay :
+  Argus_gsn.Structure.t -> edit list -> (Argus_gsn.Structure.t, string) result
+(** The batch replayed on a structure, with {!apply}'s refusals: the
+    reference semantics {!apply} follows, and the replay a caller
+    rebuilds from when {!apply} answers [Ok None]. *)
 
 val has_cycle : t -> Argus_core.Id.t list option
 (** A SupportedBy cycle as a witness id list, if any: DFS from each

@@ -483,7 +483,7 @@ let node_findings_into (ir : Caseir.t) i wf_add =
             (Diagnostic.warningf ~code:"gsn/solution-without-evidence"
                ~subjects:[ id ] "solution cites no evidence item")
       | Some ev_id -> (
-          match Structure.find_evidence ev_id ir.Caseir.structure with
+          match Caseir.find_evidence ir ev_id with
           | None ->
               wf_add
                 (Diagnostic.errorf ~code:"gsn/unknown-evidence"

@@ -183,21 +183,9 @@ let put ?(ruleset = Argus_gsn.Wellformed.Standard) t structure =
 
 let patch t ~digest edits =
   logged t (fun () ->
-      (* Captured before the patch rebinds the case: content
-         addressing makes re-putting the old structure restore the
-         old digest exactly. *)
-      let before = Store.find t.store digest in
-      match Store.patch t.store ~digest edits with
+      match Store.patch_with_undo t.store ~digest edits with
       | Error _ as e -> e
-      | Ok digest' ->
-          let rollback () =
-            Store.remove t.store digest';
-            match before with
-            | Some (ruleset, structure) ->
-                ignore (Store.put ~ruleset t.store structure)
-            | None -> ()
-          in
-          Ok (digest', Wal.Patch (digest, edits), rollback))
+      | Ok (digest', undo) -> Ok (digest', Wal.Patch (digest, edits), undo))
 
 let verdict t ~digest =
   match Store.verdict t.store ~digest with
@@ -242,7 +230,5 @@ let stats_json t =
             ("cases", Json.int (Store.size t.store));
             ( "digests",
               Json.List
-                (List.map
-                   (fun (d, _, _) -> Json.Str d)
-                   (Store.cases t.store)) );
+                (List.map (fun d -> Json.Str d) (Store.digests t.store)) );
           ]))

@@ -6,7 +6,14 @@
    cases, each edit needing a fast re-verdict — not one-shot batch
    checks.  A full re-check of a 100k-node case pays a full intern
    plus a full fused pass per edit; here an edit re-checks only its
-   dirty cone.  Every edit batch goes through {!Caseir.apply}: a text
+   dirty cone.
+
+   A stored case is its interned IR and nothing else: the IR carries
+   the evidence table, and a [Structure.t] is built from it only on
+   demand ({!Caseir.to_structure}: [case], [cases], the fallback's
+   replay, a shape patch's undo).  There is one edit type,
+   {!Caseir.edit}, and each edit is applied once: {!Caseir.apply}
+   validates a batch and applies it to the IR in one pass.  A text
    batch writes the IR's node and text arrays in place and leaves the
    graph alone, a shape batch (add, remove, link, unlink) rebuilds only
    the integer adjacency arrays, so an edit costs at most linear
@@ -51,6 +58,12 @@
    node array and SupportedBy CSR, run at the first verdict after a
    shape edit; text edits keep it.
 
+   A durable patch that the log refuses is rolled back through
+   [patch_with_undo], in one of two ways: a text batch by its inverse
+   text batch through the same in-place path, any other batch by
+   re-putting a structure built from copies of the old IR's node, id
+   and link arrays, taken before the batch consumed them.
+
    Every operation runs under one mutex: correctness first, and the
    per-op work after the first put is tiny.  The gauge [store.nodes]
    tracks live nodes across cases. *)
@@ -68,7 +81,7 @@ module Counter = Argus_obs.Counter
 module Gauge = Argus_obs.Metrics.Gauge
 module ISet = Set.Make (Int)
 
-type edit =
+type edit = Caseir.edit =
   | Set_text of Id.t * string
   | Add_node of Node.t
   | Remove_node of Id.t
@@ -98,7 +111,7 @@ let default_trust (_ : Evidence.t) = 0.9
 
 type case_state = {
   ruleset : Wellformed.ruleset;
-  mutable ir : Caseir.t;  (** Carries the case's structure. *)
+  mutable ir : Caseir.t;  (** The case itself: its one live copy. *)
   mutable ctx_in : int list array;
       (** Per entity: InContextOf sources — the reverse edges a
           removed node's seeds need and the IR's CSR does not keep. *)
@@ -247,9 +260,7 @@ let digest_state (ir : Caseir.t) =
         (link_digest ir.Caseir.link_kind.(k) ir.Caseir.ids.(si)
            ir.Caseir.ids.(ir.Caseir.link_dst.(k)))
   done;
-  List.iter
-    (fun ev -> sum_add sum (evidence_digest ev))
-    (Structure.evidence ir.Caseir.structure);
+  Array.iter (fun ev -> sum_add sum (evidence_digest ev)) ir.Caseir.evidence;
   (elem, sum, render_digest sum)
 
 let digest_of structure =
@@ -275,13 +286,12 @@ let build_ctx_in (ir : Caseir.t) =
     ir.Caseir.link_kind;
   ctx_in
 
-(* Full (re)build from a structure: intern through the arena, then
-   recompute digests, per-node verdicts and the link/shape
-   findings.  The one reference path: [put] runs it, and [patch] falls
+(* Full (re)build of the case state from an IR: digests, per-node
+   verdicts and the link/shape findings, every node checked.  The one
+   reference path: [put] runs it on a fresh intern, and a patch falls
    back to it ([store.shape_rebuilds]) only when [delta] does not
    apply. *)
-let rebuild store st structure =
-  let ir = Caseir.intern ~derive:(arena_derive store) structure in
+let recompute st ir =
   let n = ir.Caseir.n_nodes in
   st.ir <- ir;
   st.ctx_in <- build_ctx_in ir;
@@ -298,6 +308,10 @@ let rebuild store st structure =
   st.shape_wf <- Fused.shape_findings ir;
   st.cached <- None;
   st.conf <- None
+
+(* Intern through the arena, then recompute. *)
+let rebuild store st structure =
+  recompute st (Caseir.intern ~derive:(arena_derive store) structure)
 
 let fresh_state ruleset =
   {
@@ -347,13 +361,12 @@ let put ?ruleset store structure = fst (put_with_undo ?ruleset store structure)
 let mem store digest =
   locked store (fun () -> Hashtbl.mem store.cases digest)
 
-let find store digest =
+let case store digest =
   locked store (fun () ->
       Option.map
-        (fun st -> (st.ruleset, st.ir.Caseir.structure))
+        (fun st -> Caseir.to_structure st.ir)
         (Hashtbl.find_opt store.cases digest))
 
-let case store digest = Option.map snd (find store digest)
 let size store = locked store (fun () -> Hashtbl.length store.cases)
 
 let remove store digest =
@@ -361,11 +374,16 @@ let remove store digest =
       Hashtbl.remove store.cases digest;
       update_gauge store)
 
+let digests store =
+  locked store (fun () ->
+      Hashtbl.fold (fun digest _ acc -> digest :: acc) store.cases []
+      |> List.sort String.compare)
+
 let cases store =
   locked store (fun () ->
       Hashtbl.fold
         (fun digest st acc ->
-          (digest, st.ruleset, st.ir.Caseir.structure) :: acc)
+          (digest, st.ruleset, Caseir.to_structure st.ir) :: acc)
         store.cases []
       |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b))
 
@@ -403,54 +421,9 @@ let findings_cone st i =
   done;
   !acc
 
-(* Validate and apply the edit batch to the (persistent) structure,
-   and translate it for {!Caseir.apply}: a [Set_text] becomes the
-   [Set_node] of its rewritten payload, which keeps the node's type.
-   Nothing is mutated here, so a bad edit leaves the store untouched. *)
-let apply_edits structure edits =
-  let rec go structure acc = function
-    | [] -> Ok (structure, List.rev acc)
-    | Set_text (id, text) :: rest -> (
-        match Structure.find id structure with
-        | None ->
-            Error
-              (Bad_edit
-                 (Printf.sprintf "set-text: no node %s" (Id.to_string id)))
-        | Some n ->
-            let n' =
-              Node.make ~id ~node_type:n.Node.node_type ~status:n.Node.status
-                ?formal:n.Node.formal ~annotations:n.Node.annotations
-                ?evidence:n.Node.evidence text
-            in
-            go
-              (Structure.add_node n' structure)
-              (Caseir.Set_node n' :: acc)
-              rest)
-    | Add_node n :: rest ->
-        go (Structure.add_node n structure) (Caseir.Add_node n :: acc) rest
-    | Remove_node id :: rest ->
-        if not (Structure.mem id structure) then
-          Error
-            (Bad_edit
-               (Printf.sprintf "remove-node: no node %s" (Id.to_string id)))
-        else
-          go (Structure.remove_node id structure) (Caseir.Remove_node id :: acc)
-            rest
-    | Link (kind, src, dst) :: rest ->
-        go
-          (Structure.connect kind ~src ~dst structure)
-          (Caseir.Link (kind, src, dst) :: acc)
-          rest
-    | Unlink (kind, src, dst) :: rest ->
-        go
-          (Structure.disconnect kind ~src ~dst structure)
-          (Caseir.Unlink (kind, src, dst) :: acc)
-          rest
-  in
-  go structure [] edits
-
-(* An edit batch without a rebuild.  [Caseir.apply] replays it on the
-   IR, deriving the set or added payloads without the arena.  The
+(* An edit batch without a rebuild.  [Caseir.apply] validates it and
+   replays it on the IR, deriving the set or added payloads without the
+   arena.  The
    batch's seeds are every node it set, added or linked to or from, and
    the old neighbours of every removed node.  Per-node verdicts are
    recomputed over the findings cone of the seeds, and node terms over
@@ -465,21 +438,23 @@ let apply_edits structure edits =
    every node whose reachability bit flipped joins the findings cone,
    and the per-link and shape findings are recomputed in full.
 
-   [false] (the caller rebuilds) when the batch is outside
-   [Caseir.apply], or makes the case gain or lose its last root (every
-   node's findings read that bit).  [Caseir.apply] consumes the old IR
-   — it overwrites arrays in place — so the removed nodes' neighbours
-   are read before it runs, and once it has run a [false] still leaves
-   the case to be rebuilt.  It never overwrites the old [roots] and
-   [reachable], which are read after. *)
-let delta store st structure edits =
+   [Error] when [Caseir.apply] refuses the batch, [Ok false] (the
+   caller replays it on the structure and rebuilds) when it is outside
+   [Caseir.apply].  A batch that makes the case gain or lose its last
+   root (every node's findings read that bit) is recomputed in full
+   from the IR [Caseir.apply] built, with no re-intern; it counts as a
+   rebuild.  [Caseir.apply] consumes the old IR — it overwrites arrays
+   in place — so the removed nodes' neighbours are read before it runs.
+   It never overwrites the old [roots] and [reachable], which are read
+   after. *)
+let delta store st edits =
   let old = st.ir in
   let n0 = old.Caseir.n_nodes in
   (* Old neighbours of the removed nodes, as old entity indices. *)
   let orphans =
     List.concat_map
       (function
-        | Caseir.Remove_node id -> (
+        | Remove_node id -> (
             match Caseir.entity_index old id with
             | Some i when i < n0 ->
                 let acc = ref st.ctx_in.(i) in
@@ -496,24 +471,30 @@ let delta store st structure edits =
         | _ -> [])
       edits
   in
-  match Caseir.apply old structure edits with
-  | None -> false
-  | Some (ir, map) ->
+  match Caseir.apply old edits with
+  | Error msg -> Error (Bad_edit msg)
+  | Ok None -> Ok false
+  | Ok (Some (ir, map)) ->
       let n = ir.Caseir.n_nodes in
       let node id =
         match Caseir.entity_index ir id with
         | Some i when i < n -> [ i ]
         | _ -> []
       in
-      if (ir.Caseir.roots = []) <> (old.Caseir.roots = []) then false
+      if (ir.Caseir.roots = []) <> (old.Caseir.roots = []) then begin
+        Counter.incr c_shape_rebuilds;
+        recompute st ir;
+        update_gauge store;
+        Ok true
+      end
       else begin
         let seeds =
           List.concat_map
             (function
-              | Caseir.Set_node nd | Caseir.Add_node nd -> node nd.Node.id
-              | Caseir.Link (_, a, b) | Caseir.Unlink (_, a, b) ->
-                  node a @ node b
-              | Caseir.Remove_node _ -> [])
+              | Set_text (id, _) -> node id
+              | Add_node nd -> node nd.Node.id
+              | Link (_, a, b) | Unlink (_, a, b) -> node a @ node b
+              | Remove_node _ -> [])
             edits
         in
         let seeds, flipped =
@@ -553,8 +534,8 @@ let delta store st structure edits =
                 (not identity)
                 || List.exists
                      (function
-                       | Caseir.Link (Structure.In_context_of, _, _)
-                       | Caseir.Unlink (Structure.In_context_of, _, _) ->
+                       | Link (Structure.In_context_of, _, _)
+                       | Unlink (Structure.In_context_of, _, _) ->
                            true
                        | _ -> false)
                      edits
@@ -585,26 +566,99 @@ let delta store st structure edits =
              flipped seeds);
         redigest st (ISet.of_list seeds);
         if map <> None then update_gauge store;
-        true
+        Ok true
       end
 
+(* Patch the case at [digest] and re-bind it under its new digest,
+   answering the state and the case the new digest displaced, if any.
+   A batch outside the delta is replayed on the structure
+   ([Caseir.replay], which also refuses an edit the delta did not
+   reach) and rebuilt.  A refused batch leaves the store untouched.
+   Called with the mutex held. *)
+let patch_locked store ~digest edits =
+  match Hashtbl.find_opt store.cases digest with
+  | None -> Error (Unknown_digest digest)
+  | Some st -> (
+      let applied =
+        match delta store st edits with
+        | Ok false -> (
+            match Caseir.replay (Caseir.to_structure st.ir) edits with
+            | Error msg -> Error (Bad_edit msg)
+            | Ok structure ->
+                Counter.incr c_shape_rebuilds;
+                rebuild store st structure;
+                update_gauge store;
+                Ok ())
+        | result -> Result.map ignore result
+      in
+      match applied with
+      | Error _ as e -> e
+      | Ok () ->
+          st.cached <- None;
+          Hashtbl.remove store.cases digest;
+          let displaced = Hashtbl.find_opt store.cases st.digest in
+          Hashtbl.replace store.cases st.digest st;
+          Ok (st, displaced))
+
 let patch store ~digest edits =
+  locked store (fun () ->
+      Result.map (fun (st, _) -> st.digest) (patch_locked store ~digest edits))
+
+(* Two undo kinds.  A text batch is undone by the inverse text batch —
+   each node it names set back to its old text — through the same
+   in-place path: O(batch).  Any other batch consumes the IR, so the
+   arrays [Caseir.to_structure] reads are copied first, and the undo
+   re-puts the structure built from the copies, only if it runs. *)
+let patch_with_undo store ~digest edits =
   locked store (fun () ->
       match Hashtbl.find_opt store.cases digest with
       | None -> Error (Unknown_digest digest)
       | Some st -> (
-          match apply_edits st.ir.Caseir.structure edits with
+          let ir = st.ir in
+          let restore =
+            if List.for_all (function Set_text _ -> true | _ -> false) edits
+            then
+              let inverse =
+                List.filter_map
+                  (function
+                    | Set_text (id, _) -> (
+                        match Caseir.entity_index ir id with
+                        | Some i when i < ir.Caseir.n_nodes ->
+                            Some (Set_text (id, ir.Caseir.nodes.(i).Node.text))
+                        | _ -> None)
+                    | _ -> None)
+                  edits
+              in
+              fun digest' -> ignore (patch_locked store ~digest:digest' inverse)
+            else
+              let ruleset = st.ruleset in
+              let frozen =
+                {
+                  ir with
+                  Caseir.nodes = Array.copy ir.Caseir.nodes;
+                  ids = Array.copy ir.Caseir.ids;
+                  link_kind = Array.copy ir.Caseir.link_kind;
+                  link_src = Array.copy ir.Caseir.link_src;
+                  link_dst = Array.copy ir.Caseir.link_dst;
+                }
+              in
+              fun digest' ->
+                Hashtbl.remove store.cases digest';
+                let st = fresh_state ruleset in
+                rebuild store st (Caseir.to_structure frozen);
+                Hashtbl.replace store.cases st.digest st
+          in
+          match patch_locked store ~digest edits with
           | Error _ as e -> e
-          | Ok (structure, ir_edits) ->
-              if not (delta store st structure ir_edits) then begin
-                Counter.incr c_shape_rebuilds;
-                rebuild store st structure;
-                update_gauge store
-              end;
-              st.cached <- None;
-              Hashtbl.remove store.cases digest;
-              Hashtbl.replace store.cases st.digest st;
-              Ok st.digest))
+          | Ok (st, displaced) ->
+              let digest' = st.digest in
+              let undo () =
+                locked store (fun () ->
+                    restore digest';
+                    Option.iter (Hashtbl.replace store.cases digest') displaced;
+                    update_gauge store)
+              in
+              Ok (digest', undo)))
 
 let verdict store ~digest =
   locked store (fun () ->
@@ -641,8 +695,7 @@ let verdict store ~digest =
                       | [] -> 0.0
                       | root :: _ ->
                           (Confidence.scores ~trust:default_trust
-                             ~find_evidence:(fun id ->
-                               Structure.find_evidence id ir.Caseir.structure)
+                             ~find_evidence:(Caseir.find_evidence ir)
                              ir.Caseir.nodes ~sup_off:ir.Caseir.sup_out_off
                              ~sup:ir.Caseir.sup_out).(root)
                     in

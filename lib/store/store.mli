@@ -32,7 +32,7 @@
 type t
 (** A store: cases keyed by digest, plus the shared arena. *)
 
-type edit =
+type edit = Argus_ir.Caseir.edit =
   | Set_text of Argus_core.Id.t * string
       (** Replace a node's text, keeping type, status, annotations,
           formal rendering and evidence citation.  The incremental
@@ -43,7 +43,8 @@ type edit =
   | Link of Argus_gsn.Structure.link * Argus_core.Id.t * Argus_core.Id.t
       (** [Link (kind, src, dst)]. *)
   | Unlink of Argus_gsn.Structure.link * Argus_core.Id.t * Argus_core.Id.t
-
+(** The one edit type, {!Argus_ir.Caseir.edit} re-exported: the wire
+    protocol decodes into it and WAL [Patch] records log it. *)
 type error =
   | Unknown_digest of string  (** No case under that digest. *)
   | Bad_edit of string  (** The batch references a node that is not there. *)
@@ -86,8 +87,8 @@ val put_with_undo :
   Argus_gsn.Structure.t ->
   string * (unit -> unit)
 (** {!put}, plus an undo that restores the binding the put replaced:
-    the previous state of an equal case, ruleset and structure
-    included, or no binding at all.  Valid until the next operation on
+    the previous state of an equal case, ruleset included, or no
+    binding at all.  Valid until the next operation on
     that digest; {!Durable} uses it to roll back a put whose WAL
     append failed. *)
 
@@ -95,13 +96,26 @@ val patch : t -> digest:string -> edit list -> (string, error) result
 (** Apply an edit batch to the case at [digest]; the case is re-bound
     under the returned new digest (the old digest is released).  A
     failed batch leaves the store untouched.  Every batch goes through
-    {!Argus_ir.Caseir.apply} and re-checks only its cone: an
-    all-[Set_text] batch writes the interned case in place and keeps
-    the root confidence.  Any other batch is rebuilt from its
-    structure instead when it touches a dangling endpoint, adds an id
-    already present, or makes the case gain or lose its last root;
-    [store.shape_rebuilds] counts those.  Both ways give the same
-    digest and verdict. *)
+    {!Argus_ir.Caseir.apply}, which validates it and applies it to the
+    interned case in one pass, and re-checks only its cone: an
+    all-[Set_text] batch is written in place and keeps the root
+    confidence.  Two batches are re-checked in full instead, counted
+    by [store.shape_rebuilds]: one that touches a dangling endpoint or
+    adds an id already present is replayed on
+    {!Argus_ir.Caseir.to_structure} and rebuilt, and one that makes the
+    case gain or lose its last root is recomputed from the edited IR.
+    Every way gives the same digest and verdict. *)
+
+val patch_with_undo :
+  t -> digest:string -> edit list -> (string * (unit -> unit), error) result
+(** {!patch}, plus an undo that re-binds the case under [digest] as it
+    was, and restores any case the new digest displaced.  Valid until
+    the next operation on either digest; {!Durable} uses it to roll
+    back a patch whose WAL append failed.  An all-[Set_text] batch is
+    undone by the inverse text batch (each node it names set back to
+    its old text), in O(batch).  Any other batch copies the case's
+    node, id and link arrays before it runs, and the undo re-puts the
+    structure built from them. *)
 
 val verdict : t -> digest:string -> (verdict, error) result
 (** The full diagnostic report and root confidence of the case at
@@ -111,13 +125,9 @@ val digest_of : Argus_gsn.Structure.t -> string
 (** The digest [put] would assign, without storing anything. *)
 
 val mem : t -> string -> bool
-val case : t -> string -> Argus_gsn.Structure.t option
 
-val find :
-  t ->
-  string ->
-  (Argus_gsn.Wellformed.ruleset * Argus_gsn.Structure.t) option
-(** Like {!case}, with the ruleset the case was put under. *)
+val case : t -> string -> Argus_gsn.Structure.t option
+(** The case at a digest, built by {!Argus_ir.Caseir.to_structure}. *)
 
 val size : t -> int
 
@@ -127,7 +137,11 @@ val remove : t -> string -> unit
     changes results.  {!Durable} uses this to roll back an
     operation whose WAL append failed. *)
 
+val digests : t -> string list
+(** Every live digest, sorted. *)
+
 val cases :
   t -> (string * Argus_gsn.Wellformed.ruleset * Argus_gsn.Structure.t) list
 (** Every live case as [(digest, ruleset, structure)], sorted by
-    digest — the deterministic enumeration snapshots serialise. *)
+    digest — the deterministic enumeration snapshots serialise.  Each
+    structure is built by {!Argus_ir.Caseir.to_structure}. *)

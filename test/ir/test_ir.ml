@@ -670,10 +670,12 @@ let set_node_parity =
       in
       let s' = Structure.add_node n' s in
       let patched =
-        match Caseir.apply ir s' [ Caseir.Set_node n' ] with
-        | Some (patched, None) -> patched
-        | Some (_, Some _) -> QCheck.Test.fail_report "a text edit moved indices"
-        | None -> QCheck.Test.fail_report "a text edit fell outside the delta"
+        match Caseir.apply ir [ Caseir.Set_text (node.Node.id, text) ] with
+        | Ok (Some (patched, None)) -> patched
+        | Ok (Some (_, Some _)) ->
+            QCheck.Test.fail_report "a text edit moved indices"
+        | Ok None | Error _ ->
+            QCheck.Test.fail_report "a text edit fell outside the delta"
       in
       let a = Fused.check ~lints:true patched in
       let b = Fused.check ~lints:true (Caseir.intern s') in

@@ -425,6 +425,42 @@ let test_errors () =
       Alcotest.(check bool) "store untouched" true (Store.mem store d)
   | _ -> Alcotest.fail "set-text of a missing node must fail"
 
+(* A patch can land on the digest of another live case, which it then
+   displaces; its undo re-binds both, each with its own ruleset, for
+   either undo kind. *)
+let test_undo_restores_displaced () =
+  let g1 = Id.of_string "G1" in
+  let a = Structure.of_nodes [ Node.goal "G1" "A holds" ]
+  and b = Structure.of_nodes [ Node.goal "G1" "B holds" ] in
+  List.iter
+    (fun (kind, batch) ->
+      let store = Store.create () in
+      let da = Store.put store a in
+      let db = Store.put ~ruleset:Wellformed.Denney_pai_2013 store b in
+      match Store.patch_with_undo store ~digest:da batch with
+      | Error e -> Alcotest.failf "%s: %s" kind (Store.error_message e)
+      | Ok (d, undo) ->
+          Alcotest.(check string) (kind ^ ": lands on the other case") db d;
+          undo ();
+          let bound =
+            List.map
+              (fun (d, ruleset, s) ->
+                (d, ruleset = Wellformed.Standard, Structure.nodes s))
+              (Store.cases store)
+          in
+          let want =
+            List.sort compare
+              [
+                (da, true, Structure.nodes a); (db, false, Structure.nodes b);
+              ]
+          in
+          Alcotest.(check bool) (kind ^ ": both cases back") true (bound = want))
+    [
+      ("text", [ Store.Set_text (g1, "B holds") ]);
+      ( "shape",
+        [ Store.Remove_node g1; Store.Add_node (Node.goal "G1" "B holds") ] );
+    ]
+
 (* Verdict caching: the second verdict of an unchanged case comes from
    the assembled cache; confidence survives a pure text edit. *)
 let test_memoization () =
@@ -875,6 +911,196 @@ let test_fault_trips_read_only () =
   Durable.close durable;
   check_recovered ~msg:"after degraded shutdown" dir d0 base_structure
 
+(* A verdict as bytes: both reports and the confidence's bits. *)
+let show_verdict store d =
+  match Store.verdict store ~digest:d with
+  | Ok v ->
+      render v.Store.result.Fused.wf ^ "\x00"
+      ^ render v.Store.result.Fused.informal
+      ^ Printf.sprintf "\x00%h" v.Store.confidence
+  | Error e -> Alcotest.failf "verdict: %s" (Store.error_message e)
+
+(* A patch whose WAL append fails is refused and rolled back, for
+   both undo kinds: a text batch (undone by its inverse text batch) and
+   two shape batches (undone by re-putting the copied case).  After
+   each refusal the old digest answers exactly what a fresh put of the
+   pre-patch structure answers, the new digest is unbound, and the
+   reopened dir recovers the old digest. *)
+let test_refused_patch_rolls_back () =
+  without_faults @@ fun () ->
+  let spec =
+    match Fault.parse_spec "store.wal.append@2:1:5" with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "bad spec: %s" e
+  in
+  let id = Id.of_string and sb = Structure.Supported_by in
+  List.iter
+    (fun (name, batch) ->
+      with_dir @@ fun dir ->
+      let durable =
+        match Durable.create ~dir ~sync:Wal.Always () with
+        | Ok (d, _) -> d
+        | Error e -> Alcotest.failf "create failed: %s" e
+      in
+      let d0 =
+        match Durable.put durable base_structure with
+        | Ok (d, _) -> d
+        | Error e -> Alcotest.failf "put failed: %s" (Durable.error_message e)
+      in
+      let d1 =
+        Store.digest_of (List.fold_left shadow_edit base_structure batch)
+      in
+      Alcotest.(check bool) (name ^ ": the batch moves the digest") true (d1 <> d0);
+      (match
+         Fault.with_spec spec (fun () -> Durable.patch durable ~digest:d0 batch)
+       with
+      | Error (Durable.Read_only _) -> ()
+      | Error e ->
+          Alcotest.failf "%s: expected read-only, got %s" name
+            (Durable.error_message e)
+      | Ok _ -> Alcotest.failf "%s: append fault must refuse the patch" name);
+      let store = Durable.store durable in
+      let fresh = Store.create () in
+      Alcotest.(check string)
+        (name ^ ": old verdict = fresh put")
+        (show_verdict fresh (Store.put fresh base_structure))
+        (show_verdict store d0);
+      Alcotest.(check bool) (name ^ ": new digest unbound") false
+        (Store.mem store d1);
+      Durable.close durable;
+      check_recovered ~msg:(name ^ ": reopened") dir d0 base_structure)
+    [
+      ("set-text", [ Store.Set_text (id "G2", "Hazard H1 is controlled") ]);
+      ( "unlink+relink",
+        [ Store.Unlink (sb, id "S1", id "G3"); Store.Link (sb, id "G1", id "G3") ]
+      );
+      ( "add-node+remove-node",
+        [
+          Store.Add_node (Node.goal "G4" "Hazard H3 is mitigated");
+          Store.Link (sb, id "S1", id "G4");
+          Store.Remove_node (id "G3");
+        ] );
+    ]
+
+(* A data dir written by the build before [Store.edit] became
+   [Caseir.edit] (format 2), which this build and every later one must
+   recover.  The history: with [snapshot_every] 4, put [golden_a],
+   patch a set-text, an unlink + relink and an add + link + remove
+   (the snapshot), then the tail: a set-text, a put of [golden_b] and
+   an add + link on it.  The Marshal-encoded [Patch] records in the
+   tail only decode if the edit type kept its constructors, their order
+   and their argument types.  Recovery lands on the digests and
+   verdicts that build answered, pinned here, and each verdict equals
+   the full check of the same history replayed on the structure. *)
+let golden_a =
+  Structure.of_nodes
+    ~links:
+      [
+        (Structure.Supported_by, "G1", "S1");
+        (Structure.Supported_by, "S1", "G2");
+        (Structure.Supported_by, "S1", "G3");
+        (Structure.Supported_by, "G2", "Sn1");
+        (Structure.Supported_by, "G3", "Sn2");
+        (Structure.In_context_of, "G1", "C1");
+      ]
+    ~evidence:
+      [
+        Evidence.make ~id:(Id.of_string "E1") ~kind:Evidence.Test_results
+          "unit test report";
+        Evidence.make ~id:(Id.of_string "E2") ~kind:Evidence.Formal_proof
+          "model checking run";
+      ]
+    [
+      Node.goal "G1" "The controller is acceptably safe";
+      Node.strategy "S1" "Argue over each identified hazard";
+      Node.goal "G2" "All overspeed hazards are always mitigated";
+      Node.goal "G3" "Hazard H2 is mitigated";
+      Node.solution ~evidence:"E1" "Sn1" "Overspeed test results";
+      Node.solution ~evidence:"E2" "Sn2" "Model checking of H2";
+      Node.context "C1" "Operating context";
+    ]
+
+let golden_b =
+  Structure.of_nodes
+    ~links:[ (Structure.Supported_by, "G1", "Sn1") ]
+    ~evidence:
+      [
+        Evidence.make ~id:(Id.of_string "E1") ~kind:Evidence.Expert_judgement
+          "review";
+      ]
+    [
+      Node.goal "G1" "The pump is acceptably safe";
+      Node.solution ~evidence:"E1" "Sn1" "Design review";
+    ]
+
+let test_golden_format2_recovers () =
+  without_faults @@ fun () ->
+  let id = Id.of_string and sb = Structure.Supported_by in
+  let replay s batches = List.fold_left (List.fold_left shadow_edit) s batches in
+  let a =
+    replay golden_a
+      [
+        [ Store.Set_text (id "G3", "Hazard H2 is eliminated") ];
+        [ Store.Unlink (sb, id "S1", id "G3"); Store.Link (sb, id "G1", id "G3") ];
+        [
+          Store.Add_node (Node.goal "G4" "Hazard H4 is mitigated");
+          Store.Link (sb, id "S1", id "G4");
+          Store.Remove_node (id "Sn2");
+        ];
+        [ Store.Set_text (id "G1", "The controller is safe to operate") ];
+      ]
+  and b =
+    replay golden_b
+      [
+        [
+          Store.Add_node (Node.context "C1" "Pump duty cycle");
+          Store.Link (Structure.In_context_of, id "G1", id "C1");
+        ];
+      ]
+  in
+  let src =
+    List.find Sys.file_exists [ "golden-format2"; "test/store/golden-format2" ]
+  in
+  with_dir @@ fun dir ->
+  Array.iter
+    (fun f ->
+      let data =
+        In_channel.with_open_bin (Filename.concat src f) In_channel.input_all
+      in
+      Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
+          Out_channel.output_string oc data))
+    (Sys.readdir src);
+  match Recover.load ~dir () with
+  | Error e -> Alcotest.failf "the golden dir was refused: %s" e
+  | Ok o ->
+      Alcotest.(check (list int))
+        "snapshot seq, records replayed, next seq" [ 4; 3; 8 ]
+        [ o.Recover.snapshot_seq; o.Recover.replayed; o.Recover.next_seq ];
+      let store = o.Recover.store in
+      let pinned =
+        [
+          ( "b9bd71c53c1650f0668db40faef49e0c",
+            a,
+            "8735f20d8917836a08d878ffa8a2ec36" );
+          ( "263da357bac14cd2f1f15b2f63981d58",
+            b,
+            "618d25c1fd236dd8b7792e934543d3fd" );
+        ]
+      in
+      Alcotest.(check (list string))
+        "recovered digests"
+        (List.sort compare (List.map (fun (d, _, _) -> d) pinned))
+        (List.map (fun (d, _, _) -> d) (Store.cases store));
+      List.iter
+        (fun (d, shadow, verdict) ->
+          (match check_verdict store d shadow with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s: %s" d e);
+          Alcotest.(check string)
+            ("verdict of " ^ d) verdict
+            (Digest.to_hex (Digest.string (show_verdict store d))))
+        pinned
+
 (* A put whose WAL append fails is refused and leaves no trace: a
    fresh case stays unbound, and a re-put of an equal case under the
    other ruleset leaves the old ruleset and the old structure bound. *)
@@ -916,9 +1142,13 @@ let test_refused_put_leaves_no_trace () =
       Alcotest.(check string) "equal case, equal digest" d0
         (Store.digest_of equal);
       refused durable Wellformed.Denney_pai_2013 equal;
-      match Store.find (Durable.store durable) d0 with
+      match
+        List.find_opt
+          (fun (d, _, _) -> d = d0)
+          (Store.cases (Durable.store durable))
+      with
       | None -> Alcotest.fail "re-put rollback unbound the old case"
-      | Some (ruleset, s) ->
+      | Some (_, ruleset, s) ->
           Alcotest.(check bool)
             "old ruleset" true
             (ruleset = Wellformed.Standard);
@@ -982,23 +1212,32 @@ let test_recover_read_fault () =
    may trip read-only at any point; the property is that every ack is
    honest — whatever was acked is byte-identical after recovery — and
    nothing ever crashes.  Without ambient faults it degenerates to a
-   full durability round-trip per scenario. *)
+   full durability round-trip per scenario.
+
+   The scenarios run on pool domains, which never call Alcotest: its
+   checks print through one shared formatter whose queue is not
+   domain-safe.  Each answers a failure message, or the last acked
+   digest and the digest recovered for it, and the main domain asserts
+   after the join, as [concurrent_differential] does. *)
+exception Scenario_failed of string
+
 let durable_differential jobs () =
   let scenarios = Array.init 8 (fun i -> 3 + (i mod 4)) in
+  let failf fmt = Printf.ksprintf (fun m -> raise (Scenario_failed m)) fmt in
   let run_one ops =
     with_dir @@ fun dir ->
     match Durable.create ~dir ~sync:Wal.Always () with
     | Error e ->
         (* Only an injected recovery fault may refuse a fresh dir. *)
-        if Fault.current () = None then
-          Alcotest.failf "fresh create refused: %s" e
+        if Fault.current () = None then failf "fresh create refused: %s" e
+        else None
     | Ok (durable, _) ->
         let acked = ref [] in
         let shadow = ref base_structure in
         (match Durable.put durable base_structure with
         | Ok (d, _) -> acked := [ (d, base_structure) ]
         | Error (Durable.Read_only _) -> ()
-        | Error e -> Alcotest.failf "put: %s" (Durable.error_message e));
+        | Error e -> failf "put: %s" (Durable.error_message e));
         (try
            for i = 1 to ops do
              match !acked with
@@ -1028,12 +1267,10 @@ let durable_differential jobs () =
                            check_verdict (Durable.store durable) d s
                          with
                          | Ok () -> ()
-                         | Error e ->
-                             Alcotest.failf "degraded read drifted: %s" e)
+                         | Error e -> failf "degraded read drifted: %s" e)
                      | [] -> ());
                      raise Exit
-                 | Error e ->
-                     Alcotest.failf "patch: %s" (Durable.error_message e))
+                 | Error e -> failf "patch: %s" (Durable.error_message e))
            done
          with Exit -> ());
         Durable.close durable;
@@ -1043,31 +1280,45 @@ let durable_differential jobs () =
            (recover re-checks every digest) and verdicts must be
            byte-identical to the fused oracle of the recovered
            structure. *)
-        (match Recover.load ~dir () with
+        match Recover.load ~dir () with
         | Error e ->
             if Fault.current () = None then
-              Alcotest.failf "recovery refused without faults: %s" e
+              failf "recovery refused without faults: %s" e
+            else None
         | Ok outcome -> (
             let store = outcome.Recover.store in
             List.iter
               (fun (d, _, structure) ->
                 match check_verdict store d structure with
                 | Ok () -> ()
-                | Error e ->
-                    Alcotest.failf "recovered verdict drifted: %s" e)
+                | Error e -> failf "recovered verdict drifted: %s" e)
               (Store.cases store);
             (* Without ambient faults every ack must be back. *)
-            if Fault.current () = None then
+            if Fault.current () <> None then None
+            else
               match (!acked, Store.cases store) with
-              | (d, _) :: _, [ (d', _, _) ] ->
-                  Alcotest.(check string) "last ack recovered" d d'
+              | (d, _) :: _, [ (d', _, _) ] -> Some (d, d')
               | (_, _) :: _, cases ->
-                  Alcotest.failf "expected 1 recovered case, got %d"
+                  failf "expected 1 recovered case, got %d"
                     (List.length cases)
-              | [], _ -> ()))
+              | [], _ -> None)
   in
-  Pool.with_pool ~jobs (fun pool ->
-      ignore (Pool.map_array ~pool run_one scenarios))
+  let results =
+    Pool.with_pool ~jobs (fun pool ->
+        Pool.map_array ~pool
+          (fun ops ->
+            match run_one ops with
+            | last -> Ok last
+            | exception Scenario_failed msg -> Error msg)
+          scenarios)
+  in
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Error msg -> Alcotest.failf "scenario %d: %s" i msg
+      | Ok (Some (d, d')) -> Alcotest.(check string) "last ack recovered" d d'
+      | Ok None -> ())
+    results
 
 (* --- confidence: the array kernel against the id-keyed recursion --- *)
 
@@ -1179,36 +1430,13 @@ let ir_diff (a : Caseir.t) (b : Caseir.t) =
       ("ignorance", a.Caseir.ignorance = b.Caseir.ignorance);
       ("universal", a.Caseir.universal = b.Caseir.universal);
       ("propositional", a.Caseir.propositional = b.Caseir.propositional);
+      ("evidence", a.Caseir.evidence = b.Caseir.evidence);
       ( "structure",
-        Structure.nodes a.Caseir.structure = Structure.nodes b.Caseir.structure
-        && Structure.links a.Caseir.structure
-           = Structure.links b.Caseir.structure );
+        let a = Caseir.to_structure a and b = Caseir.to_structure b in
+        Structure.nodes a = Structure.nodes b
+        && Structure.links a = Structure.links b
+        && Structure.evidence a = Structure.evidence b );
     ]
-
-(* A store edit as the delta sees it, against the structure before the
-   edit ([Set_text] carries the rewritten payload). *)
-let ir_edit before = function
-  | Store.Set_text (id, text) ->
-      Option.map
-        (fun (n : Node.t) ->
-          Caseir.Set_node
-            (Node.make ~id ~node_type:n.Node.node_type ~status:n.Node.status
-               ?formal:n.Node.formal ~annotations:n.Node.annotations
-               ?evidence:n.Node.evidence text))
-        (Structure.find id before)
-  | Store.Add_node n -> Some (Caseir.Add_node n)
-  | Store.Remove_node id -> Some (Caseir.Remove_node id)
-  | Store.Link (k, a, b) -> Some (Caseir.Link (k, a, b))
-  | Store.Unlink (k, a, b) -> Some (Caseir.Unlink (k, a, b))
-
-(* Replay a batch on the structure and, edit by edit, translate it. *)
-let replay s batch =
-  List.fold_left
-    (fun (s, acc) e ->
-      let acc = match ir_edit s e with Some x -> x :: acc | None -> acc in
-      (shadow_edit s e, acc))
-    (s, []) batch
-  |> fun (s, acc) -> (s, List.rev acc)
 
 (* On the small random cases (dangling endpoints, cycles, re-added
    ids): whenever the delta accepts a batch, it must build the IR a
@@ -1220,10 +1448,27 @@ let apply_matches_intern =
       let _, _ =
         List.fold_left
           (fun (s, ir) batch ->
-            let s', edits = replay s batch in
-            match Caseir.apply ir s' edits with
-            | None -> (s', Caseir.intern s')
-            | Some (ir', _) -> (
+            (* A refused batch, and one outside the delta, leave the IR
+               as it was. *)
+            let untouched () =
+              match ir_diff ir (Caseir.intern s) with
+              | None -> (s, ir)
+              | Some field ->
+                  QCheck.Test.fail_reportf "the batch left the IR but moved %s" field
+            in
+            match (Caseir.apply ir batch, Caseir.replay s batch) with
+            | Error msg, Error msg' when msg = msg' -> untouched ()
+            | Ok None, Error _ -> untouched ()
+            | Error msg, _ ->
+                QCheck.Test.fail_reportf "apply refused (%s), replay did not"
+                  msg
+            | Ok _, Error msg ->
+                QCheck.Test.fail_reportf "replay refused (%s), apply did not"
+                  msg
+            | Ok None, Ok s' ->
+                ignore (untouched ());
+                (s', Caseir.intern s')
+            | Ok (Some (ir', _)), Ok s' -> (
                 match ir_diff ir' (Caseir.intern s') with
                 | None -> (s', ir')
                 | Some field ->
@@ -1231,6 +1476,26 @@ let apply_matches_intern =
           (s, Caseir.intern s) batches
       in
       true)
+
+(* The structure is a view of the IR: [to_structure] of an intern
+   gives back the nodes, links and evidence of the source in order —
+   dangling endpoints and repeated links in the generator's input
+   included — not only a [Structure.equal] case. *)
+let to_structure_inverts_intern =
+  QCheck.Test.make ~name:"Caseir.to_structure inverts intern (random)"
+    ~count:500
+    (QCheck.make
+       ~print:(fun s -> Format.asprintf "%a" Structure.pp_outline s)
+       QCheck.Gen.(oneof [ gen_structure; gen_support_graph ]))
+    (fun s ->
+      let s' = Caseir.to_structure (Caseir.intern s) in
+      if Structure.nodes s' <> Structure.nodes s then
+        QCheck.Test.fail_report "nodes differ"
+      else if Structure.links s' <> Structure.links s then
+        QCheck.Test.fail_report "links differ"
+      else if Structure.evidence s' <> Structure.evidence s then
+        QCheck.Test.fail_report "evidence differs"
+      else true)
 
 (* Tree-shaped cases as a live editor grows them: each node hangs off
    an earlier goal or strategy, so every link runs from earlier to
@@ -1376,11 +1641,12 @@ let fast_path_matches_fresh ~arena_capacity =
       let ir = ref (Caseir.intern s) and s = ref s in
       for b = 1 to 12 do
         let batch = tree_batch rand b !s in
-        let s', edits = replay !s batch in
+        let s' = List.fold_left shadow_edit !s batch in
         (* The delta on its own, against a fresh intern. *)
-        (match Caseir.apply !ir s' edits with
-        | None -> QCheck.Test.fail_reportf "batch %d fell outside the delta" b
-        | Some (ir', _) -> (
+        (match Caseir.apply !ir batch with
+        | Ok None | Error _ ->
+            QCheck.Test.fail_reportf "batch %d fell outside the delta" b
+        | Ok (Some (ir', _)) -> (
             ir := ir';
             match ir_diff ir' (Caseir.intern s') with
             | None -> ()
@@ -1609,6 +1875,7 @@ let () =
           QCheck_alcotest.to_alcotest text_batches_never_rebuild;
           Alcotest.test_case "closing and reopening a cycle takes the delta"
             `Quick test_cycle_close_reopen;
+          QCheck_alcotest.to_alcotest to_structure_inverts_intern;
         ] );
       ( "digest",
         [
@@ -1627,6 +1894,8 @@ let () =
           Alcotest.test_case "verdict memoization" `Quick test_memoization;
           Alcotest.test_case "a patch re-checks its cone" `Quick
             test_patch_rechecks_cone;
+          Alcotest.test_case "a patch's undo restores the case it displaced"
+            `Quick test_undo_restores_displaced;
         ] );
       ( "concurrency",
         [
@@ -1660,6 +1929,10 @@ let () =
             (durable_differential 8);
           Alcotest.test_case "refused put leaves no trace" `Quick
             test_refused_put_leaves_no_trace;
+          Alcotest.test_case "refused patch rolls back (text and shape)"
+            `Quick test_refused_patch_rolls_back;
+          Alcotest.test_case "a format-2 data dir from an earlier build recovers"
+            `Quick test_golden_format2_recovers;
           Alcotest.test_case "format-1 data dir refused" `Quick
             test_format_1_refused;
           Alcotest.test_case "concurrent puts echo their own seq" `Quick
