@@ -1347,12 +1347,11 @@ let top_cmd =
       then
         Format.printf
           "store: nodes %d   node-hits %.0f   reused-verdicts %.0f   \
-           dirty-cone %.0f   shape-rebuilds %.0f@."
+           dirty-cone %.0f@."
           store_nodes
           (counter "store.node_hits")
           (counter "store.reused_verdicts")
-          (counter "store.dirty_cone")
-          (counter "store.shape_rebuilds");
+          (counter "store.dirty_cone");
       let breakers = obj "breakers" in
       if breakers <> [] then begin
         Format.printf "@.breakers:";

@@ -31,16 +31,19 @@
    the IR also carries the evidence table and [to_structure] builds
    the structure back on demand.  [intern] takes an optional [?derive]
    hook so a caller can hash-cons the text derivations across cases —
-   re-interning a patched structure then skips the text scan for every
-   node payload already seen.  And [apply] validates and replays an
-   edit batch (set-text, add, remove, link, unlink) on an existing IR.
+   re-interning a structure then skips the text scan for every node
+   payload already seen.  And [apply] validates and applies any edit
+   batch (set-text, add, remove, link, unlink) to an existing IR.
    A batch that only sets texts writes the node and text arrays in
    place and leaves the graph half alone, so a one-node text edit
-   costs one derivation.  Any other batch rebuilds the link
-   arrays, the CSRs, roots and reachability over the integers,
-   compacts the per-node arrays through an old-to-new index map, and
-   derives text only for the payloads the batch sets or adds — the
-   same IR a fresh [intern] would build, without one. *)
+   costs one derivation.  Any other batch rebuilds the link arrays,
+   the CSRs, roots and reachability over the integers, numbers the
+   dangling endpoints in one scan of the new links, compacts the
+   per-node arrays through an old-to-new index map, and derives text
+   only for the payloads the batch sets or adds — the same IR a fresh
+   [intern] would build, without one.  The reference semantics it
+   follows is a replay of the batch on the structure, kept with the
+   tests (test/oracle). *)
 
 module Id = Argus_core.Id
 module Evidence = Argus_core.Evidence
@@ -421,7 +424,7 @@ let to_structure ir =
    payload content the derivations read (type and text) — the
    derivation half of hash-consing a node.  Re-interning a structure
    whose payloads were seen before (the modular checker's per-module
-   passes, the store's shape-edit rebuilds) skips the text analysis
+   passes) skips the text analysis
    entirely; for a small module that analysis is ~90% of the intern
    cost.  FIFO eviction keeps the table bounded, and evicting never
    changes a result — a miss just re-derives.  [ir.derive_hits]
@@ -466,7 +469,6 @@ type edit =
   | Link of Structure.link * Id.t * Id.t
   | Unlink of Structure.link * Id.t * Id.t
 
-exception Outside
 exception Bad of string
 
 type extra_link = {
@@ -477,56 +479,65 @@ type extra_link = {
 }
 
 (* A [Set_text] or [Remove_node] names a node of the case, as it stands
-   at that point of the batch, or the whole batch is refused — with the
-   message a replay on the structure gives. *)
-let refusal what id = Printf.sprintf "%s: no node %s" what (Id.to_string id)
-let bad what id = raise_notrace (Bad (refusal what id))
+   at that point of the batch, or the whole batch is refused. *)
+let bad what id =
+  raise_notrace (Bad (Printf.sprintf "%s: no node %s" what (Id.to_string id)))
 
-(* Replay a shape batch on the integer arrays.  Entities keep their old
-   index while the batch runs; the k-th added node is [n_entities + k].
-   Links are an old-link liveness mask plus the appended links, which
-   is exactly [Structure.connect]'s append and [disconnect]'s filter.
-   At the end live entities are renumbered the way [intern] would
-   number them — surviving nodes in order, then added nodes in
-   insertion order, then the dangling endpoints — the node-indexed
-   arrays are compacted (in place when the node count is unchanged,
-   untouched when no node came or went) and the graph half is rebuilt
-   from the new link arrays.
+(* Replay a shape batch on the integer arrays.  The working entities
+   are the old entity indices, then from [e0] on one per id the case
+   does not name (or names as a node the batch removed): an added node
+   or a new link endpoint.  An [Add_node] on a node replaces its
+   payload in place; on any other id it appends a node, and a dangling
+   endpoint it promotes keeps its links.  Links are an old-link
+   liveness mask plus the appended links, which is exactly
+   [Structure.connect]'s append and [disconnect]'s filter.
 
-   A dangling endpoint is numbered by where the link scan first meets
-   it, so any edit that adds or drops a link touching one (or promotes
-   one to a node) could reorder them: such a batch is [Outside] the
-   delta, and so is an [Add_node] naming an id the case already
-   mentions (a payload replacement).  Both raise before anything is
-   written, and so does a [Bad] edit. *)
+   At the end the entities are numbered the way [intern] numbers them:
+   surviving old nodes in order, then the appended nodes in the order
+   of their last append, then the dangling endpoints as one scan of the
+   final link arrays first meets them, source before target.  The
+   node-indexed arrays are compacted (in place when the node count is
+   unchanged, untouched when no node came or went) and the graph half
+   is rebuilt from the new link arrays.  A [Bad] edit raises before
+   anything is written. *)
 let reshape ir edits =
   let n0 = ir.n_nodes and e0 = ir.n_entities in
   let m0 = Array.length ir.link_kind in
   let dead = Bytes.make (max 1 n0) '\000' in
   let old_live = Bytes.make (max 1 m0) '\001' in
-  (* Working entity to its new payload: set nodes and live added ones. *)
+  (* Working entity to its new payload: set nodes and appended ones. *)
   let payload = Hashtbl.create 8 in
-  let added = Hashtbl.create 8 in
-  let added_order = ref [] in
+  (* Appended node to the step of its last append. *)
+  let appended = Hashtbl.create 8 in
+  (* The ids of the working entities from [e0] on, both ways. *)
+  let fresh = Hashtbl.create 8 in
+  let fresh_ids = Hashtbl.create 8 in
   let next = ref e0 in
   let extra = ref [] in
-  let dangling w = w >= n0 && w < e0 in
+  let is_node w =
+    (w < n0 && Bytes.get dead w = '\000') || Hashtbl.mem appended w
+  in
   let find id =
     let key = Id.to_string id in
-    match Hashtbl.find_opt added key with
+    match Hashtbl.find_opt fresh key with
     | Some _ as w -> w
     | None -> (
         match Hashtbl.find_opt ir.index key with
         | Some i when i >= n0 || Bytes.get dead i = '\000' -> Some i
         | _ -> None)
   in
-  let node id =
+  let entity id =
     match find id with
-    | Some w when not (dangling w) -> w
-    | _ -> raise_notrace Outside
+    | Some w -> w
+    | None ->
+        let w = !next in
+        incr next;
+        Hashtbl.replace fresh (Id.to_string id) w;
+        Hashtbl.replace fresh_ids w id;
+        w
   in
-  let live what id =
-    match find id with Some w when not (dangling w) -> w | _ -> bad what id
+  let node what id =
+    match find id with Some w when is_node w -> w | _ -> bad what id
   in
   (* The live old link [kind s -> d], or [-1]; then the appended one. *)
   let old_link kind s d =
@@ -547,9 +558,9 @@ let reshape ir edits =
       (fun l -> l.live && l.kind = kind && l.src = s && l.dst = d)
       !extra
   in
-  let step = function
+  let step at = function
     | Set_text (id, text) ->
-        let w = live "set-text" id in
+        let w = node "set-text" id in
         let n =
           match Hashtbl.find_opt payload w with
           | Some n -> n
@@ -557,200 +568,185 @@ let reshape ir edits =
         in
         Hashtbl.replace payload w { n with Node.text }
     | Add_node n ->
-        if find n.Node.id <> None then raise_notrace Outside;
-        let w = !next in
-        incr next;
-        Hashtbl.replace added (Id.to_string n.Node.id) w;
-        Hashtbl.replace payload w n;
-        added_order := w :: !added_order
+        let w = entity n.Node.id in
+        if not (is_node w) then Hashtbl.replace appended w at;
+        Hashtbl.replace payload w n
     | Remove_node id ->
-        let w = live "remove-node" id in
-        if w < n0 then Bytes.set dead w '\001'
-        else Hashtbl.remove added (Id.to_string id);
+        let w = node "remove-node" id in
+        if w < n0 then Bytes.set dead w '\001' else Hashtbl.remove appended w;
         Hashtbl.remove payload w;
-        let touches s d =
-          (s = w || d = w)
-          && (if dangling s || dangling d then raise_notrace Outside;
-              true)
-        in
         for k = 0 to m0 - 1 do
-          if
-            Bytes.get old_live k = '\001'
-            && touches ir.link_src.(k) ir.link_dst.(k)
-          then Bytes.set old_live k '\000'
+          if ir.link_src.(k) = w || ir.link_dst.(k) = w then
+            Bytes.set old_live k '\000'
         done;
         List.iter
-          (fun l -> if l.live && touches l.src l.dst then l.live <- false)
+          (fun l -> if l.src = w || l.dst = w then l.live <- false)
           !extra
     | Link (kind, src, dst) ->
-        let s = node src and d = node dst in
+        let s = entity src and d = entity dst in
         if old_link kind s d < 0 && extra_link kind s d = None then
           extra := { kind; src = s; dst = d; live = true } :: !extra
     | Unlink (kind, src, dst) -> (
         match (find src, find dst) with
         | Some s, Some d ->
-            if dangling s || dangling d then raise_notrace Outside;
             let k = old_link kind s d in
             if k >= 0 then Bytes.set old_live k '\000'
             else Option.iter (fun l -> l.live <- false) (extra_link kind s d)
         | _ -> ())
   in
-  match List.iter step edits with
-  | exception Outside -> None
-  | () ->
-      (* Renumber: surviving nodes, then live added nodes, then the
-         dangling endpoints shifted by the change in node count. *)
-      let map = Array.make (max 1 e0) (-1) in
-      let kept = ref 0 in
+  List.iteri step edits;
+  (* Number the nodes: surviving old ones, then the appended ones. *)
+  let num = Array.make (max 1 !next) (-1) in
+  let kept = ref 0 in
+  for i = 0 to n0 - 1 do
+    if Bytes.get dead i = '\000' then begin
+      num.(i) <- !kept;
+      incr kept
+    end
+  done;
+  let kept = !kept in
+  let fresh_nodes =
+    Hashtbl.fold (fun w k acc -> (k, w) :: acc) appended []
+    |> List.sort compare |> List.map snd
+  in
+  List.iteri (fun k w -> num.(w) <- kept + k) fresh_nodes;
+  let n = kept + List.length fresh_nodes in
+  (* Node-indexed arrays compact downwards (new index <= old): in
+     place when the length holds, ascending, so every cell is read
+     before it is overwritten; untouched when no node came or went.
+     The cells of appended nodes and of set payloads are then written
+     from the payloads. *)
+  let identity = kept = n0 && fresh_nodes = [] in
+  let compact old x =
+    if identity then old
+    else begin
+      let a = reuse (Some old) (max 1 n) x in
       for i = 0 to n0 - 1 do
-        if Bytes.get dead i = '\000' then begin
-          map.(i) <- !kept;
-          incr kept
-        end
+        if num.(i) >= 0 then a.(num.(i)) <- old.(i)
       done;
-      let kept = !kept in
-      let fresh =
-        List.filter (fun w -> Hashtbl.mem payload w) (List.rev !added_order)
-      in
-      let n = kept + List.length fresh in
-      let shift = n - n0 in
-      for i = n0 to e0 - 1 do
-        map.(i) <- i + shift
-      done;
-      let n_entities = e0 + shift in
-      let renum w =
-        if w < e0 then map.(w)
+      a
+    end
+  in
+  let nodes =
+    if identity then ir.nodes
+    else if n = 0 then [||]
+    else begin
+      let a =
+        if n = n0 then ir.nodes
         else
-          let rec pos j = function
-            | [] -> assert false
-            | w' :: rest -> if w' = w then j else pos (j + 1) rest
-          in
-          pos kept fresh
+          Array.make n
+            (if n0 > 0 then ir.nodes.(0)
+             else Hashtbl.find payload (List.hd fresh_nodes))
       in
-      (* Node-indexed arrays compact downwards (new index <= old): in
-         place when the length holds, ascending, so every cell is read
-         before it is overwritten; untouched when no node came or went.
-         The cells of added nodes and of set payloads are then written
-         from the payloads. *)
-      let identity = kept = n0 && fresh = [] in
-      let compact old x =
-        if identity then old
-        else begin
-          let a = reuse (Some old) (max 1 n) x in
-          for i = 0 to n0 - 1 do
-            if map.(i) >= 0 then a.(map.(i)) <- old.(i)
-          done;
-          a
-        end
-      in
-      let nodes =
-        if identity then ir.nodes
-        else if n = 0 then [||]
-        else begin
-          let a =
-            if n = n0 then ir.nodes
-            else
-              Array.make n
-                (if n0 > 0 then ir.nodes.(0)
-                 else Hashtbl.find payload (List.hd fresh))
-          in
-          for i = 0 to n0 - 1 do
-            if map.(i) >= 0 then a.(map.(i)) <- ir.nodes.(i)
-          done;
-          a
-        end
-      in
-      (* The entity table is updated in place, only where an index
-         moved — before [ids], which may reuse [ir.ids], is rewritten. *)
-      let index = ir.index in
-      for i = 0 to e0 - 1 do
-        let j = map.(i) in
-        if j <> i then
-          let key = Id.to_string ir.ids.(i) in
-          if j < 0 then Hashtbl.remove index key
-          else Hashtbl.replace index key j
+      for i = 0 to n0 - 1 do
+        if num.(i) >= 0 then a.(num.(i)) <- ir.nodes.(i)
       done;
-      let ids = reuse (Some ir.ids) (max 1 n_entities) (Id.of_string "x") in
-      let c =
-        {
-          c_goal_like = compact ir.goal_like false;
-          c_norm = compact ir.norm "";
-          c_claim = compact ir.claim 0;
-          c_content = compact ir.content [||];
-          c_content_hash = compact ir.content_hash [||];
-          c_ignorance = compact ir.ignorance false;
-          c_universal = compact ir.universal false;
-          c_propositional = compact ir.propositional true;
-        }
-      in
-      if n = 0 then set_columns c 0 blank;
-      Hashtbl.iter
-        (fun w nd ->
-          let j = renum w in
-          nodes.(j) <- nd;
-          set_columns c j (derive nd))
-        payload;
-      if not identity then
-        for j = 0 to n - 1 do
-          ids.(j) <- nodes.(j).Node.id
-        done;
-      (* [ids] is only reused when the entity count holds, and then the
-         dangling endpoints stay put. *)
-      if shift <> 0 then
-        for i = n0 to e0 - 1 do
-          ids.(i + shift) <- ir.ids.(i)
-        done;
-      if n_entities = 0 then ids.(0) <- Id.of_string "x";
-      (* Links: live old links in order, then live appended ones. *)
-      let appended = List.rev (List.filter (fun l -> l.live) !extra) in
-      let m = ref (List.length appended) in
-      for k = 0 to m0 - 1 do
-        if Bytes.get old_live k = '\001' then incr m
-      done;
-      let m = !m in
-      let link_kind = reuse (Some ir.link_kind) m Structure.Supported_by in
-      let link_src = reuse (Some ir.link_src) m 0 in
-      let link_dst = reuse (Some ir.link_dst) m 0 in
-      let k' = ref 0 in
-      let push kind s d =
-        link_kind.(!k') <- kind;
-        link_src.(!k') <- renum s;
-        link_dst.(!k') <- renum d;
-        incr k'
-      in
-      for k = 0 to m0 - 1 do
-        if Bytes.get old_live k = '\001' then
-          push ir.link_kind.(k) ir.link_src.(k) ir.link_dst.(k)
-      done;
-      List.iter (fun l -> push l.kind l.src l.dst) appended;
-      List.iteri
-        (fun k _ ->
-          let j = kept + k in
-          Hashtbl.replace index (Id.to_string nodes.(j).Node.id) j)
-        fresh;
-      Some
-        ( make ~into:ir ~evidence:ir.evidence ~evidence_index:ir.evidence_index
-            ~index ~ids ~nodes ~n_entities ~columns:c link_kind link_src
-            link_dst,
-          Some map )
+      a
+    end
+  in
+  let c =
+    {
+      c_goal_like = compact ir.goal_like false;
+      c_norm = compact ir.norm "";
+      c_claim = compact ir.claim 0;
+      c_content = compact ir.content [||];
+      c_content_hash = compact ir.content_hash [||];
+      c_ignorance = compact ir.ignorance false;
+      c_universal = compact ir.universal false;
+      c_propositional = compact ir.propositional true;
+    }
+  in
+  if n = 0 then set_columns c 0 blank;
+  Hashtbl.iter
+    (fun w nd ->
+      nodes.(num.(w)) <- nd;
+      set_columns c num.(w) (derive nd))
+    payload;
+  (* Links: live old links in order, then live appended ones.  Writing
+     them is the one scan that numbers the dangling endpoints as first
+     met, source before target; their ids are collected before [ids],
+     which may reuse [ir.ids], is rewritten. *)
+  let appended_links = List.rev (List.filter (fun l -> l.live) !extra) in
+  let m = ref (List.length appended_links) in
+  for k = 0 to m0 - 1 do
+    if Bytes.get old_live k = '\001' then incr m
+  done;
+  let m = !m in
+  let link_kind = reuse (Some ir.link_kind) m Structure.Supported_by in
+  let link_src = reuse (Some ir.link_src) m 0 in
+  let link_dst = reuse (Some ir.link_dst) m 0 in
+  let n_entities = ref n and dangling = ref [] in
+  let number w =
+    let j = num.(w) in
+    if j >= 0 then j
+    else begin
+      let j = !n_entities in
+      num.(w) <- j;
+      n_entities := j + 1;
+      dangling :=
+        (if w < e0 then ir.ids.(w) else Hashtbl.find fresh_ids w) :: !dangling;
+      j
+    end
+  in
+  let k' = ref 0 in
+  let push kind s d =
+    link_kind.(!k') <- kind;
+    link_src.(!k') <- number s;
+    link_dst.(!k') <- number d;
+    incr k'
+  in
+  for k = 0 to m0 - 1 do
+    if Bytes.get old_live k = '\001' then
+      push ir.link_kind.(k) ir.link_src.(k) ir.link_dst.(k)
+  done;
+  List.iter (fun l -> push l.kind l.src l.dst) appended_links;
+  let n_entities = !n_entities in
+  (* The entity table is updated in place, only where an index moved
+     or an id came or went. *)
+  let index = ir.index in
+  for i = 0 to e0 - 1 do
+    let j = num.(i) in
+    if j <> i then
+      let key = Id.to_string ir.ids.(i) in
+      if j < 0 then Hashtbl.remove index key else Hashtbl.replace index key j
+  done;
+  Hashtbl.iter
+    (fun w id ->
+      if num.(w) >= 0 then Hashtbl.replace index (Id.to_string id) num.(w))
+    fresh_ids;
+  let ids = reuse (Some ir.ids) (max 1 n_entities) (Id.of_string "x") in
+  if (not identity) || ids != ir.ids then
+    for j = 0 to n - 1 do
+      ids.(j) <- nodes.(j).Node.id
+    done;
+  List.iteri (fun k id -> ids.(n_entities - 1 - k) <- id) !dangling;
+  if n_entities = 0 then ids.(0) <- Id.of_string "x";
+  ( make ~into:ir ~evidence:ir.evidence ~evidence_index:ir.evidence_index
+      ~index ~ids ~nodes ~n_entities ~columns:c link_kind link_src link_dst,
+    Some num )
 
 (* A batch of [Set_text]s keeps every node's type, so it moves no
    index and leaves the graph as it is: once every id is found to name
    a node, the nodes and text columns are written in place.  Every
-   other batch is [reshape]d: the edits are met in order, so its first
-   shape edit sends it there before a later id is looked up here. *)
+   other batch is [reshape]d. *)
 let apply ir edits =
-  let in_place = function
-    | Set_text (id, text) -> (
-        match entity_index ir id with
-        | Some i when i < ir.n_nodes -> (i, text)
-        | _ -> bad "set-text" id)
-    | _ -> raise_notrace Outside
+  let rec texts acc = function
+    | [] -> Some (List.rev acc)
+    | Set_text (id, text) :: rest -> texts ((id, text) :: acc) rest
+    | _ -> None
   in
   match
-    match List.map in_place edits with
-    | exception Outside -> reshape ir edits
-    | sets ->
+    match texts [] edits with
+    | None -> reshape ir edits
+    | Some sets ->
+        let sets =
+          List.map
+            (fun (id, text) ->
+              match entity_index ir id with
+              | Some i when i < ir.n_nodes -> (i, text)
+              | _ -> bad "set-text" id)
+            sets
+        in
         let c =
           {
             c_goal_like = ir.goal_like;
@@ -769,31 +765,10 @@ let apply ir edits =
             ir.nodes.(i) <- n;
             set_columns c i (derive n))
           sets;
-        Some (ir, None)
+        (ir, None)
   with
   | delta -> Ok delta
   | exception Bad msg -> Error msg
-
-(* The same batch on the structure, the reference semantics [apply]
-   follows: a [Set_text] or [Remove_node] on a missing node refuses
-   the whole batch. *)
-let replay structure edits =
-  let rec go s = function
-    | [] -> Ok s
-    | Set_text (id, text) :: rest -> (
-        match Structure.find id s with
-        | None -> Error (refusal "set-text" id)
-        | Some n -> go (Structure.add_node { n with Node.text } s) rest)
-    | Add_node n :: rest -> go (Structure.add_node n s) rest
-    | Remove_node id :: rest ->
-        if Structure.mem id s then go (Structure.remove_node id s) rest
-        else Error (refusal "remove-node" id)
-    | Link (kind, src, dst) :: rest ->
-        go (Structure.connect kind ~src ~dst s) rest
-    | Unlink (kind, src, dst) :: rest ->
-        go (Structure.disconnect kind ~src ~dst s) rest
-  in
-  go structure edits
 
 (* The cycle search over entity indices: DFS from each node entity in
    insertion order, children in link order, the recursion stack as the

@@ -22,7 +22,7 @@
 
     For the incremental store (lib/store) the IR is the one live copy
     of a stored case: it carries the case's evidence table, {!apply}
-    validates and replays an edit batch on it without re-interning
+    validates and applies every edit batch to it without re-interning
     ([ir.interned] does not move) — in place for a text-only batch,
     over the integer arrays for any other — and {!to_structure} builds
     the {!Argus_gsn.Structure.t} back on demand.  [intern] accepts a
@@ -160,7 +160,9 @@ type edit =
       (** Replace a node's text, keeping its type, status, annotations,
           formal rendering and evidence citation. *)
   | Add_node of Argus_gsn.Node.t
-      (** Append a node; on an id already present, replace its payload. *)
+      (** Append a node; on a node already present, replace its payload
+          in place.  A dangling endpoint it names becomes a node, and
+          the links to and from it stay. *)
   | Remove_node of Argus_core.Id.t
       (** Drop a node and every link touching it. *)
   | Link of Argus_gsn.Structure.link * Argus_core.Id.t * Argus_core.Id.t
@@ -169,46 +171,39 @@ type edit =
   | Unlink of Argus_gsn.Structure.link * Argus_core.Id.t * Argus_core.Id.t
       (** Drop the link if present. *)
 (** One step of an edit batch, with {!Argus_gsn.Structure}'s semantics
-    for the same operation.  The store's wire and WAL edit type: its
-    constructors, their order and their argument types are the
-    Marshal layout of logged patches, so they must not change. *)
+    for the same operation (the reference replay on the structure is
+    kept with the tests, in test/oracle).  The store's wire and WAL
+    edit type: its constructors, their order and their argument types
+    are the Marshal layout of logged patches, so they must not
+    change. *)
 
-val apply :
-  t -> edit list -> ((t * int array option) option, string) result
-(** [apply ir edits] validates [edits] and replays them in order on
-    [ir], without a re-intern: [Ok (Some (ir', map))] is equal field by
-    field to [intern] of the edited structure ([index] by bindings).
+val apply : t -> edit list -> (t * int array option, string) result
+(** [apply ir edits] validates [edits] and applies them in order to
+    [ir], without a re-intern: [Ok (ir', map)] is equal field by field
+    to [intern] of the edited structure ([index] by bindings), for
+    every batch, dangling endpoints, cycles and re-added ids included.
     [ir.interned] does not move, and {!derive} runs only on the
     payloads the batch sets or adds.
 
     [Error msg], with [ir] untouched, when a [Set_text] or
     [Remove_node] names no node of the case as it stands at that point
     of the batch: ["set-text: no node ID"] or ["remove-node: no node
-    ID"], the refusal a replay on the structure gives.
+    ID"].
 
     A batch of [Set_text]s only (the empty batch included) is written
     in place: the nodes and text columns change, no index moves and the
     graph half (CSRs, [roots], [reachable]) is unchanged, and [map] is
     [None].  Any other batch rebuilds the link arrays, the CSRs,
     [roots] and [reachable] over the integers and carries every other
-    node's text columns over; [map] maps each old entity index to its
-    new one, [-1] for a removed node.
+    node's text columns over; [map] maps each old entity index
+    [i < ir.n_entities] to its new one, [-1] for a removed node or a
+    dangling endpoint no link names any more.  A surviving node only
+    moves down ([map.(i) <= i] for [i < ir.n_nodes]), and a node the
+    batch removes and adds back counts as removed.
 
-    [Ok None], with [ir] untouched, when the batch is outside the delta
-    (met before any refused edit): a [Link] names a node that is not
-    there (or a dangling endpoint), an edit adds or drops a link
-    touching a dangling endpoint, or an [Add_node] names an id the case
-    already mentions.  The caller replays such a batch on
-    {!to_structure}, which also finds any later refused edit.  On
-    [Ok (Some _)], [ir]'s arrays and entity table have been reused and
+    On [Ok _], [ir]'s arrays and entity table have been reused and
     [ir] must not be used afterwards — except its [roots] and
     [reachable], which the result never overwrites. *)
-
-val replay :
-  Argus_gsn.Structure.t -> edit list -> (Argus_gsn.Structure.t, string) result
-(** The batch replayed on a structure, with {!apply}'s refusals: the
-    reference semantics {!apply} follows, and the replay a caller
-    rebuilds from when {!apply} answers [Ok None]. *)
 
 val has_cycle : t -> Argus_core.Id.t list option
 (** A SupportedBy cycle as a witness id list, if any: DFS from each

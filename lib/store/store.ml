@@ -10,21 +10,21 @@
 
    A stored case is its interned IR and nothing else: the IR carries
    the evidence table, and a [Structure.t] is built from it only on
-   demand ({!Caseir.to_structure}: [case], [cases], the fallback's
-   replay, a shape patch's undo).  There is one edit type,
-   {!Caseir.edit}, and each edit is applied once: {!Caseir.apply}
-   validates a batch and applies it to the IR in one pass.  A text
-   batch writes the IR's node and text arrays in place and leaves the
-   graph alone, a shape batch (add, remove, link, unlink) rebuilds only
+   demand ({!Caseir.to_structure}: [case], [cases], a shape patch's
+   undo).  There is one edit type, {!Caseir.edit}, and one patch path:
+   {!Caseir.apply} validates every batch and applies it to the IR in
+   one pass.  A text batch writes the IR's node and text arrays in
+   place and leaves the graph alone, a shape batch (add, remove, link,
+   unlink; dangling endpoints and re-sent nodes included) rebuilds only
    the integer adjacency arrays, so an edit costs at most linear
    integer work plus its cone, never a re-intern or a re-digest of the
-   whole case.  A full rebuild is the one fallback.  Two layers of
-   reuse sit under it:
+   whole case.  A full build runs only for a [put] (and a shape
+   patch's undo).  Two layers of reuse sit under it:
 
    - {e Node arena.}  Per-payload text derivations (content words,
      the claim key, the universal/propositional/ignorance predicates)
      are hash-consed in a bounded table keyed by payload digest, so a
-     [rebuild] (a [put], or the fallback of a patch) skips the text
+     [rebuild] (a [put], or a shape patch's undo) skips the text
      analysis for every payload seen before ([store.node_hits] counts
      hits).  A patch derives the payloads it sets or adds directly,
      without the arena: an edited text is almost always new, so filing
@@ -37,11 +37,13 @@
      two structurally equal cases get one digest no matter the
      insertion order.  The scheme is defined on every graph, cyclic or
      not, and an edit recomputes only the terms of the nodes whose
-     payload or out-links it changed.
+     payload or out-links it changed, plus, on a shape edit of a case
+     with dangling endpoints, the link terms of the dangling sources.
 
    Each case keeps its per-node well-formedness findings and per-node
    lints.  A [rebuild] computes them for every node; a patch recomputes
-   them only over the findings cone of its edits — the nodes whose
+   them only over the findings cone of its edits (every node when it
+   makes the case gain or lose its last root) — the nodes whose
    findings read what the batch changed, as
    {!Argus_ir.Fused.node_findings} and
    {!Argus_ir.Fused.node_lint_findings} document their inputs.
@@ -104,7 +106,6 @@ type verdict = {
 let c_node_hits = Counter.make "store.node_hits"
 let c_reused = Counter.make "store.reused_verdicts"
 let c_dirty = Counter.make "store.dirty_cone"
-let c_shape_rebuilds = Counter.make "store.shape_rebuilds"
 let g_nodes = Gauge.make "store.nodes"
 
 let default_trust (_ : Evidence.t) = 0.9
@@ -121,6 +122,8 @@ type case_state = {
      anything. *)
   mutable elem : string array;
       (** Per node: its term in the case-digest sum. *)
+  mutable dangling : string;
+      (** The sum of the link terms of dangling sources. *)
   mutable sum : Bytes.t;  (** Rolling 128-bit sum of all terms. *)
   mutable digest : string;
   mutable wf_node : Diagnostic.t list array;
@@ -242,9 +245,21 @@ let zero_term = String.make 16 '\000'
 let render_digest sum =
   Digest.to_hex (Digest.string ("T" ^ Bytes.to_string sum))
 
-(* Full digest state of an IR: the per-node terms, their sum with the
-   link terms of dangling sources (which have no node term to carry
-   their out-links) and the evidence terms, and the case digest. *)
+(* The sum of the link terms of dangling sources, which have no node
+   term to carry their out-links. *)
+let dangling_terms (ir : Caseir.t) =
+  let sum = sum_zero () in
+  for k = 0 to Array.length ir.Caseir.link_kind - 1 do
+    let si = ir.Caseir.link_src.(k) in
+    if si >= ir.Caseir.n_nodes then
+      sum_add sum
+        (link_digest ir.Caseir.link_kind.(k) ir.Caseir.ids.(si)
+           ir.Caseir.ids.(ir.Caseir.link_dst.(k)))
+  done;
+  Bytes.to_string sum
+
+(* Full digest state of an IR: the per-node terms, the dangling link
+   terms, their sum with the evidence terms, and the case digest. *)
 let digest_state (ir : Caseir.t) =
   let n = ir.Caseir.n_nodes in
   let elem = Array.make (max 1 n) zero_term in
@@ -253,18 +268,13 @@ let digest_state (ir : Caseir.t) =
     elem.(i) <- node_term ir i;
     sum_add sum elem.(i)
   done;
-  for k = 0 to Array.length ir.Caseir.link_kind - 1 do
-    let si = ir.Caseir.link_src.(k) in
-    if si >= n then
-      sum_add sum
-        (link_digest ir.Caseir.link_kind.(k) ir.Caseir.ids.(si)
-           ir.Caseir.ids.(ir.Caseir.link_dst.(k)))
-  done;
+  let dangling = dangling_terms ir in
+  sum_add sum dangling;
   Array.iter (fun ev -> sum_add sum (evidence_digest ev)) ir.Caseir.evidence;
-  (elem, sum, render_digest sum)
+  (elem, dangling, sum, render_digest sum)
 
 let digest_of structure =
-  let _, _, digest = digest_state (Caseir.intern structure) in
+  let _, _, _, digest = digest_state (Caseir.intern structure) in
   digest
 
 (* --- per-node verdicts --- *)
@@ -286,17 +296,18 @@ let build_ctx_in (ir : Caseir.t) =
     ir.Caseir.link_kind;
   ctx_in
 
-(* Full (re)build of the case state from an IR: digests, per-node
-   verdicts and the link/shape findings, every node checked.  The one
-   reference path: [put] runs it on a fresh intern, and a patch falls
-   back to it ([store.shape_rebuilds]) only when [delta] does not
-   apply. *)
-let recompute st ir =
+(* Full build of the case state: an intern through the arena, digests,
+   per-node verdicts and the link/shape findings, every node checked.
+   Only a [put] (and a shape patch's undo, a re-put) runs it; every
+   patch takes [delta]. *)
+let rebuild store st structure =
+  let ir = Caseir.intern ~derive:(arena_derive store) structure in
   let n = ir.Caseir.n_nodes in
   st.ir <- ir;
   st.ctx_in <- build_ctx_in ir;
-  let elem, sum, digest = digest_state ir in
+  let elem, dangling, sum, digest = digest_state ir in
   st.elem <- elem;
+  st.dangling <- dangling;
   st.sum <- sum;
   st.digest <- digest;
   st.wf_node <- Array.make (max 1 n) [];
@@ -309,16 +320,13 @@ let recompute st ir =
   st.cached <- None;
   st.conf <- None
 
-(* Intern through the arena, then recompute. *)
-let rebuild store st structure =
-  recompute st (Caseir.intern ~derive:(arena_derive store) structure)
-
 let fresh_state ruleset =
   {
     ruleset;
     ir = Caseir.intern Structure.empty;
     ctx_in = [||];
     elem = [||];
+    dangling = zero_term;
     sum = sum_zero ();
     digest = "";
     wf_node = [||];
@@ -421,42 +429,43 @@ let findings_cone st i =
   done;
   !acc
 
-(* An edit batch without a rebuild.  [Caseir.apply] validates it and
-   replays it on the IR, deriving the set or added payloads without the
-   arena.  The
-   batch's seeds are every node it set, added or linked to or from, and
-   the old neighbours of every removed node.  Per-node verdicts are
-   recomputed over the findings cone of the seeds, and node terms over
-   the seeds themselves: a term reads only its node's payload and
-   out-links, and every node whose payload or out-links the batch
-   changed is a seed (a removed node's SupportedBy and InContextOf
-   sources lose an out-link naming it, which is why [ctx_in] is kept).
+(* Apply an edit batch to the case.  [Caseir.apply] validates it and
+   applies it to the IR, deriving the set or added payloads without the
+   arena.  The batch's seeds are every node it set, added or linked to
+   or from, and the old neighbours of every entity it removed (a
+   dangling endpoint the batch promoted and then removed included).
+   Per-node verdicts are recomputed over the findings cone of the
+   seeds, and node terms over the seeds themselves: a term reads only
+   its node's payload and out-links, and every node whose payload or
+   out-links the batch changed is a seed (a removed node's SupportedBy
+   and InContextOf sources lose an out-link naming it, which is why
+   [ctx_in] is kept).
 
    When the graph is unchanged (a text batch: [apply] moved no index)
    that is all.  Otherwise the per-node state here is first remapped
    through [apply]'s index map, the removed nodes' terms leave the sum,
-   every node whose reachability bit flipped joins the findings cone,
-   and the per-link and shape findings are recomputed in full.
+   the link terms of dangling sources are summed again when the case
+   had or has dangling endpoints, every node whose reachability bit
+   flipped joins the findings cone, and the per-link and shape findings
+   are recomputed in full.  A batch that makes the case gain or lose
+   its last root re-checks every node's findings, which read that bit;
+   digest terms do not read roots, so they still follow the seeds.
 
-   [Error] when [Caseir.apply] refuses the batch, [Ok false] (the
-   caller replays it on the structure and rebuilds) when it is outside
-   [Caseir.apply].  A batch that makes the case gain or lose its last
-   root (every node's findings read that bit) is recomputed in full
-   from the IR [Caseir.apply] built, with no re-intern; it counts as a
-   rebuild.  [Caseir.apply] consumes the old IR — it overwrites arrays
-   in place — so the removed nodes' neighbours are read before it runs.
-   It never overwrites the old [roots] and [reachable], which are read
-   after. *)
+   [Error] when [Caseir.apply] refuses the batch, with the case
+   untouched.  [Caseir.apply] consumes the old IR — it overwrites
+   arrays in place — so the removed entities' neighbours are read
+   before it runs.  It never overwrites the old [roots] and
+   [reachable], which are read after. *)
 let delta store st edits =
   let old = st.ir in
-  let n0 = old.Caseir.n_nodes in
-  (* Old neighbours of the removed nodes, as old entity indices. *)
+  let n0 = old.Caseir.n_nodes and e0 = old.Caseir.n_entities in
+  (* Old neighbours of the removed entities, as old entity indices. *)
   let orphans =
     List.concat_map
       (function
         | Remove_node id -> (
             match Caseir.entity_index old id with
-            | Some i when i < n0 ->
+            | Some i ->
                 let acc = ref st.ctx_in.(i) in
                 let each off dat =
                   for k = off.(i) to off.(i + 1) - 1 do
@@ -467,131 +476,122 @@ let delta store st edits =
                 each old.Caseir.sup_out_off old.Caseir.sup_out;
                 each old.Caseir.ctx_out_off old.Caseir.ctx_out;
                 !acc
-            | _ -> [])
+            | None -> [])
         | _ -> [])
       edits
   in
   match Caseir.apply old edits with
   | Error msg -> Error (Bad_edit msg)
-  | Ok None -> Ok false
-  | Ok (Some (ir, map)) ->
+  | Ok (ir, map) ->
       let n = ir.Caseir.n_nodes in
       let node id =
         match Caseir.entity_index ir id with
         | Some i when i < n -> [ i ]
         | _ -> []
       in
-      if (ir.Caseir.roots = []) <> (old.Caseir.roots = []) then begin
-        Counter.incr c_shape_rebuilds;
-        recompute st ir;
-        update_gauge store;
-        Ok true
-      end
-      else begin
-        let seeds =
-          List.concat_map
-            (function
-              | Set_text (id, _) -> node id
-              | Add_node nd -> node nd.Node.id
-              | Link (_, a, b) | Unlink (_, a, b) -> node a @ node b
-              | Remove_node _ -> [])
-            edits
-        in
-        let seeds, flipped =
-          match map with
-          | None -> (seeds, ISet.empty)
-          | Some map ->
-              (* Removed nodes leave the sum; the rest of the per-node
-                 state compacts downwards through the map — in place
-                 unless the array is too short, ascending, so every
-                 cell is read before it is overwritten. *)
-              let kept = ref 0 in
-              for i = 0 to n0 - 1 do
-                if map.(i) < 0 then sum_sub st.sum st.elem.(i) else incr kept
-              done;
-              let kept = !kept in
-              let identity = kept = n0 && n = n0 in
-              let remap fresh arr =
-                let arr' =
-                  if Array.length arr >= max 1 n then arr
-                  else Array.make (max 1 n + (n / 8)) fresh
-                in
-                for i = 0 to n0 - 1 do
-                  if map.(i) >= 0 then arr'.(map.(i)) <- arr.(i)
-                done;
-                (* The added nodes' cells. *)
-                for j = kept to n - 1 do
-                  arr'.(j) <- fresh
-                done;
-                arr'
+      let seeds =
+        List.concat_map
+          (function
+            | Set_text (id, _) -> node id
+            | Add_node nd -> node nd.Node.id
+            | Link (_, a, b) | Unlink (_, a, b) -> node a @ node b
+            | Remove_node _ -> [])
+          edits
+      in
+      let seeds, flipped =
+        match map with
+        | None -> (seeds, ISet.empty)
+        | Some map ->
+            (* Removed nodes leave the sum; the rest of the per-node
+               state compacts downwards through the map — in place
+               unless the array is too short, ascending, so every cell
+               is read before it is overwritten. *)
+            let kept = ref 0 in
+            for i = 0 to n0 - 1 do
+              if map.(i) < 0 then sum_sub st.sum st.elem.(i) else incr kept
+            done;
+            let kept = !kept in
+            let identity = kept = n0 && n = n0 in
+            let remap fresh arr =
+              let arr' =
+                if Array.length arr >= max 1 n then arr
+                else Array.make (max 1 n + (n / 8)) fresh
               in
-              if not identity then begin
-                st.elem <- remap zero_term st.elem;
-                st.wf_node <- remap [] st.wf_node;
-                st.inf_node <- remap [] st.inf_node
-              end;
-              if
-                (not identity)
-                || List.exists
-                     (function
-                       | Link (Structure.In_context_of, _, _)
-                       | Unlink (Structure.In_context_of, _, _) ->
-                           true
-                       | _ -> false)
-                     edits
-              then st.ctx_in <- build_ctx_in ir;
-              let flipped = ref ISet.empty in
               for i = 0 to n0 - 1 do
-                let j = map.(i) in
-                if j >= 0 && old.Caseir.reachable.(i) <> ir.Caseir.reachable.(j)
-                then flipped := ISet.add j !flipped
+                if map.(i) >= 0 then arr'.(map.(i)) <- arr.(i)
               done;
-              st.link_wf <- Fused.link_findings ~ruleset:st.ruleset ir;
-              st.shape_wf <- Fused.shape_findings ir;
-              (* Confidence reads the shape: recomputed at the next
-                 verdict. *)
-              st.conf <- None;
-              ( seeds
-                @ List.filter_map
-                    (fun i ->
-                      let j = map.(i) in
-                      if j >= 0 && j < n then Some j else None)
-                    orphans,
-                !flipped )
-        in
-        st.ir <- ir;
+              (* The added nodes' cells. *)
+              for j = kept to n - 1 do
+                arr'.(j) <- fresh
+              done;
+              arr'
+            in
+            if not identity then begin
+              st.elem <- remap zero_term st.elem;
+              st.wf_node <- remap [] st.wf_node;
+              st.inf_node <- remap [] st.inf_node
+            end;
+            (* Without a dangling endpoint before or after, the
+               entities are the nodes: [ctx_in]'s indices hold unless a
+               node came or went. *)
+            let dangling = e0 > n0 || ir.Caseir.n_entities > n in
+            if dangling then begin
+              sum_sub st.sum st.dangling;
+              st.dangling <- dangling_terms ir;
+              sum_add st.sum st.dangling
+            end;
+            if
+              (not identity) || dangling
+              || List.exists
+                   (function
+                     | Link (Structure.In_context_of, _, _)
+                     | Unlink (Structure.In_context_of, _, _) ->
+                         true
+                     | _ -> false)
+                   edits
+            then st.ctx_in <- build_ctx_in ir;
+            let flipped = ref ISet.empty in
+            for i = 0 to n0 - 1 do
+              let j = map.(i) in
+              if j >= 0 && old.Caseir.reachable.(i) <> ir.Caseir.reachable.(j)
+              then flipped := ISet.add j !flipped
+            done;
+            st.link_wf <- Fused.link_findings ~ruleset:st.ruleset ir;
+            st.shape_wf <- Fused.shape_findings ir;
+            (* Confidence reads the shape: recomputed at the next
+               verdict. *)
+            st.conf <- None;
+            ( seeds
+              @ List.filter_map
+                  (fun i ->
+                    let j = map.(i) in
+                    if j >= 0 && j < n then Some j else None)
+                  orphans,
+              !flipped )
+      in
+      st.ir <- ir;
+      if (ir.Caseir.roots = []) <> (old.Caseir.roots = []) then
+        for i = 0 to n - 1 do
+          recheck st i
+        done
+      else
         ISet.iter (recheck st)
           (List.fold_left
              (fun acc i -> ISet.union acc (findings_cone st i))
              flipped seeds);
-        redigest st (ISet.of_list seeds);
-        if map <> None then update_gauge store;
-        Ok true
-      end
+      redigest st (ISet.of_list seeds);
+      if map <> None then update_gauge store;
+      Ok ()
 
 (* Patch the case at [digest] and re-bind it under its new digest,
    answering the state and the case the new digest displaced, if any.
-   A batch outside the delta is replayed on the structure
-   ([Caseir.replay], which also refuses an edit the delta did not
-   reach) and rebuilt.  A refused batch leaves the store untouched.
-   Called with the mutex held. *)
+   A refused batch leaves the store untouched.  Called with the mutex
+   held. *)
 let patch_locked store ~digest edits =
   match Hashtbl.find_opt store.cases digest with
   | None -> Error (Unknown_digest digest)
   | Some st -> (
-      let applied =
-        match delta store st edits with
-        | Ok false -> (
-            match Caseir.replay (Caseir.to_structure st.ir) edits with
-            | Error msg -> Error (Bad_edit msg)
-            | Ok structure ->
-                Counter.incr c_shape_rebuilds;
-                rebuild store st structure;
-                update_gauge store;
-                Ok ())
-        | result -> Result.map ignore result
-      in
-      match applied with
+      match delta store st edits with
       | Error _ as e -> e
       | Ok () ->
           st.cached <- None;

@@ -14,8 +14,7 @@
     the work near-constant:
 
     - a {e node arena} hash-consing per-payload text derivations
-      across the cases a [put] (or a patch's rebuild fallback) interns
-      ([store.node_hits]);
+      across the cases a [put] interns ([store.node_hits]);
     - {e per-node digest terms} — each node's term covers its payload
       and the ids of its SupportedBy and InContextOf targets, folded
       into an order-independent 128-bit sum, so an edit recomputes
@@ -95,16 +94,15 @@ val put_with_undo :
 val patch : t -> digest:string -> edit list -> (string, error) result
 (** Apply an edit batch to the case at [digest]; the case is re-bound
     under the returned new digest (the old digest is released).  A
-    failed batch leaves the store untouched.  Every batch goes through
-    {!Argus_ir.Caseir.apply}, which validates it and applies it to the
-    interned case in one pass, and re-checks only its cone: an
-    all-[Set_text] batch is written in place and keeps the root
-    confidence.  Two batches are re-checked in full instead, counted
-    by [store.shape_rebuilds]: one that touches a dangling endpoint or
-    adds an id already present is replayed on
-    {!Argus_ir.Caseir.to_structure} and rebuilt, and one that makes the
-    case gain or lose its last root is recomputed from the edited IR.
-    Every way gives the same digest and verdict. *)
+    failed batch leaves the store untouched.  Every batch takes one
+    path: {!Argus_ir.Caseir.apply} validates it and applies it to the
+    interned case in one pass — links to ids no node has and re-sent
+    nodes included — and the store re-checks only its cone, with no
+    re-intern: an all-[Set_text] batch is written in place and keeps
+    the root confidence.  A batch that makes the case gain or lose its
+    last root re-checks every node's findings, since each reads that
+    bit.  The digest and verdict are those a fresh {!put} of the
+    edited structure gives. *)
 
 val patch_with_undo :
   t -> digest:string -> edit list -> (string * (unit -> unit), error) result

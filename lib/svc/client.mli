@@ -14,13 +14,16 @@
     [patch] addressing — or stateless — [check], [prove], [fallacies],
     [probe], [health], [stats] — is idempotent and retried blindly;
     [put] re-stores identical content at an identical digest.  [patch]
-    is the one write whose blind replay commits twice — harmlessly for
-    state (the store is content-addressed: the replay converges on the
-    same digest) but visibly in the WAL.  A retried [patch] is
-    therefore only accepted on a fresh [seq] echo in its ack — the
-    audit trail that lets the caller detect the duplicate; against a
-    server too old to echo [seq], the retried ack is refused as
-    {!Bad_response}.  (DESIGN.md §16 has the full table.)
+    is the one write a resend does not repeat safely: when the first
+    attempt committed, the case moved off the base digest, so the
+    server answers the resend [svc/unknown-digest] for a write that
+    stands (ROADMAP item 2 holds the fix).  Only a patch that leaves
+    the digest where it was replays onto its base, and then commits
+    twice in the WAL.  A retried [patch] is therefore only accepted on
+    a fresh [seq] echo in its ack — the audit trail that lets the
+    caller detect the duplicate; against a server too old to echo
+    [seq], the retried ack is refused as {!Bad_response}.  (DESIGN.md
+    §16 has the full table.)
 
     A connection that died while pooled (the server restarted between
     calls) is detected on first use — failure before a single response

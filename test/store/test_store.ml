@@ -26,6 +26,7 @@ module Fault = Argus_rt.Fault
 module Counter = Argus_obs.Counter
 module Confidence = Argus_confidence.Confidence
 module Legacy_confidence = Argus_oracle.Legacy_confidence
+module Edit_replay = Argus_oracle.Edit_replay
 
 let render ds = Format.asprintf "%a" Diagnostic.pp_report ds
 
@@ -149,12 +150,16 @@ let gen_structure =
   |> map (fun (nodes, links) ->
          Structure.of_nodes ~links ~evidence:evidence_table nodes)
 
-(* A random edit against a pool of n node names.  Set-texts target
-   existing nodes; shape edits may hit anything, including nodes that
-   are not there (rejected batches must leave the store untouched). *)
+(* A random edit against a pool of n node names and three more.
+   Set-texts target the case's nodes; shape edits may hit anything: a
+   node that is not there (rejected batches must leave the store
+   untouched), a link to an id no node has yet (a dangling endpoint), an
+   add of a node already there (a payload replacement) or of an id a
+   link names (a promoted dangling endpoint). *)
 let gen_edit n =
   let open QCheck.Gen in
   let name = map (fun j -> Id.of_string (Printf.sprintf "N%d" (j mod n))) in
+  let any = map (fun j -> Id.of_string (Printf.sprintf "N%d" j)) in
   int_bound 9 >>= function
   | 0 | 1 | 2 | 3 ->
       map2
@@ -164,10 +169,10 @@ let gen_edit n =
   | 4 ->
       map2
         (fun (tcode, scode) (text, ecode) ->
-          Store.Add_node (mk_node (n + (text mod 3)) tcode scode text ecode))
+          Store.Add_node (mk_node (n - 1 + (text mod 4)) tcode scode text ecode))
         (pair (int_bound 6) (int_bound 4))
         (pair (int_bound (Array.length texts - 1)) (int_bound 3))
-  | 5 -> map (fun id -> Store.Remove_node id) (name (int_bound (2 * n)))
+  | 5 -> map (fun id -> Store.Remove_node id) (any (int_bound (n + 2)))
   | 6 | 7 ->
       map2
         (fun k (a, b) ->
@@ -175,7 +180,7 @@ let gen_edit n =
             ((if k then Structure.Supported_by else Structure.In_context_of),
              a, b))
         bool
-        (pair (name (int_bound (n - 1))) (name (int_bound (n + 2))))
+        (pair (name (int_bound (n - 1))) (any (int_bound (n + 2))))
   | _ ->
       map2
         (fun k (a, b) ->
@@ -183,7 +188,7 @@ let gen_edit n =
             ((if k then Structure.Supported_by else Structure.In_context_of),
              a, b))
         bool
-        (pair (name (int_bound (n - 1))) (name (int_bound (n + 2))))
+        (pair (name (int_bound (n - 1))) (any (int_bound (n + 2))))
 
 (* Batches of 1-3 edits, 4-8 batches per case. *)
 let gen_case_and_edits =
@@ -197,21 +202,12 @@ let print_scenario (s, batches) =
   Format.asprintf "%a (then %d batches)" Structure.pp_outline s
     (List.length batches)
 
-(* One store edit applied to the shadow structure, the oracle's view. *)
-let shadow_edit acc = function
-  | Store.Set_text (id, text) -> (
-      match Structure.find id acc with
-      | None -> acc
-      | Some n ->
-          Structure.add_node
-            (Node.make ~id ~node_type:n.Node.node_type ~status:n.Node.status
-               ?formal:n.Node.formal ~annotations:n.Node.annotations
-               ?evidence:n.Node.evidence text)
-            acc)
-  | Store.Add_node n -> Structure.add_node n acc
-  | Store.Remove_node id -> Structure.remove_node id acc
-  | Store.Link (k, src, dst) -> Structure.connect k ~src ~dst acc
-  | Store.Unlink (k, src, dst) -> Structure.disconnect k ~src ~dst acc
+(* A batch the store accepted, applied to the shadow structure (the
+   oracle's view) by the reference replay, which must accept it too. *)
+let replayed s batch =
+  match Edit_replay.replay s batch with
+  | Ok s' -> s'
+  | Error msg -> failwith ("the replay refused an accepted batch: " ^ msg)
 
 (* Drive one scenario against one store; the shadow structure is the
    oracle's view.  Rejected batches must leave digest and state
@@ -220,18 +216,20 @@ let drive store (s, batches) =
   let ( let* ) = Result.bind in
   let digest0 = Store.put store s in
   let* () = check_verdict store digest0 s in
-  let apply_shadow shadow batch = List.fold_left shadow_edit shadow batch in
   let rec go shadow digest = function
     | [] -> Ok ()
     | batch :: rest -> (
         match Store.patch store ~digest batch with
         | Error (Store.Unknown_digest _ as e) ->
             Error ("patch: " ^ Store.error_message e)
-        | Error (Store.Bad_edit _) ->
-            let* () = check_verdict store digest shadow in
-            go shadow digest rest
+        | Error (Store.Bad_edit msg) -> (
+            match Edit_replay.replay shadow batch with
+            | Ok _ -> Error ("the store refused a batch the replay accepts: " ^ msg)
+            | Error _ ->
+                let* () = check_verdict store digest shadow in
+                go shadow digest rest)
         | Ok digest' ->
-            let shadow' = apply_shadow shadow batch in
+            let shadow' = replayed shadow batch in
             let* () = check_verdict store digest' shadow' in
             go shadow' digest' rest)
   in
@@ -948,7 +946,7 @@ let test_refused_patch_rolls_back () =
         | Error e -> Alcotest.failf "put failed: %s" (Durable.error_message e)
       in
       let d1 =
-        Store.digest_of (List.fold_left shadow_edit base_structure batch)
+        Store.digest_of (replayed base_structure batch)
       in
       Alcotest.(check bool) (name ^ ": the batch moves the digest") true (d1 <> d0);
       (match
@@ -1036,7 +1034,7 @@ let golden_b =
 let test_golden_format2_recovers () =
   without_faults @@ fun () ->
   let id = Id.of_string and sb = Structure.Supported_by in
-  let replay s batches = List.fold_left (List.fold_left shadow_edit) s batches in
+  let replay s batches = List.fold_left replayed s batches in
   let a =
     replay golden_a
       [
@@ -1439,8 +1437,10 @@ let ir_diff (a : Caseir.t) (b : Caseir.t) =
     ]
 
 (* On the small random cases (dangling endpoints, cycles, re-added
-   ids): whenever the delta accepts a batch, it must build the IR a
-   fresh intern builds. *)
+   ids): every batch the reference replay accepts, the delta accepts
+   too and builds the IR a fresh intern of the replayed structure
+   builds; every batch it refuses, the delta refuses with the same
+   message and leaves the IR alone. *)
 let apply_matches_intern =
   QCheck.Test.make ~name:"Caseir.apply = intern (random batches)" ~count:300
     (QCheck.make ~print:print_scenario gen_case_and_edits)
@@ -1448,27 +1448,19 @@ let apply_matches_intern =
       let _, _ =
         List.fold_left
           (fun (s, ir) batch ->
-            (* A refused batch, and one outside the delta, leave the IR
-               as it was. *)
-            let untouched () =
-              match ir_diff ir (Caseir.intern s) with
-              | None -> (s, ir)
-              | Some field ->
-                  QCheck.Test.fail_reportf "the batch left the IR but moved %s" field
-            in
-            match (Caseir.apply ir batch, Caseir.replay s batch) with
-            | Error msg, Error msg' when msg = msg' -> untouched ()
-            | Ok None, Error _ -> untouched ()
+            match (Caseir.apply ir batch, Edit_replay.replay s batch) with
+            | Error msg, Error msg' when msg = msg' -> (
+                match ir_diff ir (Caseir.intern s) with
+                | None -> (s, ir)
+                | Some field ->
+                    QCheck.Test.fail_reportf "a refused batch moved %s" field)
             | Error msg, _ ->
                 QCheck.Test.fail_reportf "apply refused (%s), replay did not"
                   msg
             | Ok _, Error msg ->
                 QCheck.Test.fail_reportf "replay refused (%s), apply did not"
                   msg
-            | Ok None, Ok s' ->
-                ignore (untouched ());
-                (s', Caseir.intern s')
-            | Ok (Some (ir', _)), Ok s' -> (
+            | Ok (ir', _), Ok s' -> (
                 match ir_diff ir' (Caseir.intern s') with
                 | None -> (s', ir')
                 | Some field ->
@@ -1620,9 +1612,9 @@ let tree_batch rand fresh s =
 
 let counter name = Counter.value (Counter.make name)
 
-(* Every batch must take the fast path — no shape rebuild, no
-   re-intern — and leave the store exactly where a fresh put of the
-   edited structure lands: same IR, verdict, digest and confidence. *)
+(* Every batch must take the delta — no re-intern — and leave the
+   store exactly where a fresh put of the edited structure lands: same
+   IR, verdict, digest and confidence. *)
 let fast_path_matches_fresh ~arena_capacity =
   QCheck.Test.make
     ~name:
@@ -1641,18 +1633,16 @@ let fast_path_matches_fresh ~arena_capacity =
       let ir = ref (Caseir.intern s) and s = ref s in
       for b = 1 to 12 do
         let batch = tree_batch rand b !s in
-        let s' = List.fold_left shadow_edit !s batch in
+        let s' = replayed !s batch in
         (* The delta on its own, against a fresh intern. *)
         (match Caseir.apply !ir batch with
-        | Ok None | Error _ ->
-            QCheck.Test.fail_reportf "batch %d fell outside the delta" b
-        | Ok (Some (ir', _)) -> (
+        | Error msg -> QCheck.Test.fail_reportf "batch %d refused: %s" b msg
+        | Ok (ir', _) -> (
             ir := ir';
             match ir_diff ir' (Caseir.intern s') with
             | None -> ()
             | Some f -> QCheck.Test.fail_reportf "batch %d: IR differs in %s" b f));
-        let rebuilds = counter "store.shape_rebuilds"
-        and interned = counter "ir.interned" in
+        let interned = counter "ir.interned" in
         let v =
           match Store.patch store ~digest:!d batch with
           | Error e -> QCheck.Test.fail_reportf "patch: %s" (Store.error_message e)
@@ -1662,8 +1652,6 @@ let fast_path_matches_fresh ~arena_capacity =
               | Ok v -> v
               | Error e -> QCheck.Test.fail_reportf "verdict: %s" (Store.error_message e))
         in
-        if counter "store.shape_rebuilds" <> rebuilds then
-          QCheck.Test.fail_reportf "batch %d rebuilt the case" b;
         if counter "ir.interned" <> interned then
           QCheck.Test.fail_reportf "batch %d re-interned" b;
         let fresh = Store.create () in
@@ -1687,7 +1675,7 @@ let fast_path_matches_fresh ~arena_capacity =
       true)
 
 (* Every all-[Set_text] batch takes [Caseir.apply]'s in-place branch:
-   no rebuild, no re-intern, and the store lands where a fresh put of
+   no re-intern, and the store lands where a fresh put of
    the edited structure does.  The small random cases have cycles and
    dangling endpoints, which the tree cases above never reach.  An
    empty batch keeps the digest. *)
@@ -1714,22 +1702,19 @@ let text_batches_never_rebuild =
       let d = ref (Store.put store s) and s = ref s in
       List.iteri
         (fun b batch ->
-          let rebuilds = counter "store.shape_rebuilds"
-          and interned = counter "ir.interned" in
+          let interned = counter "ir.interned" in
           let d' =
             match Store.patch store ~digest:!d batch with
             | Ok d' -> d'
             | Error e ->
                 QCheck.Test.fail_reportf "patch: %s" (Store.error_message e)
           in
-          if counter "store.shape_rebuilds" <> rebuilds then
-            QCheck.Test.fail_reportf "batch %d rebuilt the case" b;
           if counter "ir.interned" <> interned then
             QCheck.Test.fail_reportf "batch %d re-interned" b;
           if batch = [] && d' <> !d then
             QCheck.Test.fail_reportf "empty batch %d moved the digest" b;
           d := d';
-          s := List.fold_left shadow_edit !s batch;
+          s := replayed !s batch;
           let fresh = Store.create () in
           let want = Store.put fresh !s in
           let get store d =
@@ -1753,12 +1738,38 @@ let text_batches_never_rebuild =
         batches;
       true)
 
+(* Put [s], then patch it batch by batch.  Every batch must take the
+   delta (no re-intern) and land where the reference replay lands:
+   [check_verdict] holds the digest to [digest_of] of the replayed
+   structure, the verdict to the full check and the confidence to the
+   legacy recursion, and the verdict and confidence equal a fresh
+   put's. *)
+let patch_takes_the_delta s batches =
+  let store = Store.create () in
+  let d = ref (Store.put store s) and s = ref s in
+  List.iteri
+    (fun b batch ->
+      let interned = counter "ir.interned" in
+      (match Store.patch store ~digest:!d batch with
+      | Ok d' -> d := d'
+      | Error e -> Alcotest.failf "batch %d: %s" b (Store.error_message e));
+      Alcotest.(check int)
+        (Printf.sprintf "batch %d took the delta" b)
+        interned (counter "ir.interned");
+      s := replayed !s batch;
+      (match check_verdict store !d !s with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "batch %d: %s" b e);
+      let fresh = Store.create () in
+      Alcotest.(check string)
+        (Printf.sprintf "batch %d: verdict = fresh put" b)
+        (show_verdict fresh (Store.put fresh !s))
+        (show_verdict store !d))
+    batches
+
 (* One digest scheme on every graph: a shape batch that closes a
    SupportedBy or InContextOf cycle, and the batch that reopens it, take
-   the delta like any other, and each lands where a fresh put of the
-   edited structure lands: [check_verdict] holds the digest to
-   [digest_of], the verdict to the full check and the confidence to
-   the legacy recursion. *)
+   the delta like any other. *)
 let test_cycle_close_reopen () =
   let s =
     Structure.of_nodes
@@ -1780,22 +1791,7 @@ let test_cycle_close_reopen () =
   in
   let sb = Structure.Supported_by and ic = Structure.In_context_of in
   let id = Id.of_string in
-  let store = Store.create () in
-  let d = ref (Store.put store s) and s = ref s in
-  List.iteri
-    (fun b batch ->
-      let rebuilds = counter "store.shape_rebuilds" in
-      (match Store.patch store ~digest:!d batch with
-      | Ok d' -> d := d'
-      | Error e -> Alcotest.failf "batch %d: %s" b (Store.error_message e));
-      Alcotest.(check int)
-        (Printf.sprintf "batch %d took the delta" b)
-        rebuilds
-        (counter "store.shape_rebuilds");
-      s := List.fold_left shadow_edit !s batch;
-      match check_verdict store !d !s with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "batch %d: %s" b e)
+  patch_takes_the_delta s
     [
       [ Store.Link (sb, id "G2", id "S1") ];
       [ Store.Set_text (id "S1", "Argue over each hazard") ];
@@ -1804,6 +1800,57 @@ let test_cycle_close_reopen () =
         Store.Unlink (sb, id "G2", id "S1");
         Store.Unlink (ic, id "C1", id "G2");
       ];
+    ]
+
+(* A case under construction links to nodes it does not have yet and
+   re-sends nodes it has; each such batch takes the delta like any
+   other.  The batches: a link to a missing id (and one out of it,
+   whose term only the dangling source carries), the unlink of that
+   dangling link, the add that promotes the missing id, a re-sent root
+   that turns into a context (the case loses its last root), the
+   removal of the promoted node, a promotion and removal in one batch,
+   and the root sent back (the case gains a root again).  The cycle
+   G5 <-> G6 hangs off no root: its nodes are unreachable, a finding
+   only a case with roots reports, so losing and regaining the last
+   root changes findings outside every seed's cone. *)
+let test_dangling_and_readd () =
+  let s =
+    Structure.of_nodes
+      ~links:
+        [
+          (Structure.Supported_by, "G1", "S1");
+          (Structure.Supported_by, "S1", "G2");
+          (Structure.Supported_by, "G2", "Sn1");
+          (Structure.In_context_of, "G1", "C1");
+          (Structure.Supported_by, "G5", "G6");
+          (Structure.Supported_by, "G6", "G5");
+        ]
+      ~evidence:evidence_table
+      [
+        Node.goal "G1" "The system is acceptably safe";
+        Node.strategy "S1" "Argue over hazards";
+        Node.goal "G2" "Hazard H1 is mitigated";
+        Node.solution ~evidence:"E0" "Sn1" "Test report";
+        Node.context "C1" "Operating context";
+        Node.goal "G5" "Hazard H5 is mitigated";
+        Node.goal "G6" "Hazard H6 is mitigated";
+      ]
+  in
+  let sb = Structure.Supported_by and ic = Structure.In_context_of in
+  let id = Id.of_string in
+  patch_takes_the_delta s
+    [
+      [ Store.Link (sb, id "S1", id "G9"); Store.Link (sb, id "G9", id "Sn9") ];
+      [ Store.Unlink (sb, id "G9", id "Sn9") ];
+      [ Store.Add_node (Node.goal "G9" "Hazard H9 is mitigated") ];
+      [ Store.Add_node (Node.context "G1" "The system is acceptably safe") ];
+      [ Store.Remove_node (id "G9") ];
+      [ Store.Link (sb, id "S1", id "G7"); Store.Link (ic, id "G7", id "C7") ];
+      [
+        Store.Add_node (Node.goal "G7" "Hazard H7 is mitigated");
+        Store.Remove_node (id "G7");
+      ];
+      [ Store.Add_node (Node.goal "G1" "The system is acceptably safe") ];
     ]
 
 (* A patch re-checks exactly its findings cone: a put computes every
@@ -1875,6 +1922,8 @@ let () =
           QCheck_alcotest.to_alcotest text_batches_never_rebuild;
           Alcotest.test_case "closing and reopening a cycle takes the delta"
             `Quick test_cycle_close_reopen;
+          Alcotest.test_case "dangling and re-add batches take the delta"
+            `Quick test_dangling_and_readd;
           QCheck_alcotest.to_alcotest to_structure_inverts_intern;
         ] );
       ( "digest",
