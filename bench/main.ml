@@ -611,8 +611,9 @@ let par_kernel ~name ~jobs f =
    Unix socket plus one persistent client connection; each run is one
    request/response round-trip through the real wire protocol.  Like
    the par-* pools, the server is scoped to the kernel's own
-   measurement so its worker domain does not tax the others. *)
-let svc_kernel ~name ~queue_capacity req_line =
+   measurement so its worker domain does not tax the others, and so is
+   the request line it sends ([request_line] runs at allocation). *)
+let svc_kernel ~name ~queue_capacity request_line =
   let open Bechamel in
   (* Client-side round-trip latency, observed per run into the
      registry: Bechamel's OLS slope gives the mean, the histogram
@@ -636,12 +637,17 @@ let svc_kernel ~name ~queue_capacity req_line =
       let h = Argus_svc.Server.spawn cfg in
       let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.connect fd (Unix.ADDR_UNIX path);
-      (h, path, fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd))
-    ~free:(fun (h, path, fd, _, _) ->
+      ( h,
+        path,
+        fd,
+        Unix.in_channel_of_descr fd,
+        Unix.out_channel_of_descr fd,
+        request_line () ))
+    ~free:(fun (h, path, fd, _, _, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       ignore (Argus_svc.Server.stop h);
       try Unix.unlink path with Unix.Unix_error _ -> ())
-    (Staged.stage (fun (_, _, _, ic, oc) ->
+    (Staged.stage (fun (_, _, _, ic, oc, req_line) ->
          let t0 = Unix.gettimeofday () in
          output_string oc req_line;
          flush oc;
@@ -649,15 +655,31 @@ let svc_kernel ~name ~queue_capacity req_line =
          Argus_obs.Metrics.Histogram.observe h_rtt
            ((Unix.gettimeofday () -. t0) *. 1000.)))
 
-let svc_request_line ?(trace = false) () =
+let svc_request_line ?(trace = false)
+    ?(source = {|case "b" { goal G1 "b holds" { undeveloped } }|}) () =
   let req =
-    Argus_svc.Protocol.request ~id:"bench"
-      ~source:{|case "b" { goal G1 "b holds" { undeveloped } }|}
-      ~filename:"bench.arg" ~trace Argus_svc.Protocol.Check
+    Argus_svc.Protocol.request ~id:"bench" ~source ~filename:"bench.arg"
+      ~trace Argus_svc.Protocol.Check
   in
   Argus_core.Json.to_string (Argus_svc.Protocol.request_to_json req) ^ "\n"
 
 let svc_check_request_line = svc_request_line ()
+
+(* A check request line carrying a rendered ~1 MB (~8.5k-node) case, a
+   line larger than any one read: the wire-layer kernels decode it
+   (json-decode-1m) and send it to a server that sheds it
+   (svc-shed-1m). *)
+let svc_line_1m () =
+  svc_request_line
+    ~source:
+      (Argus_dsl.Dsl.print
+         {
+           Argus_dsl.Dsl.module_name = None;
+           title = "bench 1m";
+           ontology = Argus_gsn.Metadata.ontology [];
+           structure = bench_store_case ~strategies:850 ~leaves:9;
+         })
+    ()
 
 (* A combined refutation query in the Argus_kaos style — a conjunction
    of small goal formulas over shared atoms — sized past the labeller's
@@ -1102,16 +1124,28 @@ let bench_subjects =
        the wire protocol, and the overload path — a zero-capacity queue
        answers svc/overloaded from the acceptor without touching a
        worker, so shedding must stay much cheaper than serving. *)
-    svc_kernel ~name:"svc-roundtrip" ~queue_capacity:64
-      svc_check_request_line;
-    svc_kernel ~name:"svc-shed-overload" ~queue_capacity:0
-      svc_check_request_line;
+    svc_kernel ~name:"svc-roundtrip" ~queue_capacity:64 (fun () ->
+        svc_check_request_line);
+    svc_kernel ~name:"svc-shed-overload" ~queue_capacity:0 (fun () ->
+        svc_check_request_line);
+    (* The wire layer on a ~1 MB frame: the decode alone, then the same
+       line sent to a server that sheds it, so the round trip is read,
+       frame, decode and the shed reply.  compare.exe --require-speedup
+       bounds the second against the first: the framing overhead. *)
+    Test.make_with_resource ~name:"json-decode-1m" Test.uniq
+      ~allocate:(fun () ->
+        let line = svc_line_1m () in
+        String.sub line 0 (String.length line - 1))
+      ~free:ignore
+      (Staged.stage (fun line ->
+           ignore (Argus_svc.Protocol.request_of_line line)));
+    svc_kernel ~name:"svc-shed-1m" ~queue_capacity:0 svc_line_1m;
     (* The same round-trip with request-scoped tracing armed: the
        telemetry acceptance gate — capture plus span serialisation must
        stay a small fraction of the untraced round-trip (compare.exe
        prints the ratio in its advisory section). *)
     svc_kernel ~name:"svc-roundtrip-traced" ~queue_capacity:64
-      (svc_request_line ~trace:true ());
+      (svc_request_line ~trace:true);
   ]
 
 let run_benchmarks ~quota () =

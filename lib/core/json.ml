@@ -37,7 +37,7 @@ let number_text f =
     Printf.sprintf "%.0f" f
   else Printf.sprintf "%.17g" f
 
-let to_string ?(indent = false) json =
+let write ~indent ~newline json =
   let buf = Buffer.create 256 in
   let pad depth = if indent then Buffer.add_string buf (String.make (2 * depth) ' ') in
   let nl () = if indent then Buffer.add_char buf '\n' in
@@ -83,11 +83,18 @@ let to_string ?(indent = false) json =
         Buffer.add_char buf '}'
   in
   go 0 json;
+  if newline then Buffer.add_char buf '\n';
   Buffer.contents buf
+
+let to_string ?(indent = false) json = write ~indent ~newline:false json
+let to_line json = write ~indent:false ~newline:true json
 
 (* --- Parsing --- *)
 
 exception Err of int * string
+
+external plain_end : string -> int -> int = "argus_json_plain_end"
+  [@@noalloc]
 
 let of_string text =
   let n = String.length text in
@@ -117,52 +124,73 @@ let of_string text =
     String.iter (fun c -> expect c) word;
     value
   in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec scan () =
+  (* A string is decoded into one allocation of its exact length: a
+     first walk validates it and sums the lengths of its plain runs and
+     escapes, a second copies each plain run as one block.  A string
+     with no escape is one [String.sub]. *)
+  let string_body ~run ~byte =
+    let rec go from =
+      let stop = plain_end text from in
+      run from (stop - from);
+      pos := stop;
       match advance () with
-      | '"' -> Buffer.contents buf
-      | '\\' -> (
-          match advance () with
-          | '"' -> Buffer.add_char buf '"'; scan ()
-          | '\\' -> Buffer.add_char buf '\\'; scan ()
-          | '/' -> Buffer.add_char buf '/'; scan ()
-          | 'n' -> Buffer.add_char buf '\n'; scan ()
-          | 't' -> Buffer.add_char buf '\t'; scan ()
-          | 'r' -> Buffer.add_char buf '\r'; scan ()
-          | 'b' -> Buffer.add_char buf '\b'; scan ()
-          | 'f' -> Buffer.add_char buf '\012'; scan ()
+      | '"' -> ()
+      | '\\' ->
+          (match advance () with
+          | '"' -> byte '"'
+          | '\\' -> byte '\\'
+          | '/' -> byte '/'
+          | 'n' -> byte '\n'
+          | 't' -> byte '\t'
+          | 'r' -> byte '\r'
+          | 'b' -> byte '\b'
+          | 'f' -> byte '\012'
           | 'u' ->
-              let hex = Buffer.create 4 in
-              for _ = 1 to 4 do
-                Buffer.add_char hex (advance ())
-              done;
+              let hex = String.init 4 (fun _ -> advance ()) in
               let code =
-                try int_of_string ("0x" ^ Buffer.contents hex)
+                try int_of_string ("0x" ^ hex)
                 with _ -> fail "bad \\u escape"
               in
               (* Encode the code point as UTF-8 (BMP only; surrogate
                  pairs are left as two replacement-encoded units). *)
-              if code < 0x80 then Buffer.add_char buf (Char.chr code)
+              if code < 0x80 then byte (Char.chr code)
               else if code < 0x800 then begin
-                Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+                byte (Char.chr (0xC0 lor (code lsr 6)));
+                byte (Char.chr (0x80 lor (code land 0x3F)))
               end
               else begin
-                Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                Buffer.add_char buf
-                  (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end;
-              scan ()
-          | c -> fail (Printf.sprintf "bad escape \\%c" c))
-      | c when Char.code c < 0x20 -> fail "control character in string"
-      | c ->
-          Buffer.add_char buf c;
-          scan ()
+                byte (Char.chr (0xE0 lor (code lsr 12)));
+                byte (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+                byte (Char.chr (0x80 lor (code land 0x3F)))
+              end
+          | c -> fail (Printf.sprintf "bad escape \\%c" c));
+          go !pos
+      | _ -> fail "control character in string"
     in
-    scan ()
+    go !pos
+  in
+  let parse_string () =
+    expect '"';
+    let first = !pos in
+    let stop = plain_end text first in
+    if stop < n && String.unsafe_get text stop = '"' then begin
+      pos := stop + 1;
+      String.sub text first (stop - first)
+    end
+    else begin
+      let len = ref 0 in
+      string_body ~run:(fun _ k -> len := !len + k) ~byte:(fun _ -> incr len);
+      let b = Bytes.create !len and at = ref 0 in
+      pos := first;
+      string_body
+        ~run:(fun from k ->
+          Bytes.blit_string text from b !at k;
+          at := !at + k)
+        ~byte:(fun c ->
+          Bytes.set b !at c;
+          incr at);
+      Bytes.unsafe_to_string b
+    end
   in
   let parse_number () =
     let start = !pos in

@@ -23,6 +23,10 @@ val member : string -> t -> t option
 val to_string : ?indent:bool -> t -> string
 (** Compact by default; [~indent:true] pretty-prints with two spaces. *)
 
+val to_line : t -> string
+(** Compact, with a trailing ['\n']: one line of a line-delimited
+    stream, built in one buffer. *)
+
 val of_string : string -> (t, string) result
 (** The error names the offset of the first problem. *)
 

@@ -539,19 +539,57 @@ let reshape ir edits =
   let node what id =
     match find id with Some w when is_node w -> w | _ -> bad what id
   in
+  (* The incident old links of each old entity the batch names in a
+     link, unlink or removal, as link positions: built by one O(m)
+     scan on the first such edit, so each of them reads only its
+     endpoints' rows. *)
+  let incident =
+    lazy
+      (let named = Bytes.make (max 1 e0) '\000' in
+       let mark id =
+         Option.iter
+           (fun i -> Bytes.set named i '\001')
+           (Hashtbl.find_opt ir.index (Id.to_string id))
+       in
+       List.iter
+         (function
+           | Link (_, s, d) | Unlink (_, s, d) ->
+               mark s;
+               mark d
+           | Remove_node id -> mark id
+           | Set_text _ | Add_node _ -> ())
+         edits;
+       let rows = Hashtbl.create 16 in
+       let add w k =
+         if Bytes.get named w = '\001' then
+           Hashtbl.replace rows w
+             (k :: Option.value ~default:[] (Hashtbl.find_opt rows w))
+       in
+       for k = m0 - 1 downto 0 do
+         let s = ir.link_src.(k) and d = ir.link_dst.(k) in
+         add s k;
+         if d <> s then add d k
+       done;
+       rows)
+  in
+  let incident_links w =
+    Option.value ~default:[] (Hashtbl.find_opt (Lazy.force incident) w)
+  in
   (* The live old link [kind s -> d], or [-1]; then the appended one. *)
   let old_link kind s d =
-    let rec go k =
-      if k >= m0 then -1
-      else if
-        Bytes.get old_live k = '\001'
-        && ir.link_src.(k) = s
-        && ir.link_dst.(k) = d
-        && ir.link_kind.(k) = kind
-      then k
-      else go (k + 1)
-    in
-    if s >= e0 || d >= e0 then -1 else go 0
+    if s >= e0 || d >= e0 then -1
+    else
+      match
+        List.find_opt
+          (fun k ->
+            Bytes.get old_live k = '\001'
+            && ir.link_src.(k) = s
+            && ir.link_dst.(k) = d
+            && ir.link_kind.(k) = kind)
+          (incident_links s)
+      with
+      | Some k -> k
+      | None -> -1
   in
   let extra_link kind s d =
     List.find_opt
@@ -575,10 +613,8 @@ let reshape ir edits =
         let w = node "remove-node" id in
         if w < n0 then Bytes.set dead w '\001' else Hashtbl.remove appended w;
         Hashtbl.remove payload w;
-        for k = 0 to m0 - 1 do
-          if ir.link_src.(k) = w || ir.link_dst.(k) = w then
-            Bytes.set old_live k '\000'
-        done;
+        if w < e0 then
+          List.iter (fun k -> Bytes.set old_live k '\000') (incident_links w);
         List.iter
           (fun l -> if l.src = w || l.dst = w then l.live <- false)
           !extra

@@ -29,7 +29,7 @@ let g_pool_idle = Gauge.make "svc.client.pool_idle"
 (* A pooled connection keeps its read buffer: a response can arrive in
    pieces across reads, and any residue after the response line means
    the server desynced — such a connection is never pooled again. *)
-type pconn = { pfd : Unix.file_descr; pbuf : Buffer.t }
+type pconn = { pfd : Unix.file_descr; pbuf : Framer.t }
 
 type t = {
   eps : Endpoint.t array;
@@ -80,7 +80,7 @@ let take_pooled t idx =
 
 let return_pooled t idx pc =
   let pooled =
-    Buffer.length pc.pbuf = 0
+    Framer.pending pc.pbuf = 0
     && Mutex.protect t.mu (fun () ->
            let cur =
              Option.value ~default:[] (Hashtbl.find_opt t.pool idx)
@@ -123,12 +123,11 @@ let set_timeouts fd ms =
   with Unix.Unix_error _ -> ()
 
 let send_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
+  let n = String.length s in
   let rec go off =
     if off >= n then Ok ()
     else
-      match Unix.write fd b off (n - off) with
+      match Unix.write_substring fd s off (n - off) with
       | written -> go (off + written)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
       | exception Unix.Unix_error (e, _, _) ->
@@ -136,29 +135,22 @@ let send_all fd s =
   in
   go 0
 
-(* Read one '\n'-terminated line into/out of [pc.pbuf].  [deadline_at]
+(* Read one '\n'-terminated line through [pc.pbuf].  [deadline_at]
    caps the whole wait: SO_RCVTIMEO bounds each read, and the loop
    re-checks the clock so dribbled bytes cannot extend the wait
    forever. *)
 let recv_line pc ~deadline_at =
-  let chunk = Bytes.create 65536 in
   let rec go got_any =
-    let data = Buffer.contents pc.pbuf in
-    match String.index_opt data '\n' with
-    | Some nl ->
-        let line = String.sub data 0 nl in
-        Buffer.clear pc.pbuf;
-        Buffer.add_substring pc.pbuf data (nl + 1)
-          (String.length data - nl - 1);
-        Ok line
-    | None ->
-        if Clock.now_ms () >= deadline_at then Error (got_any, "response timed out")
-        else (
-          match Unix.read pc.pfd chunk 0 (Bytes.length chunk) with
+    match Framer.next_line pc.pbuf with
+    | Framer.Line line -> Ok line
+    | Framer.Overlong -> Error (got_any, "response line too long")
+    | Framer.Partial -> (
+        if Clock.now_ms () >= deadline_at then
+          Error (got_any, "response timed out")
+        else
+          match Framer.read pc.pbuf pc.pfd with
           | 0 -> Error (got_any, "server closed the connection")
-          | n ->
-              Buffer.add_subbytes pc.pbuf chunk 0 n;
-              go true
+          | _ -> go true
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> go got_any
           | exception
               Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
@@ -166,7 +158,7 @@ let recv_line pc ~deadline_at =
           | exception Unix.Unix_error (e, _, _) ->
               Error (got_any, Unix.error_message e))
   in
-  go (Buffer.length pc.pbuf > 0)
+  go (Framer.pending pc.pbuf > 0)
 
 let exchange pc line ~attempt_ms ~deadline_at =
   set_timeouts pc.pfd attempt_ms;
@@ -263,7 +255,7 @@ let call ?op t line =
                     Counter.incr c_failover;
                     t.preferred <- idx
                   end;
-                  let pc = { pfd = fd; pbuf = Buffer.create 256 } in
+                  let pc = { pfd = fd; pbuf = Framer.create () } in
                   (match exchange pc line ~attempt_ms ~deadline_at with
                   | Ok resp_line -> `Line (idx, pc, resp_line)
                   | Error (Stale e) | Error (Fail e) ->

@@ -385,7 +385,7 @@ let response_to_json r =
             ("message", Json.Str message);
           ])
 
-let response_to_line r = Json.to_string (response_to_json r) ^ "\n"
+let response_to_line r = Json.to_line (response_to_json r)
 
 let response_of_line line =
   match Json.of_string line with

@@ -61,7 +61,8 @@ let g_net_conns = Gauge.make "svc.net.conns"
 type conn = {
   fd : Unix.file_descr;
   kind : [ `Unix | `Tcp ];
-  rbuf : Buffer.t;
+  rbuf : Framer.t;
+      (** The connection's read buffer; acceptor only. *)
   wmu : Mutex.t;
       (** Serialises every write to [fd], every mutation of [alive],
           [eof] and [inflight], and — crucially — the final
@@ -106,11 +107,10 @@ let write_locked conn s =
         conn.alive <- false;
         conn.notify ()
     | () ->
-        let b = Bytes.of_string s in
-        let n = Bytes.length b in
+        let n = String.length s in
         let rec go off =
           if off < n then
-            match Unix.write conn.fd b off (n - off) with
+            match Unix.write_substring conn.fd s off (n - off) with
             | written -> go (off + written)
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
             | exception Unix.Unix_error (_, _, _) ->
@@ -330,31 +330,24 @@ let handle_line t conn line =
           Supervisor.submit t.sup req ~reply:(fun resp ->
               write_reply conn (Protocol.response_to_line (stamp resp))))
 
-(* Split off every complete line in the connection's read buffer. *)
-let drain_lines t conn =
-  let data = Buffer.contents conn.rbuf in
-  let n = String.length data in
-  let start = ref 0 in
-  (try
-     while !start < n do
-       match String.index_from data !start '\n' with
-       | exception Not_found -> raise Exit
-       | nl ->
-           let line = String.sub data !start (nl - !start) in
-           start := nl + 1;
-           if String.trim line <> "" then handle_line t conn line
-     done
-   with Exit -> ());
-  Buffer.clear conn.rbuf;
-  Buffer.add_substring conn.rbuf data !start (n - !start);
-  if Buffer.length conn.rbuf > t.cfg.max_line_bytes then
-    Mutex.protect conn.wmu (fun () ->
-        write_locked conn
-          (Protocol.response_to_line
-             (Protocol.error ~id:"" ~code:"svc/bad-request"
-                (Printf.sprintf "request line exceeds %d bytes"
-                   t.cfg.max_line_bytes)));
-        conn.alive <- false)
+(* Handle every complete line in the connection's read buffer.  A line
+   longer than [max_line_bytes] is refused and ends the connection: it
+   is read no further, and the caller reaps it. *)
+let rec drain_lines t conn =
+  match Framer.next_line conn.rbuf with
+  | Framer.Line line ->
+      if String.trim line <> "" then handle_line t conn line;
+      drain_lines t conn
+  | Framer.Partial -> ()
+  | Framer.Overlong ->
+      Mutex.protect conn.wmu (fun () ->
+          write_locked conn
+            (Protocol.response_to_line
+               (Protocol.error ~id:"" ~code:"svc/bad-request"
+                  (Printf.sprintf "request line exceeds %d bytes"
+                     t.cfg.max_line_bytes)));
+          conn.alive <- false);
+      Readiness.remove t.engine conn.fd
 
 (* Arm the deadline sweep no later than [at]; exact recomputation
    happens inside the sweep itself. *)
@@ -390,8 +383,6 @@ let forfeit t conn =
   Mutex.protect conn.wmu (fun () -> conn.alive <- false);
   reap_now t conn
 
-let read_chunk_size = 65536
-
 let service_conn t conn =
   match Fault.point "svc.net.read" with
   | exception Fault.Injected _ ->
@@ -400,8 +391,7 @@ let service_conn t conn =
       Counter.incr c_net_fault_read;
       forfeit t conn
   | () -> (
-      let buf = Bytes.create read_chunk_size in
-      match Unix.read conn.fd buf 0 read_chunk_size with
+      match Framer.read conn.rbuf conn.fd with
       | 0 ->
           (* Half-close, not hang-up: a client may shutdown(SHUT_WR)
              after its last request and still be reading.  Stop polling
@@ -411,15 +401,14 @@ let service_conn t conn =
           Readiness.remove t.engine conn.fd;
           conn.frame_since <- Float.nan;
           reap_now t conn
-      | n ->
+      | _ ->
           let now = Clock.now_ms () in
           conn.last_ms <- now;
-          Buffer.add_subbytes conn.rbuf buf 0 n;
           drain_lines t conn;
           (* Frame deadline bookkeeping: a partial frame keeps the
              clock of its *first* byte — a dribbling client makes
              progress but never resets the bound. *)
-          if Buffer.length conn.rbuf = 0 then conn.frame_since <- Float.nan
+          if Framer.pending conn.rbuf = 0 then conn.frame_since <- Float.nan
           else if Float.is_nan conn.frame_since then begin
             conn.frame_since <- now;
             if t.cfg.read_deadline_ms > 0. then
@@ -463,7 +452,8 @@ let accept_loop t lfd kind =
               {
                 fd;
                 kind;
-                rbuf = Buffer.create 256;
+                rbuf =
+                  Framer.create ~max_line_bytes:t.cfg.max_line_bytes ();
                 wmu = Mutex.create ();
                 notify =
                   (fun () ->
@@ -770,8 +760,16 @@ let listen_summary t =
   in
   String.concat ", " (List.map ep t.listeners)
 
+(* The major GC's pacing for a serving process (DESIGN.md §11).  OCaml
+   paces the major collector by allocation; the framer allocates nothing
+   per read, so at the runtime default (120) the store's heap grows
+   further between cycles.  [run] sets it once, after the caller's
+   recovery, so recovery keeps the default pacing. *)
+let gc_space_overhead = 80
+
 let run ?handler ?extra_stats ?on_drain cfg =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  Gc.set { (Gc.get ()) with Gc.space_overhead = gc_space_overhead };
   let t = make ?handler ?extra_stats ?on_drain cfg in
   t.flight_dump := true;
   let request_stop _ = Atomic.set t.stop true in

@@ -64,7 +64,9 @@ type config = {
   max_line_bytes : int;
       (** A connection sending a longer request line is answered
           [svc/bad-request] and closed — bounded buffering, like the
-          queue. *)
+          queue.  The bound holds however the line's bytes are split
+          across reads; the connection's read buffer ({!Framer}) never
+          grows past it plus one byte. *)
   max_conns : int;
       (** Simultaneous-connection cap: at the cap the listeners leave
           the readiness set, so further clients wait in the listen

@@ -83,7 +83,7 @@ let retry_worker ~eps ~rng ~t_end ~rate_per ~wid () =
 
 (* --- the pipelining worker: raw connection, batched frames --- *)
 
-type rawconn = { rfd : Unix.file_descr; rbuf : Buffer.t }
+type rawconn = { rfd : Unix.file_descr; rbuf : Argus_svc.Framer.t }
 
 let close_raw rc = try Unix.close rc.rfd with Unix.Unix_error _ -> ()
 
@@ -96,30 +96,22 @@ let raw_connect eps =
       | Ok fd ->
           (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.25
            with Unix.Unix_error _ -> ());
-          Some { rfd = fd; rbuf = Buffer.create 4096 }
+          Some { rfd = fd; rbuf = Argus_svc.Framer.create () }
       | Error _ -> walk (k + 1)
   in
   walk 0
 
 let raw_read_line rc ~deadline_at =
-  let chunk = Bytes.create 65536 in
   let rec go () =
-    let data = Buffer.contents rc.rbuf in
-    match String.index_opt data '\n' with
-    | Some nl ->
-        let line = String.sub data 0 nl in
-        Buffer.clear rc.rbuf;
-        Buffer.add_substring rc.rbuf data (nl + 1)
-          (String.length data - nl - 1);
-        Ok line
-    | None ->
+    match Argus_svc.Framer.next_line rc.rbuf with
+    | Argus_svc.Framer.Line line -> Ok line
+    | Argus_svc.Framer.Overlong -> Error "closed"
+    | Argus_svc.Framer.Partial -> (
         if now_s () >= deadline_at then Error "timeout"
-        else (
-          match Unix.read rc.rfd chunk 0 (Bytes.length chunk) with
+        else
+          match Argus_svc.Framer.read rc.rbuf rc.rfd with
           | 0 -> Error "closed"
-          | n ->
-              Buffer.add_subbytes rc.rbuf chunk 0 n;
-              go ()
+          | _ -> go ()
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
           | exception
               Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->

@@ -307,6 +307,71 @@ let json_roundtrip_indented =
       | Ok j' -> Json.equal j j'
       | Error _ -> false)
 
+(* The string decoder copies runs of plain bytes as blocks; these
+   strings are dense in the bytes that end a run. *)
+let json_string_gen =
+  let piece =
+    QCheck.Gen.oneof
+      [
+        QCheck.Gen.oneofl
+          [ "\""; "\\"; "/"; "\n"; "\r"; "\t"; "\b"; "\012"; "\000";
+            "\031"; "\127"; "e\204\129"; "\195\169"; "\226\130\172";
+            "\240\159\152\128"; "\\u0041"; "\"\\" ];
+        QCheck.Gen.map (String.make 1) (QCheck.Gen.char_range '\000' '\031');
+        QCheck.Gen.string_size ~gen:(QCheck.Gen.char_range 'a' 'z')
+          (QCheck.Gen.int_bound 6);
+      ]
+  in
+  QCheck.Gen.(map (String.concat "") (list_size (int_bound 12) piece))
+
+let json_string_roundtrip =
+  QCheck.Test.make ~name:"json string round-trip" ~count:500
+    (QCheck.make ~print:(Printf.sprintf "%S") json_string_gen) (fun s ->
+      Json.of_string (Json.to_string (Json.Str s)) = Ok (Json.Str s))
+
+(* [\uXXXX] escapes between plain runs decode to the code points'
+   UTF-8 bytes. *)
+let json_unicode_escapes =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_bound 8)
+        (pair
+           (string_size ~gen:(char_range 'a' 'z') (int_bound 3))
+           (oneof [ int_range 1 0xD7FF; int_range 0xE000 0xFFFF ])))
+  in
+  QCheck.Test.make ~name:"json \\u escapes decode to UTF-8" ~count:300
+    (QCheck.make gen) (fun parts ->
+      let text = Buffer.create 64 and want = Buffer.create 64 in
+      Buffer.add_char text '"';
+      List.iter
+        (fun (plain, code) ->
+          Buffer.add_string text plain;
+          Buffer.add_string text (Printf.sprintf "\\u%04X" code);
+          Buffer.add_string want plain;
+          Buffer.add_utf_8_uchar want (Uchar.of_int code))
+        parts;
+      Buffer.add_char text '"';
+      Json.of_string (Buffer.contents text)
+      = Ok (Json.Str (Buffer.contents want)))
+
+(* The decoder's error text, offsets included, for each way a string
+   can be malformed. *)
+let test_json_string_errors () =
+  List.iter
+    (fun (text, want) ->
+      match Json.of_string text with
+      | Ok _ -> Alcotest.failf "should not parse: %S" text
+      | Error e -> Alcotest.(check string) (Printf.sprintf "%S" text) want e)
+    [
+      ("\"abc", "offset 4: unexpected end of input");
+      ("\"a\\", "offset 3: unexpected end of input");
+      ("\"ab\\u12", "offset 7: unexpected end of input");
+      ("[\"a\\qb\"]", "offset 5: bad escape \\q");
+      ("{\"k\":\"a\001b\"}", "offset 8: control character in string");
+      ("\"a\\n\031b\"", "offset 5: control character in string");
+      ("\"\\u12G4\"", "offset 7: bad \\u escape");
+    ]
+
 (* --- Symbol --- *)
 
 let test_symbol_roundtrip () =
@@ -403,5 +468,9 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           QCheck_alcotest.to_alcotest json_roundtrip;
           QCheck_alcotest.to_alcotest json_roundtrip_indented;
+          QCheck_alcotest.to_alcotest json_string_roundtrip;
+          QCheck_alcotest.to_alcotest json_unicode_escapes;
+          Alcotest.test_case "string error text" `Quick
+            test_json_string_errors;
         ] );
     ]

@@ -1002,6 +1002,333 @@ let test_store_read_only_wire_error () =
   | _ -> Alcotest.fail "stats_json must be an object");
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
 
+(* --- Framing --- *)
+
+module Framer = Argus_svc.Framer
+module Client = Argus_svc.Client
+module Endpoint = Argus_svc.Endpoint
+module Prng = Argus_core.Prng
+
+let write_all fd s =
+  let n = String.length s in
+  let rec go off =
+    if off < n then go (off + Unix.write_substring fd s off (n - off))
+  in
+  go 0
+
+(* Feed [chunks] through a socket pair into a framer, each chunk read
+   in full before the next is written, so the reads split the stream
+   exactly where the chunks do.  Returns the frames in order. *)
+let frames_of_chunks fr chunks =
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close r; Unix.close w) @@ fun () ->
+  let out = ref [] in
+  let rec drain () =
+    match Framer.next_line fr with
+    | Framer.Line l ->
+        out := `Line l :: !out;
+        drain ()
+    | Framer.Partial -> ()
+    | Framer.Overlong -> out := `Overlong :: !out
+  in
+  List.iter
+    (fun c ->
+      write_all w c;
+      let left = ref (String.length c) in
+      while !left > 0 && not (List.mem `Overlong !out) do
+        left := !left - Framer.read fr r;
+        drain ()
+      done)
+    chunks;
+  List.rev !out
+
+(* A stream of check requests with their own ids and trace ids — one
+   of them larger than a read — and some blank lines.  Sources carry
+   the bytes JSON escapes, newlines included. *)
+let framing_stream rng =
+  let n = 3 + Prng.int rng 4 in
+  let big = Prng.int rng n in
+  let alphabet = "ab \"\\\n\t{}:,\195\169" in
+  let request i =
+    let size =
+      if i = big then 70_000 + Prng.int rng 30_000 else Prng.int rng 300
+    in
+    let source =
+      String.init size (fun _ ->
+          alphabet.[Prng.int rng (String.length alphabet)])
+    in
+    Json.to_string
+      (Protocol.request_to_json
+         (Protocol.request ~id:(Printf.sprintf "f%d" i)
+            ~trace_id:(Printf.sprintf "ft%d" i) ~source Protocol.Check))
+  in
+  String.concat ""
+    (List.init n (fun i ->
+         request i ^ "\n" ^ if Prng.int rng 3 = 0 then "\n" else ""))
+
+(* Cut [stream] into chunks of 1 byte to 70 KB, with cuts just before,
+   on and just after newlines. *)
+let chunks_of rng stream =
+  let n = String.length stream in
+  let cuts = Hashtbl.create 16 in
+  let cut p = if p > 0 && p < n then Hashtbl.replace cuts p () in
+  String.iteri
+    (fun i c ->
+      if c = '\n' then
+        match Prng.int rng 4 with
+        | 0 -> cut i
+        | 1 -> cut (i + 1)
+        | 2 -> cut (i + 2)
+        | _ -> ())
+    stream;
+  let rec random p =
+    if p < n then begin
+      cut p;
+      random
+        (p + 1 + if Prng.int rng 2 = 0 then Prng.int rng 16
+                 else Prng.int rng 70_000)
+    end
+  in
+  random (1 + Prng.int rng 16);
+  let points =
+    List.sort compare (Hashtbl.fold (fun p () acc -> p :: acc) cuts [])
+  in
+  let rec pieces from = function
+    | [] -> [ String.sub stream from (n - from) ]
+    | p :: rest -> String.sub stream from (p - from) :: pieces p rest
+  in
+  pieces 0 points
+
+let test_framing_chunks_framer () =
+  for seed = 1 to 40 do
+    let rng = Prng.create seed in
+    let stream = framing_stream rng in
+    (* The stream ends in a newline, so the last piece is empty. *)
+    let pieces = String.split_on_char '\n' stream in
+    let want =
+      List.filteri (fun i _ -> i < List.length pieces - 1) pieces
+      |> List.map (fun l -> `Line l)
+    in
+    let got = frames_of_chunks (Framer.create ()) (chunks_of rng stream) in
+    if got <> want then Alcotest.failf "seed %d: the frames differ" seed
+  done
+
+(* Echo what the handler was sent, so a response names its request's
+   bytes. *)
+let digest_handler (req : Protocol.request) ~budget:_ =
+  Protocol.ok ~id:req.Protocol.id ~exit_code:0
+    [
+      ("len", Json.int (String.length req.Protocol.source));
+      ("md5", Json.Str (Digest.to_hex (Digest.string req.Protocol.source)));
+    ]
+
+let with_framing_server ?(max_line_bytes = 8 * 1024 * 1024) f =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "argus-svc-fr-%d.sock" (Unix.getpid ()))
+  in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let cfg =
+    {
+      (Server.default_config ~socket_path:path) with
+      Server.jobs = 1;
+      max_line_bytes;
+    }
+  in
+  let h = Server.spawn ~handler:digest_handler cfg in
+  Fun.protect ~finally:(fun () -> ignore (Server.stop h)) @@ fun () ->
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+    fd
+  in
+  f ~path connect
+
+(* The next [k] response lines on [fd], or fewer at end of input. *)
+let read_lines fr fd k =
+  let rec go acc k =
+    if k = 0 then List.rev acc
+    else
+      match Framer.next_line fr with
+      | Framer.Line l -> go (l :: acc) (k - 1)
+      | Framer.Overlong -> Alcotest.fail "response line too long"
+      | Framer.Partial -> (
+          match Framer.read fr fd with
+          | 0 | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) ->
+              List.rev acc
+          | _ -> go acc k
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+            ->
+              Alcotest.fail "timed out waiting for a response")
+  in
+  go [] k
+
+(* The responses to a stream written in random chunks equal, in order
+   and byte for byte, the responses to one write of the same stream. *)
+let test_framing_chunks_server () =
+  with_framing_server @@ fun ~path:_ connect ->
+  for seed = 1 to 6 do
+    let rng = Prng.create (100 + seed) in
+    let stream = framing_stream rng in
+    let requests =
+      List.length
+        (List.filter (fun l -> l <> "") (String.split_on_char '\n' stream))
+    in
+    let answers chunks =
+      let fd = connect () in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      List.iter (write_all fd) chunks;
+      read_lines (Framer.create ()) fd requests
+    in
+    let whole = answers [ stream ] in
+    Alcotest.(check int) "one response per request" requests
+      (List.length whole);
+    Alcotest.(check (list string))
+      (Printf.sprintf "seed %d: chunked = one write" seed)
+      whole
+      (answers (chunks_of rng stream))
+  done
+
+(* A check request line of exactly [size] bytes. *)
+let line_of_size size =
+  let line pad =
+    Json.to_string
+      (Protocol.request_to_json
+         (Protocol.request ~id:"edge" ~trace_id:"edge"
+            ~source:(String.make pad 'a') Protocol.Check))
+  in
+  let l = line (size - String.length (line 1) + 1) in
+  Alcotest.(check int) "line size" size (String.length l);
+  l
+
+let test_framing_max_line_bytes () =
+  let limit = 10_000 in
+  with_framing_server ~max_line_bytes:limit @@ fun ~path:_ connect ->
+  let exchange chunks =
+    let fd = connect () in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    List.iter (write_all fd) chunks;
+    let fr = Framer.create () in
+    let first = read_lines fr fd 1 in
+    (* A refused connection is closed; an accepted one still serves. *)
+    let next =
+      match first with
+      | [ l ] when String.length l > 0 -> (
+          match Protocol.response_of_line l with
+          | Ok { Protocol.outcome = Ok _; _ } ->
+              write_all fd (line_of_size 100 ^ "\n");
+              read_lines fr fd 1
+          | _ -> read_lines fr fd 1)
+      | _ -> []
+    in
+    (first, next)
+  in
+  let accepted what (first, next) =
+    match first with
+    | [ l ] -> (
+        match Protocol.response_of_line l with
+        | Ok { Protocol.outcome = Ok _; rid = "edge"; _ } ->
+            Alcotest.(check int) (what ^ ": still serving") 1
+              (List.length next)
+        | _ -> Alcotest.failf "%s: not accepted: %s" what l)
+    | _ -> Alcotest.failf "%s: no response" what
+  in
+  let refused what (first, next) =
+    match first with
+    | [ l ] -> (
+        match Protocol.response_of_line l with
+        | Ok { Protocol.outcome = Error (code, msg); _ } ->
+            Alcotest.(check string) (what ^ ": code") "svc/bad-request" code;
+            Alcotest.(check string) (what ^ ": message")
+              (Printf.sprintf "request line exceeds %d bytes" limit)
+              msg;
+            Alcotest.(check (list string)) (what ^ ": then closed") [] next
+        | _ -> Alcotest.failf "%s: not refused: %s" what l)
+    | _ -> Alcotest.failf "%s: no response" what
+  in
+  let at = line_of_size limit and over = line_of_size (limit + 1) in
+  accepted "exactly the limit" (exchange [ at ^ "\n" ]);
+  accepted "the limit, newline apart" (exchange [ at; "\n" ]);
+  refused "one byte over" (exchange [ over ^ "\n" ]);
+  refused "one byte over, newline apart" (exchange [ over; "\n" ]);
+  (* The framer alone: exact, deterministic splits. *)
+  let frames chunks =
+    frames_of_chunks (Framer.create ~max_line_bytes:10 ()) chunks
+  in
+  let ten = "0123456789" in
+  Alcotest.(check bool) "framer: ten bytes is a line" true
+    (frames [ ten ^ "\n" ] = [ `Line ten ]);
+  Alcotest.(check bool) "framer: eleven is overlong" true
+    (frames [ ten ^ "0\n" ] = [ `Overlong ]);
+  Alcotest.(check bool) "framer: eleven unfinished is overlong" true
+    (frames [ ten; "0" ] = [ `Overlong ]);
+  Alcotest.(check bool) "framer: lines before an overlong one" true
+    (frames [ "a\n" ^ ten ^ "0123" ] = [ `Line "a"; `Overlong ])
+
+(* A framer grows for a large frame, never past the line limit plus its
+   newline, and drops back to its initial size once the frame is
+   taken. *)
+let test_framing_shrinks () =
+  let fr = Framer.create () in
+  let big = String.make 100_000 'x' in
+  let got = frames_of_chunks fr [ big ^ "\nta"; "il" ] in
+  Alcotest.(check bool) "the large line" true (got = [ `Line big ]);
+  Alcotest.(check int) "back to the initial size" Framer.initial_bytes
+    (Framer.capacity fr);
+  Alcotest.(check int) "the tail stays buffered" 4 (Framer.pending fr);
+  Alcotest.(check bool) "and completes later" true
+    (frames_of_chunks fr [ "\n" ] = [ `Line "tail" ]);
+  let capped = Framer.create ~max_line_bytes:50_000 () in
+  let got = frames_of_chunks capped [ String.make 60_000 'y' ] in
+  Alcotest.(check bool) "over the limit" true (got = [ `Overlong ]);
+  Alcotest.(check bool) "growth capped at the limit plus one" true
+    (Framer.capacity capped <= 50_001)
+
+(* Major-heap words allocated by every domain while [f] runs.  A minor
+   collection is stop-the-world, so it refreshes every domain's
+   counters before each reading. *)
+let major_words f =
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  f ();
+  Gc.minor ();
+  (Gc.quick_stat ()).Gc.major_words -. before
+
+(* A read allocates nothing: the connection's buffer is reused.  One
+   64 KiB buffer per read is 8k words per request here, on the
+   acceptor and on the client alike. *)
+let test_framing_no_read_allocation () =
+  with_framing_server @@ fun ~path connect ->
+  let rounds = 200 in
+  let line = line_of_size 300 ^ "\n" in
+  let fd = connect () in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let fr = Framer.create () in
+  let roundtrip () =
+    write_all fd line;
+    ignore (read_lines fr fd 1)
+  in
+  let bounded what f =
+    f ();
+    let per =
+      major_words (fun () -> for _ = 1 to rounds do f () done)
+      /. float_of_int rounds
+    in
+    if per > 2048. then
+      Alcotest.failf
+        "%s: %.0f major words per request (a 64 KiB read buffer is 8193)"
+        what per
+  in
+  bounded "acceptor" roundtrip;
+  (* The client's read path, on its one pooled connection. *)
+  let client = Client.create [ Endpoint.Unix_path path ] in
+  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  bounded "client" (fun () ->
+      match Client.call client (line_of_size 300) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (Client.error_message e))
+
 let () =
   Alcotest.run "argus-svc"
     [
@@ -1072,5 +1399,18 @@ let () =
             test_server_stats_schema;
           Alcotest.test_case "traced request returns span tree" `Quick
             test_server_traced_request;
+        ] );
+      ( "framing",
+        [
+          Alcotest.test_case "random chunks split the framer exactly" `Quick
+            test_framing_chunks_framer;
+          Alcotest.test_case "chunked writes answer like one write" `Quick
+            test_framing_chunks_server;
+          Alcotest.test_case "max_line_bytes boundary" `Quick
+            test_framing_max_line_bytes;
+          Alcotest.test_case "buffer shrinks after a large frame" `Quick
+            test_framing_shrinks;
+          Alcotest.test_case "a read allocates no buffer" `Quick
+            test_framing_no_read_allocation;
         ] );
     ]
