@@ -817,6 +817,9 @@ let bench_subjects =
         ignore (Argus_oracle.Legacy_dsl.parse dsl_5k)));
     Test.make ~name:"dsl-parse-8" (Staged.stage (fun () ->
         ignore (Argus_dsl.Dsl.parse dsl_case_8)));
+    (* Every intern derives through the process-wide derivation memo,
+       and the deep case re-interned each run finds every payload
+       filed: this times an intern whose text derivations all hit. *)
     Test.make ~name:"ir-intern-cost" (Staged.stage (fun () ->
         ignore (Caseir.intern deep_case)));
     Test.make ~name:"fused-corpus-check" (Staged.stage (fun () ->
@@ -931,8 +934,11 @@ let bench_subjects =
             | Ok v -> ignore v.Store.result
             | Error e -> failwith (Store.error_message e))));
     (* Cold put: intern, digest and verdict 100k nodes into a fresh
-       store — the store's worst case, for honest amortisation
-       arithmetic next to the edit kernel. *)
+       store, for amortisation arithmetic next to the edit kernel.  The
+       case has 110k distinct payloads, more than the derivation memo
+       holds, so re-interning it in the same order finds none of them
+       (FIFO eviction drops each before its turn comes round): every
+       run re-derives every payload, as in [store-full-recheck-100k]. *)
     Test.make_with_resource ~name:"store-put-100k" Test.uniq
       ~allocate:store_case_100k
       ~free:(fun _ -> ())

@@ -27,12 +27,12 @@
    predicates; the graph shape and the texts are immutable once
    interned, so these are plain arrays.  [ir.interned] counts interning passes.
 
+   Every [intern] derives through one process-wide memo, so interning
+   a payload seen before skips the text scan.
+
    The incremental store (lib/store) keeps a case as its IR alone, so
    the IR also carries the evidence table and [to_structure] builds
-   the structure back on demand.  [intern] takes an optional [?derive]
-   hook so a caller can hash-cons the text derivations across cases —
-   re-interning a structure then skips the text scan for every node
-   payload already seen.  And [apply] validates and applies any edit
+   the structure back on demand.  And [apply] validates and applies any edit
    batch (set-text, add, remove, link, unlink) to an existing IR.
    A batch that only sets texts writes the node and text arrays in
    place and leaves the graph half alone, so a one-node text edit
@@ -118,8 +118,9 @@ let content_row words =
   (Array.map snd pairs, Array.map fst pairs)
 
 (* Everything the checkers derive from one node payload, independent of
-   the surrounding graph — the unit of hash-consing for the store's
-   arena.  One {!Textutil.scan} of the text feeds every column: the
+   the surrounding graph — the unit of the derivation memo below, whose
+   key must grow with anything more of the payload this comes to read.
+   One {!Textutil.scan} of the text feeds every column: the
    content words (and from them the norm, the claim key and the hashed
    row), the universal and verb-marker flags, and the ignorance flag;
    only a goal with no verb marker is scanned again, for symbolic
@@ -360,8 +361,56 @@ let make ?into ~evidence ~evidence_index ~index ~ids ~nodes ~n_entities
     evidence_index;
   }
 
-let intern ?(derive = derive) structure =
+(* --- the derivation memo --- *)
+
+(* The one process-wide, bounded, domain-safe memo of [derive], through
+   which every [intern] derives: a payload interned before — by a
+   check, a store put or recovery, a modular check's per-module pass —
+   skips the text scan.  The key is what [derive] reads: the text and
+   the type's class (a [Goal], another goal-like type, any other),
+   hashed and compared where it lies — ~50-70 ns a lookup, against
+   ~300 ns for an MD5 of the same fields and ~1.4-2.5 us for the
+   derive a hit saves (1000-node generated case).  FIFO eviction, and evicting never changes a result: a miss just
+   re-derives, outside the lock. *)
+let memo_capacity = 1 lsl 16
+
+module Memo = Hashtbl.Make (struct
+  type t = int * string
+
+  let equal ((k : int), s) (k', s') = k = k' && String.equal s s'
+  let hash ((k : int), s) = Hashtbl.hash s + k
+end)
+
+let memo : derived Memo.t = Memo.create 4096
+let memo_fifo = Queue.create ()
+let memo_mu = Mutex.create ()
+let c_derive_hits = Argus_obs.Counter.make "ir.derive_hits"
+
+let memo_derive hits (n : Node.t) =
+  let key =
+    ( (match n.Node.node_type with
+      | Node.Goal -> 0
+      | t -> if Node.is_goal_like t then 1 else 2),
+      n.Node.text )
+  in
+  match Mutex.protect memo_mu (fun () -> Memo.find_opt memo key) with
+  | Some d ->
+      incr hits;
+      d
+  | None ->
+      let d = derive n in
+      Mutex.protect memo_mu (fun () ->
+          if not (Memo.mem memo key) then begin
+            Memo.add memo key d;
+            Queue.add key memo_fifo;
+            if Queue.length memo_fifo > memo_capacity then
+              Memo.remove memo (Queue.pop memo_fifo)
+          end);
+      d
+
+let intern_counted structure =
   Argus_obs.Counter.incr c_interned;
+  let hits = ref 0 in
   let nodes = Array.of_list (Structure.nodes structure) in
   let n_nodes = Array.length nodes in
   let links = Array.of_list (Structure.links structure) in
@@ -402,9 +451,13 @@ let intern ?(derive = derive) structure =
   Array.iteri
     (fun k ev -> Hashtbl.replace evidence_index (Id.to_string ev.Evidence.id) k)
     evidence;
-  make ~evidence ~evidence_index ~index ~ids ~nodes ~n_entities
-    ~columns:(columns n_nodes (fun i -> derive nodes.(i)))
-    link_kind link_src link_dst
+  let columns = columns n_nodes (fun i -> memo_derive hits nodes.(i)) in
+  Argus_obs.Counter.add c_derive_hits !hits;
+  ( make ~evidence ~evidence_index ~index ~ids ~nodes ~n_entities ~columns
+      link_kind link_src link_dst,
+    !hits )
+
+let intern structure = fst (intern_counted structure)
 
 let entity_index ir id = Hashtbl.find_opt ir.index (Id.to_string id)
 
@@ -419,46 +472,6 @@ let to_structure ir =
       (List.init (Array.length ir.link_kind) (fun k ->
            (ir.link_kind.(k), ir.ids.(ir.link_src.(k)), ir.ids.(ir.link_dst.(k)))))
     ~evidence:(Array.to_list ir.evidence) (Array.to_list ir.nodes)
-
-(* A process-wide, bounded, domain-safe memo of [derive], keyed by the
-   payload content the derivations read (type and text) — the
-   derivation half of hash-consing a node.  Re-interning a structure
-   whose payloads were seen before (the modular checker's per-module
-   passes) skips the text analysis
-   entirely; for a small module that analysis is ~90% of the intern
-   cost.  FIFO eviction keeps the table bounded, and evicting never
-   changes a result — a miss just re-derives.  [ir.derive_hits]
-   counts hits. *)
-let derive_capacity = 1 lsl 16
-
-let derive_tbl : (string, derived) Hashtbl.t = Hashtbl.create 4096
-let derive_fifo : string Queue.t = Queue.create ()
-let derive_mu = Mutex.create ()
-let c_derive_hits = Argus_obs.Counter.make "ir.derive_hits"
-
-let payload_key (n : Node.t) =
-  Digest.string (Node.type_to_string n.Node.node_type ^ "\x00" ^ n.Node.text)
-
-let derive_cached n =
-  let key = payload_key n in
-  Mutex.lock derive_mu;
-  match Hashtbl.find_opt derive_tbl key with
-  | Some d ->
-      Mutex.unlock derive_mu;
-      Argus_obs.Counter.incr c_derive_hits;
-      d
-  | None ->
-      Mutex.unlock derive_mu;
-      let d = derive n in
-      Mutex.lock derive_mu;
-      if not (Hashtbl.mem derive_tbl key) then begin
-        Hashtbl.add derive_tbl key d;
-        Queue.add key derive_fifo;
-        if Queue.length derive_fifo > derive_capacity then
-          Hashtbl.remove derive_tbl (Queue.pop derive_fifo)
-      end;
-      Mutex.unlock derive_mu;
-      d
 
 (* --- graph deltas --- *)
 

@@ -25,9 +25,7 @@
     validates and applies every edit batch to it without re-interning
     ([ir.interned] does not move) — in place for a text-only batch,
     over the integer arrays for any other — and {!to_structure} builds
-    the {!Argus_gsn.Structure.t} back on demand.  [intern] accepts a
-    [?derive] hook so text derivations can be hash-consed across
-    cases. *)
+    the {!Argus_gsn.Structure.t} back on demand. *)
 
 type derived = {
   d_goal_like : bool;  (** {!Argus_gsn.Node.is_goal_like}. *)
@@ -51,8 +49,8 @@ type derived = {
           [Goal]. *)
 }
 (** Everything the checkers derive from one node payload, independent
-    of the surrounding graph — the unit of hash-consing for the
-    store's node arena.  All of it comes from one
+    of the surrounding graph — the unit of {!intern}'s derivation
+    memo.  All of it comes from one
     {!Argus_core.Textutil.scan} of the text (a [Goal] with no verb
     marker is also checked for symbolic notation). *)
 
@@ -121,13 +119,23 @@ type t = {
 (** Treat all fields as read-only; the checkers index them freely. *)
 
 val derive : Argus_gsn.Node.t -> derived
-(** The default per-payload derivation — exactly what {!intern}
-    computes per node when no hook is given. *)
+(** The per-payload derivation, computed afresh. *)
 
-val intern : ?derive:(Argus_gsn.Node.t -> derived) -> Argus_gsn.Structure.t -> t
-(** [?derive] (default {!derive}) computes the per-node text
-    derivations; a caller may substitute a memoised version — it must
-    be extensionally equal to {!derive}. *)
+val memo_capacity : int
+(** How many payload derivations the derivation memo holds: [2^16]. *)
+
+val intern : Argus_gsn.Structure.t -> t
+(** Every node's text columns come from one process-wide, bounded,
+    domain-safe memo of {!derive}, keyed by what {!derive} reads: the
+    text, and whether the type is a [Goal] or goal-like.  Re-interning
+    a payload seen before — by any caller in the process: a check, a
+    store put or recovery, the modular checker — skips its text scan
+    and shares the value filed earlier.  FIFO eviction at
+    {!memo_capacity} entries; a miss just re-derives.  [ir.derive_hits]
+    counts hits. *)
+
+val intern_counted : Argus_gsn.Structure.t -> t * int
+(** {!intern}, and how many of its nodes the memo already held. *)
 
 val entity_index : t -> Argus_core.Id.t -> int option
 (** The entity index of an id the structure mentions, if any. *)
@@ -141,17 +149,6 @@ val to_structure : t -> Argus_gsn.Structure.t
     order (after an {!apply}, those of the edited structure).  It reads
     only [nodes], [ids], the link arrays and [evidence], and costs a
     whole {!Argus_gsn.Structure.build}: for exports, never per edit. *)
-
-val derive_cached : Argus_gsn.Node.t -> derived
-(** {!derive} through a process-wide, bounded, domain-safe memo keyed
-    by the payload content the derivations read (type and text) —
-    extensionally equal to {!derive}, so safe as {!intern}'s hook.
-    FIFO eviction; a miss just re-derives.  [ir.derive_hits] counts
-    hits. *)
-
-val payload_key : Argus_gsn.Node.t -> string
-(** The key {!derive_cached} files a payload under: a digest of its
-    type and text, the only fields {!derive} reads. *)
 
 (** {2 Graph deltas} *)
 
@@ -183,7 +180,9 @@ val apply : t -> edit list -> (t * int array option, string) result
     to [intern] of the edited structure ([index] by bindings), for
     every batch, dangling endpoints, cycles and re-added ids included.
     [ir.interned] does not move, and {!derive} runs only on the
-    payloads the batch sets or adds.
+    payloads the batch sets or adds — directly, not through the memo:
+    an edited text is almost always new, so filing it would only grow
+    the table with entries that are never hit.
 
     [Error msg], with [ir] untouched, when a [Set_text] or
     [Remove_node] names no node of the case as it stands at that point

@@ -604,7 +604,7 @@ let assemble ~wf ~informal =
 let check_modular ?pool m =
   Argus_gsn.Modular.check_with ?pool
     ~wf:(fun s ->
-      (check ~lints:false (Caseir.intern ~derive:Caseir.derive_cached s)).wf)
+      (check ~lints:false (Caseir.intern s)).wf)
     m
 
 (* Lints alone, for callers that only lint — no [gsn.wf.*] counters,

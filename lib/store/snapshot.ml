@@ -90,9 +90,7 @@ let write ~dir (image : image) =
   let payload = Marshal.to_string image [] in
   (* Header and payload go out as two writes of the same bytes: the
      payload is case-sized, so concatenating it would copy it. *)
-  let header =
-    magic ^ Wal.u32le (String.length payload) ^ Wal.u32le (Wal.crc32 payload)
-  in
+  let header = magic ^ Wal.header payload in
   let final = Filename.concat dir (filename ~seq:image.seq) in
   let tmp = final ^ ".tmp" in
   let fd =
@@ -148,11 +146,10 @@ let read path : (image, string) result =
                "%s: snapshot truncated (record claims %d bytes, %d present)"
                path len (n - mlen - 8))
         else
-          let payload = String.sub data (mlen + 8) len in
-          if Wal.crc32 payload <> crc then
+          if Wal.crc32 data (mlen + 8) len <> crc then
             Error (Printf.sprintf "%s: snapshot checksum mismatch" path)
           else
-            match (Marshal.from_string payload 0 : image) with
+            match (Wal.unmarshal_at data (mlen + 8) len : image) with
             | image -> Ok image
             | exception _ ->
                 Error

@@ -21,14 +21,16 @@
    whole case.  A full build runs only for a [put] (and a shape
    patch's undo).  Two layers of reuse sit under it:
 
-   - {e Node arena.}  Per-payload text derivations (content words,
-     the claim key, the universal/propositional/ignorance predicates)
-     are hash-consed in a bounded table keyed by payload digest, so a
-     [rebuild] (a [put], or a shape patch's undo) skips the text
-     analysis for every payload seen before ([store.node_hits] counts
-     hits).  A patch derives the payloads it sets or adds directly,
-     without the arena: an edited text is almost always new, so filing
-     it would only grow the table with entries that are never hit.
+   - {e Derivation memo.}  Per-payload text derivations (content
+     words, the claim key, the universal/propositional/ignorance
+     predicates) come from the one process-wide memo every
+     {!Caseir.intern} goes through, so a [rebuild] (a [put], recovery,
+     or a shape patch's undo) skips the text analysis for every
+     payload seen before — by a [check] of the same case too
+     ([store.node_hits] counts the payloads a [rebuild] found derived).
+     A patch derives the payloads it sets or adds directly, without
+     the memo: an edited text is almost always new, so filing it would
+     only grow the table with entries that are never hit.
 
    - {e Per-node digest terms.}  Each node's term covers its payload
      and the ids of its SupportedBy and InContextOf targets; the case
@@ -137,40 +139,9 @@ type case_state = {
           reads node text), dies with any other edit. *)
 }
 
-type t = {
-  mu : Mutex.t;
-  cases : (string, case_state) Hashtbl.t;
-  arena : (string, Caseir.derived) Hashtbl.t;
-  arena_fifo : string Queue.t;
-  capacity : int;  (** Of the arena. *)
-}
+type t = { mu : Mutex.t; cases : (string, case_state) Hashtbl.t }
 
-let create ?(arena_capacity = 1 lsl 18) () =
-  {
-    mu = Mutex.create ();
-    cases = Hashtbl.create 16;
-    arena = Hashtbl.create 1024;
-    arena_fifo = Queue.create ();
-    capacity = max 16 arena_capacity;
-  }
-
-(* --- the node arena: hash-consed payload derivations --- *)
-
-(* Find-or-derive in the arena: bounded, FIFO eviction.  Evicting
-   never changes a result — a miss just re-derives. *)
-let arena_derive store n =
-  let key = Caseir.payload_key n in
-  match Hashtbl.find_opt store.arena key with
-  | Some d ->
-      Counter.incr c_node_hits;
-      d
-  | None ->
-      let d = Caseir.derive n in
-      Hashtbl.add store.arena key d;
-      Queue.add key store.arena_fifo;
-      if Queue.length store.arena_fifo > store.capacity then
-        Hashtbl.remove store.arena (Queue.pop store.arena_fifo);
-      d
+let create () = { mu = Mutex.create (); cases = Hashtbl.create 16 }
 
 (* --- digests --- *)
 
@@ -296,12 +267,13 @@ let build_ctx_in (ir : Caseir.t) =
     ir.Caseir.link_kind;
   ctx_in
 
-(* Full build of the case state: an intern through the arena, digests,
-   per-node verdicts and the link/shape findings, every node checked.
-   Only a [put] (and a shape patch's undo, a re-put) runs it; every
-   patch takes [delta]. *)
-let rebuild store st structure =
-  let ir = Caseir.intern ~derive:(arena_derive store) structure in
+(* Full build of the case state: an intern, digests, per-node verdicts
+   and the link/shape findings, every node checked.  Only a [put] (and
+   a shape patch's undo, a re-put) runs it; every patch takes [delta].
+   [store.node_hits] counts the payloads the intern found derived. *)
+let rebuild st structure =
+  let ir, hits = Caseir.intern_counted structure in
+  Counter.add c_node_hits hits;
   let n = ir.Caseir.n_nodes in
   st.ir <- ir;
   st.ctx_in <- build_ctx_in ir;
@@ -350,7 +322,7 @@ let locked store f =
 let put_with_undo ?(ruleset = Wellformed.Standard) store structure =
   locked store (fun () ->
       let st = fresh_state ruleset in
-      rebuild store st structure;
+      rebuild st structure;
       let digest = st.digest in
       let prior = Hashtbl.find_opt store.cases digest in
       Hashtbl.replace store.cases digest st;
@@ -645,7 +617,7 @@ let patch_with_undo store ~digest edits =
               fun digest' ->
                 Hashtbl.remove store.cases digest';
                 let st = fresh_state ruleset in
-                rebuild store st (Caseir.to_structure frozen);
+                rebuild st (Caseir.to_structure frozen);
                 Hashtbl.replace store.cases st.digest st
           in
           match patch_locked store ~digest edits with

@@ -13,8 +13,9 @@
     — instead of the whole case.  Two layers of reuse keep the rest of
     the work near-constant:
 
-    - a {e node arena} hash-consing per-payload text derivations
-      across the cases a [put] interns ([store.node_hits]);
+    - the process-wide derivation memo of {!Argus_ir.Caseir.intern},
+      so a [put] skips the text analysis of every payload seen before,
+      by a [check] of the same case too ([store.node_hits]);
     - {e per-node digest terms} — each node's term covers its payload
       and the ids of its SupportedBy and InContextOf targets, folded
       into an order-independent 128-bit sum, so an edit recomputes
@@ -29,7 +30,7 @@
     live nodes across cases. *)
 
 type t
-(** A store: cases keyed by digest, plus the shared arena. *)
+(** A store: cases keyed by digest. *)
 
 type edit = Argus_ir.Caseir.edit =
   | Set_text of Argus_core.Id.t * string
@@ -66,10 +67,8 @@ type verdict = {
 val default_trust : Argus_core.Evidence.t -> float
 (** Uniform 0.9, the experiments' baseline trust. *)
 
-val create : ?arena_capacity:int -> unit -> t
-(** [arena_capacity] (default [2^18], at least 16) bounds the node
-    arena to that many payload derivations; FIFO eviction, and
-    eviction never changes results — a miss just re-derives. *)
+val create : unit -> t
+(** An empty store. *)
 
 val put :
   ?ruleset:Argus_gsn.Wellformed.ruleset ->

@@ -18,7 +18,9 @@
    diagnostic that names the format ({!earlier_format}) before
    replaying or verifying anything.
 
-   [crc] is CRC-32 (IEEE) of the payload bytes; the payload is the
+   [crc] is CRC-32 (IEEE) of the payload bytes, computed by a
+   slicing-by-8 C stub over a byte range, so [parse] checks and decodes
+   each record in place, without a copy; the payload is the
    [Marshal] encoding of {!record} — pure data (the structure, the
    edits, the result digest), no closures, so the encoding is
    deterministic for a given compiler.  The digest recorded with each
@@ -89,22 +91,17 @@ type record = { seq : int; op : op; digest : string }
 
 (* --- CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) --- *)
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+external crc32_init : unit -> unit = "argus_crc32_init" [@@noalloc]
 
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
-  !c lxor 0xFFFFFFFF
+external crc32_unsafe : string -> int -> int -> int = "argus_crc32"
+[@@noalloc]
+
+let () = crc32_init ()
+
+let crc32 s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Wal.crc32";
+  crc32_unsafe s off len
 
 (* --- framing --- *)
 
@@ -117,9 +114,23 @@ let read_u32le s off =
   lor (Char.code s.[off + 2] lsl 16)
   lor (Char.code s.[off + 3] lsl 24)
 
+let header payload =
+  let len = String.length payload in
+  u32le len ^ u32le (crc32 payload 0 len)
+
 let encode (r : record) =
   let payload = Marshal.to_string r [] in
-  u32le (String.length payload) ^ u32le (crc32 payload) ^ payload
+  header payload ^ payload
+
+(* [Marshal.from_string] of the [len] bytes at [off] of [data], read in
+   place: it refuses an encoding that runs past those bytes, as it
+   would on a copy of just them. *)
+let unmarshal_at data off len =
+  if
+    len < Marshal.header_size
+    || Marshal.total_size (Bytes.unsafe_of_string data) off > len
+  then failwith "Wal.unmarshal_at: the value overruns its record"
+  else Marshal.from_string data off
 
 type tail =
   | Clean
@@ -162,8 +173,7 @@ let parse (data : string) : (record list * tail, string) result =
              the only sound reading. *)
           result := Some (Ok (List.rev !records, Torn { offset = o; dropped = n - o }))
         else begin
-          let payload = String.sub data (o + 8) len in
-          if crc32 payload <> crc then
+          if crc32 data (o + 8) len <> crc then
             if o + 8 + len = n then
               (* Complete final record, bad bytes: torn append. *)
               result :=
@@ -180,7 +190,7 @@ let parse (data : string) : (record list * tail, string) result =
                         (n - (o + 8 + len))
                         n))
           else
-            match (Marshal.from_string payload 0 : record) with
+            match (unmarshal_at data (o + 8) len : record) with
             | r ->
                 records := r :: !records;
                 off := o + 8 + len
@@ -240,7 +250,12 @@ let do_fsync t ~key =
 
 let append t (r : record) =
   Fault.point ~key:(string_of_int r.seq) "store.wal.append";
-  write_fully t.fd (encode r);
+  (* Header and payload go out as two writes, as in [Snapshot.write]:
+     the payload is case-sized, so concatenating it would copy it.  A
+     crash between them leaves a torn tail. *)
+  let payload = Marshal.to_string r [] in
+  write_fully t.fd (header payload);
+  write_fully t.fd payload;
   Counter.incr c_appends;
   match t.sync with
   | Always -> do_fsync t ~key:(string_of_int r.seq)

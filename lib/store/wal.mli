@@ -45,11 +45,22 @@ val earlier_format : stem:string -> what:string -> string -> string option
     start from an empty data dir and re-put the cases.  [None]
     otherwise. *)
 
-val crc32 : string -> int
-(** CRC-32 (IEEE) of a string, in [0, 0xFFFFFFFF]. *)
+val crc32 : string -> int -> int -> int
+(** [crc32 s off len]: CRC-32 (IEEE) of [len] bytes of [s] from [off],
+    in [0, 0xFFFFFFFF].  Raises [Invalid_argument] unless the range
+    lies within [s]. *)
 
 val u32le : int -> string
 val read_u32le : string -> int -> int
+
+val header : string -> string
+(** The 8-byte frame header of a payload: [len:u32le ^ crc32:u32le]. *)
+
+val unmarshal_at : string -> int -> int -> 'a
+(** [unmarshal_at data off len]: [Marshal.from_string] of the [len]
+    bytes of [data] at [off], without copying them; raises unless a
+    whole encoding lies within them.  As with [Marshal], the caller
+    states the result type and nothing checks it. *)
 
 val write_fully : Unix.file_descr -> string -> unit
 (** Write every byte or raise; retries [EINTR], maps a zero-progress

@@ -246,14 +246,36 @@ let incremental_matches_full =
       | Ok () -> true
       | Error msg -> QCheck.Test.fail_report msg)
 
-(* A tiny arena forces constant eviction; results must not move. *)
+(* File [Caseir.memo_capacity] payloads no other test derives: nothing
+   filed before is left (a case of distinct payloads interned first
+   finds none of them), and the memo, which never shrinks, stays full,
+   so every later insert evicts.  Once per process. *)
+let overfilled_memo =
+  lazy
+    (let early =
+       Structure.of_nodes ~links:[] ~evidence:[]
+         (List.init 8 (fun i ->
+              Node.goal (Printf.sprintf "G%d" i) (Printf.sprintf "early %d" i)))
+     in
+     ignore (Caseir.intern early);
+     ignore
+       (Caseir.intern
+          (Structure.of_nodes ~links:[] ~evidence:[]
+             (List.init Caseir.memo_capacity (fun i ->
+                  Node.goal (Printf.sprintf "F%d" i) (Printf.sprintf "filler %d" i)))));
+     match Caseir.intern_counted early with
+     | _, 0 -> ()
+     | _, hits ->
+         QCheck.Test.fail_reportf "%d payloads outlived an overfilled memo" hits)
+
+(* An overfilled memo evicts on every insert; results must not move. *)
 let eviction_never_changes_results =
-  QCheck.Test.make ~name:"bounded arena eviction never changes results"
+  QCheck.Test.make ~name:"bounded memo eviction never changes results"
     ~count:60
     (QCheck.make ~print:print_scenario gen_case_and_edits)
     (fun scenario ->
-      let store = Store.create ~arena_capacity:1 () in
-      match drive store scenario with
+      Lazy.force overfilled_memo;
+      match drive (Store.create ()) scenario with
       | Ok () -> true
       | Error msg -> QCheck.Test.fail_report msg)
 
@@ -513,6 +535,84 @@ let concurrent_differential jobs () =
       | Ok () -> ()
       | Error msg -> Alcotest.fail (Printf.sprintf "scenario %d: %s" i msg))
     results
+
+(* Eight domains intern overlapping cases through the one derivation
+   memo.  A quarter of the payloads come from a pool every domain
+   draws from, under five node types (three memo key classes), and
+   the rest are unique, so the domains file more payloads than the
+   memo holds: lookups, inserts and evictions race.  Every IR's text
+   columns must equal a fresh [Caseir.derive] of its nodes. *)
+let memo_domains () =
+  let words =
+    [| "pump"; "valve"; "all"; "always"; "is"; "safe"; "no"; "evidence";
+       "failure"; "isolates"; "every"; "mode"; "hazard"; "p -> q"; "TBD";
+       "bank"; "river"; "shall"; "never"; "controller" |]
+  in
+  let types =
+    [| Node.Goal; Node.Strategy; Node.Away_goal (Id.of_string "M1");
+       Node.Solution; Node.Context |]
+  in
+  let phrase rand k =
+    String.concat " "
+      (List.init k (fun _ -> words.(Random.State.int rand (Array.length words))))
+  in
+  let pool =
+    let rand = Random.State.make [| 7 |] in
+    Array.init 512 (fun _ -> phrase rand (1 + Random.State.int rand 6))
+  in
+  let cases_per_domain = 48 and nodes_per_case = 256 in
+  assert (8 * cases_per_domain * nodes_per_case * 3 / 4 > Caseir.memo_capacity);
+  let case d c =
+    let rand = Random.State.make [| d; c |] in
+    let nodes =
+      List.init nodes_per_case (fun i ->
+          let text =
+            if Random.State.int rand 4 = 0 then
+              pool.(Random.State.int rand (Array.length pool))
+            else Printf.sprintf "%s %d.%d.%d" (phrase rand 3) d c i
+          in
+          Node.make
+            ~id:(Id.of_string (Printf.sprintf "N%d" i))
+            ~node_type:types.(Random.State.int rand (Array.length types))
+            text)
+    in
+    Structure.of_nodes ~links:[] ~evidence:[] nodes
+  in
+  let column_drift (ir : Caseir.t) =
+    let drift = ref None in
+    for i = ir.Caseir.n_nodes - 1 downto 0 do
+      let d = Caseir.derive ir.Caseir.nodes.(i) in
+      let seen =
+        {
+          Caseir.d_goal_like = ir.Caseir.goal_like.(i);
+          d_norm = ir.Caseir.norm.(i);
+          d_claim = ir.Caseir.claim.(i);
+          d_content = ir.Caseir.content.(i);
+          d_content_hash = ir.Caseir.content_hash.(i);
+          d_ignorance = ir.Caseir.ignorance.(i);
+          d_universal = ir.Caseir.universal.(i);
+          d_propositional = ir.Caseir.propositional.(i);
+        }
+      in
+      if seen <> d then drift := Some ir.Caseir.nodes.(i).Node.text
+    done;
+    !drift
+  in
+  let hits_before = Counter.value (Counter.make "ir.derive_hits") in
+  let drifts =
+    Pool.with_pool ~jobs:8 (fun pool ->
+        Pool.init ~pool 8 (fun d ->
+            List.filter_map
+              (fun c -> column_drift (Caseir.intern (case d c)))
+              (List.init cases_per_domain Fun.id)))
+  in
+  Array.iteri
+    (fun d texts ->
+      List.iter (Alcotest.failf "domain %d: the columns of %S drift" d) texts)
+    drifts;
+  Alcotest.(check bool)
+    "the domains hit the memo" true
+    (Counter.value (Counter.make "ir.derive_hits") > hits_before)
 
 (* --- durability: WAL + snapshots + recovery + degraded mode --- *)
 
@@ -1615,11 +1715,11 @@ let counter name = Counter.value (Counter.make name)
 (* Every batch must take the delta — no re-intern — and leave the
    store exactly where a fresh put of the edited structure lands: same
    IR, verdict, digest and confidence. *)
-let fast_path_matches_fresh ~arena_capacity =
+let fast_path_matches_fresh ~overfill =
   QCheck.Test.make
     ~name:
-      (Printf.sprintf "shape edits take the fast path (arena %s)"
-         (if arena_capacity = 1 then "1" else "default"))
+      (Printf.sprintf "shape edits take the fast path (memo %s)"
+         (if overfill then "overfilled" else "as left"))
     ~count:25
     (QCheck.make
        ~print:(fun (seed, size) -> Printf.sprintf "seed %d, %d nodes" seed size)
@@ -1627,7 +1727,8 @@ let fast_path_matches_fresh ~arena_capacity =
     (fun (seed, size) ->
       let rand = Random.State.make [| seed |] in
       let s = tree_case rand size in
-      let store = Store.create ~arena_capacity () in
+      if overfill then Lazy.force overfilled_memo;
+      let store = Store.create () in
       let d = ref (Store.put store s) in
       ignore (Store.verdict store ~digest:!d);
       let ir = ref (Caseir.intern s) and s = ref s in
@@ -1903,6 +2004,31 @@ let test_patch_rechecks_cone () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* [Wal.crc32] (slicing by 8, in C) over any byte range equals the
+   bitwise CRC-32 of the same bytes copied out, and reads the standard
+   check value. *)
+let crc32_matches_bitwise =
+  let bitwise s =
+    let c = ref 0xFFFFFFFF in
+    String.iter
+      (fun ch ->
+        c := !c lxor Char.code ch;
+        for _ = 1 to 8 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done)
+      s;
+    !c lxor 0xFFFFFFFF
+  in
+  QCheck.Test.make ~name:"crc32 = bitwise CRC-32 on any range" ~count:300
+    QCheck.(triple (string_of_size Gen.(0 -- 100)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let off = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - off = 0 then 0 else b mod (n - off + 1) in
+      Wal.crc32 "123456789" 0 9 = 0xCBF43926
+      && Wal.crc32 s off len = bitwise (String.sub s off len)
+      && Wal.crc32 s 0 n = bitwise s)
+
 let () =
   Fault.configure_from_env ();
   Alcotest.run "argus-store"
@@ -1916,9 +2042,8 @@ let () =
       ( "shape",
         [
           QCheck_alcotest.to_alcotest apply_matches_intern;
-          QCheck_alcotest.to_alcotest (fast_path_matches_fresh ~arena_capacity:1);
-          QCheck_alcotest.to_alcotest
-            (fast_path_matches_fresh ~arena_capacity:(1 lsl 18));
+          QCheck_alcotest.to_alcotest (fast_path_matches_fresh ~overfill:true);
+          QCheck_alcotest.to_alcotest (fast_path_matches_fresh ~overfill:false);
           QCheck_alcotest.to_alcotest text_batches_never_rebuild;
           Alcotest.test_case "closing and reopening a cycle takes the delta"
             `Quick test_cycle_close_reopen;
@@ -1954,6 +2079,7 @@ let () =
             (concurrent_differential 2);
           Alcotest.test_case "shared store, 8 domains" `Quick
             (concurrent_differential 8);
+          Alcotest.test_case "derivation memo, 8 domains" `Quick memo_domains;
         ] );
       ( "durability",
         [
@@ -1986,5 +2112,6 @@ let () =
             test_format_1_refused;
           Alcotest.test_case "concurrent puts echo their own seq" `Quick
             test_concurrent_seq_echo;
+          QCheck_alcotest.to_alcotest crc32_matches_bitwise;
         ] );
     ]

@@ -880,6 +880,41 @@ let test_with_store_lifecycle () =
   | Error ("svc/bad-request", _) -> ()
   | _ -> Alcotest.fail "digest-less verdict must be svc/bad-request"
 
+(* A check files every payload's text derivation in the one memo, so
+   a put of the same source straight after it derives none: the put
+   moves [store.node_hits] by the case's node count.  The texts are
+   distinct and named nowhere else, so no hit comes from within the
+   case or from an earlier test. *)
+let test_put_after_check_derives_nothing () =
+  let source =
+    {|case "ingest" {
+  goal K1 "Pump P7 isolates the feed line during a purge" { supported-by K2 }
+  strategy K2 "Argue over each purge valve" { supported-by K3 K4 }
+  goal K3 "Purge valve V1 closes within two seconds"
+  goal K4 "Purge valve V2 closes within three seconds"
+}|}
+  in
+  let hits () =
+    Argus_obs.Counter.value (Argus_obs.Counter.make "store.node_hits")
+  in
+  (match
+     (Handlers.check ~ruleset:Argus_gsn.Wellformed.Standard ~lints:true
+        ~filename:"ingest.arg" source)
+       .Handlers.result
+   with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "check refused the case");
+  let before = hits () in
+  (match
+     (Handlers.with_store (memory_store ())
+        (Protocol.request ~id:"p" ~source Protocol.Put)
+        ~budget:None)
+       .Protocol.outcome
+   with
+  | Ok (0, _) -> ()
+  | _ -> Alcotest.fail "put failed");
+  Alcotest.(check int) "payloads the put found derived" 4 (hits () - before)
+
 (* Each store refusal keeps its own wire code end-to-end: unknown
    digest, malformed batch, and the read-only degraded mode are three
    different client situations (re-put, fix the batch, wait for an
@@ -1363,6 +1398,8 @@ let () =
             test_stateless_rejects_store_ops;
           Alcotest.test_case "put/patch/verdict lifecycle" `Quick
             test_with_store_lifecycle;
+          Alcotest.test_case "a put after a check derives nothing" `Quick
+            test_put_after_check_derives_nothing;
           Alcotest.test_case "typed wire errors" `Quick
             test_store_wire_errors;
           Alcotest.test_case "read-only degraded mode on the wire" `Quick
