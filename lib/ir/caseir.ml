@@ -368,10 +368,11 @@ let make ?into ~evidence ~evidence_index ~index ~ids ~nodes ~n_entities
    check, a store put or recovery, a modular check's per-module pass —
    skips the text scan.  The key is what [derive] reads: the text and
    the type's class (a [Goal], another goal-like type, any other),
-   hashed and compared where it lies — ~50-70 ns a lookup, against
-   ~300 ns for an MD5 of the same fields and ~1.4-2.5 us for the
-   derive a hit saves (1000-node generated case).  FIFO eviction, and evicting never changes a result: a miss just
-   re-derives, outside the lock. *)
+   hashed and compared where it lies — ~70-100 ns a locked lookup,
+   against ~300 ns for an MD5 of the same fields and ~1.4-2.5 us for
+   the derive a hit saves (1000-node generated case).  FIFO eviction,
+   and evicting never changes a result: a miss just re-derives,
+   outside the lock. *)
 let memo_capacity = 1 lsl 16
 
 module Memo = Hashtbl.Make (struct
