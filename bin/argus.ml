@@ -149,8 +149,6 @@ let budget_spec_t =
       Budget.deadline_ms =
         (match deadline_ms with Some _ -> deadline_ms | None -> env.Budget.deadline_ms);
       fuel = (match fuel with Some _ -> fuel | None -> env.Budget.fuel);
-      max_depth = None;
-      max_solutions = None;
     }
   in
   Term.(const combine $ deadline $ fuel)
@@ -706,7 +704,7 @@ let endpoints_of socket connects =
 
 let serve_cmd =
   let run () socket listen port_file max_conns idle_timeout read_deadline
-      store data_dir sync sync_interval snapshot_every jobs queue_cap
+      store data_dir sync snapshot_every jobs queue_cap
       deadline max_deadline max_fuel drain_ms breaker_failures
       breaker_cooldown slow_ms =
     spanned "argus.serve" @@ fun () ->
@@ -747,12 +745,6 @@ let serve_cmd =
       2
     end
     else if store then begin
-      let sync =
-        match sync with
-        | `Always -> Wal.Always
-        | `Never -> Wal.Never
-        | `Interval -> Wal.Interval sync_interval
-      in
       match Durable.create ?dir:data_dir ~sync ~snapshot_every () with
       | Error diagnostic ->
           (* A refused recovery (mid-stream corruption, digest
@@ -800,22 +792,13 @@ let serve_cmd =
     Arg.(
       value
       & opt
-          (enum
-             [ ("always", `Always); ("interval", `Interval); ("never", `Never) ])
-          `Always
+          (enum [ ("always", Wal.Always); ("never", Wal.Never) ])
+          Wal.Always
       & info [ "sync" ] ~docv:"POLICY"
           ~doc:
             "WAL fsync policy: $(b,always) fsyncs every append (an \
-             acknowledged write is durable), $(b,interval) fsyncs at most \
-             once per --sync-interval window, $(b,never) leaves flushing \
-             to the kernel.")
-  in
-  let sync_interval =
-    Arg.(
-      value
-      & opt (positive_float_conv "--sync-interval") 100.
-      & info [ "sync-interval" ] ~docv:"MS"
-          ~doc:"Fsync window for --sync interval, in milliseconds.")
+             acknowledged write is durable), $(b,never) leaves flushing \
+             to the kernel until the drain.")
   in
   let snapshot_every =
     Arg.(
@@ -962,7 +945,7 @@ let serve_cmd =
     Term.(
       const run $ obs_t $ socket_arg $ listen $ port_file $ max_conns
       $ idle_timeout $ read_deadline $ store $ data_dir $ sync
-      $ sync_interval $ snapshot_every $ jobs $ queue_cap $ deadline
+      $ snapshot_every $ jobs $ queue_cap $ deadline
       $ max_deadline $ max_fuel $ drain_ms $ breaker_failures
       $ breaker_cooldown $ slow_ms)
 
@@ -973,10 +956,7 @@ let serve_cmd =
    dribble (per-attempt deadlines carved from the overall budget bound
    every read).  Shared by [call] and [top]. *)
 let roundtrip ?op eps line =
-  let client = Client.create eps in
-  let result = Client.call ?op client line in
-  Client.close client;
-  match result with
+  match Client.call ?op (Client.create eps) line with
   | Ok resp -> Ok resp
   | Error e -> Error (Client.error_message e)
 

@@ -203,19 +203,20 @@ let rec lex st ~keep =
 
 (* A lexical error — an unexpected character, an unterminated string,
    nesting beyond [max_nesting] — is reported alone, before any syntax
-   or semantic diagnostic, wherever it sits in the text.  So one dry
-   run of the lexer over the whole input, keeping no text, comes first;
-   it raises the first lexical error, and after it the parser's pulls
-   cannot fail. *)
+   or semantic diagnostic, wherever it sits in the text.  A parse body
+   that returns has pulled tokens up to [Eof], so the text has none
+   (whatever semantic diagnostics it left); after a parse that raised,
+   one dry run of the lexer over the whole input, keeping no text,
+   raises the first lexical error if there is one. *)
 let validate st =
-  lex st ~keep:false;
-  while st.kind <> Eof do
-    lex st ~keep:false
-  done;
   st.cur <- 0;
   st.line <- 1;
   st.bol <- 0;
-  st.depth <- 0
+  st.depth <- 0;
+  lex st ~keep:false;
+  while st.kind <> Eof do
+    lex st ~keep:false
+  done
 
 (* --- Parser --- *)
 
@@ -597,8 +598,8 @@ let p_case st =
     structure;
   }
 
-(* Shared parse driver: check the input lexically, pull the first
-   token, run [body], collect diagnostics. *)
+(* Shared parse driver: pull the first token, run [body], collect
+   diagnostics; after a raise, let a lexical error take precedence. *)
 let run_parser ~filename text body =
   if String.length text > max_input_bytes then
     Error
@@ -630,17 +631,19 @@ let run_parser ~filename text body =
         diags = [];
       }
     in
-    match validate st with
-    | exception Syntax_error (msg, loc) ->
-        Error [ Diagnostic.error ~code:"dsl/syntax" ~loc msg ]
-    | () -> (
-        lex st ~keep:true;
-        match body st with
-        | result ->
-            if Diagnostic.has_errors st.diags then
-              Error (Diagnostic.sort (List.rev st.diags))
-            else Ok result
+    match
+      lex st ~keep:true;
+      body st
+    with
+    | result ->
+        if Diagnostic.has_errors st.diags then
+          Error (Diagnostic.sort (List.rev st.diags))
+        else Ok result
+    | exception Syntax_error (msg, loc) -> (
+        match validate st with
         | exception Syntax_error (msg, loc) ->
+            Error [ Diagnostic.error ~code:"dsl/syntax" ~loc msg ]
+        | () ->
             Error
               (Diagnostic.sort
                  (Diagnostic.error ~code:"dsl/syntax" ~loc msg

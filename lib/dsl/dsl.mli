@@ -33,11 +33,13 @@
     no token list is built, so a large case's tokens never outlive the
     minor heap.  A string with no escape and no newline is one
     substring; a backslash escapes the byte after it, and an escaped
-    newline still starts a line.  Lexical errors — an unexpected
-    character, an unterminated string, nesting beyond 256 levels — are
-    found by one pass of the same lexer over the whole input before
-    parsing starts, so such an error is reported alone, ahead of any
-    syntax or semantic diagnostic, wherever it sits in the text. *)
+    newline still starts a line.  A lexical error — an unexpected
+    character, an unterminated string, nesting beyond 256 levels — is
+    reported alone, ahead of any syntax or semantic diagnostic,
+    wherever it sits in the text.  A parse that runs to the end of the
+    input has lexed it once and found none; only after a parse stopped
+    by an error does one more pass of the same lexer over the whole
+    input look for the first lexical error. *)
 
 type case = {
   module_name : Argus_core.Id.t option;

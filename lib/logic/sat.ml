@@ -448,11 +448,7 @@ let count_models ?(budget = Budget.unlimited) f =
     else begin
       let m = !mask in
       let valuation v = m land (1 lsl Hashtbl.find bit v) <> 0 in
-      if Prop.eval valuation f then begin
-        incr count;
-        if not (Budget.note_solution budget ~engine:"sat") then
-          truncated := true
-      end;
+      if Prop.eval valuation f then incr count;
       incr mask
     end
   done;

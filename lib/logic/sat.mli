@@ -65,5 +65,5 @@ val count_models : ?budget:Argus_rt.Budget.t -> Prop.t -> count
 (** Number of satisfying assignments over the formula's variables, by
     exhaustive enumeration.  Intended for formulas with at most ~20
     variables; used by tests and the confidence module.  The budget is
-    ticked per valuation and its solution cap counts satisfying ones; a
-    cut-off is reported as {!At_least}, never as an exact count. *)
+    ticked per valuation; a cut-off (fuel or deadline) is reported as
+    {!At_least}, never as an exact count. *)

@@ -275,8 +275,7 @@ type solution_action = Continue | Stop
    failing tick — step counts must match whichever oracle the caller
    diffs against.  All calls are tail calls: deep searches cost heap
    (the choice-point list), not stack. *)
-let search st (cp : Compile.t) goals0 ~skip_level ~budget ~budget_caps_depth
-    ~on_solution =
+let search st (cp : Compile.t) goals0 ~skip_level ~budget ~on_solution =
   let cps = ref [] in
   let rec solve goals =
     match goals with
@@ -284,7 +283,6 @@ let search st (cp : Compile.t) goals0 ~skip_level ~budget ~budget_caps_depth
     | e :: _ ->
         if e.g_depth <= 0 then begin
           st.s_abandoned <- st.s_abandoned + 1;
-          if budget_caps_depth then Budget.note_depth budget ~engine:"prolog";
           backtrack ()
         end
         else begin
@@ -429,8 +427,6 @@ let table_key : (Compile.t * Compile.query * int * bool) list ref Domain.DLS.key
 
 let run_provable ~max_depth ~budget cprog q =
   let st = new_state ~skel:false () in
-  let budget_caps_depth = Budget.depth_cap budget <= max_depth in
-  let max_depth = min max_depth (Budget.depth_cap budget) in
   let _qregs, _slots, goals = prepare st q max_depth in
   let found = ref false in
   let on_solution () =
@@ -441,8 +437,7 @@ let run_provable ~max_depth ~budget cprog q =
   Fun.protect
     ~finally:(fun () -> flush st)
     (fun () ->
-      search st cprog goals ~skip_level:true ~budget ~budget_caps_depth
-        ~on_solution);
+      search st cprog goals ~skip_level:true ~budget ~on_solution);
   !found
 
 let provable ?(max_depth = 64) ?(budget = Budget.unlimited) cprog q =
@@ -480,8 +475,6 @@ let solutions ?(max_depth = 64) ?(budget = Budget.unlimited) ?(limit = 10)
   if limit <= 0 then []
   else begin
     let st = new_state ~skel:false () in
-    let budget_caps_depth = Budget.depth_cap budget <= max_depth in
-    let max_depth = min max_depth (Budget.depth_cap budget) in
     let qregs, _slots, goals = prepare st q max_depth in
     let out = ref [] in
     let count = ref 0 in
@@ -498,15 +491,13 @@ let solutions ?(max_depth = 64) ?(budget = Budget.unlimited) ?(limit = 10)
       in
       out := bs :: !out;
       incr count;
-      if Budget.note_solution budget ~engine:"prolog" && !count < limit then
-        Continue
+      if Budget.exhausted budget = None && !count < limit then Continue
       else Stop
     in
     Fun.protect
       ~finally:(fun () -> flush st)
       (fun () ->
-        search st cprog goals ~skip_level:false ~budget ~budget_caps_depth
-          ~on_solution);
+        search st cprog goals ~skip_level:false ~budget ~on_solution);
     List.rev !out
   end
 
@@ -515,13 +506,10 @@ let prove ?(max_depth = 64) ?(budget = Budget.unlimited) cprog q =
   Fault.point "prolog.solve";
   Argus_obs.Counter.incr c_compiled_calls;
   let st = new_state ~skel:true () in
-  let budget_caps_depth = Budget.depth_cap budget <= max_depth in
-  let max_depth = min max_depth (Budget.depth_cap budget) in
   let _qregs, slots, goals = prepare st q max_depth in
   let result = ref None in
   let on_solution () =
     st.s_sols <- st.s_sols + 1;
-    ignore (Budget.note_solution budget ~engine:"prolog");
     (* Single-goal queries only, like the interpreter's [[ deriv ]]
        pattern: a conjunction has no single root derivation. *)
     if Array.length slots = 1 then begin
@@ -534,8 +522,7 @@ let prove ?(max_depth = 64) ?(budget = Budget.unlimited) cprog q =
   Fun.protect
     ~finally:(fun () -> flush st)
     (fun () ->
-      search st cprog goals ~skip_level:false ~budget ~budget_caps_depth
-        ~on_solution);
+      search st cprog goals ~skip_level:false ~budget ~on_solution);
   !result
 
 (* Convenience entry points mirroring the interpreter's signatures: compile

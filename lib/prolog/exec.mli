@@ -6,9 +6,8 @@
     admission (so the [prolog.index_*] counters agree), same
     clause-try/unification/backtrack accounting, same depth semantics
     (body goals one deeper, siblings level), same budget tick per
-    candidate and solution-cap truncation, same solution order — just
-    without substitution lists, freshening or [Seq] closures on the hot
-    path.  The differential tests in test/prolog hold the two engines
+    candidate, same solution order — just without substitution lists,
+    freshening or [Seq] closures on the hot path.  The differential tests in test/prolog hold the two engines
     to that, including equal {!Argus_rt.Budget.exhausted} step counts.
 
     [prolog.compiled_calls] counts entries through this module.  Spans

@@ -1,8 +1,8 @@
 (** Cooperative resource budgets for the engines.
 
     A budget bounds how much work an engine call may do — a deadline
-    on the monotonic {!Argus_core.Clock}, step ("fuel") counter,
-    recursion depth, solution count — and is checked at the engines' probe points.  Exhaustion never
+    on the monotonic {!Argus_core.Clock} and a step ("fuel") counter —
+    and is checked at the engines' probe points.  Exhaustion never
     raises: the engine stops exploring, returns the partial result it
     has, and the budget records what gave out, so the caller can attach
     a structured [Diagnostic.warning] (code ["rt/budget-exhausted"]) to
@@ -28,8 +28,6 @@ type t
 type reason =
   | Deadline  (** Deadline passed on the monotonic clock. *)
   | Fuel  (** Step counter exhausted. *)
-  | Depth  (** A branch was pruned at the budget's depth cap. *)
-  | Solutions  (** The solution cap was reached; the result is truncated. *)
 
 type exhaustion = { reason : reason; engine : string; steps : int }
 (** What gave out, in which engine, after how many consumed steps. *)
@@ -39,8 +37,6 @@ type exhaustion = { reason : reason; engine : string; steps : int }
 type spec = {
   deadline_ms : float option;  (** Relative to budget creation. *)
   fuel : int option;
-  max_depth : int option;
-  max_solutions : int option;
 }
 
 val spec_unlimited : spec
@@ -51,13 +47,7 @@ val spec_of_env : unit -> spec
 
 val spec_is_unlimited : spec -> bool
 
-val make :
-  ?deadline_ms:float ->
-  ?fuel:int ->
-  ?max_depth:int ->
-  ?max_solutions:int ->
-  unit ->
-  t
+val make : ?deadline_ms:float -> ?fuel:int -> unit -> t
 (** A fresh budget; the deadline clock starts now.  Non-positive limits
     are treated as absent. *)
 
@@ -80,30 +70,14 @@ val ticks : t -> engine:string -> int -> bool
     subformula labelling over [n] positions).  Checks the deadline
     unconditionally. *)
 
-val depth_cap : t -> int
-(** The depth limit, [max_int] when absent — engines clamp their own
-    depth parameter with [min]. *)
-
-val note_depth : t -> engine:string -> unit
-(** Record that a branch was pruned at the budget's depth cap.  Unlike
-    the other limits this is not fatal: the search goes on, but the
-    result is marked incomplete and {!diagnostics} will say so. *)
-
-val note_solution : t -> engine:string -> bool
-(** Record one emitted solution.  [false] when this solution reaches
-    the cap: the engine must stop enumerating and the result is marked
-    truncated. *)
-
 val steps : t -> int
 val exhausted : t -> exhaustion option
-(** The fatal exhaustion (deadline, fuel or solution cap), if any.
-    When [None] and {!depth_pruned} is [false], the result of the
-    budgeted call is complete — identical to the unbudgeted run. *)
-
-val depth_pruned : t -> bool
+(** The exhaustion (deadline or fuel), if any.  When [None], the
+    result of the budgeted call is complete — identical to the
+    unbudgeted run. *)
 
 val reason_to_string : reason -> string
 
 val diagnostics : t -> Argus_core.Diagnostic.t list
-(** Zero, one or two warnings with code ["rt/budget-exhausted"], e.g.
+(** Zero or one warning with code ["rt/budget-exhausted"], e.g.
     ["budget-exhausted: sat after 10000 steps (fuel)"]. *)

@@ -43,8 +43,8 @@
      state, so recovery refuses with the offset in the diagnostic.
 
    Sync policy: [Always] fsyncs after every append (an acknowledged
-   operation is durable), [Interval ms] fsyncs at most once per
-   window plus on {!flush} (drain), [Never] leaves it to the kernel.
+   operation is durable), [Never] leaves it to the kernel until
+   {!flush} (drain).
 
    Fault probes: [store.wal.append] (keyed by record seq) fires before
    the write, [store.wal.fsync] (keyed likewise) before the fsync —
@@ -54,7 +54,6 @@
 module Structure = Argus_gsn.Structure
 module Wellformed = Argus_gsn.Wellformed
 module Fault = Argus_rt.Fault
-module Clock = Argus_core.Clock
 module Counter = Argus_obs.Counter
 
 let c_appends = Counter.make "store.wal_appends"
@@ -81,7 +80,7 @@ let earlier_format ~stem ~what data =
   in
   go 1
 
-type sync = Always | Interval of float | Never
+type sync = Always | Never
 
 type op =
   | Put of Wellformed.ruleset * Structure.t
@@ -214,7 +213,6 @@ type t = {
   path : string;
   fd : Unix.file_descr;
   sync : sync;
-  mutable last_fsync_ms : float;
   mutable closed : bool;
 }
 
@@ -240,13 +238,12 @@ let openw ?(sync = Always) path =
   in
   let size = (Unix.fstat fd).Unix.st_size in
   if fresh || size = 0 then write_fully fd magic;
-  { path; fd; sync; last_fsync_ms = Clock.now_ms (); closed = false }
+  { path; fd; sync; closed = false }
 
 let do_fsync t ~key =
   Fault.point ~key "store.wal.fsync";
   Unix.fsync t.fd;
-  Counter.incr c_fsyncs;
-  t.last_fsync_ms <- Clock.now_ms ()
+  Counter.incr c_fsyncs
 
 let append t (r : record) =
   Fault.point ~key:(string_of_int r.seq) "store.wal.append";
@@ -260,9 +257,6 @@ let append t (r : record) =
   match t.sync with
   | Always -> do_fsync t ~key:(string_of_int r.seq)
   | Never -> ()
-  | Interval ms ->
-      if Clock.now_ms () -. t.last_fsync_ms >= ms then
-        do_fsync t ~key:(string_of_int r.seq)
 
 let flush t = if not t.closed then do_fsync t ~key:"flush"
 

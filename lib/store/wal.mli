@@ -16,7 +16,6 @@
 
 type sync =
   | Always  (** fsync after every append: an ack means durable. *)
-  | Interval of float  (** fsync at most once per window (ms). *)
   | Never  (** leave persistence timing to the kernel. *)
 
 type op =

@@ -1,6 +1,9 @@
-(** Resilient line-protocol client: connection pooling, seeded-backoff
-    retries, per-attempt deadlines carved from an overall budget, and
-    failover across a list of endpoints.
+(** Resilient line-protocol client: seeded-backoff retries,
+    per-attempt deadlines carved from an overall budget, and failover
+    across a list of endpoints.  Every attempt opens a fresh connection
+    and closes it after the response, so no connection outlives a call
+    and a server restarted between calls is just the server the next
+    call reaches.
 
     The failure semantics mirror the server's: every call resolves
     within its budget — a {!Protocol.response} (possibly a typed error
@@ -23,13 +26,7 @@
     a fresh [seq] echo in its ack — the audit trail that lets the
     caller detect the duplicate; against a server too old to echo
     [seq], the retried ack is refused as {!Bad_response}.  (DESIGN.md
-    §16 has the full table.)
-
-    A connection that died while pooled (the server restarted between
-    calls) is detected on first use — failure before a single response
-    byte — discarded, and replaced without consuming a retry attempt:
-    stale pool entries are the client's own problem, not the
-    network's. *)
+    §16 has the full table.) *)
 
 type error =
   | Connect_failed of string
@@ -54,7 +51,6 @@ type t
 val create :
   ?policy:Argus_rt.Retry.policy ->
   ?overall_deadline_ms:float ->
-  ?pool_size:int ->
   Endpoint.t list ->
   t
 (** [policy] defaults to 12 attempts, 25 ms base, 400 ms cap —
@@ -62,9 +58,7 @@ val create :
     and call immediately.  [overall_deadline_ms] (default 30 000)
     bounds the whole call including every retry and backoff sleep;
     each attempt gets [remaining / attempts_left], floored at 50 ms,
-    as its connect timeout and [SO_SNDTIMEO]/[SO_RCVTIMEO].
-    [pool_size] (default 2) idle connections are kept per endpoint.
-    Raises [Invalid_argument] on an empty endpoint list. *)
+    as its connect timeout and [SO_SNDTIMEO]/[SO_RCVTIMEO].  Raises [Invalid_argument] on an empty endpoint list. *)
 
 val endpoints : t -> Endpoint.t list
 
@@ -75,7 +69,3 @@ val call : ?op:Protocol.op -> t -> string -> (Protocol.response, error) result
 
 val call_request : t -> Protocol.request -> (Protocol.response, error) result
 (** {!call} on the encoded request, with the op taken from it. *)
-
-val close : t -> unit
-(** Close every pooled connection.  The client remains usable (fresh
-    connections will be opened). *)

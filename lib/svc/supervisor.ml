@@ -163,9 +163,7 @@ let mint_budget policy (req : Protocol.request) =
     | Some f, None -> Some f
     | None, _ -> None
   in
-  let spec =
-    { Budget.deadline_ms; fuel; max_depth = None; max_solutions = None }
-  in
+  let spec = { Budget.deadline_ms; fuel } in
   if Budget.spec_is_unlimited spec then None else Some (Budget.of_spec spec)
 
 let finish t (job : job) resp =

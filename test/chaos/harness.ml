@@ -78,7 +78,6 @@ let retry_worker ~eps ~rng ~t_end ~rate_per ~wid () =
     end
   in
   loop ();
-  Client.close client;
   tally
 
 (* --- the pipelining worker: raw connection, batched frames --- *)

@@ -261,14 +261,15 @@ let test_count_models () =
   Alcotest.(check int) "a | b" 3 (exact_count (p "a | b"));
   Alcotest.(check int) "a & ~a" 0 (exact_count (p "a & ~a"));
   Alcotest.(check int) "xor" 2 (exact_count (p "a <-> ~b"));
-  (* A budget's solution cap turns the count into a lower bound, never
-     a silently-wrong exact answer. *)
-  let b = Argus_rt.Budget.make ~max_solutions:2 () in
+  (* A budget that runs out of fuel turns the count into a lower bound,
+     never a silently-wrong exact answer: three ticks evaluate the
+     valuations 000, 001 and 010, two of which satisfy the formula. *)
+  let b = Argus_rt.Budget.make ~fuel:3 () in
   (match Sat.count_models ~budget:b (p "a | b | c") with
-  | Sat.At_least n -> Alcotest.(check int) "capped lower bound" 2 n
-  | Sat.Exact n -> Alcotest.failf "cap hit reported as exact %d" n);
+  | Sat.At_least n -> Alcotest.(check int) "truncated lower bound" 2 n
+  | Sat.Exact n -> Alcotest.failf "truncation reported as exact %d" n);
   Alcotest.(check bool)
-    "capped budget is exhausted" true
+    "truncated budget is exhausted" true
     (Argus_rt.Budget.exhausted b <> None)
 
 (* --- Term --- *)

@@ -194,12 +194,6 @@ let solve_compiled ?(max_depth = 64) ?(budget = Budget.unlimited) compiled
     goals =
   Fault.point "prolog.solve";
   let counter = ref 0 in
-  (* The budget's depth cap clamps (subsumes) the engine's own bound;
-     pruning at a budget-imposed cap is recorded so the caller can
-     report incompleteness, while pruning at the engine default stays
-     silent, as it always was. *)
-  let budget_caps_depth = Budget.depth_cap budget <= max_depth in
-  let max_depth = min max_depth (Budget.depth_cap budget) in
   (* Resolve [goals] left to right under [subst]; yields the extended
      substitution and one derivation per goal. *)
   let rec solve_goals subst goals depth :
@@ -209,7 +203,6 @@ let solve_compiled ?(max_depth = 64) ?(budget = Budget.unlimited) compiled
     | goal :: rest ->
         if depth <= 0 then begin
           Argus_obs.Counter.incr c_depth_abandoned;
-          if budget_caps_depth then Budget.note_depth budget ~engine:"prolog";
           Seq.empty
         end
         else
@@ -246,19 +239,10 @@ let solve_compiled ?(max_depth = 64) ?(budget = Budget.unlimited) compiled
                                    (subst, deriv :: rest_derivs)))
                  end)
   in
-  (* Stream solutions through the budget's solution cap: after the cap
-     is reached the tail is cut and the budget records the
-     truncation. *)
-  let rec capped seq () =
-    match seq () with
-    | Seq.Nil -> Seq.Nil
-    | Seq.Cons (solution, rest) ->
-        Argus_obs.Counter.incr c_solutions;
-        if Budget.note_solution budget ~engine:"prolog" then
-          Seq.Cons (solution, capped rest)
-        else Seq.Cons (solution, Seq.empty)
-  in
-  capped (solve_goals Term.Subst.empty goals max_depth)
+  solve_goals Term.Subst.empty goals max_depth
+  |> Seq.map (fun solution ->
+         Argus_obs.Counter.incr c_solutions;
+         solution)
 
 let solve ?max_depth ?budget program goals =
   solve_compiled ?max_depth ?budget (compile program) goals
@@ -330,8 +314,6 @@ let provable ?(max_depth = 64) ?(budget = Budget.unlimited) program goal =
   Fault.point "prolog.provable";
   let compiled = compile program in
   let counter = ref 0 in
-  let budget_caps_depth = Budget.depth_cap budget <= max_depth in
-  let max_depth = min max_depth (Budget.depth_cap budget) in
   (* Counter traffic is batched into locals and flushed once per call:
      a sharded increment costs ~10x a plain one, and the search loop
      below performs tens of them per query. *)
@@ -347,7 +329,6 @@ let provable ?(max_depth = 64) ?(budget = Budget.unlimited) program goal =
     | goal :: rest ->
         if depth <= 0 then begin
           incr abandoned;
-          if budget_caps_depth then Budget.note_depth budget ~engine:"prolog";
           false
         end
         else

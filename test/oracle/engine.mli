@@ -21,10 +21,7 @@
 
     Resource governance: every entry point takes an optional
     [?budget] ({!Argus_rt.Budget.t}, default unlimited).  The budget is
-    ticked once per clause candidate tried, its depth cap clamps
-    [max_depth] (with pruning at a budget-imposed cap recorded via
-    [note_depth]), and its solution cap truncates the answer stream.
-    On exhaustion the engine stops and returns what it has — a partial
+    ticked once per clause candidate tried.  On exhaustion the engine stops and returns what it has — a partial
     [Seq], or [false] from {!provable} — and the caller reads
     {!Argus_rt.Budget.exhausted} / [diagnostics] to report
     incompleteness.  Fault probes ["prolog.solve"] and

@@ -419,8 +419,9 @@ let compiled_agrees_on_recursion =
         (Exec.provable_term ~max_depth:32 program goal))
 
 (* Both engines tick the budget once per clause candidate tried and
-   truncate at the same solution cap, so under the same fuel they must
-   stop at the same step count with the same partial answer list. *)
+   stop enumerating at the same answer limit, so under the same fuel
+   they must stop at the same step count with the same partial answer
+   list. *)
 let compiled_budget_parity =
   QCheck.Test.make
     ~name:"compiled executor ticks the budget like the interpreter" ~count:150

@@ -10,10 +10,6 @@ let test_unlimited () =
   for _ = 1 to 10_000 do
     Alcotest.(check bool) "tick always ok" true (Budget.tick b ~engine:"t")
   done;
-  Alcotest.(check bool)
-    "note_solution always ok" true
-    (Budget.note_solution b ~engine:"t");
-  Alcotest.(check int) "depth cap absent" max_int (Budget.depth_cap b);
   Alcotest.(check bool) "never exhausted" true (Budget.exhausted b = None);
   Alcotest.(check (list string)) "no diagnostics" []
     (List.map
@@ -87,25 +83,6 @@ let test_deadline_follows_clock () =
   Alcotest.(check bool) "a huge deadline does not wrap" true
     (Budget.ticks huge ~engine:"t" 1)
 
-let test_solutions () =
-  let b = Budget.make ~max_solutions:2 () in
-  Alcotest.(check bool) "first" true (Budget.note_solution b ~engine:"t");
-  Alcotest.(check bool) "cap hit" false (Budget.note_solution b ~engine:"t");
-  match Budget.exhausted b with
-  | Some { Budget.reason = Budget.Solutions; _ } -> ()
-  | _ -> Alcotest.fail "expected solution-cap exhaustion"
-
-let test_depth_nonfatal () =
-  let b = Budget.make ~max_depth:3 () in
-  Alcotest.(check int) "cap" 3 (Budget.depth_cap b);
-  Budget.note_depth b ~engine:"t";
-  Alcotest.(check bool) "pruned" true (Budget.depth_pruned b);
-  Alcotest.(check bool)
-    "depth is non-fatal" true
-    (Budget.tick b ~engine:"t");
-  Alcotest.(check bool) "no fatal exhaustion" true (Budget.exhausted b = None);
-  Alcotest.(check int) "one warning" 1 (List.length (Budget.diagnostics b))
-
 let test_spec () =
   Alcotest.(check bool)
     "unlimited spec" true
@@ -119,11 +96,9 @@ let test_spec () =
   Alcotest.(check bool) "of_spec honours fuel" false (Budget.tick b ~engine:"t")
 
 let test_nonpositive_limits_absent () =
-  let b = Budget.make ~fuel:0 ~max_depth:(-1) () in
+  let b = Budget.make ~fuel:0 ~deadline_ms:(-1.) () in
   Alcotest.(check bool) "zero fuel means no fuel limit" false
-    (Budget.is_limited b);
-  Alcotest.(check int) "negative depth means no cap" max_int
-    (Budget.depth_cap b)
+    (Budget.is_limited b)
 
 (* --- Fault --- *)
 
@@ -211,8 +186,6 @@ let () =
           Alcotest.test_case "deadline" `Quick test_deadline;
           Alcotest.test_case "deadline follows the clock" `Quick
             test_deadline_follows_clock;
-          Alcotest.test_case "solution cap" `Quick test_solutions;
-          Alcotest.test_case "depth non-fatal" `Quick test_depth_nonfatal;
           Alcotest.test_case "spec round-trip" `Quick test_spec;
           Alcotest.test_case "non-positive limits" `Quick
             test_nonpositive_limits_absent;

@@ -1,6 +1,6 @@
 (* Network-layer tests: endpoint parsing, the readiness engine (both
    backends), line-framing fuzz against a live server, the resilient
-   client (retry, stale-pool detection, failover, deadlines), the
+   client (retry, server restart, failover, deadlines), the
    chaos probes, connection capacity past the FD_SETSIZE ceiling, and
    the chaos harness (its pipeliner schedule and a smoke run). *)
 
@@ -285,7 +285,6 @@ let test_framing_fuzz () =
   (* The server survived the whole menu.  (Client-driven so the probe
      holds under CI's ambient fault matrix too.) *)
   let client = Client.create [ Endpoint.Unix_path path ] in
-  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
   match Client.call_request client (req_health "after-menu") with
   | Ok resp ->
       Alcotest.(check string) "still serving after the fuzz menu"
@@ -362,11 +361,10 @@ let test_slow_loris_reaped () =
   | `Open _ -> Alcotest.fail "slow-loris connection not reaped");
   (* The healthy world kept turning. *)
   let client = Client.create [ Endpoint.Unix_path path ] in
-  (match Client.call_request client (req_health "after") with
+  match Client.call_request client (req_health "after") with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "server wedged after loris: %s"
-                 (Client.error_message e));
-  Client.close client
+                 (Client.error_message e)
 
 (* --- resilient client --- *)
 
@@ -390,7 +388,6 @@ let with_tcp_server ?(handler = echo_handler) ?(jobs = 1) f =
 let test_client_roundtrip_tcp () =
   with_tcp_server @@ fun _h port ->
   let client = Client.create [ Endpoint.Tcp ("127.0.0.1", port) ] in
-  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
   for i = 1 to 10 do
     match Client.call_request client (req_health (Printf.sprintf "h%d" i)) with
     | Ok resp ->
@@ -399,19 +396,19 @@ let test_client_roundtrip_tcp () =
     | Error e -> Alcotest.failf "call %d failed: %s" i (Client.error_message e)
   done
 
-let test_client_stale_pool_detected () =
-  let path = tmp_sock "stale" in
+(* Each call opens its own connection, so a server restarted between
+   two calls is simply the server the second call reaches. *)
+let test_client_after_restart () =
+  let path = tmp_sock "restart" in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let cfg =
     { (Server.default_config ~socket_path:path) with Server.jobs = 1 }
   in
   let h1 = Server.spawn ~handler:echo_handler cfg in
   let client = Client.create [ Endpoint.Unix_path path ] in
-  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
   (match Client.call_request client (req_health "one") with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "first call failed: %s" (Client.error_message e));
-  (* The connection is pooled; restart the server behind its back. *)
   ignore (Server.stop h1);
   let h2 = Server.spawn ~handler:echo_handler cfg in
   Fun.protect ~finally:(fun () -> ignore (Server.stop h2)) @@ fun () ->
@@ -420,7 +417,7 @@ let test_client_stale_pool_detected () =
       Alcotest.(check string) "answered by the new server" "two"
         resp.Protocol.rid
   | Error e ->
-      Alcotest.failf "stale pooled connection not recovered: %s"
+      Alcotest.failf "call after the restart failed: %s"
         (Client.error_message e)
 
 let test_client_failover () =
@@ -429,7 +426,6 @@ let test_client_failover () =
   let eps = [ Endpoint.Tcp ("127.0.0.1", port2); Endpoint.Tcp ("127.0.0.1", port1) ] in
   (* Preferred endpoint first: h2 answers. *)
   let client = Client.create eps in
-  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
   (match Client.call_request client (req_health "a") with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "warm call failed: %s" (Client.error_message e));
@@ -484,7 +480,6 @@ let test_client_deadline_bounded () =
       ~overall_deadline_ms:1_500.
       [ Endpoint.Tcp ("127.0.0.1", port) ]
   in
-  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
   let t0 = Unix.gettimeofday () in
   (match Client.call_request client (req_health "mute") with
   | Ok _ -> Alcotest.fail "a mute server cannot answer"
@@ -557,8 +552,7 @@ let test_net_read_fault_resolves () =
     (fun () ->
       with_tcp_server @@ fun _h port ->
       let client = Client.create [ Endpoint.Tcp ("127.0.0.1", port) ] in
-      Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
-      for i = 1 to 40 do
+          for i = 1 to 40 do
         match
           Client.call_request client (req_health (Printf.sprintf "c%d" i))
         with
@@ -574,8 +568,7 @@ let test_net_accept_fault_resolves () =
     (fun () ->
       with_tcp_server @@ fun _h port ->
       let client = Client.create [ Endpoint.Tcp ("127.0.0.1", port) ] in
-      Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
-      for i = 1 to 25 do
+          for i = 1 to 25 do
         match
           Client.call_request client (req_health (Printf.sprintf "a%d" i))
         with
@@ -779,8 +772,8 @@ let () =
       ( "client",
         [
           Alcotest.test_case "tcp round-trips" `Quick test_client_roundtrip_tcp;
-          Alcotest.test_case "stale pooled connection recovered" `Quick
-            test_client_stale_pool_detected;
+          Alcotest.test_case "call after a server restart" `Quick
+            test_client_after_restart;
           Alcotest.test_case "failover to the second endpoint" `Quick
             test_client_failover;
           Alcotest.test_case "deadline bounds a mute server" `Quick

@@ -1356,9 +1356,10 @@ let test_framing_no_read_allocation () =
         what per
   in
   bounded "acceptor" roundtrip;
-  (* The client's read path, on its one pooled connection. *)
+  (* The client's read path: each call opens a fresh connection with
+     its own framer, which starts small and does not grow for a
+     300-byte response. *)
   let client = Client.create [ Endpoint.Unix_path path ] in
-  Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
   bounded "client" (fun () ->
       match Client.call client (line_of_size 300) with
       | Ok _ -> ()
