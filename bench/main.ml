@@ -23,6 +23,7 @@ module Term = Argus_logic.Term
 module Prop = Argus_logic.Prop
 module Natded = Argus_logic.Natded
 module Sat = Argus_logic.Sat
+module Cnf_direct = Argus_oracle.Cnf_direct
 module Syllogism = Argus_logic.Syllogism
 module Structure = Argus_gsn.Structure
 module Wellformed = Argus_gsn.Wellformed
@@ -630,8 +631,11 @@ let svc_kernel ~name ~queue_capacity request_line =
       let cfg =
         {
           (Argus_svc.Server.default_config ~socket_path:path) with
-          Argus_svc.Server.jobs = 1;
-          queue_capacity;
+          Argus_svc.Server.supervisor =
+            {
+              Argus_svc.Supervisor.default_config with
+              Argus_svc.Supervisor.queue_capacity;
+            };
         }
       in
       let h = Argus_svc.Server.spawn cfg in
@@ -797,7 +801,7 @@ let bench_subjects =
      DPLL's pure-literal elimination fires (Tseitin-encoded queries
      structurally never contain pure literals — DESIGN.md section 7). *)
   let pure_cnf =
-    Sat.cnf_of_prop
+    Cnf_direct.cnf_of_prop
       (Prop.of_string_exn
          "(p | a) & (p | ~a) & (q | a) & (q | ~b) & (b | ~a) & (a | b)")
   in
@@ -885,7 +889,7 @@ let bench_subjects =
     Test.make ~name:"ablation-cnf-tseitin" (Staged.stage (fun () ->
         ignore (Sat.solve (Sat.tseitin ablation_formula))));
     Test.make ~name:"ablation-cnf-direct" (Staged.stage (fun () ->
-        ignore (Sat.solve (Sat.cnf_of_prop ablation_formula))));
+        ignore (Sat.solve (Cnf_direct.cnf_of_prop ablation_formula))));
     Test.make ~name:"ablation-hicase-visible-depth1" (Staged.stage (fun () ->
         ignore
           (Argus_gsn.Hicase.visible

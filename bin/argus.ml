@@ -21,6 +21,7 @@ module Fault = Argus_rt.Fault
 module Retry = Argus_rt.Retry
 module Protocol = Argus_svc.Protocol
 module Server = Argus_svc.Server
+module Supervisor = Argus_svc.Supervisor
 module Handlers = Argus_svc.Handlers
 module Endpoint = Argus_svc.Endpoint
 module Client = Argus_svc.Client
@@ -722,18 +723,25 @@ let serve_cmd =
         max_conns;
         idle_timeout_ms = idle_timeout;
         read_deadline_ms = read_deadline;
-        jobs;
-        queue_capacity = queue_cap;
-        default_deadline_ms =
-          (match deadline with
-          | Some _ -> deadline
-          | None -> env_spec.Budget.deadline_ms);
-        max_deadline_ms = max_deadline;
-        max_fuel;
+        supervisor =
+          {
+            Supervisor.default_config with
+            Supervisor.jobs;
+            queue_capacity = queue_cap;
+            budget =
+              {
+                Supervisor.default_deadline_ms =
+                  (match deadline with
+                  | Some _ -> deadline
+                  | None -> env_spec.Budget.deadline_ms);
+                max_deadline_ms = max_deadline;
+                max_fuel;
+              };
+            breaker_failures;
+            breaker_cooldown_ms = breaker_cooldown;
+            slow_ms;
+          };
         drain_ms;
-        breaker_failures;
-        breaker_cooldown_ms = breaker_cooldown;
-        slow_ms;
       }
     in
     if socket = None && listen = None then begin

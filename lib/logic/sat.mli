@@ -25,11 +25,6 @@ type literal = { var : string; sign : bool }
 type clause = literal list
 type cnf = clause list
 
-val cnf_of_prop : Prop.t -> cnf
-(** Direct conversion via NNF and distribution.  Semantics-preserving but
-    worst-case exponential; fine for the formula sizes arguments carry,
-    and used as the test oracle for {!tseitin}. *)
-
 val tseitin : Prop.t -> cnf
 (** Equisatisfiable linear-size conversion.  Introduces fresh variables
     prefixed ["_ts"]; input formulas must not use that prefix. *)

@@ -215,14 +215,6 @@ module Gauge = struct
     in
     bump ()
 
-  let add g d =
-    let v = Atomic.fetch_and_add g.gcell d + d in
-    let rec bump () =
-      let m = Atomic.get g.gmax in
-      if v > m && not (Atomic.compare_and_set g.gmax m v) then bump ()
-    in
-    bump ()
-
   let value g = Atomic.get g.gcell
   let max_value g = Atomic.get g.gmax
   let name g = g.gname

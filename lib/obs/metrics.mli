@@ -50,12 +50,6 @@ module Gauge : sig
 
   val set : t -> int -> unit
 
-  val add : t -> int -> unit
-  (** Atomic delta (negative to decrement) — for quantities with more
-      than one writer, e.g. a connection pool's idle count updated
-      from several client domains, where read-modify-write through
-      {!set} would lose updates. *)
-
   val value : t -> int
   val max_value : t -> int
   (** Highest value ever {!set} (since the last {!reset}). *)

@@ -13,9 +13,11 @@
 
     Cooldowns run on the monotonic {!Argus_core.Clock}; unit tests
     drive open → half-open → closed transitions deterministically under
-    {!Argus_core.Clock.with_fake}.  All operations are thread-safe
-    (admission happens on the acceptor thread, outcomes on worker
-    domains).
+    {!Argus_core.Clock.with_fake}.
+
+    A breaker holds no lock: the caller serialises every call on it,
+    {!state} included (the supervisor makes each call under its one
+    mutex, admission on the acceptor and outcomes on worker domains).
 
     Counter: [rt.breaker_open] (transitions into [Open]). *)
 
@@ -23,17 +25,9 @@ type state = Closed | Open | Half_open
 
 type t
 
-val make :
-  ?failures:int ->
-  ?cooldown_ms:float ->
-  name:string ->
-  unit ->
-  t
-(** [failures] defaults to 5 ([<= 0] disables the breaker: it never
-    opens); [cooldown_ms] defaults to 1000.  [name] labels the breaker
-    in health reports. *)
+val make : failures:int -> cooldown_ms:float -> t
+(** [failures <= 0] disables the breaker: it never opens. *)
 
-val name : t -> string
 val state : t -> state
 (** Consults the clock: an [Open] breaker whose cooldown has elapsed
     reports (and becomes) [Half_open]. *)

@@ -10,20 +10,13 @@ type config = {
   socket_path : string;
   listen : string option;
   port_file : string option;
-  jobs : int;
-  queue_capacity : int;
-  default_deadline_ms : float option;
-  max_deadline_ms : float option;
-  max_fuel : int option;
+  supervisor : Supervisor.config;
   drain_ms : float;
-  breaker_failures : int;
-  breaker_cooldown_ms : float;
   max_line_bytes : int;
   max_conns : int;
   write_timeout_ms : float;
   idle_timeout_ms : float;
   read_deadline_ms : float;
-  slow_ms : float option;
 }
 
 let default_config ~socket_path =
@@ -31,20 +24,17 @@ let default_config ~socket_path =
     socket_path;
     listen = None;
     port_file = None;
-    jobs = Argus_par.Pool.default_jobs ();
-    queue_capacity = 64;
-    default_deadline_ms = None;
-    max_deadline_ms = None;
-    max_fuel = None;
+    supervisor =
+      {
+        Supervisor.default_config with
+        Supervisor.jobs = Argus_par.Pool.default_jobs ();
+      };
     drain_ms = 5000.;
-    breaker_failures = 5;
-    breaker_cooldown_ms = 1000.;
     max_line_bytes = 8 * 1024 * 1024;
     max_conns = 4096;
     write_timeout_ms = 5000.;
     idle_timeout_ms = 60_000.;
     read_deadline_ms = 10_000.;
-    slow_ms = None;
   }
 
 (* Net-layer telemetry.  The fault counters mirror the three probe
@@ -206,8 +196,8 @@ let health_json t =
   [
     ("ready", Json.Bool (Supervisor.accepting t.sup));
     ("queue_depth", Json.int (Supervisor.queue_depth t.sup));
-    ("queue_capacity", Json.int t.cfg.queue_capacity);
-    ("jobs", Json.int t.cfg.jobs);
+    ("queue_capacity", Json.int t.cfg.supervisor.queue_capacity);
+    ("jobs", Json.int t.cfg.supervisor.jobs);
     ("restarts", Json.int (Supervisor.restarts t.sup));
     ("workers", Json.List (workers_json t));
     ("breakers", Json.Obj (breakers_json t));
@@ -249,8 +239,8 @@ let stats_json t =
     ("now_ms", Json.Num (Clock.wall_ms ()));
     ("ready", Json.Bool (Supervisor.accepting t.sup));
     ("queue_depth", Json.int (Supervisor.queue_depth t.sup));
-    ("queue_capacity", Json.int t.cfg.queue_capacity);
-    ("jobs", Json.int t.cfg.jobs);
+    ("queue_capacity", Json.int t.cfg.supervisor.queue_capacity);
+    ("jobs", Json.int t.cfg.supervisor.jobs);
     ("restarts", Json.int (Supervisor.restarts t.sup));
     ("conns", Json.int (Hashtbl.length t.conns));
     ("max_conns", Json.int t.cfg.max_conns);
@@ -627,7 +617,14 @@ let serve_loop t =
       (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
       (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
       if !(t.flight_dump) then dump_flight ();
-      if drained then 0 else 1
+      (match drained with
+      | `Drained -> 0
+      | `Expired abandoned ->
+          Printf.eprintf
+            "argus serve: drain deadline of %.15g ms passed; %d requests \
+             abandoned\n%!"
+            t.cfg.drain_ms abandoned;
+          1)
     with e ->
       Printf.eprintf "argus serve: internal error: %s\n%!"
         (Printexc.to_string e);
@@ -701,24 +698,15 @@ let make ?(handler = Handlers.handle) ?extra_stats ?on_drain cfg =
       close_out oc
   | _ -> ());
   let flight_dump = ref false in
-  let sup_config =
-    {
-      Supervisor.default_config with
-      Supervisor.jobs = cfg.jobs;
-      queue_capacity = cfg.queue_capacity;
-      breaker_failures = cfg.breaker_failures;
-      breaker_cooldown_ms = cfg.breaker_cooldown_ms;
-      budget =
-        {
-          Supervisor.default_deadline_ms = cfg.default_deadline_ms;
-          max_deadline_ms = cfg.max_deadline_ms;
-          max_fuel = cfg.max_fuel;
-        };
-      slow_ms = cfg.slow_ms;
-      on_crash = (fun () -> if !flight_dump then dump_flight ());
-    }
+  let on_crash () =
+    cfg.supervisor.Supervisor.on_crash ();
+    if !flight_dump then dump_flight ()
   in
-  let sup = Supervisor.create ~config:sup_config ~handler () in
+  let sup =
+    Supervisor.create
+      ~config:{ cfg.supervisor with Supervisor.on_crash }
+      ~handler ()
+  in
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
@@ -778,7 +766,7 @@ let run ?handler ?extra_stats ?on_drain cfg =
   Sys.set_signal Sys.sigusr1
     (Sys.Signal_handle (fun _ -> Atomic.set t.dump_requested true));
   Printf.eprintf "argus serve: listening on %s (jobs=%d, queue=%d)\n%!"
-    (listen_summary t) cfg.jobs cfg.queue_capacity;
+    (listen_summary t) cfg.supervisor.jobs cfg.supervisor.queue_capacity;
   serve_loop t
 
 type handle = { t : t; domain : int Domain.t }

@@ -53,14 +53,15 @@ type config = {
       (** When set and a TCP listener is bound, the bound port is
           written here (a line with the decimal port) before serving —
           how tests and scripts find a [--listen host:0] server. *)
-  jobs : int;
-  queue_capacity : int;
-  default_deadline_ms : float option;
-  max_deadline_ms : float option;
-  max_fuel : int option;
-  drain_ms : float;  (** Drain deadline on shutdown. *)
-  breaker_failures : int;
-  breaker_cooldown_ms : float;
+  supervisor : Supervisor.config;
+      (** Workers, queue capacity, breakers, budget policy and slow
+          threshold ({!Supervisor.config}); [jobs] and [queue_capacity]
+          are also what [health] and [stats] report.  The server runs
+          its flight dump after [on_crash]. *)
+  drain_ms : float;
+      (** Drain deadline on shutdown.  When it passes with work left,
+          the server writes [argus serve: drain deadline of N ms passed;
+          K requests abandoned] to stderr and exits 1. *)
   max_line_bytes : int;
       (** A connection sending a longer request line is answered
           [svc/bad-request] and closed — bounded buffering, like the
@@ -87,16 +88,13 @@ type config = {
           clocked from its first byte: the slow-loris defense.  The
           offender is answered [svc/bad-request] and closed.  [<= 0.]
           disables. *)
-  slow_ms : float option;
-      (** Flight-record requests slower than this many milliseconds
-          (admission to reply); [None] disables. *)
 }
 
 val default_config : socket_path:string -> config
-(** jobs {!Argus_par.Pool.default_jobs}, capacity 64, no deadline
-    defaults, 5 s drain, breaker 5 failures / 1 s cooldown, 8 MiB
-    lines, 4096 connections, 5 s write timeout, 60 s idle timeout,
-    10 s read deadline, no TCP listener, no slow threshold. *)
+(** {!Supervisor.default_config} with jobs
+    {!Argus_par.Pool.default_jobs}, 5 s drain, 8 MiB lines, 4096
+    connections, 5 s write timeout, 60 s idle timeout, 10 s read
+    deadline, no TCP listener. *)
 
 val run :
   ?handler:

@@ -5,6 +5,7 @@ module Breaker = Argus_rt.Breaker
 module Retry = Argus_rt.Retry
 module Fault = Argus_rt.Fault
 module Counter = Argus_obs.Counter
+module Gauge = Argus_obs.Metrics.Gauge
 module Histogram = Argus_obs.Metrics.Histogram
 module Ring = Argus_obs.Ring
 module Span = Argus_obs.Span
@@ -15,6 +16,7 @@ let c_shed = Counter.make "svc.shed"
 let c_breaker_open = Counter.make "svc.breaker_open"
 let c_restarts = Counter.make "svc.restarts"
 
+let g_depth = Gauge.make "svc.queue_depth"
 let h_latency = Histogram.make "svc.request_latency_ms"
 
 (* Per-kind latency: one histogram per op, so [stats] can answer
@@ -29,7 +31,7 @@ let h_latency_op op = Histogram.make ("svc.request_latency_ms." ^ op)
    advance. *)
 let flight = Ring.make ~name:"svc.flight" ~capacity:512
 
-let record_transition op before after =
+let record_transition op (before, after) =
   if before <> after then
     Ring.record flight ~kind:"breaker"
       [
@@ -38,28 +40,15 @@ let record_transition op before after =
         ("to", Json.Str (Breaker.state_to_string after));
       ]
 
-(* Breaker calls wrapped to catch state edges for the flight recorder —
-   the breaker itself stays oblivious. *)
-let breaker_admit b op =
-  let s0 = Breaker.state b in
-  let admitted = Breaker.admit b in
-  record_transition op s0 (Breaker.state b);
-  admitted
-
-let breaker_success b op =
-  let s0 = Breaker.state b in
-  Breaker.success b;
-  record_transition op s0 (Breaker.state b)
-
-let breaker_failure b op =
-  let s0 = Breaker.state b in
-  Breaker.failure b;
-  record_transition op s0 (Breaker.state b)
-
-let breaker_cancel b op =
-  let s0 = Breaker.state b in
-  Breaker.cancel b;
-  record_transition op s0 (Breaker.state b)
+(* Book a request's outcome ([Breaker.success] or [Breaker.failure]) on
+   its breaker; the caller holds [t.mu].  Returns the state edge, which
+   the caller records with [record_transition] once the lock is
+   released.  [Breaker.admit] and [Breaker.cancel] need no booking: once
+   [Breaker.state] has refreshed the cooldown, neither moves the state. *)
+let book breaker outcome =
+  let before = Breaker.state breaker in
+  outcome breaker;
+  (before, Breaker.state breaker)
 
 type worker_state = Idle | Busy | Restarting
 
@@ -77,7 +66,6 @@ type budget_policy = {
 type config = {
   jobs : int;
   queue_capacity : int;
-  restart_policy : Retry.policy;
   breaker_failures : int;
   breaker_cooldown_ms : float;
   budget : budget_policy;
@@ -89,7 +77,6 @@ let default_config =
   {
     jobs = 1;
     queue_capacity = 64;
-    restart_policy = Retry.default_policy;
     breaker_failures = 5;
     breaker_cooldown_ms = 1000.;
     budget =
@@ -103,6 +90,7 @@ type job = {
   budget : Budget.t option;
   reply : Protocol.response -> unit;
   admitted_ms : float;
+  breaker : Breaker.t;  (** Its kind's breaker; guarded by [mu]. *)
 }
 
 type slot = {
@@ -115,29 +103,32 @@ type t = {
   cfg : config;
   handler :
     Protocol.request -> budget:Budget.t option -> Protocol.response;
+  mu : Mutex.t;
+      (** The one lock: guards [q], [slots], [inflight], [is_accepting],
+          [total_restarts] and [breakers], each breaker in it included. *)
+  work : Condition.t;
+      (** Signalled on a push, broadcast when {!drain} closes the queue. *)
+  idle : Condition.t;  (** Signalled when [inflight] drops or a worker exits. *)
   q : job Queue.t;
   slots : slot array;
   mutable domains : unit Domain.t array;
-  mu : Mutex.t;
-  idle : Condition.t;  (** Signalled when [inflight] drops or a worker exits. *)
   mutable inflight : int;  (** Admitted jobs not yet replied to. *)
-  mutable is_accepting : bool;
+  mutable is_accepting : bool;  (** Cleared once, by {!drain}. *)
   mutable total_restarts : int;
-  mutable drained : bool;
-  breakers : (string, Breaker.t) Hashtbl.t;  (** Guarded by [mu]. *)
+  breakers : (string, Breaker.t) Hashtbl.t;
 }
 
+(* Caller holds [t.mu]. *)
 let breaker_of t op =
-  Mutex.protect t.mu (fun () ->
-      match Hashtbl.find_opt t.breakers op with
-      | Some b -> b
-      | None ->
-          let b =
-            Breaker.make ~failures:t.cfg.breaker_failures
-              ~cooldown_ms:t.cfg.breaker_cooldown_ms ~name:op ()
-          in
-          Hashtbl.add t.breakers op b;
-          b)
+  match Hashtbl.find_opt t.breakers op with
+  | Some b -> b
+  | None ->
+      let b =
+        Breaker.make ~failures:t.cfg.breaker_failures
+          ~cooldown_ms:t.cfg.breaker_cooldown_ms
+      in
+      Hashtbl.add t.breakers op b;
+      b
 
 (* The request's effective budget: server default deadline, client
    override clamped by the server max, fuel clamped likewise.  Minted
@@ -166,7 +157,11 @@ let mint_budget policy (req : Protocol.request) =
   let spec = { Budget.deadline_ms; fuel } in
   if Budget.spec_is_unlimited spec then None else Some (Budget.of_spec spec)
 
-let finish t (job : job) resp =
+(* After the handler: write the reply, observe latency, then drop
+   [inflight] — only once the reply is out, so [await_idle] returning
+   means every reply has been written.  [settle] runs in the same
+   critical section (a worker marking itself idle). *)
+let finish t (job : job) resp ~settle =
   (* A reply callback that raises (client hung up mid-write) must not
      count as a worker crash — the request itself succeeded. *)
   (try job.reply resp with _ -> ());
@@ -185,11 +180,9 @@ let finish t (job : job) resp =
         ]
   | _ -> ());
   Mutex.protect t.mu (fun () ->
+      settle ();
       t.inflight <- t.inflight - 1;
       Condition.broadcast t.idle)
-
-let set_state t i st =
-  Mutex.protect t.mu (fun () -> t.slots.(i).state <- st)
 
 (* Run the handler; when the request asked for a trace, capture its
    span tree on this worker domain and splice it into a successful
@@ -215,24 +208,39 @@ let run_handler t (job : job) op =
 
 let worker t i =
   let slot = t.slots.(i) in
-  let rec loop () =
-    match Queue.pop t.q with
-    | None ->
-        Mutex.protect t.mu (fun () ->
+  (* Pop the next job and mark this worker busy, or — once drain has
+     closed the queue and it is empty — mark it exited. *)
+  let next () =
+    Mutex.protect t.mu (fun () ->
+        while Queue.is_empty t.q && t.is_accepting do
+          Condition.wait t.work t.mu
+        done;
+        match Queue.take_opt t.q with
+        | Some job ->
+            Gauge.set g_depth (Queue.length t.q);
+            slot.state <- Busy;
+            Some job
+        | None ->
             slot.exited <- true;
-            Condition.broadcast t.idle)
+            Condition.broadcast t.idle;
+            None)
+  in
+  let rec loop () =
+    match next () with
+    | None -> ()
     | Some job -> (
-        set_state t i Busy;
         let op = Protocol.op_to_string job.req.Protocol.op in
-        let breaker = breaker_of t op in
         match
           Fault.point ~key:job.req.Protocol.id "svc.request";
           run_handler t job op
         with
         | resp ->
-            breaker_success breaker op;
-            finish t job resp;
-            Mutex.protect t.mu (fun () ->
+            (* Booked before the reply: a client that resends the
+               moment a half-open trial answers finds the breaker
+               closed. *)
+            record_transition op
+              (Mutex.protect t.mu (fun () -> book job.breaker Breaker.success));
+            finish t job resp ~settle:(fun () ->
                 slot.consecutive <- 0;
                 slot.state <- Idle);
             loop ()
@@ -243,15 +251,16 @@ let worker t i =
                Restart bookkeeping happens before the reply: once the
                victim's answer is out (and [await_idle] can return),
                the restart is already on the books. *)
-            breaker_failure breaker op;
-            Counter.incr c_restarts;
-            let attempt =
+            let edge, attempt =
               Mutex.protect t.mu (fun () ->
+                  let edge = book job.breaker Breaker.failure in
                   slot.consecutive <- slot.consecutive + 1;
                   slot.state <- Restarting;
                   t.total_restarts <- t.total_restarts + 1;
-                  slot.consecutive)
+                  (edge, slot.consecutive))
             in
+            record_transition op edge;
+            Counter.incr c_restarts;
             Ring.record flight ~kind:"restart"
               [
                 ("worker", Json.int i);
@@ -262,15 +271,16 @@ let worker t i =
               ];
             finish t job
               (Protocol.error ~id:job.req.Protocol.id ~code:"rt/internal-error"
-                 (Printexc.to_string e));
+                 (Printexc.to_string e))
+              ~settle:ignore;
             (* The crash hook runs after the victim's reply is out, so a
                flight dump already shows the restart it reports. *)
             (try t.cfg.on_crash () with _ -> ());
             Clock.sleep_ms
-              (Retry.delay_ms t.cfg.restart_policy
+              (Retry.delay_ms Retry.default_policy
                  ~key:(Printf.sprintf "svc.worker-%d" i)
                  ~attempt);
-            set_state t i Idle;
+            Mutex.protect t.mu (fun () -> slot.state <- Idle);
             loop ())
   in
   loop ()
@@ -279,19 +289,19 @@ let create ?(config = default_config) ~handler () =
   let jobs = max 1 config.jobs in
   let t =
     {
-      cfg = { config with jobs };
+      cfg = config;
       handler;
-      q = Queue.create ~capacity:config.queue_capacity;
+      mu = Mutex.create ();
+      work = Condition.create ();
+      idle = Condition.create ();
+      q = Queue.create ();
       slots =
         Array.init jobs (fun _ ->
             { state = Idle; consecutive = 0; exited = false });
       domains = [||];
-      mu = Mutex.create ();
-      idle = Condition.create ();
       inflight = 0;
       is_accepting = true;
       total_restarts = 0;
-      drained = false;
       breakers = Hashtbl.create 8;
     }
   in
@@ -299,65 +309,59 @@ let create ?(config = default_config) ~handler () =
   t
 
 let submit t req ~reply =
-  let accepting = Mutex.protect t.mu (fun () -> t.is_accepting) in
-  if not accepting then
-    reply
-      (Protocol.error ~id:req.Protocol.id ~code:"svc/draining"
-         "server is draining; not accepting new requests")
-  else
-    let op = Protocol.op_to_string req.Protocol.op in
-    let breaker = breaker_of t op in
-    if not (breaker_admit breaker op) then begin
+  let id = req.Protocol.id in
+  let op = Protocol.op_to_string req.Protocol.op in
+  (* Stamp admission before the push: a worker can pop and even finish
+     the job before this domain gets to record the event, so the
+     default now-clock would misorder admit after slow. *)
+  let admit_wall_ms = Clock.wall_ms () in
+  let admitted_ms = Clock.now_ms () in
+  let budget = mint_budget t.cfg.budget req in
+  let admission =
+    Mutex.protect t.mu (fun () ->
+        if not t.is_accepting then `Draining
+        else
+          let breaker = breaker_of t op in
+          if not (Breaker.admit breaker) then `Breaker_open
+          else if Queue.length t.q >= t.cfg.queue_capacity then begin
+            (* Give back the half-open trial this job may have taken. *)
+            Breaker.cancel breaker;
+            `Shed (Queue.length t.q)
+          end
+          else begin
+            Queue.add { req; budget; reply; admitted_ms; breaker } t.q;
+            t.inflight <- t.inflight + 1;
+            let depth = Queue.length t.q in
+            Gauge.set g_depth depth;
+            Condition.signal t.work;
+            `Accepted depth
+          end)
+  in
+  match admission with
+  | `Draining ->
+      reply
+        (Protocol.error ~id ~code:"svc/draining"
+           "server is draining; not accepting new requests")
+  | `Breaker_open ->
       Counter.incr c_breaker_open;
       reply
-        (Protocol.error ~id:req.Protocol.id ~code:"svc/breaker-open"
+        (Protocol.error ~id ~code:"svc/breaker-open"
            (Printf.sprintf
               "circuit breaker for %S is open (recent %s requests crashed)"
               op op))
-    end
-    else begin
-      let job =
-        {
-          req;
-          budget = mint_budget t.cfg.budget req;
-          reply;
-          admitted_ms = Clock.now_ms ();
-        }
-      in
-      Mutex.protect t.mu (fun () -> t.inflight <- t.inflight + 1);
-      (* Stamp admission before the push: a worker can pop and even
-         finish the job before this domain gets to record the event,
-         so the default now-clock would misorder admit after slow. *)
-      let admit_wall_ms = Clock.wall_ms () in
-      match Queue.push t.q job with
-      | `Accepted ->
-          Counter.incr c_accepted;
-          Ring.record ~ts_ms:admit_wall_ms flight ~kind:"admit"
-            [
-              ("id", Json.Str req.Protocol.id);
-              ("op", Json.Str op);
-              ("depth", Json.int (Queue.depth t.q));
-            ]
-      | `Shed ->
-          Mutex.protect t.mu (fun () ->
-              t.inflight <- t.inflight - 1;
-              Condition.broadcast t.idle);
-          (* Give back the half-open trial this job may have taken. *)
-          breaker_cancel breaker op;
-          Counter.incr c_shed;
-          Ring.record flight ~kind:"shed"
-            [
-              ("id", Json.Str req.Protocol.id);
-              ("op", Json.Str op);
-              ("depth", Json.int (Queue.depth t.q));
-            ];
-          reply
-            (Protocol.error ~id:req.Protocol.id ~code:"svc/overloaded"
-               (Printf.sprintf "queue full (%d waiting); request shed"
-                  (Queue.depth t.q)))
-    end
+  | `Accepted depth ->
+      Counter.incr c_accepted;
+      Ring.record ~ts_ms:admit_wall_ms flight ~kind:"admit"
+        [ ("id", Json.Str id); ("op", Json.Str op); ("depth", Json.int depth) ]
+  | `Shed depth ->
+      Counter.incr c_shed;
+      Ring.record flight ~kind:"shed"
+        [ ("id", Json.Str id); ("op", Json.Str op); ("depth", Json.int depth) ];
+      reply
+        (Protocol.error ~id ~code:"svc/overloaded"
+           (Printf.sprintf "queue full (%d waiting); request shed" depth))
 
-let queue_depth t = Queue.depth t.q
+let queue_depth t = Mutex.protect t.mu (fun () -> Queue.length t.q)
 
 let worker_states t =
   Mutex.protect t.mu (fun () ->
@@ -379,33 +383,39 @@ let await_idle t =
       done)
 
 let drain t ~deadline_ms =
-  let already = Mutex.protect t.mu (fun () ->
-      let d = t.drained in
-      t.is_accepting <- false;
-      t.drained <- true;
-      d)
+  let already, depth =
+    Mutex.protect t.mu (fun () ->
+        let already = not t.is_accepting in
+        t.is_accepting <- false;
+        Condition.broadcast t.work;
+        (already, Queue.length t.q))
   in
-  if already then true
+  if already then `Drained
   else begin
-    Ring.record flight ~kind:"drain"
-      [ ("queue_depth", Json.int (Queue.depth t.q)) ];
-    Queue.close t.q;
+    Ring.record flight ~kind:"drain" [ ("queue_depth", Json.int depth) ];
     let deadline = Clock.now_ms () +. deadline_ms in
     let rec wait () =
-      let all_exited =
+      let status =
         Mutex.protect t.mu (fun () ->
-            Array.for_all (fun s -> s.exited) t.slots)
+            if Array.for_all (fun s -> s.exited) t.slots then `Exited
+            else if Clock.now_ms () >= deadline then `Expired t.inflight
+            else `Waiting)
       in
-      if all_exited then begin
-        Array.iter Domain.join t.domains;
-        t.domains <- [||];
-        true
-      end
-      else if Clock.now_ms () >= deadline then false
-      else begin
-        Clock.sleep_ms 2.;
-        wait ()
-      end
+      match status with
+      | `Exited ->
+          Array.iter Domain.join t.domains;
+          t.domains <- [||];
+          `Drained
+      | `Expired abandoned ->
+          Ring.record flight ~kind:"drain-expired"
+            [
+              ("deadline_ms", Json.Num deadline_ms);
+              ("abandoned", Json.int abandoned);
+            ];
+          `Expired abandoned
+      | `Waiting ->
+          Clock.sleep_ms 2.;
+          wait ()
     in
     wait ()
   end

@@ -1,16 +1,21 @@
 (** Supervised worker pool: the "let it crash" core of [argus serve].
 
     A supervisor owns [jobs] long-lived worker domains pulling requests
-    off a bounded {!Queue}.  The robustness contract (DESIGN.md §11):
+    off one bounded FIFO.  Admission, dispatch and the per-kind breakers
+    share the supervisor's one mutex: {!submit} admits, pushes or sheds
+    in one critical section, a worker pops and marks itself busy in
+    another.  The robustness contract (DESIGN.md §11):
 
     - a worker whose handler raises (a bug, or an {!Argus_rt.Fault}
       injection at the ["svc.request"] probe, keyed by request id)
       answers its in-flight request with a typed [rt/internal-error]
       response, then restarts — re-entering its pull loop after a
-      capped, seeded-jitter backoff ({!Argus_rt.Retry.delay_ms}).  The
-      rest of the queue is untouched;
-    - admission refuses instead of blocking: past the queue's high-water
-      mark a request is answered [svc/overloaded] immediately;
+      capped, seeded-jitter backoff ({!Argus_rt.Retry.delay_ms} under
+      {!Argus_rt.Retry.default_policy}).  The rest of the queue is
+      untouched;
+    - admission refuses instead of blocking: with [queue_capacity]
+      requests waiting (or a capacity [<= 0]), a request is answered
+      [svc/overloaded] immediately;
     - each request kind has an {!Argus_rt.Breaker}: after
       [breaker_failures] consecutive crashes of that kind, further
       requests of the kind are answered [svc/breaker-open] without
@@ -30,13 +35,15 @@
     Counters: [svc.accepted], [svc.shed], [svc.breaker_open],
     [svc.restarts]; histograms [svc.request_latency_ms] (aggregate) and
     [svc.request_latency_ms.<op>] (per request kind); gauge
-    [svc.queue_depth].
+    [svc.queue_depth] (current depth; its max is the observed
+    high-water mark).
 
     Telemetry: every admission, shed, breaker transition, worker
-    restart, drain and over-threshold slow request is also recorded in
-    the {!flight} ring; a request with [trace = true] has its handler
-    run under {!Argus_obs.Span.capture} and the resulting span tree
-    spliced into the successful payload as ["trace"]. *)
+    restart, drain, expired drain and over-threshold slow request is
+    also recorded in the {!flight} ring; a request with [trace = true]
+    has its handler run under {!Argus_obs.Span.capture} and the
+    resulting span tree spliced into the successful payload as
+    ["trace"]. *)
 
 type worker_state = Idle | Busy | Restarting
 
@@ -50,10 +57,7 @@ type budget_policy = {
 
 type config = {
   jobs : int;  (** Worker domains (min 1). *)
-  queue_capacity : int;
-  restart_policy : Argus_rt.Retry.policy;
-      (** Backoff between a worker crash and its restart;
-          [max_attempts] is ignored — workers always restart. *)
+  queue_capacity : int;  (** Waiting requests at most; [<= 0] sheds all. *)
   breaker_failures : int;  (** [<= 0] disables the breakers. *)
   breaker_cooldown_ms : float;
   budget : budget_policy;
@@ -67,9 +71,8 @@ type config = {
 }
 
 val default_config : config
-(** jobs 1, capacity 64, {!Argus_rt.Retry.default_policy} restarts,
-    breaker 5 failures / 1 s cooldown, no budget limits, no slow
-    threshold, no crash hook. *)
+(** jobs 1, capacity 64, breaker 5 failures / 1 s cooldown, no budget
+    limits, no slow threshold, no crash hook. *)
 
 val flight : Argus_obs.Ring.t
 (** The service flight recorder (ring ["svc.flight"], capacity 512). *)
@@ -105,10 +108,12 @@ val await_idle : t -> unit
 (** Block until no request is queued or in flight.  (Test and bench
     synchronisation point; the server uses {!drain}.) *)
 
-val drain : t -> deadline_ms:float -> bool
+val drain : t -> deadline_ms:float -> [ `Drained | `Expired of int ]
 (** Stop accepting, let queued and in-flight work finish, join the
-    workers.  [false] when the deadline expired with workers still
-    busy (their domains are then left to die with the process).
-    Idempotent. *)
+    workers.  [`Expired abandoned] when the deadline passed first:
+    [abandoned] counts the requests still queued or running (their
+    domains are then left to die with the process), and a
+    ["drain-expired"] flight event records it with the deadline.
+    Idempotent: a later call returns [`Drained] at once. *)
 
 val worker_state_to_string : worker_state -> string

@@ -1,4 +1,5 @@
 open Argus_logic
+module Cnf_direct = Argus_oracle.Cnf_direct
 
 (* --- Generators --- *)
 
@@ -142,7 +143,9 @@ let validity_agrees_with_bruteforce =
 let direct_cnf_equisatisfiable =
   QCheck.Test.make ~name:"direct CNF agrees with Tseitin" ~count:200 arb_prop
     (fun f ->
-      Bool.equal (Sat.solve (Sat.cnf_of_prop f) <> None) (Sat.satisfiable f))
+      Bool.equal
+        (Sat.solve (Cnf_direct.cnf_of_prop f) <> None)
+        (Sat.satisfiable f))
 
 let sat_counter name =
   match List.assoc_opt name (Argus_obs.Metrics.counters ()) with
@@ -157,7 +160,7 @@ let test_pure_literal_elimination () =
      polarities — see DESIGN.md.) *)
   Argus_obs.Obs.reset ();
   let cnf =
-    Sat.cnf_of_prop
+    Cnf_direct.cnf_of_prop
       (Prop.of_string_exn "(p | a) & (p | ~a) & (q | a) & (q | ~b) & (b | ~a)")
   in
   Alcotest.(check bool) "satisfiable" true (Sat.solve cnf <> None);
@@ -230,13 +233,13 @@ let array_dpll_agrees_with_naive_tseitin =
 let array_dpll_agrees_with_naive_direct =
   QCheck.Test.make ~name:"array DPLL agrees with naive DPLL (direct CNF)"
     ~count:300 arb_prop (fun f ->
-      let cnf = Sat.cnf_of_prop f in
+      let cnf = Cnf_direct.cnf_of_prop f in
       Bool.equal (Sat.solve cnf <> None) (Argus_oracle.Sat_naive.solve cnf <> None))
 
 let array_dpll_model_satisfies_cnf =
   QCheck.Test.make ~name:"array DPLL models satisfy the CNF" ~count:300
     arb_prop (fun f ->
-      let cnf = Sat.cnf_of_prop f in
+      let cnf = Cnf_direct.cnf_of_prop f in
       match Sat.solve cnf with
       | None -> true
       | Some asg ->

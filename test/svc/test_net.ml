@@ -12,6 +12,7 @@ module Protocol = Argus_svc.Protocol
 module Endpoint = Argus_svc.Endpoint
 module Readiness = Argus_svc.Readiness
 module Server = Argus_svc.Server
+module Supervisor = Argus_svc.Supervisor
 module Client = Argus_svc.Client
 module Harness = Argus_chaos.Harness
 module Handlers = Argus_svc.Handlers
@@ -217,7 +218,7 @@ let test_framing_fuzz () =
   let cfg =
     {
       (Server.default_config ~socket_path:path) with
-      Server.jobs = 1;
+      Server.supervisor = Supervisor.default_config;
       max_line_bytes = 4096;
       read_deadline_ms = 400.;
       idle_timeout_ms = 2_000.;
@@ -321,7 +322,7 @@ let test_slow_loris_reaped () =
   let cfg =
     {
       (Server.default_config ~socket_path:path) with
-      Server.jobs = 1;
+      Server.supervisor = Supervisor.default_config;
       read_deadline_ms = 300.;
     }
   in
@@ -373,7 +374,7 @@ let with_tcp_server ?(handler = echo_handler) ?(jobs = 1) f =
     {
       (Server.default_config ~socket_path:"") with
       Server.listen = Some "127.0.0.1:0";
-      jobs;
+      supervisor = { Supervisor.default_config with jobs };
     }
   in
   let h = Server.spawn ~handler cfg in
@@ -402,7 +403,10 @@ let test_client_after_restart () =
   let path = tmp_sock "restart" in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let cfg =
-    { (Server.default_config ~socket_path:path) with Server.jobs = 1 }
+    {
+      (Server.default_config ~socket_path:path) with
+      Server.supervisor = Supervisor.default_config;
+    }
   in
   let h1 = Server.spawn ~handler:echo_handler cfg in
   let client = Client.create [ Endpoint.Unix_path path ] in

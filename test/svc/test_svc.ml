@@ -4,35 +4,8 @@ module Budget = Argus_rt.Budget
 module Fault = Argus_rt.Fault
 module Retry = Argus_rt.Retry
 module Breaker = Argus_rt.Breaker
-module Queue = Argus_svc.Queue
 module Protocol = Argus_svc.Protocol
 module Supervisor = Argus_svc.Supervisor
-
-(* --- Queue --- *)
-
-let test_queue_basic () =
-  let q = Queue.create ~capacity:2 in
-  Alcotest.(check int) "capacity" 2 (Queue.capacity q);
-  Alcotest.(check bool) "push a" true (Queue.push q "a" = `Accepted);
-  Alcotest.(check bool) "push b" true (Queue.push q "b" = `Accepted);
-  Alcotest.(check bool) "push c shed at high-water" true
-    (Queue.push q "c" = `Shed);
-  Alcotest.(check (option string)) "fifo" (Some "a") (Queue.pop q);
-  Alcotest.(check bool) "room again" true (Queue.push q "c" = `Accepted);
-  Queue.close q;
-  Alcotest.(check bool) "push after close sheds" true
-    (Queue.push q "d" = `Shed);
-  Alcotest.(check (option string)) "drains b" (Some "b") (Queue.pop q);
-  Alcotest.(check (option string)) "drains c" (Some "c") (Queue.pop q);
-  Alcotest.(check (option string)) "then empty" None (Queue.pop q);
-  Alcotest.(check bool) "closed" true (Queue.is_closed q)
-
-let test_queue_zero_capacity () =
-  let q = Queue.create ~capacity:0 in
-  Alcotest.(check bool) "sheds everything" true (Queue.push q 1 = `Shed);
-  let q' = Queue.create ~capacity:(-3) in
-  Alcotest.(check int) "negative clamps to 0" 0 (Queue.capacity q');
-  Alcotest.(check bool) "negative sheds too" true (Queue.push q' 1 = `Shed)
 
 (* --- Retry --- *)
 
@@ -54,7 +27,7 @@ let test_retry_delay_deterministic () =
 
 let test_breaker_transitions () =
   Clock.with_fake @@ fun () ->
-  let b = Breaker.make ~failures:2 ~cooldown_ms:100. ~name:"check" () in
+  let b = Breaker.make ~failures:2 ~cooldown_ms:100. in
   Alcotest.(check bool) "closed admits" true (Breaker.admit b);
   Breaker.failure b;
   Alcotest.(check bool) "one failure still closed" true
@@ -89,7 +62,7 @@ let test_breaker_transitions () =
     (Breaker.state b = Breaker.Closed)
 
 let test_breaker_disabled () =
-  let b = Breaker.make ~failures:0 ~name:"any" () in
+  let b = Breaker.make ~failures:0 ~cooldown_ms:1000. in
   for _ = 1 to 100 do
     Breaker.failure b
   done;
@@ -269,7 +242,7 @@ let test_supervisor_echo () =
         rs;
       Alcotest.(check int) "no restarts" 0 (Supervisor.restarts sup);
       Alcotest.(check bool) "clean drain" true
-        (Supervisor.drain sup ~deadline_ms:60_000.))
+        (Supervisor.drain sup ~deadline_ms:60_000. = `Drained))
     [ 1; 2; 8 ]
 
 (* The acceptance scenario: a fault injected at the [svc.request] probe,
@@ -312,7 +285,7 @@ let test_supervisor_crash_victim () =
           Alcotest.(check int) "exactly one restart" 1
             (Supervisor.restarts sup);
           Alcotest.(check bool) "drains after the crash" true
-            (Supervisor.drain sup ~deadline_ms:60_000.)))
+            (Supervisor.drain sup ~deadline_ms:60_000. = `Drained)))
     [ 1; 2; 8 ]
 
 (* Rate-based injection draws purely from (seed, probe, request id): the
@@ -377,7 +350,8 @@ let test_supervisor_sheds () =
       | Error ("svc/overloaded", _) -> ()
       | _ -> Alcotest.fail "expected svc/overloaded")
     rs;
-  Alcotest.(check bool) "drains" true (Supervisor.drain sup ~deadline_ms:60_000.)
+  Alcotest.(check bool) "drains" true
+    (Supervisor.drain sup ~deadline_ms:60_000. = `Drained)
 
 let test_supervisor_breaker () =
   Fault.with_spec
@@ -484,7 +458,7 @@ let test_supervisor_drain () =
     Supervisor.submit sup (req_check (Printf.sprintf "r%d" i)) ~reply
   done;
   Alcotest.(check bool) "drain completes" true
-    (Supervisor.drain sup ~deadline_ms:60_000.);
+    (Supervisor.drain sup ~deadline_ms:60_000. = `Drained);
   Alcotest.(check int) "queued work finished before exit" 8
     (List.length (all ()));
   Alcotest.(check bool) "no longer accepting" false (Supervisor.accepting sup);
@@ -496,7 +470,158 @@ let test_supervisor_drain () =
       | _ -> Alcotest.fail "expected svc/draining after drain")
   | [] -> Alcotest.fail "no replies");
   Alcotest.(check bool) "drain idempotent" true
-    (Supervisor.drain sup ~deadline_ms:60_000.)
+    (Supervisor.drain sup ~deadline_ms:60_000. = `Drained)
+
+let code_of (r : Protocol.response) =
+  match r.Protocol.outcome with Ok _ -> "ok" | Error (code, _) -> code
+
+(* One worker pops in submission order, so its replies come back in
+   that order too. *)
+let test_supervisor_fifo () =
+  let sup =
+    Supervisor.create ~config:(config ~jobs:1 ()) ~handler:echo_handler ()
+  in
+  let reply, all = make_sink () in
+  let ids = List.init 20 (Printf.sprintf "r%02d") in
+  List.iter (fun id -> Supervisor.submit sup (req_check id) ~reply) ids;
+  Supervisor.await_idle sup;
+  Alcotest.(check (list string)) "replies in submission order" ids
+    (List.map (fun r -> r.Protocol.rid) (all ()));
+  Alcotest.(check bool) "drains" true
+    (Supervisor.drain sup ~deadline_ms:60_000. = `Drained)
+
+(* A handler that holds its worker until [release]: with the one
+   worker parked on a request, the queue fills deterministically. *)
+let gated_handler () =
+  let mu = Mutex.create () and cv = Condition.create () in
+  let started = ref 0 and opened = ref false in
+  let handler req ~budget =
+    Mutex.protect mu (fun () ->
+        incr started;
+        Condition.broadcast cv;
+        while not !opened do
+          Condition.wait cv mu
+        done);
+    echo_handler req ~budget
+  in
+  let await_started n =
+    Mutex.protect mu (fun () ->
+        while !started < n do
+          Condition.wait cv mu
+        done)
+  in
+  let release () =
+    Mutex.protect mu (fun () ->
+        opened := true;
+        Condition.broadcast cv)
+  in
+  (handler, await_started, release)
+
+(* Capacity counts waiting requests: with the one worker busy, two
+   requests queue at capacity 2 and the third is shed at once.  A
+   negative capacity sheds everything, like 0. *)
+let test_supervisor_sheds_at_capacity () =
+  let handler, await_started, release = gated_handler () in
+  let sup =
+    Supervisor.create ~config:(config ~jobs:1 ~queue_capacity:2 ()) ~handler ()
+  in
+  let reply, all = make_sink () in
+  Supervisor.submit sup (req_check "running") ~reply;
+  await_started 1;
+  Supervisor.submit sup (req_check "q1") ~reply;
+  Supervisor.submit sup (req_check "q2") ~reply;
+  Alcotest.(check int) "two waiting" 2 (Supervisor.queue_depth sup);
+  Supervisor.submit sup (req_check "over") ~reply;
+  Alcotest.(check (list (pair string string)))
+    "shed synchronously, the rest still waiting"
+    [ ("over", "svc/overloaded") ]
+    (List.map (fun r -> (r.Protocol.rid, code_of r)) (all ()));
+  release ();
+  Supervisor.await_idle sup;
+  Alcotest.(check (list (pair string string)))
+    "the queued requests ran in order"
+    [
+      ("over", "svc/overloaded"); ("running", "ok"); ("q1", "ok"); ("q2", "ok");
+    ]
+    (List.map (fun r -> (r.Protocol.rid, code_of r)) (all ()));
+  Supervisor.submit sup (req_check "again") ~reply;
+  Supervisor.await_idle sup;
+  Alcotest.(check string) "room again once the queue emptied" "ok"
+    (code_of (List.hd (List.rev (all ()))));
+  Alcotest.(check bool) "drains" true
+    (Supervisor.drain sup ~deadline_ms:60_000. = `Drained);
+  let sup =
+    Supervisor.create
+      ~config:(config ~jobs:1 ~queue_capacity:(-3) ())
+      ~handler:echo_handler ()
+  in
+  let reply, all = make_sink () in
+  for i = 1 to 3 do
+    Supervisor.submit sup (req_check (Printf.sprintf "n%d" i)) ~reply
+  done;
+  Alcotest.(check (list string)) "negative capacity sheds everything"
+    [ "svc/overloaded"; "svc/overloaded"; "svc/overloaded" ]
+    (List.map code_of (all ()));
+  Alcotest.(check bool) "drains" true
+    (Supervisor.drain sup ~deadline_ms:60_000. = `Drained)
+
+(* Admission under contention: four domains submit at once into a
+   two-worker pool whose small queue keeps filling, so pushes, pops and
+   sheds interleave.  Every submission is answered exactly once, the
+   counters add up, and the queue ends empty. *)
+let test_supervisor_concurrent_submitters () =
+  let domains = 4 and per_domain = 2_000 in
+  let total = domains * per_domain in
+  let replies = Array.init total (fun _ -> Atomic.make 0) in
+  let answered = Atomic.make 0 and unexpected = Atomic.make 0 in
+  let reply (r : Protocol.response) =
+    Atomic.incr replies.(int_of_string r.Protocol.rid);
+    if code_of r <> "ok" && code_of r <> "svc/overloaded" then
+      Atomic.incr unexpected;
+    Atomic.incr answered
+  in
+  let accepted = Argus_obs.Counter.make "svc.accepted" in
+  let shed = Argus_obs.Counter.make "svc.shed" in
+  let accepted0 = Argus_obs.Counter.value accepted in
+  let shed0 = Argus_obs.Counter.value shed in
+  let sup =
+    Supervisor.create
+      ~config:(config ~jobs:2 ~queue_capacity:8 ())
+      ~handler:echo_handler ()
+  in
+  List.init domains (fun d ->
+      Domain.spawn (fun () ->
+          for k = 0 to per_domain - 1 do
+            Supervisor.submit sup
+              (req_check (string_of_int ((d * per_domain) + k)))
+              ~reply
+          done))
+  |> List.iter Domain.join;
+  (* A lost job would leave [await_idle] blocked forever: wait for the
+     replies with a bound first, so that failure reports, not hangs. *)
+  let give_up = Unix.gettimeofday () +. 30. in
+  while Atomic.get answered < total && Unix.gettimeofday () < give_up do
+    Unix.sleepf 0.001
+  done;
+  Alcotest.(check int) "every submission answered" total
+    (Atomic.get answered);
+  Array.iteri
+    (fun i n ->
+      if Atomic.get n <> 1 then
+        Alcotest.failf "request %d answered %d times" i (Atomic.get n))
+    replies;
+  Alcotest.(check int) "answered ok or svc/overloaded" 0
+    (Atomic.get unexpected);
+  Supervisor.await_idle sup;
+  Alcotest.(check int) "svc.accepted + svc.shed = submissions" total
+    (Argus_obs.Counter.value accepted - accepted0
+    + (Argus_obs.Counter.value shed - shed0));
+  Alcotest.(check int) "queue empty" 0 (Supervisor.queue_depth sup);
+  Alcotest.(check int) "svc.queue_depth gauge at 0" 0
+    (Argus_obs.Metrics.Gauge.value
+       (Argus_obs.Metrics.Gauge.make "svc.queue_depth"));
+  Alcotest.(check bool) "drains" true
+    (Supervisor.drain sup ~deadline_ms:60_000. = `Drained)
 
 (* --- Server --- *)
 
@@ -515,7 +640,10 @@ let test_server_half_close () =
   in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let cfg =
-    { (Server.default_config ~socket_path:path) with Server.jobs = 1 }
+    {
+      (Server.default_config ~socket_path:path) with
+      Server.supervisor = Supervisor.default_config;
+    }
   in
   let h = Server.spawn ~handler:echo_handler cfg in
   Fun.protect ~finally:(fun () -> ignore (Server.stop h)) @@ fun () ->
@@ -565,7 +693,12 @@ let with_server ?(jobs = 1) f =
          (int_of_float (Unix.gettimeofday () *. 1000.) mod 100000))
   in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let cfg = { (Server.default_config ~socket_path:path) with Server.jobs } in
+  let cfg =
+    {
+      (Server.default_config ~socket_path:path) with
+      Server.supervisor = { Supervisor.default_config with jobs };
+    }
+  in
   let h = Server.spawn ~handler:echo_handler cfg in
   Fun.protect ~finally:(fun () -> ignore (Server.stop h)) @@ fun () ->
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -1166,7 +1299,7 @@ let with_framing_server ?(max_line_bytes = 8 * 1024 * 1024) f =
   let cfg =
     {
       (Server.default_config ~socket_path:path) with
-      Server.jobs = 1;
+      Server.supervisor = Supervisor.default_config;
       max_line_bytes;
     }
   in
@@ -1368,11 +1501,6 @@ let test_framing_no_read_allocation () =
 let () =
   Alcotest.run "argus-svc"
     [
-      ( "queue",
-        [
-          Alcotest.test_case "bounded fifo" `Quick test_queue_basic;
-          Alcotest.test_case "zero capacity" `Quick test_queue_zero_capacity;
-        ] );
       ( "retry",
         [
           Alcotest.test_case "deterministic delays" `Quick
@@ -1426,6 +1554,11 @@ let () =
           Alcotest.test_case "budget clamping" `Quick
             test_supervisor_budget_clamp;
           Alcotest.test_case "graceful drain" `Quick test_supervisor_drain;
+          Alcotest.test_case "fifo at jobs 1" `Quick test_supervisor_fifo;
+          Alcotest.test_case "sheds at capacity" `Quick
+            test_supervisor_sheds_at_capacity;
+          Alcotest.test_case "4 domains submit concurrently" `Quick
+            test_supervisor_concurrent_submitters;
         ] );
       ( "server",
         [
