@@ -987,19 +987,13 @@ let edit_conv =
   let link_of ctor rest =
     match String.split_on_char ':' rest with
     | [ kind; src; dst ] -> (
-        let kind =
-          match kind with
-          | "supported-by" -> Some Structure.Supported_by
-          | "in-context-of" -> Some Structure.In_context_of
-          | _ -> None
-        in
-        match kind with
+        match Structure.link_of_string kind with
         | None ->
             Error
               (`Msg
-                 (Printf.sprintf
-                    "--edit: link kind must be supported-by or \
-                     in-context-of, not %S"
+                 (Printf.sprintf "--edit: link kind must be %s or %s, not %S"
+                    (Structure.link_to_string Structure.Supported_by)
+                    (Structure.link_to_string Structure.In_context_of)
                     rest))
         | Some kind -> (
             match (id_of src "source", id_of dst "destination") with
@@ -1134,17 +1128,7 @@ let call_cmd =
   in
   let op =
     let ops =
-      [
-        ("check", Protocol.Check);
-        ("prove", Protocol.Prove);
-        ("fallacies", Protocol.Fallacies);
-        ("probe", Protocol.Probe);
-        ("health", Protocol.Health);
-        ("stats", Protocol.Stats);
-        ("put", Protocol.Put);
-        ("patch", Protocol.Patch);
-        ("verdict", Protocol.Verdict);
-      ]
+      List.map (fun op -> (Protocol.op_to_string op, op)) Protocol.ops
     in
     Arg.(
       required

@@ -28,13 +28,13 @@ type kind = Eof | Word | Str | Lbrace | Rbrace | Lparen | Rparen | Comma
 exception Syntax_error of string * Loc.t
 
 (* Hardening caps: pathological input — multi-megabyte files, or
-   nesting deep enough to overflow the recursive-descent formula
-   parser — must come back as a syntax diagnostic (exit 1), never a
-   stack overflow or unbounded allocation.  The limits are far above
-   anything a legitimate case file reaches. *)
+   nesting deep enough to overflow the recursive-descent parser — must
+   come back as a syntax diagnostic (exit 1), never a stack overflow or
+   unbounded allocation.  The limits are far above anything a
+   legitimate case file reaches; formulas are bounded by
+   [Prop.max_nesting]. *)
 let max_input_bytes = 8 * 1024 * 1024
 let max_nesting = 256
-let max_formula_nesting = 512
 
 let is_word_char c =
   (c >= 'a' && c <= 'z')
@@ -342,36 +342,16 @@ type node_props = {
   mutable contexts : Id.t list;
 }
 
-(* [Prop.of_string] is recursive-descent: bound the paren depth before
-   handing it a formula, or a hostile one overflows the stack instead
-   of producing a diagnostic. *)
-let formula_depth text =
-  let d = ref 0 and m = ref 0 in
-  String.iter
-    (fun c ->
-      if c = '(' then begin
-        incr d;
-        if !d > !m then m := !d
-      end
-      else if c = ')' then decr d)
-    text;
-  !m
-
 let p_formal st props =
   let sl = st.last_sl and sc = st.last_sc and el = st.last_el
   and ec = st.last_ec in
   let text = p_string st "formula" in
-  if formula_depth text > max_formula_nesting then
-    semantic st
-      (Diagnostic.errorf ~code:"dsl/bad-formula" ~loc:(span st sl sc el ec)
-         "formula nesting exceeds %d levels" max_formula_nesting)
-  else
-    match Prop.of_string text with
-    | Ok f -> props.formal <- Some f
-    | Error e ->
-        semantic st
-          (Diagnostic.errorf ~code:"dsl/bad-formula" ~loc:(span st sl sc el ec)
-             "cannot parse formula %S: %s" text e)
+  match Prop.of_string text with
+  | Ok f -> props.formal <- Some f
+  | Error e ->
+      semantic st
+        (Diagnostic.error ~code:"dsl/bad-formula" ~loc:(span st sl sc el ec)
+           (Prop.error_message text e))
 
 let p_meta st props =
   let sl = st.last_sl and sc = st.last_sc and el = st.last_el
@@ -789,11 +769,8 @@ let print case =
       out "  %s %s %s" type_word (Id.to_string n.Node.id) (quote n.Node.text);
       let body_lines = ref [] in
       let addl fmt = Printf.ksprintf (fun s -> body_lines := s :: !body_lines) fmt in
-      (match n.Node.status with
-      | Node.Developed -> ()
-      | Node.Undeveloped -> addl "undeveloped"
-      | Node.Uninstantiated -> addl "uninstantiated"
-      | Node.Undeveloped_uninstantiated -> addl "undeveloped-uninstantiated");
+      if n.Node.status <> Node.Developed then
+        addl "%s" (Node.status_to_string n.Node.status);
       (match n.Node.formal with
       | Some f -> addl "formal %s" (quote (Prop.to_string f))
       | None -> ());
@@ -811,12 +788,14 @@ let print case =
           (fun (k, d) -> if k = kind then Some (Id.to_string d) else None)
           out_links
       in
-      (match targets Structure.Supported_by with
-      | [] -> ()
-      | ts -> addl "supported-by %s" (String.concat ", " ts));
-      (match targets Structure.In_context_of with
-      | [] -> ()
-      | ts -> addl "in-context-of %s" (String.concat ", " ts));
+      List.iter
+        (fun kind ->
+          match targets kind with
+          | [] -> ()
+          | ts ->
+              addl "%s %s" (Structure.link_to_string kind)
+                (String.concat ", " ts))
+        [ Structure.Supported_by; Structure.In_context_of ];
       (match List.rev !body_lines with
       | [] -> out "\n"
       | lines ->

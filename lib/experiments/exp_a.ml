@@ -1,3 +1,4 @@
+module Prng = Argus_core.Prng
 module Prop = Argus_logic.Prop
 module Formal = Argus_fallacy.Formal
 module Greenwell = Argus_fallacy.Greenwell

@@ -1,3 +1,5 @@
+module Prng = Argus_core.Prng
+
 type config = {
   seed : int;
   n_subjects : int;

@@ -1,3 +1,4 @@
+module Prng = Argus_core.Prng
 module Lifecycle = Argus_core.Lifecycle
 
 type config = {

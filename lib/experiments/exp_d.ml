@@ -1,3 +1,4 @@
+module Prng = Argus_core.Prng
 module Pattern = Argus_patterns.Pattern
 module Structure = Argus_gsn.Structure
 module Node = Argus_gsn.Node

@@ -1,3 +1,4 @@
+module Prng = Argus_core.Prng
 module Id = Argus_core.Id
 module Evidence = Argus_core.Evidence
 module Prop = Argus_logic.Prop

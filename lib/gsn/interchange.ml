@@ -4,26 +4,13 @@ module Diagnostic = Argus_core.Diagnostic
 module Evidence = Argus_core.Evidence
 module Prop = Argus_logic.Prop
 
-let status_to_string = function
-  | Node.Developed -> "developed"
-  | Node.Undeveloped -> "undeveloped"
-  | Node.Uninstantiated -> "uninstantiated"
-  | Node.Undeveloped_uninstantiated -> "undeveloped-uninstantiated"
-
-let status_of_string = function
-  | "developed" -> Some Node.Developed
-  | "undeveloped" -> Some Node.Undeveloped
-  | "uninstantiated" -> Some Node.Uninstantiated
-  | "undeveloped-uninstantiated" -> Some Node.Undeveloped_uninstantiated
-  | _ -> None
-
-let node_to_json n =
+let node_fields n =
   let base =
     [
       ("id", Json.Str (Id.to_string n.Node.id));
       ("type", Json.Str (Node.type_to_string n.Node.node_type));
       ("text", Json.Str n.Node.text);
-      ("status", Json.Str (status_to_string n.Node.status));
+      ("status", Json.Str (Node.status_to_string n.Node.status));
     ]
   in
   let formal =
@@ -49,16 +36,14 @@ let node_to_json n =
     | Some e -> [ ("evidence", Json.Str (Id.to_string e)) ]
     | None -> []
   in
-  Json.Obj (base @ formal @ annotations @ evidence)
+  base @ formal @ annotations @ evidence
+
+let node_to_json n = Json.Obj (node_fields n)
 
 let link_to_json (kind, src, dst) =
   Json.Obj
     [
-      ( "kind",
-        Json.Str
-          (match kind with
-          | Structure.Supported_by -> "supported-by"
-          | Structure.In_context_of -> "in-context-of") );
+      ("kind", Json.Str (Structure.link_to_string kind));
       ("from", Json.Str (Id.to_string src));
       ("to", Json.Str (Id.to_string dst));
     ]
@@ -97,15 +82,15 @@ let str_field obj name =
 let opt_str_field obj name =
   match Json.member name obj with
   | Some (Json.Str s) -> Some s
+  | None | Some Json.Null -> None
   | Some _ -> err "interchange/shape" "field %S must be a string" name
-  | None -> None
 
 let id_of s =
   match Id.of_string_opt s with
   | Some id -> id
   | None -> err "interchange/bad-id" "invalid identifier %S" s
 
-let node_of_json json =
+let node_of_json_exn json =
   let id = id_of (str_field json "id") in
   let node_type =
     let t = str_field json "type" in
@@ -117,7 +102,7 @@ let node_of_json json =
     match opt_str_field json "status" with
     | None -> Node.Developed
     | Some s -> (
-        match status_of_string s with
+        match Node.status_of_string s with
         | Some st -> st
         | None -> err "interchange/bad-status" "unknown status %S" s)
   in
@@ -128,11 +113,11 @@ let node_of_json json =
         match Prop.of_string text with
         | Ok f -> Some f
         | Error e ->
-            err "interchange/bad-formula" "formula %S: %s" text e)
+            err "interchange/bad-formula" "%s" (Prop.error_message text e))
   in
   let annotations =
     match Json.member "annotations" json with
-    | None -> []
+    | None | Some Json.Null -> []
     | Some (Json.List items) ->
         List.map
           (fun item ->
@@ -152,10 +137,10 @@ let node_of_json json =
 
 let link_of_json json =
   let kind =
-    match str_field json "kind" with
-    | "supported-by" -> Structure.Supported_by
-    | "in-context-of" -> Structure.In_context_of
-    | other -> err "interchange/bad-kind" "unknown link kind %S" other
+    let k = str_field json "kind" in
+    match Structure.link_of_string k with
+    | Some kind -> kind
+    | None -> err "interchange/bad-kind" "unknown link kind %S" k
   in
   (kind, id_of (str_field json "from"), id_of (str_field json "to"))
 
@@ -187,9 +172,12 @@ let list_field json name =
   | Some _ -> err "interchange/shape" "field %S must be a list" name
   | None -> []
 
+let node_of_json json =
+  match node_of_json_exn json with n -> Ok n | exception Bad d -> Error d
+
 let of_json json =
   match
-    let nodes = List.map node_of_json (list_field json "nodes") in
+    let nodes = List.map node_of_json_exn (list_field json "nodes") in
     let links = List.map link_of_json (list_field json "links") in
     let evidence = List.map evidence_of_json (list_field json "evidence") in
     Structure.build ~links ~evidence nodes

@@ -88,6 +88,17 @@ let type_of_string s =
           | "contract", Some m -> Some (Contract m)
           | _ -> None))
 
+let status_to_string = function
+  | Developed -> "developed"
+  | Undeveloped -> "undeveloped"
+  | Uninstantiated -> "uninstantiated"
+  | Undeveloped_uninstantiated -> "undeveloped-uninstantiated"
+
+let status_of_string s =
+  List.find_opt
+    (fun st -> String.equal (status_to_string st) s)
+    [ Developed; Undeveloped; Uninstantiated; Undeveloped_uninstantiated ]
+
 let pp ppf n =
   Format.fprintf ppf "[%s] %a: %s" (type_to_string n.node_type) Id.pp n.id
     n.text;

@@ -70,5 +70,13 @@ val type_of_string : string -> node_type option
 (** Inverse of {!type_to_string} for the simple types; modular types
     parse as ["away-goal:M"], ["module:M"], ["contract:M"]. *)
 
+val status_to_string : status -> string
+(** ["developed"], ["undeveloped"], ["uninstantiated"] or
+    ["undeveloped-uninstantiated"]: the one spelling of a status in
+    interchange JSON, wire edits and the DSL printer. *)
+
+val status_of_string : string -> status option
+(** Inverse of {!status_to_string}. *)
+
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool

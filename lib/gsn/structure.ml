@@ -3,6 +3,15 @@ module Evidence = Argus_core.Evidence
 
 type link = Supported_by | In_context_of
 
+let link_to_string = function
+  | Supported_by -> "supported-by"
+  | In_context_of -> "in-context-of"
+
+let link_of_string = function
+  | "supported-by" -> Some Supported_by
+  | "in-context-of" -> Some In_context_of
+  | _ -> None
+
 type t = {
   node_map : Node.t Id.Map.t;
   node_order : Id.t list;  (** Insertion order, newest last. *)

@@ -14,6 +14,14 @@
 
 type link = Supported_by | In_context_of
 
+val link_to_string : link -> string
+(** ["supported-by"] or ["in-context-of"]: the one spelling of a link
+    kind in interchange JSON, wire edits, [argus call --edit] and the
+    DSL printer. *)
+
+val link_of_string : string -> link option
+(** Inverse of {!link_to_string}. *)
+
 type t
 
 val empty : t

@@ -103,10 +103,7 @@ let parse_step line =
       let formula =
         match Prop.of_string formula_text with
         | Ok f -> f
-        | Error e ->
-            raise
-              (Line_error
-                 (Printf.sprintf "cannot parse formula %S: %s" formula_text e))
+        | Error e -> raise (Line_error (Prop.error_message formula_text e))
       in
       { Natded.formula; rule = rule_of ~keyword ~args }
 

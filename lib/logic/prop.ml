@@ -274,13 +274,40 @@ let parse tokens =
            (Printf.sprintf "trailing input starting at %s" (token_to_string t))));
   f
 
+type error = Too_deep | Syntax of string
+
+(* The parser is recursive-descent, so the paren depth is bounded
+   before it runs: a hostile formula gets [Too_deep], not a stack
+   overflow.  The bound is far above any formula a person writes. *)
+let max_nesting = 512
+
+let paren_depth s =
+  let d = ref 0 and m = ref 0 in
+  String.iter
+    (fun c ->
+      if c = '(' then begin
+        incr d;
+        if !d > !m then m := !d
+      end
+      else if c = ')' then decr d)
+    s;
+  !m
+
 let of_string s =
-  match parse (tokenise s) with
-  | f -> Ok f
-  | exception Parse_error msg -> Error msg
+  if paren_depth s > max_nesting then Error Too_deep
+  else
+    match parse (tokenise s) with
+    | f -> Ok f
+    | exception Parse_error msg -> Error (Syntax msg)
+
+let error_message text = function
+  | Too_deep -> Printf.sprintf "formula nesting exceeds %d levels" max_nesting
+  | Syntax msg -> Printf.sprintf "cannot parse formula %S: %s" text msg
 
 let of_string_exn s =
-  match of_string s with Ok f -> f | Error msg -> failwith msg
+  match of_string s with
+  | Ok f -> f
+  | Error e -> failwith (error_message s e)
 
 (* Exported constructors-as-operators; defined last so the rest of the
    module keeps the Stdlib boolean operators. *)

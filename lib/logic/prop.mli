@@ -54,10 +54,24 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val of_string : string -> (t, string) result
+type error =
+  | Too_deep  (** Parentheses nest deeper than {!max_nesting}. *)
+  | Syntax of string  (** The first syntax error, described. *)
+
+val max_nesting : int
+(** [512]: the deepest parenthesis nesting {!of_string} parses.  The
+    DSL, interchange JSON and wire edits all parse formulas through
+    it, so no input reaches the recursive-descent parser deeper. *)
+
+val of_string : string -> (t, error) result
 (** Parser for the {!pp} syntax plus common synonyms: [!]/[~]/[not],
     [&]/[/\]/[and], [|]/[\/]/[or], [->]/[=>], [<->]/[<=>], [true],
-    [false].  Returns a description of the first syntax error. *)
+    [false]. *)
+
+val error_message : string -> error -> string
+(** [error_message text e]: ["cannot parse formula TEXT: ..."] for a
+    syntax error, ["formula nesting exceeds 512 levels"] (without the
+    text, which may be megabytes) for [Too_deep]. *)
 
 val of_string_exn : string -> t
-(** @raise Failure on a syntax error. *)
+(** @raise Failure with {!error_message} on an error. *)

@@ -140,7 +140,7 @@ let load ~dir () : (outcome, string) result =
                 truncated = 0;
               }
           else
-            match Wal.read_file path with
+            match Wal.read_file ~key:"wal" path with
             | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
             | Ok data -> (
                 match Wal.parse data with

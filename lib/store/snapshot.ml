@@ -119,39 +119,28 @@ let write ~dir (image : image) =
   final
 
 let read path : (image, string) result =
-  match
-    Fault.point ~key:"snapshot" "store.recover.read";
-    In_channel.with_open_bin path In_channel.input_all
-  with
-  | exception Fault.Injected probe ->
-      Error (Printf.sprintf "injected fault at probe %s reading %s" probe path)
-  | exception Sys_error msg -> Error msg
-  | data ->
+  match Wal.read_file ~key:"snapshot" path with
+  | Error _ as e -> e
+  | Ok data -> (
+      let fail fmt = Printf.ksprintf (fun m -> Error (path ^ ": " ^ m)) fmt in
       let n = String.length data in
       let mlen = String.length magic in
+      let present = n - mlen - 8 in
+      let truncated len =
+        fail "snapshot truncated (record claims %d bytes, %d present)" len
+          present
+      in
       if n < mlen || String.sub data 0 mlen <> magic then
-        Error
-          (Printf.sprintf "%s: %s" path
-             (Option.value ~default:"not an argus snapshot (bad magic)"
-                (Wal.earlier_format ~stem:"ARGUSSNAP" ~what:"the snapshot"
-                   data)))
-      else if n - mlen < 8 then
-        Error (Printf.sprintf "%s: snapshot truncated (no record header)" path)
+        fail "%s"
+          (Option.value ~default:"not an argus snapshot (bad magic)"
+             (Wal.earlier_format ~stem:"ARGUSSNAP" ~what:"the snapshot" data))
       else
-        let len = Wal.read_u32le data mlen in
-        let crc = Wal.read_u32le data (mlen + 4) in
-        if len <> n - mlen - 8 then
-          Error
-            (Printf.sprintf
-               "%s: snapshot truncated (record claims %d bytes, %d present)"
-               path len (n - mlen - 8))
-        else
-          if Wal.crc32 data (mlen + 8) len <> crc then
-            Error (Printf.sprintf "%s: snapshot checksum mismatch" path)
-          else
-            match (Wal.unmarshal_at data (mlen + 8) len : image) with
-            | image -> Ok image
-            | exception _ ->
-                Error
-                  (Printf.sprintf
-                     "%s: snapshot undecodable (checksum valid)" path)
+        match (Wal.frame_at data mlen : image Wal.frame) with
+        | Incomplete None -> fail "snapshot truncated (no record header)"
+        | Incomplete (Some len) -> truncated len
+        | (Bad_checksum len | Undecodable len | Decoded (_, len))
+          when len <> present ->
+            truncated len
+        | Bad_checksum _ -> fail "snapshot checksum mismatch"
+        | Undecodable _ -> fail "snapshot undecodable (checksum valid)"
+        | Decoded (image, _) -> Ok image)

@@ -131,6 +131,25 @@ let unmarshal_at data off len =
   then failwith "Wal.unmarshal_at: the value overruns its record"
   else Marshal.from_string data off
 
+type 'a frame =
+  | Incomplete of int option
+  | Bad_checksum of int
+  | Undecodable of int
+  | Decoded of 'a * int
+
+let frame_at data o =
+  let n = String.length data in
+  if n - o < 8 then Incomplete None
+  else
+    let len = read_u32le data o in
+    if len > n - o - 8 then Incomplete (Some len)
+    else if crc32 data (o + 8) len <> read_u32le data (o + 4) then
+      Bad_checksum len
+    else
+      match unmarshal_at data (o + 8) len with
+      | v -> Decoded (v, len)
+      | exception _ -> Undecodable len
+
 type tail =
   | Clean
   | Torn of { offset : int; dropped : int }
@@ -152,60 +171,42 @@ let parse (data : string) : (record list * tail, string) result =
     Error
       (Option.value ~default:"not an argus WAL (bad magic)"
          (earlier_format ~stem:"ARGUSWAL" ~what:"the WAL" data))
-  else begin
-    let records = ref [] in
-    let result = ref None in
-    let off = ref mlen in
-    while !result = None do
-      let o = !off in
-      if o = n then result := Some (Ok (List.rev !records, Clean))
-      else if n - o < 8 then
-        (* Header torn mid-write: necessarily the tail. *)
-        result := Some (Ok (List.rev !records, Torn { offset = o; dropped = n - o }))
-      else begin
-        let len = read_u32le data o in
-        let crc = read_u32le data (o + 4) in
-        if len > n - o - 8 then
-          (* The record claims more bytes than the file holds.  Either a
-             genuinely torn append, or a corrupted length field — both
-             leave nothing parseable after this offset, so truncation is
-             the only sound reading. *)
-          result := Some (Ok (List.rev !records, Torn { offset = o; dropped = n - o }))
-        else begin
-          if crc32 data (o + 8) len <> crc then
+  else
+    let rec go records o =
+      let torn () =
+        Ok (List.rev records, Torn { offset = o; dropped = n - o })
+      in
+      if o = n then Ok (List.rev records, Clean)
+      else
+        match (frame_at data o : record frame) with
+        | Incomplete _ ->
+            (* A header or payload that runs past the end: a torn append,
+               or a corrupted length field — either leaves nothing
+               parseable after this offset, so truncation is the only
+               sound reading. *)
+            torn ()
+        | Bad_checksum len ->
             if o + 8 + len = n then
               (* Complete final record, bad bytes: torn append. *)
-              result :=
-                Some (Ok (List.rev !records, Torn { offset = o; dropped = n - o }))
+              torn ()
             else
-              result :=
-                Some
-                  (Error
-                     (Printf.sprintf
-                        "WAL corrupted mid-stream: checksum mismatch in the \
-                         record at byte %d (%d of %d bytes remain after it); \
-                         refusing to replay past it"
-                        o
-                        (n - (o + 8 + len))
-                        n))
-          else
-            match (unmarshal_at data (o + 8) len : record) with
-            | r ->
-                records := r :: !records;
-                off := o + 8 + len
-            | exception _ ->
-                result :=
-                  Some
-                    (Error
-                       (Printf.sprintf
-                          "WAL corrupted mid-stream: undecodable record at \
-                           byte %d (checksum valid); refusing to replay"
-                          o))
-        end
-      end
-    done;
-    match !result with Some r -> r | None -> assert false
-  end
+              Error
+                (Printf.sprintf
+                   "WAL corrupted mid-stream: checksum mismatch in the \
+                    record at byte %d (%d of %d bytes remain after it); \
+                    refusing to replay past it"
+                   o
+                   (n - (o + 8 + len))
+                   n)
+        | Undecodable _ ->
+            Error
+              (Printf.sprintf
+                 "WAL corrupted mid-stream: undecodable record at byte %d \
+                  (checksum valid); refusing to replay"
+                 o)
+        | Decoded (r, len) -> go (r :: records) (o + 8 + len)
+    in
+    go [] mlen
 
 (* --- the append handle --- *)
 
@@ -275,12 +276,12 @@ let close t =
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
 
-(* Read a log image for recovery.  The probe [store.recover.read]
-   (keyed ["wal"]) guards the read so EIO while recovering is a
-   deterministic scenario; parse failures surface as [Error]. *)
-let read_file path : (string, string) result =
+(* Read a log or snapshot image for recovery.  The probe
+   [store.recover.read] (keyed by [key]) guards the read so EIO while
+   recovering is a deterministic scenario. *)
+let read_file ~key path : (string, string) result =
   match
-    Fault.point ~key:"wal" "store.recover.read";
+    Fault.point ~key "store.recover.read";
     In_channel.with_open_bin path In_channel.input_all
   with
   | data -> Ok data

@@ -11,8 +11,8 @@
     scheme) is refused with a diagnostic naming its format.
 
     Fault probes: [store.wal.append] and [store.wal.fsync], keyed by
-    the record's sequence number; [store.recover.read] (key ["wal"])
-    on {!read_file}. *)
+    the record's sequence number; [store.recover.read] on
+    {!read_file}, keyed ["wal"] or ["snapshot"]. *)
 
 type sync =
   | Always  (** fsync after every append: an ack means durable. *)
@@ -49,17 +49,25 @@ val crc32 : string -> int -> int -> int
     in [0, 0xFFFFFFFF].  Raises [Invalid_argument] unless the range
     lies within [s]. *)
 
-val u32le : int -> string
-val read_u32le : string -> int -> int
-
 val header : string -> string
 (** The 8-byte frame header of a payload: [len:u32le ^ crc32:u32le]. *)
 
-val unmarshal_at : string -> int -> int -> 'a
-(** [unmarshal_at data off len]: [Marshal.from_string] of the [len]
-    bytes of [data] at [off], without copying them; raises unless a
-    whole encoding lies within them.  As with [Marshal], the caller
-    states the result type and nothing checks it. *)
+(** One frame [len:u32le ^ crc32:u32le ^ payload], read in place. *)
+type 'a frame =
+  | Incomplete of int option
+      (** It runs past the end of the data: [None] when its 8-byte
+          header does, [Some len] when its [len]-byte payload does. *)
+  | Bad_checksum of int  (** The [len]-byte payload fails its CRC. *)
+  | Undecodable of int
+      (** The [len]-byte payload passes its CRC but does not
+          unmarshal. *)
+  | Decoded of 'a * int  (** The unmarshalled payload and [len]. *)
+
+val frame_at : string -> int -> 'a frame
+(** [frame_at data off]: the frame at [off], its checksum checked and
+    its payload unmarshalled without a copy.  The one frame decoder of
+    the WAL ({!parse}) and of {!Snapshot.read}.  As with [Marshal], the
+    caller states the payload type and nothing checks it. *)
 
 val write_fully : Unix.file_descr -> string -> unit
 (** Write every byte or raise; retries [EINTR], maps a zero-progress
@@ -103,6 +111,6 @@ val reset : t -> unit
 
 val close : t -> unit
 
-val read_file : string -> (string, string) result
-(** The raw log image for recovery, through the [store.recover.read]
-    probe. *)
+val read_file : key:string -> string -> (string, string) result
+(** The raw log or snapshot image for recovery, through the
+    [store.recover.read] probe keyed [key] (["wal"] or ["snapshot"]). *)

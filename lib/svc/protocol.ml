@@ -1,7 +1,8 @@
 module Json = Argus_core.Json
 module Id = Argus_core.Id
-module Node = Argus_gsn.Node
+module Diagnostic = Argus_core.Diagnostic
 module Structure = Argus_gsn.Structure
+module Interchange = Argus_gsn.Interchange
 module Store = Argus_store.Store
 
 type op =
@@ -49,17 +50,11 @@ let op_to_string = function
   | Patch -> "patch"
   | Verdict -> "verdict"
 
-let op_of_string = function
-  | "check" -> Some Check
-  | "prove" -> Some Prove
-  | "fallacies" -> Some Fallacies
-  | "probe" -> Some Probe
-  | "health" -> Some Health
-  | "stats" -> Some Stats
-  | "put" -> Some Put
-  | "patch" -> Some Patch
-  | "verdict" -> Some Verdict
-  | _ -> None
+let ops =
+  [ Check; Prove; Fallacies; Probe; Health; Stats; Put; Patch; Verdict ]
+
+let op_of_string s =
+  List.find_opt (fun op -> String.equal (op_to_string op) s) ops
 
 let request ?(id = "") ?(source = "") ?(filename = "<request>") ?goal
     ?(ruleset = "standard") ?(lints = false) ?deadline_ms ?fuel
@@ -83,33 +78,11 @@ let request ?(id = "") ?(source = "") ?(filename = "<request>") ?goal
 
 (* --- the edit codec (patch requests) --- *)
 
-let status_to_string = function
-  | Node.Developed -> "developed"
-  | Node.Undeveloped -> "undeveloped"
-  | Node.Uninstantiated -> "uninstantiated"
-  | Node.Undeveloped_uninstantiated -> "undeveloped-uninstantiated"
-
-let status_of_string = function
-  | "developed" -> Some Node.Developed
-  | "undeveloped" -> Some Node.Undeveloped
-  | "uninstantiated" -> Some Node.Uninstantiated
-  | "undeveloped-uninstantiated" -> Some Node.Undeveloped_uninstantiated
-  | _ -> None
-
-let link_to_string = function
-  | Structure.Supported_by -> "supported-by"
-  | Structure.In_context_of -> "in-context-of"
-
-let link_of_string = function
-  | "supported-by" -> Some Structure.Supported_by
-  | "in-context-of" -> Some Structure.In_context_of
-  | _ -> None
-
 let link_edit_json op kind src dst =
   Json.Obj
     [
       ("op", Json.Str op);
-      ("kind", Json.Str (link_to_string kind));
+      ("kind", Json.Str (Structure.link_to_string kind));
       ("src", Json.Str (Id.to_string src));
       ("dst", Json.Str (Id.to_string dst));
     ]
@@ -123,19 +96,7 @@ let edit_to_json = function
           ("text", Json.Str text);
         ]
   | Store.Add_node n ->
-      Json.Obj
-        ([
-           ("op", Json.Str "add-node");
-           ("id", Json.Str (Id.to_string n.Node.id));
-           ("type", Json.Str (Node.type_to_string n.Node.node_type));
-           ("text", Json.Str n.Node.text);
-         ]
-        @ (if n.Node.status = Node.Developed then []
-           else [ ("status", Json.Str (status_to_string n.Node.status)) ])
-        @
-        match n.Node.evidence with
-        | None -> []
-        | Some ev -> [ ("evidence", Json.Str (Id.to_string ev)) ])
+      Json.Obj (("op", Json.Str "add-node") :: Interchange.node_fields n)
   | Store.Remove_node id ->
       Json.Obj
         [ ("op", Json.Str "remove-node"); ("id", Json.Str (Id.to_string id)) ]
@@ -160,12 +121,12 @@ let edit_of_json json =
     match req "kind" with
     | Error _ as e -> e
     | Ok k -> (
-        match link_of_string k with
+        match Structure.link_of_string k with
         | None ->
             Error
-              (Printf.sprintf
-                 "edit field \"kind\" must be \"supported-by\" or \
-                  \"in-context-of\", not %S"
+              (Printf.sprintf "edit field \"kind\" must be %S or %S, not %S"
+                 (Structure.link_to_string Structure.Supported_by)
+                 (Structure.link_to_string Structure.In_context_of)
                  k)
         | Some kind -> (
             match (req_id "src", req_id "dst") with
@@ -181,44 +142,9 @@ let edit_of_json json =
           | Ok id, Ok text -> Ok (Store.Set_text (id, text))
           | (Error _ as e), _ | _, (Error _ as e) -> e)
       | Ok "add-node" -> (
-          match (req_id "id", req "type", req "text") with
-          | Ok id, Ok ty, Ok text -> (
-              match Node.type_of_string ty with
-              | None -> Error (Printf.sprintf "edit: unknown node type %S" ty)
-              | Some node_type -> (
-                  let status =
-                    match Json.member "status" json with
-                    | None | Some Json.Null -> Ok None
-                    | Some (Json.Str s) -> (
-                        match status_of_string s with
-                        | Some st -> Ok (Some st)
-                        | None ->
-                            Error
-                              (Printf.sprintf "edit: unknown status %S" s))
-                    | Some _ -> Error "edit field \"status\" must be a string"
-                  in
-                  let evidence =
-                    match Json.member "evidence" json with
-                    | None | Some Json.Null -> Ok None
-                    | Some (Json.Str s) -> (
-                        match Id.of_string_opt s with
-                        | Some ev -> Ok (Some ev)
-                        | None ->
-                            Error
-                              (Printf.sprintf
-                                 "edit field \"evidence\": bad id %S" s))
-                    | Some _ ->
-                        Error "edit field \"evidence\" must be a string"
-                  in
-                  match (status, evidence) with
-                  | Ok status, Ok evidence ->
-                      Ok
-                        (Store.Add_node
-                           (Node.make ~id ~node_type ?status ?evidence text))
-                  | (Error _ as e), _ | _, (Error _ as e) -> e))
-          | (Error _ as e), _, _ | _, (Error _ as e), _ | _, _, (Error _ as e)
-            ->
-              e)
+          match Interchange.node_of_json json with
+          | Ok n -> Ok (Store.Add_node n)
+          | Error d -> Error ("edit: " ^ d.Diagnostic.message))
       | Ok "remove-node" -> (
           match req_id "id" with
           | Ok id -> Ok (Store.Remove_node id)

@@ -16,12 +16,14 @@
     (source in, digest out), [patch] (["digest"] + ["edits"] in, new
     digest out) and [verdict] (["digest"] in, report + confidence
     out), answered only by a server started with a store.  An edit is
-    [{"op": "set-text", "id", "text"}], [{"op": "add-node", "id",
-    "type", "text", "status"?, "evidence"?}], [{"op": "remove-node",
-    "id"}] or [{"op": "link"|"unlink", "kind":
-    "supported-by"|"in-context-of", "src", "dst"}]; a malformed edit
-    rejects the whole request as [svc/bad-request].  Everything but
-    [op] is optional: a
+    [{"op": "set-text", "id", "text"}], [{"op": "add-node", ...node}]
+    where [node] is an {!Argus_gsn.Interchange} node object (["id"],
+    ["type"], ["text"], ["status"]?, ["formal"]?, ["annotations"]?,
+    ["evidence"]?, decoded by {!Argus_gsn.Interchange.node_of_json}),
+    [{"op": "remove-node", "id"}] or [{"op": "link"|"unlink", "kind",
+    "src", "dst"}] with a {!Argus_gsn.Structure.link_to_string} kind; a
+    malformed edit rejects the whole request as [svc/bad-request].
+    Everything but [op] is optional: a
     missing [id] is assigned by the server, [source] defaults to empty.
     ["trace": true] asks the server to capture the request's span tree
     and return it in the payload; ["trace_id"] names the request for
@@ -74,6 +76,9 @@ type response = {
   rtrace_id : string option;
       (** Echo of the request's (possibly server-minted) trace id. *)
 }
+
+val ops : op list
+(** Every op, in the order [argus call] lists them. *)
 
 val op_to_string : op -> string
 val op_of_string : string -> op option

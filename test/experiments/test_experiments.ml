@@ -1,4 +1,5 @@
 open Argus_experiments
+module Prng = Argus_core.Prng
 
 (* --- Prng --- *)
 

@@ -746,6 +746,10 @@ let test_interchange_errors () =
        "interchange/bad-status");
       ({|{"nodes": [{"id": "G", "type": "goal", "text": "t", "formal": "a &"}]}|},
        "interchange/bad-formula");
+      ( Printf.sprintf
+          {|{"nodes": [{"id": "G", "type": "goal", "text": "t", "formal": "%sa%s"}]}|}
+          (String.make 513 '(') (String.make 513 ')'),
+        "interchange/bad-formula" );
       ({|{"links": [{"kind": "sideways", "from": "a", "to": "b"}]}|},
        "interchange/bad-kind");
       ({|{"nodes": [{"type": "goal", "text": "t"}]}|}, "interchange/shape");

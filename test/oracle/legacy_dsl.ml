@@ -331,10 +331,13 @@ let p_node_body st =
             else begin
             (match Prop.of_string text with
             | Ok f -> props.formal <- Some f
-            | Error e ->
+            | Error (Prop.Syntax e) ->
                 semantic st
                   (Diagnostic.errorf ~code:"dsl/bad-formula" ~loc
-                     "cannot parse formula %S: %s" text e));
+                     "cannot parse formula %S: %s" text e)
+            | Error Prop.Too_deep ->
+                (* [fdepth] is checked above against the same bound. *)
+                assert false);
             loop ()
             end
         | Some (Word "meta") ->

@@ -839,6 +839,16 @@ let test_protocol_edits_roundtrip () =
       Store.Unlink
         (Argus_gsn.Structure.In_context_of, Id.of_string "G1",
          Id.of_string "C1");
+      Store.Add_node
+        (Argus_gsn.Node.make ~id:(Id.of_string "AG1")
+           ~node_type:(Argus_gsn.Node.Away_goal (Id.of_string "M2"))
+           ~formal:(Argus_logic.Prop.of_string_exn "h1 -> (mitigated & verified)")
+           ~annotations:
+             (List.map
+                (fun a ->
+                  Result.get_ok (Argus_gsn.Metadata.annotation_of_string a))
+                [ {|hazard "H1" catastrophic remote|}; "sil 4" ])
+           "Hazard H1 is mitigated in module M2");
     ]
   in
   let req = Protocol.request ~digest:"abc123" ~edits Protocol.Patch in
@@ -859,7 +869,22 @@ let test_protocol_edits_roundtrip () =
   bad {|{"op": "patch", "edits": [{"op": "explode"}]}|};
   bad {|{"op": "patch", "edits": [{"op": "set-text", "id": "G1"}]}|};
   bad {|{"op": "patch", "edits": [{"op": "add-node", "id": "X", "type": "widget", "text": "t"}]}|};
-  bad {|{"op": "patch", "edits": [{"op": "link", "kind": "sideways", "src": "a", "dst": "b"}]}|}
+  bad {|{"op": "patch", "edits": [{"op": "link", "kind": "sideways", "src": "a", "dst": "b"}]}|};
+  (* The formula bound of the DSL holds on the wire: 512 nested
+     parentheses parse, 513 are refused. *)
+  let add_node_with_formal depth =
+    Printf.sprintf
+      {|{"op": "patch", "edits": [{"op": "add-node", "id": "G9", "type": "goal", "text": "t", "formal": "%sa%s"}]}|}
+      (String.make depth '(') (String.make depth ')')
+  in
+  bad (add_node_with_formal 513);
+  match Protocol.request_of_line (add_node_with_formal 512) with
+  | Ok { Protocol.edits = [ Store.Add_node n ]; _ } ->
+      Alcotest.(check bool)
+        "512-deep formal kept" true
+        (n.Argus_gsn.Node.formal = Some (Argus_logic.Prop.Var "a"))
+  | Ok _ -> Alcotest.fail "512-deep add-node decoded to other edits"
+  | Error e -> Alcotest.failf "512-deep formal refused: %s" e
 
 (* A server without a store must reject the stateful ops with a clear
    bad-request, not crash or hang. *)
@@ -952,6 +977,64 @@ let test_unknown_ruleset_rejected () =
       | Error (c, m) -> Alcotest.failf "%s denney-pai failed: %s %s" name c m)
     [ Protocol.Check; Protocol.Put ];
   Alcotest.(check int) "only the accepted put was logged" 1 (Durable.seq store)
+
+(* A node added over the wire keeps its formal and annotations: a put
+   of the whole case and a put of the case without the node plus a
+   patch that adds and links it reach the same digest and verdict. *)
+let test_patch_add_node_matches_put () =
+  let put_digest handle source =
+    match
+      (handle (Protocol.request ~id:"p" ~source Protocol.Put) ~budget:None)
+        .Protocol.outcome
+    with
+    | Ok (_, payload) -> payload_str payload "digest"
+    | Error (c, m) -> Alcotest.failf "put failed: %s %s" c m
+  in
+  let verdict handle digest =
+    match
+      (handle (Protocol.request ~id:"v" ~digest Protocol.Verdict) ~budget:None)
+        .Protocol.outcome
+    with
+    | Ok (code, payload) -> (code, List.assoc_opt "report" payload)
+    | Error (c, m) -> Alcotest.failf "verdict failed: %s %s" c m
+  in
+  let whole = Handlers.with_store (memory_store ()) in
+  let d_whole =
+    put_digest whole
+      {|case "t" {
+  goal G1 "The system is acceptably safe" { supported-by G2 }
+  goal G2 "Hazard H1 is mitigated" {
+    undeveloped
+    formal "h1 -> mitigated"
+    meta "hazard \"H1\" catastrophic remote"
+    meta "sil 4"
+  }
+}|}
+  in
+  let patched = Handlers.with_store (memory_store ()) in
+  let d_base =
+    put_digest patched
+      {|case "t" {
+  goal G1 "The system is acceptably safe"
+}|}
+  in
+  let line =
+    Printf.sprintf
+      {|{"id": "e", "op": "patch", "digest": %S, "edits": [{"op": "add-node", "id": "G2", "type": "goal", "text": "Hazard H1 is mitigated", "status": "undeveloped", "formal": "h1 -> mitigated", "annotations": ["hazard \"H1\" catastrophic remote", "sil 4"]}, {"op": "link", "kind": "supported-by", "src": "G1", "dst": "G2"}]}|}
+      d_base
+  in
+  let d_patched =
+    match Protocol.request_of_line line with
+    | Error e -> Alcotest.failf "patch line refused: %s" e
+    | Ok req -> (
+        match (patched req ~budget:None).Protocol.outcome with
+        | Ok (_, payload) -> payload_str payload "digest"
+        | Error (c, m) -> Alcotest.failf "patch failed: %s %s" c m)
+  in
+  Alcotest.(check string) "same digest" d_whole d_patched;
+  Alcotest.(check bool)
+    "same verdict" true
+    (verdict whole d_whole = verdict patched d_patched)
 
 let test_with_store_lifecycle () =
   let store = memory_store () in
@@ -1535,6 +1618,8 @@ let () =
             test_store_read_only_wire_error;
           Alcotest.test_case "unknown ruleset is a bad request" `Quick
             test_unknown_ruleset_rejected;
+          Alcotest.test_case "patch add-node matches a put" `Quick
+            test_patch_add_node_matches_put;
         ] );
       ( "ops",
         [
